@@ -14,7 +14,6 @@ from .basis import (
 from .convergence import ConvergenceReport, ConvergenceRow, run_convergence
 from .ivp import IVPRight, NewtonOptions, SolverFailure, reverse_dg, solve_backward, solve_forward
 from .mesh import (
-    ControlFunction,
     DGFunction,
     Partition,
     l2_error,
@@ -27,10 +26,8 @@ from .mesh import (
 )
 from .ocp import (
     OCProblem,
-    ReducedEvaluation,
     adjoint_residual,
     cost,
-    evaluate,
     hessian_form,
     pair_with_direction,
     reduced_gradient,
@@ -48,10 +45,10 @@ __all__ = [
     "ConvergenceReport", "ConvergenceRow", "run_convergence",
     "IVPRight", "NewtonOptions", "SolverFailure", "reverse_dg",
     "solve_backward", "solve_forward",
-    "ControlFunction", "DGFunction", "Partition", "l2_error", "load_dg",
+    "DGFunction", "Partition", "l2_error", "load_dg",
     "make_uniform_partition", "modal_from_values", "project_l2", "save_dg",
     "total_variation",
-    "OCProblem", "ReducedEvaluation", "adjoint_residual", "cost", "evaluate",
+    "OCProblem", "adjoint_residual", "cost",
     "hessian_form", "pair_with_direction", "reduced_gradient", "solve_adjoint",
     "solve_state", "tangent_solve",
     "OptimizeOptions", "OptimizeReport", "StallError", "minimize", "stationarity",

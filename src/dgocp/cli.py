@@ -6,17 +6,10 @@ import sys
 
 import numpy as np
 
-from .basis import default_rule, gauss_rule
+from .basis import default_rule
 from .convergence import run_convergence
 from .ivp import IVPRight, NewtonOptions, reverse_dg, solve_backward, solve_forward
-from .mesh import (
-    DGFunction,
-    l2_error,
-    make_uniform_partition,
-    modal_from_values,
-    project_l2,
-    save_dg,
-)
+from .mesh import DGFunction, l2_error, make_uniform_partition, save_dg
 from .ocp import (
     adjoint_residual,
     cost,
@@ -36,14 +29,6 @@ EXIT_USAGE = 2
 EXIT_STALL = 3
 
 N_PLOT_SAMPLES = 401
-
-
-def _quad_rule(args, r):
-    q = getattr(args, "quad_points", None)
-    if q is None:
-        env = os.environ.get("DGOCP_QUAD_POINTS")
-        q = int(env) if env else None
-    return gauss_rule(q) if q else default_rule(r)
 
 
 def _write_samples(F, path, names):
@@ -88,7 +73,7 @@ def cmd_solve(args):
         return EXIT_STALL
 
     os.makedirs(args.out, exist_ok=True)
-    u_dg = report.u_star.dg
+    u_dg = report.u_star
     xnames = [f"x_{i+1}" for i in range(p.d)]
     unames = [f"u_{i+1}" for i in range(p.m)]
     save_dg(u_dg, os.path.join(args.out, "u.csv"))
@@ -267,7 +252,6 @@ def build_parser():
     ps.add_argument("--out", default="out")
     ps.add_argument("--grad-tol", type=float, default=1e-10)
     ps.add_argument("--max-iter", type=int, default=10000)
-    ps.add_argument("--quad-points", type=int)
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("convergence", help="mesh-refinement error table")

@@ -71,7 +71,7 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, base_h=BASE_
         if progress:
             progress(f"reference solve: r={r_ref}, N={N_ref}")
         ref = _solve_level(p, r_ref, N_ref, opts)
-        ref_x, ref_u = ref.x_star, ref.u_star.dg
+        ref_x, ref_u = ref.x_star, ref.u_star
 
     report = ConvergenceReport()
     for r in orders:
@@ -83,7 +83,7 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, base_h=BASE_
                 progress(f"r={r}, k={k}, N={N}")
             res = _solve_level(p, r, N, opts)
             err_x = l2_error(res.x_star, ref_x)
-            err_u = l2_error(res.u_star.dg, ref_u)
+            err_u = l2_error(res.u_star, ref_u)
             row = ConvergenceRow(r=r, h=h, err_x=err_x, err_u=err_u)
             if prev is not None:
                 row.rate_x = float(np.log2(prev.err_x / err_x))

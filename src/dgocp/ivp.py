@@ -71,7 +71,6 @@ class IVPRight:
 class NewtonOptions:
     tol: float = 1e-12
     max_iter: int = 50
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.tol <= 0.0 or self.max_iter < 1:
@@ -146,7 +145,7 @@ def solve_forward(rhs, x0, partition, r, opts=None, rule=None):
             A = rhs.dF_dx(a, X)                   # (q, d, d)
             J = J_base - 0.5 * h * np.einsum("q,qj,qk,qab->jakb", w, P, P, A)
             delta = np.linalg.solve(J.reshape(nd, nd), -R.reshape(nd)).reshape(r + 1, d)
-            alpha = opts.damping
+            alpha = 1.0
             while True:
                 Rn, Xn = residual(C + alpha * delta)
                 rn = np.max(np.abs(Rn))

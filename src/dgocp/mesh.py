@@ -15,7 +15,6 @@ from .basis import default_rule, legendre_table, mass_diagonal
 __all__ = [
     "Partition",
     "DGFunction",
-    "ControlFunction",
     "make_uniform_partition",
     "project_l2",
     "modal_from_values",
@@ -184,12 +183,17 @@ def modal_from_values(values, partition, r, rule):
     return DGFunction(partition, r, values.shape[2], coeffs)
 
 
-def _ref_values(fn, ts, dim=None):
+def sample_values(fn, ts, dim=None):
+    """Values of a DGFunction or a callable at times ts, shape (len(ts), dim).
+
+    A one-dimensional result is read as a single column; a width other than
+    `dim` raises ValueError.
+    """
     vals = np.asarray(fn(ts), dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
     if dim is not None and vals.shape[1] != dim:
-        raise ValueError("reference callable returned wrong dimension")
+        raise ValueError(f"callable returned {vals.shape[1]} columns, expected {dim}")
     return vals
 
 
@@ -197,7 +201,7 @@ def project_l2(fn, partition, r, rule=None, dim=None):
     """Interval-wise L2 projection of a callable onto degree-r DG space."""
     rule = rule or default_rule(r)
     ts = partition.quad_times(rule)
-    flat = _ref_values(fn, ts.ravel(), dim)
+    flat = sample_values(fn, ts.ravel(), dim)
     values = flat.reshape(partition.N, rule.q, flat.shape[1])
     return modal_from_values(values, partition, r, rule)
 
@@ -215,7 +219,7 @@ def l2_error(F, ref, rule=None):
         if isinstance(ref, DGFunction):
             rv = ref.eval_many(ts.ravel())
         else:
-            rv = _ref_values(ref, ts.ravel(), F.dim)
+            rv = sample_values(ref, ts.ravel(), F.dim)
         diff = F.values_on_quad(rule) - rv.reshape(F.partition.N, rule.q, F.dim)
         per = np.einsum("q,nqd->n", rule.weights, diff**2)
         return float(np.sqrt(np.sum(0.5 * F.partition.widths * per)))
@@ -236,48 +240,10 @@ def l2_error(F, ref, rule=None):
             rv[:, 0, :] = ref.eval_many(ts[:, 0], side="right")
         rv = rv.reshape(-1, F.dim)
     else:
-        rv = _ref_values(ref, ts.ravel(), F.dim)
+        rv = sample_values(ref, ts.ravel(), F.dim)
     diff = np.einsum("ij,njd->nid", P, F.coeffs) - rv.reshape(F.partition.N, r + 1, F.dim)
     per = np.sum(diff**2, axis=(1, 2))
     return float(np.sqrt(np.sum(F.partition.widths * per)))
-
-
-class ControlFunction:
-    """A control: either a DGFunction or a closed-form callable, plus box bounds."""
-
-    def __init__(self, source, m=None, lo=None, hi=None):
-        if isinstance(source, ControlFunction):
-            self.dg, self.fn = source.dg, source.fn
-            m = m if m is not None else source.m
-            lo = lo if lo is not None else source.lo
-            hi = hi if hi is not None else source.hi
-        elif isinstance(source, DGFunction):
-            self.dg, self.fn = source, None
-            m = source.dim
-        elif callable(source):
-            self.dg, self.fn = None, source
-        else:
-            raise TypeError("control must be a DGFunction or a callable")
-        if m is None:
-            raise ValueError("control dimension m required for callable controls")
-        self.m = m
-        self.lo = None if lo is None else np.broadcast_to(np.asarray(lo, float), (m,))
-        self.hi = None if hi is None else np.broadcast_to(np.asarray(hi, float), (m,))
-
-    def __call__(self, ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.dg is not None:
-            return self.dg.eval_many(ts)
-        return _ref_values(self.fn, ts, self.m)
-
-    def within_box(self, ts, tol=0.0):
-        vals = self(ts)
-        ok = True
-        if self.lo is not None:
-            ok = ok and bool(np.all(vals >= self.lo - tol))
-        if self.hi is not None:
-            ok = ok and bool(np.all(vals <= self.hi + tol))
-        return ok
 
 
 def total_variation(u):
@@ -287,12 +253,8 @@ def total_variation(u):
     (split at the real roots of its derivative) plus the interior jump
     magnitudes; the component TVs are summed.
     """
-    if isinstance(u, ControlFunction):
-        if u.dg is None:
-            raise TypeError("total variation of a closed-form control is unsupported")
-        u = u.dg
     if not isinstance(u, DGFunction):
-        raise TypeError("total variation needs a DG-backed control")
+        raise TypeError("total variation needs a DGFunction")
 
     tv = 0.0
     r = u.degree

@@ -4,6 +4,10 @@ The reduced pipeline: state solve x_h = G_h(u), discrete adjoint lambda_h,
 reduced gradient g_u - f_u^T lambda_h, tangent solve y_h = G_h'(u) v, and the
 Hessian quadratic form j_h''(u)(v, v).
 
+A control u (or direction v) is a DGFunction or a callable t -> (q, m); for
+m = 1 the callable may return shape (q,).  Both kinds are sampled through
+mesh.sample_values.
+
 All problem callables are vectorized over time batches:
     t: (q,), x: (q, d), u: (q, m)
     f -> (q, d); g -> (q,)
@@ -18,13 +22,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import default_rule, deriv_inner_matrix, legendre_table
-from .ivp import IVPRight, NewtonOptions, solve_forward, solve_backward
-from .mesh import ControlFunction, DGFunction
+from .ivp import IVPRight, solve_forward, solve_backward
+from .mesh import sample_values
 
 __all__ = [
     "OCProblem",
-    "ReducedEvaluation",
-    "as_control",
     "solve_state",
     "solve_adjoint",
     "reduced_gradient",
@@ -33,7 +35,6 @@ __all__ = [
     "hessian_form",
     "pair_with_direction",
     "adjoint_residual",
-    "evaluate",
 ]
 
 
@@ -116,24 +117,6 @@ class OCProblem:
                 raise ValueError(f"{name} disagrees with finite differences")
 
 
-def as_control(u, p):
-    """Normalize a DGFunction / callable / ControlFunction into a ControlFunction."""
-    if isinstance(u, ControlFunction):
-        return u
-    return ControlFunction(u, m=p.m, lo=p.u_lo, hi=p.u_hi)
-
-
-@dataclass
-class ReducedEvaluation:
-    """Everything produced by one pass of the reduced pipeline at a control u."""
-
-    u: ControlFunction
-    x_h: DGFunction
-    lambda_h: DGFunction
-    cost: float
-    grad: Callable  # t -> (len(t), m), the integrand of j_h'
-
-
 def _per_interval(times, *values):
     """Per-interval tuples of data sampled at the (N, q) times, flattened.
 
@@ -149,11 +132,9 @@ def solve_state(p, u, partition, r, opts=None, rule=None):
 
     The control is evaluated once, at all quadrature times of the solve.
     """
-    uc = as_control(u, p)
-
     def inputs(times):
         flat = times.ravel()
-        return _per_interval(times, flat, uc(flat))
+        return _per_interval(times, flat, sample_values(u, flat, p.m))
 
     rhs = IVPRight(
         F=lambda tu, X: p.f(tu[0], X, tu[1]),
@@ -170,11 +151,9 @@ def solve_adjoint(p, u, x_h, partition, r, opts=None, rule=None):
     fx and gx along (t, x_h, u) do not depend on lam; they are evaluated once,
     at all quadrature times of the (reversed) solve.
     """
-    uc = as_control(u, p)
-
     def inputs(times):
         flat = times.ravel()
-        X, U = x_h.eval_many(flat), uc(flat)
+        X, U = x_h.eval_many(flat), sample_values(u, flat, p.m)
         return _per_interval(times, p.fx(flat, X, U), p.gx(flat, X, U))
 
     rhs = IVPRight(
@@ -187,12 +166,10 @@ def solve_adjoint(p, u, x_h, partition, r, opts=None, rule=None):
 
 def reduced_gradient(p, u, x_h, lambda_h):
     """Pointwise integrand of j_h'(u): gu(t, x_h, u) - fu(t, x_h, u)^T lambda_h."""
-    uc = as_control(u, p)
-
     def grad(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         X = x_h.eval_many(ts)
-        U = uc(ts)
+        U = sample_values(u, ts, p.m)
         L = lambda_h.eval_many(ts)
         return p.gu(ts, X, U) - np.einsum("qdm,qd->qm", p.fu(ts, X, U), L)
 
@@ -201,11 +178,11 @@ def reduced_gradient(p, u, x_h, lambda_h):
 
 def cost(p, u, x_h, rule=None):
     """j_h(u) = quadrature of g(t, x_h, u) over [0, T]."""
-    uc = as_control(u, p)
     rule = rule or default_rule(x_h.degree)
     ts = x_h.partition.quad_times(rule)
     flat = ts.ravel()
-    gv = p.g(flat, x_h.eval_many(flat), uc(flat)).reshape(x_h.partition.N, rule.q)
+    gv = p.g(flat, x_h.eval_many(flat), sample_values(u, flat, p.m))
+    gv = gv.reshape(x_h.partition.N, rule.q)
     return float(np.sum(0.5 * x_h.partition.widths * (gv @ rule.weights)))
 
 
@@ -215,13 +192,10 @@ def tangent_solve(p, u, x_h, v, partition, r, opts=None, rule=None):
     fx and fu v along (t, x_h, u) do not depend on y; they are evaluated once,
     at all quadrature times of the solve.
     """
-    uc = as_control(u, p)
-    vc = as_control(v, p)
-
     def inputs(times):
         flat = times.ravel()
-        X, U = x_h.eval_many(flat), uc(flat)
-        fu_v = np.einsum("qam,qm->qa", p.fu(flat, X, U), vc(flat))
+        X, U = x_h.eval_many(flat), sample_values(u, flat, p.m)
+        fu_v = np.einsum("qam,qm->qa", p.fu(flat, X, U), sample_values(v, flat, p.m))
         return _per_interval(times, p.fx(flat, X, U), fu_v)
 
     rhs = IVPRight(
@@ -234,10 +208,10 @@ def tangent_solve(p, u, x_h, v, partition, r, opts=None, rule=None):
 
 def pair_with_direction(integrand, v, p, partition, rule):
     """Quadrature of <integrand(t), v(t)> over [0, T]."""
-    vc = as_control(v, p)
     ts = partition.quad_times(rule)
     flat = ts.ravel()
-    prod = np.einsum("qm,qm->q", integrand(flat), vc(flat)).reshape(partition.N, rule.q)
+    prod = np.einsum("qm,qm->q", integrand(flat), sample_values(v, flat, p.m))
+    prod = prod.reshape(partition.N, rule.q)
     return float(np.sum(0.5 * partition.widths * (prod @ rule.weights)))
 
 
@@ -250,18 +224,16 @@ def hessian_form(p, u, v, partition, r, opts=None, rule=None, state=None, adjoin
     if not p.has_second_partials:
         raise ValueError("hessian_form requires all six second partials")
     rule = rule or default_rule(r)
-    uc = as_control(u, p)
-    vc = as_control(v, p)
-    x_h = state if state is not None else solve_state(p, uc, partition, r, opts, rule)
-    lam = adjoint if adjoint is not None else solve_adjoint(p, uc, x_h, partition, r, opts, rule)
-    y_h = tangent_solve(p, uc, x_h, vc, partition, r, opts, rule)
+    x_h = state if state is not None else solve_state(p, u, partition, r, opts, rule)
+    lam = adjoint if adjoint is not None else solve_adjoint(p, u, x_h, partition, r, opts, rule)
+    y_h = tangent_solve(p, u, x_h, v, partition, r, opts, rule)
 
     ts = partition.quad_times(rule).ravel()
     X = x_h.eval_many(ts)
-    U = uc(ts)
+    U = sample_values(u, ts, p.m)
     L = lam.eval_many(ts)
     Y = y_h.eval_many(ts)
-    V = vc(ts)
+    V = sample_values(v, ts, p.m)
 
     g_form = (
         np.einsum("qab,qa,qb->q", p.gxx(ts, X, U), Y, Y)
@@ -289,13 +261,12 @@ def adjoint_residual(p, u, x_h, lambda_h, rule=None):
     """
     r = lambda_h.degree
     rule = rule or default_rule(r)
-    uc = as_control(u, p)
     part = lambda_h.partition
     N = part.N
 
     ts = part.quad_times(rule).ravel()
     X = x_h.eval_many(ts)
-    U = uc(ts)
+    U = sample_values(u, ts, p.m)
     L = lambda_h.eval_many(ts)
     rhs = np.einsum("qab,qa->qb", p.fx(ts, X, U), L) - p.gx(ts, X, U)
     rhs = rhs.reshape(N, rule.q, p.d)
@@ -313,19 +284,3 @@ def adjoint_residual(p, u, x_h, lambda_h, rule=None):
         if n < N - 1:
             res[n] -= np.outer(np.ones(r + 1), lambda_h.trace_right(n + 1))
     return float(np.max(np.abs(res)))
-
-
-def evaluate(p, u, partition, r, opts=None, rule=None):
-    """Full reduced evaluation at u: state, adjoint, cost and gradient integrand."""
-    opts = opts or NewtonOptions()
-    rule = rule or default_rule(r)
-    uc = as_control(u, p)
-    x_h = solve_state(p, uc, partition, r, opts, rule)
-    lam = solve_adjoint(p, uc, x_h, partition, r, opts, rule)
-    return ReducedEvaluation(
-        u=uc,
-        x_h=x_h,
-        lambda_h=lam,
-        cost=cost(p, uc, x_h, rule),
-        grad=reduced_gradient(p, uc, x_h, lam),
-    )

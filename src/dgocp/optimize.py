@@ -15,8 +15,8 @@ import numpy as np
 
 from .basis import default_rule, gauss_rule, legendre_table, mass_diagonal
 from .ivp import NewtonOptions
-from .mesh import ControlFunction, DGFunction, modal_from_values, total_variation
-from .ocp import as_control, cost, reduced_gradient, solve_adjoint, solve_state
+from .mesh import DGFunction, modal_from_values, sample_values, total_variation
+from .ocp import cost, reduced_gradient, solve_adjoint, solve_state
 
 __all__ = [
     "OptimizeOptions",
@@ -41,9 +41,6 @@ class OptimizeOptions:
     step0: float = 1.0
     armijo_c: float = 1e-4
     fbs_relax: float = 1.0
-    # when False, sweep updates are accepted without the cost-decrease test
-    # (plain fixed-point iteration on the stationarity system)
-    fbs_guard: bool = True
     newton: NewtonOptions = field(default_factory=NewtonOptions)
     log_path: Optional[str] = None
 
@@ -58,7 +55,7 @@ class OptimizeOptions:
 
 @dataclass
 class OptimizeReport:
-    u_star: ControlFunction
+    u_star: DGFunction
     x_star: DGFunction
     lambda_star: DGFunction
     cost_history: list
@@ -96,8 +93,7 @@ def _control_to_dg(p, u0, partition, r_control):
     if u0 is None:
         vals = np.zeros((partition.N, r_control + 1, p.m))
     else:
-        uc = as_control(u0, p)
-        vals = uc(ts.ravel()).reshape(partition.N, r_control + 1, p.m)
+        vals = sample_values(u0, ts.ravel(), p.m).reshape(partition.N, r_control + 1, p.m)
     vals = p.clip_box(vals)
     return modal_from_values(vals, partition, r_control, rule)
 
@@ -111,9 +107,9 @@ def _project_box_nodal(p, dg, rule, nodal_P):
     return modal_from_values(clipped, dg.partition, dg.degree, rule)
 
 
-def _stationarity_sup(p, u_dg, grad_fn, quad_ts):
+def _stationarity_sup(p, u, grad_fn, quad_ts):
     """sup over quadrature points of |u - clip(u - grad)|."""
-    U = u_dg.eval_many(quad_ts)
+    U = sample_values(u, quad_ts, p.m)
     G = grad_fn(quad_ts)
     return float(np.max(np.abs(U - p.clip_box(U - G))))
 
@@ -202,7 +198,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
                 u_try = u_hat if theta == 1.0 else (1.0 - theta) * u + theta * u_hat
                 x_try = solve_state(p, u_try, partition, r_state, nopts, rule)
                 c_try = cost(p, u_try, x_try, rule)
-                if not opts.fbs_guard or c_try <= c + COST_SLACK * (1.0 + abs(c)):
+                if c_try <= c + COST_SLACK * (1.0 + abs(c)):
                     accepted = True
                     break
                 if theta <= RELAX_FLOOR:
@@ -247,9 +243,8 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
             writer.writerow(["iter", "cost", "stationarity", "step"])
             writer.writerows(log_rows)
 
-    u_star = ControlFunction(u, lo=p.u_lo, hi=p.u_hi)
     return OptimizeReport(
-        u_star=u_star,
+        u_star=u,
         x_star=x,
         lambda_star=lam,
         cost_history=cost_hist,
@@ -264,11 +259,7 @@ def stationarity(p, u, partition, r, opts=None):
     """Projected-gradient sup norm at u (fresh state and adjoint solves)."""
     opts = opts or OptimizeOptions()
     rule = default_rule(r)
-    uc = as_control(u, p)
-    x = solve_state(p, uc, partition, r, opts.newton, rule)
-    lam = solve_adjoint(p, uc, x, partition, r, opts.newton, rule)
-    grad_fn = reduced_gradient(p, uc, x, lam)
-    quad_ts = partition.quad_times(rule).ravel()
-    U = uc(quad_ts)
-    G = grad_fn(quad_ts)
-    return float(np.max(np.abs(U - p.clip_box(U - G))))
+    x = solve_state(p, u, partition, r, opts.newton, rule)
+    lam = solve_adjoint(p, u, x, partition, r, opts.newton, rule)
+    grad_fn = reduced_gradient(p, u, x, lam)
+    return _stationarity_sup(p, u, grad_fn, partition.quad_times(rule).ravel())

@@ -160,13 +160,3 @@ def test_run_verification_quiet():
     lines = []
     assert run_verification("linear-lq", 2, 6, 1, echo=lines.append)
     assert len(lines) == 5
-
-
-def test_quad_points_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("DGOCP_QUAD_POINTS", "6")
-    out = tmp_path / "run"
-    code = main([
-        "solve", "--problem", "linear-lq", "--order", "1", "--intervals", "4",
-        "--out", str(out),
-    ])
-    assert code == 0

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dgocp import (
-    ControlFunction,
     DGFunction,
     Partition,
     gauss_rule,
@@ -199,32 +198,8 @@ def test_total_variation_interior_extremum():
 
 
 def test_total_variation_closed_form_unsupported():
-    u = ControlFunction(lambda t: np.sin(t), m=1)
     with pytest.raises(TypeError):
-        total_variation(u)
-
-
-# -- control functions --------------------------------------------------------
-
-
-def test_control_function_box():
-    u = ControlFunction(lambda t: np.sin(t), m=1, lo=-0.5, hi=0.5)
-    ts = np.linspace(0.0, 1.0, 11)
-    assert not u.within_box(ts)
-    ok = ControlFunction(lambda t: 0.2 * np.ones_like(t), m=1, lo=-0.5, hi=0.5)
-    assert ok.within_box(ts)
-
-
-def test_control_function_from_dg(rng):
-    part = make_uniform_partition(1.0, 4)
-    dg = random_dg(rng, part, 1)
-    u = ControlFunction(dg)
-    ts = np.array([0.1, 0.7])
-    assert np.allclose(u(ts), dg.eval_many(ts))
-    with pytest.raises(TypeError):
-        ControlFunction(3.0)
-    with pytest.raises(ValueError):
-        ControlFunction(lambda t: t)  # dimension required for callables
+        total_variation(lambda t: np.sin(t))
 
 
 # -- serialization ------------------------------------------------------------

@@ -11,7 +11,6 @@ from dgocp import (
     adjoint_residual,
     cost,
     default_rule,
-    evaluate,
     hessian_form,
     l2_error,
     make_uniform_partition,
@@ -23,7 +22,6 @@ from dgocp import (
     solve_state,
     tangent_solve,
 )
-from dgocp.ocp import as_control
 from dgocp.problems import get_builtin, linear_lq, nonlinear_quadratic
 
 from conftest import random_dg, simpson
@@ -66,6 +64,17 @@ def test_state_riccati_value():
     x = solve_state(p, _zero_control(part, r=3), part, 3)
     # x' = x^2, x(0) = 2 has x(T) = 2 / (1 - 2T) = 10/3 at T = 0.2
     assert abs(x.eval(p.T, side="left")[0] - 10.0 / 3.0) < 1e-6
+
+
+def test_state_callable_control_width():
+    p = nonlinear_quadratic().problem
+    part = make_uniform_partition(p.T, 4)
+    with pytest.raises(ValueError):
+        solve_state(p, lambda t: np.zeros((t.size, 2)), part, 1)
+    # for m = 1 a flat (q,) result is read as the (q, 1) column
+    flat = solve_state(p, lambda t: 0.3 * np.sin(5.0 * t), part, 2)
+    column = solve_state(p, lambda t: 0.3 * np.sin(5.0 * t)[:, None], part, 2)
+    assert np.array_equal(flat.coeffs, column.coeffs)
 
 
 # -- adjoint solves -----------------------------------------------------------
@@ -254,32 +263,31 @@ def test_tangent_superposition_for_linear_dynamics(rng):
 def _closure_solves(p, u, v, partition, r):
     """State, adjoint and tangent through plain F(ts, X) closures that evaluate
     the control and the state at the given times on every call."""
-    uc, vc = as_control(u, p), as_control(v, p)
     x = solve_forward(
         IVPRight(
-            F=lambda ts, X: p.f(ts, X, uc(ts)),
-            dF_dx=lambda ts, X: p.fx(ts, X, uc(ts)),
+            F=lambda ts, X: p.f(ts, X, u(ts)),
+            dF_dx=lambda ts, X: p.fx(ts, X, u(ts)),
         ),
         p.x0, partition, r,
     )
 
     def adj_F(ts, L):
-        X, U = x.eval_many(ts), uc(ts)
+        X, U = x.eval_many(ts), u(ts)
         return -np.einsum("qab,qa->qb", p.fx(ts, X, U), L) + p.gx(ts, X, U)
 
     def adj_dF(ts, L):
-        return -np.transpose(p.fx(ts, x.eval_many(ts), uc(ts)), (0, 2, 1))
+        return -np.transpose(p.fx(ts, x.eval_many(ts), u(ts)), (0, 2, 1))
 
     lam = solve_backward(IVPRight(F=adj_F, dF_dx=adj_dF), np.zeros(p.d), partition, r)
 
     def tan_F(ts, Y):
-        X, U = x.eval_many(ts), uc(ts)
+        X, U = x.eval_many(ts), u(ts)
         return np.einsum("qab,qb->qa", p.fx(ts, X, U), Y) + np.einsum(
-            "qam,qm->qa", p.fu(ts, X, U), vc(ts)
+            "qam,qm->qa", p.fu(ts, X, U), v(ts)
         )
 
     def tan_dF(ts, Y):
-        return p.fx(ts, x.eval_many(ts), uc(ts))
+        return p.fx(ts, x.eval_many(ts), u(ts))
 
     y = solve_forward(IVPRight(F=tan_F, dF_dx=tan_dF), np.zeros(p.d), partition, r)
     return x, lam, y
@@ -385,7 +393,7 @@ def test_hessian_requires_second_partials():
         hessian_form(p, _zero_control(part), _zero_control(part), part, 1)
 
 
-# -- problem validation and full evaluation ------------------------------------
+# -- problem validation -------------------------------------------------------
 
 
 def test_check_derivatives_catches_corruption(rng):
@@ -409,15 +417,3 @@ def test_problem_validation():
         OCProblem(d=2, m=1, T=1.0, x0=[1.0], **kwargs)
     with pytest.raises(ValueError):
         OCProblem(d=1, m=1, T=1.0, x0=[1.0], u_lo=1.0, u_hi=-1.0, **kwargs)
-
-
-def test_evaluate_bundle(rng):
-    builtin = linear_lq()
-    p = builtin.problem
-    part = make_uniform_partition(1.0, 8)
-    u = random_dg(rng, part, 2)
-    ev = evaluate(p, u, part, 2)
-    assert ev.cost == pytest.approx(cost(p, u, ev.x_h), abs=1e-14)
-    assert abs(ev.lambda_h.eval(1.0, side="left")[0]) < 1e-4
-    g = ev.grad(np.array([0.3]))
-    assert g.shape == (1, 1)

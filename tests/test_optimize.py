@@ -49,8 +49,8 @@ def test_decoupled_quadratic_pgd_one_step():
     report = minimize(p, None, part, 1, opts=OptimizeOptions(method="pgd"))
     assert report.converged
     assert report.iterations <= 3
-    assert np.max(np.abs(report.u_star.dg.coeffs[:, 0, 0] - 0.7)) < 1e-12
-    assert np.max(np.abs(report.u_star.dg.coeffs[:, 1:, :])) < 1e-12
+    assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - 0.7)) < 1e-12
+    assert np.max(np.abs(report.u_star.coeffs[:, 1:, :])) < 1e-12
 
 
 def test_decoupled_quadratic_fbs_pointwise_newton():
@@ -58,14 +58,14 @@ def test_decoupled_quadratic_fbs_pointwise_newton():
     part = make_uniform_partition(1.0, 4)
     report = minimize(p, None, part, 1, opts=OptimizeOptions(method="fbs"))
     assert report.converged
-    assert np.max(np.abs(report.u_star.dg.coeffs[:, 0, 0] - 0.7)) < 1e-12
+    assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - 0.7)) < 1e-12
 
 
 def test_linear_lq_table_entry():
     builtin = linear_lq()
     part = make_uniform_partition(1.0, 10)
     report = minimize(builtin.problem, None, part, 1)
-    err = l2_error(report.u_star.dg, builtin.exact_control)
+    err = l2_error(report.u_star, builtin.exact_control)
     assert err == pytest.approx(6.2543e-04, rel=1e-2)
     assert report.converged
 
@@ -96,7 +96,7 @@ def test_stationarity_zero_on_active_bound():
     part = make_uniform_partition(1.0, 4)
     report = minimize(p, None, part, 1)
     assert report.converged
-    assert np.max(np.abs(report.u_star.dg.coeffs)) < 1e-12  # clamped at 0
+    assert np.max(np.abs(report.u_star.coeffs)) < 1e-12  # clamped at 0
     assert stationarity(p, report.u_star, part, 1) < 1e-12
 
 
@@ -120,10 +120,10 @@ def test_box_feasibility():
         nodal = np.polynomial.legendre.leggauss(2)[0]
         for n in range(part.N):
             ts = part.nodes[n] + 0.5 * part.widths[n] * (nodal + 1.0)
-            vals = report.u_star.dg.eval_many(ts)
+            vals = report.u_star.eval_many(ts)
             assert np.all(vals >= -0.3 - 1e-12) and np.all(vals <= 1e-12)
         # the bound is genuinely active for this problem
-        assert np.min(report.u_star.dg.eval_many(np.linspace(0, 1, 101))) < -0.29
+        assert np.min(report.u_star.eval_many(np.linspace(0, 1, 101))) < -0.29
 
 
 def test_methods_agree():
@@ -135,7 +135,7 @@ def test_methods_agree():
         rep_pgd = minimize(builtin.problem, None, part, 2, opts=opts_pgd)
         rep_fbs = minimize(builtin.problem, None, part, 2, opts=opts_fbs)
         assert rep_pgd.converged and rep_fbs.converged
-        assert l2_error(rep_pgd.u_star.dg, rep_fbs.u_star.dg) <= 10 * 1e-8
+        assert l2_error(rep_pgd.u_star, rep_fbs.u_star) <= 10 * 1e-8
 
 
 def test_control_refinement_rate():
@@ -144,7 +144,7 @@ def test_control_refinement_rate():
     for N in (10, 20, 40):
         part = make_uniform_partition(1.0, N)
         report = minimize(builtin.problem, None, part, 1)
-        errs.append(l2_error(report.u_star.dg, builtin.exact_control))
+        errs.append(l2_error(report.u_star, builtin.exact_control))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(rates - 2.0) < 0.1)
 
