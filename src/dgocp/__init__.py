@@ -12,7 +12,7 @@ from .basis import (
     mass_diagonal,
 )
 from .convergence import ConvergenceReport, ConvergenceRow, run_convergence
-from .ivp import IVPRight, NewtonOptions, SolverFailure, reverse_dg, solve_backward, solve_forward
+from .ivp import IVPRight, SolverFailure, reverse_dg, solve_backward, solve_forward
 from .mesh import (
     DGFunction,
     Partition,
@@ -43,7 +43,7 @@ __all__ = [
     "legendre_deriv", "legendre_deriv_table", "legendre_eval",
     "legendre_table", "mass_diagonal",
     "ConvergenceReport", "ConvergenceRow", "run_convergence",
-    "IVPRight", "NewtonOptions", "SolverFailure", "reverse_dg",
+    "IVPRight", "SolverFailure", "reverse_dg",
     "solve_backward", "solve_forward",
     "DGFunction", "Partition", "l2_error", "load_dg",
     "make_uniform_partition", "modal_from_values", "project_l2", "save_dg",

@@ -6,6 +6,7 @@ values and quadrature rules are produced.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,9 +95,14 @@ def gauss_rule(q):
     return QuadratureRule(points=pts, weights=wts)
 
 
+@lru_cache(maxsize=16)
 def default_rule(r):
-    """Module-wide default rule for degree-r DG computations (q = r + 3)."""
-    return gauss_rule(r + DEFAULT_EXTRA_POINTS)
+    """Module-wide default rule for degree-r DG computations (q = r + 3),
+    shared per degree (building one is an eigenvalue solve): its arrays are read-only."""
+    rule = gauss_rule(r + DEFAULT_EXTRA_POINTS)
+    rule.points.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def deriv_inner_matrix(r):

@@ -6,21 +6,12 @@ import sys
 
 import numpy as np
 
-from .basis import default_rule
 from .convergence import run_convergence
-from .ivp import IVPRight, NewtonOptions, reverse_dg, solve_backward, solve_forward
-from .mesh import DGFunction, l2_error, make_uniform_partition, save_dg
-from .ocp import (
-    adjoint_residual,
-    cost,
-    hessian_form,
-    pair_with_direction,
-    reduced_gradient,
-    solve_adjoint,
-    solve_state,
-    tangent_solve,
-)
+from .mesh import l2_error, make_uniform_partition, save_dg
+from .ocp import adjoint_residual, solve_adjoint, solve_state
 from .optimize import OptimizeOptions, StallError, minimize
+from .oracles import (gradient_discrepancy, hessian_discrepancy, random_dg, tangent_discrepancy,
+                      time_reversal_discrepancy, worst_discrepancy)
 from .problems import get_builtin
 
 EXIT_OK = 0
@@ -48,18 +39,25 @@ def _write_jumps(F, path, names):
             fh.write(f"{t:.12g}," + ",".join(f"{v:.12e}" for v in F.jump(n)) + "\n")
 
 
-def _resolve_intervals(args, T):
-    if args.intervals is not None:
-        return args.intervals
-    if args.h is not None:
-        return int(round(T / args.h))
-    return None
+def _positive(kind):
+    """argparse type: a value of `kind` that is > 0 (so an int is >= 1; NaN fails)."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def cmd_solve(args):
     builtin = get_builtin(args.problem)
     p = builtin.problem
-    N = _resolve_intervals(args, p.T) or 10
+    N = args.intervals or (int(round(p.T / args.h)) if args.h else 10)
+    if N < 1:
+        print(f"dgocp solve: error: --h {args.h} leaves no interval on [0, {p.T}]",
+              file=sys.stderr)
+        return EXIT_USAGE
     part = make_uniform_partition(p.T, N)
     opts = OptimizeOptions(
         method=args.method,
@@ -127,29 +125,20 @@ def cmd_convergence(args):
 
 
 def _corrupted(problem, which):
-    """Return the problem with one derivative callable deliberately broken."""
+    """Return the problem with one derivative callable shifted by 1e-3, which
+    changes every value (1.001 a + 1e-3 rounds back to a at a = -1)."""
     orig = getattr(problem, which)
-    setattr(problem, which, lambda t, x, u: orig(t, x, u) * 1.001 + 1e-3)
+    setattr(problem, which, lambda t, x, u: orig(t, x, u) + 1e-3)
     return problem
-
-
-def _random_dg_control(rng, partition, r, m, amp=0.5):
-    coeffs = rng.uniform(-amp, amp, size=(partition.N, r + 1, m))
-    coeffs *= 1.0 / (1.0 + np.arange(r + 1))[None, :, None]
-    return DGFunction(partition, r, m, coeffs)
 
 
 def run_verification(problem_name, order, intervals, seed, corrupt=None, echo=print):
     """The finite-difference and structural oracle battery; returns overall pass."""
-    builtin = get_builtin(problem_name)
-    p = builtin.problem
+    p = get_builtin(problem_name).problem
     if corrupt:
         p = _corrupted(p, corrupt)
     part = make_uniform_partition(p.T, intervals)
-    rule = default_rule(order)
     rng = np.random.default_rng(seed)
-    opts = NewtonOptions()
-    eps = 1e-5
     ok = True
 
     def check(name, value, tol):
@@ -158,77 +147,17 @@ def run_verification(problem_name, order, intervals, seed, corrupt=None, echo=pr
         ok = ok and good
         echo(f"{name}: {'PASS' if good else 'FAIL'} (discrepancy {value:.3e}, tol {tol:.0e})")
 
-    # gradient check against central differences of the reduced cost
-    worst = 0.0
-    for _ in range(5):
-        u = _random_dg_control(rng, part, order, p.m)
-        v = _random_dg_control(rng, part, order, p.m)
-        x = solve_state(p, u, part, order, opts, rule)
-        lam = solve_adjoint(p, u, x, part, order, opts, rule)
-        grad = reduced_gradient(p, u, x, lam)
-        lhs = pair_with_direction(grad, v, p, part, rule)
-        jp = cost(p, u + eps * v, solve_state(p, u + eps * v, part, order, opts, rule), rule)
-        jm = cost(p, u - eps * v, solve_state(p, u - eps * v, part, order, opts, rule), rule)
-        fd = (jp - jm) / (2 * eps)
-        worst = max(worst, abs(lhs - fd) / max(1.0, abs(fd)))
-    check("gradient-check", worst, 1e-6)
-
-    # tangent check: G_h(u +/- eps v) difference quotient vs y_h
-    worst = 0.0
-    for _ in range(5):
-        u = _random_dg_control(rng, part, order, p.m)
-        v = _random_dg_control(rng, part, order, p.m)
-        x = solve_state(p, u, part, order, opts, rule)
-        y = tangent_solve(p, u, x, v, part, order, opts, rule)
-        xp = solve_state(p, u + eps * v, part, order, opts, rule)
-        xm = solve_state(p, u - eps * v, part, order, opts, rule)
-        fd = (1.0 / (2 * eps)) * (xp - xm)
-        denom = max(1e-12, fd.l2_norm())
-        worst = max(worst, (y - fd).l2_norm() / denom)
-    check("tangent-check", worst, 1e-6)
-
-    # Hessian check: second central difference of the reduced cost
-    worst = 0.0
-    eps2 = 1e-4
-    for _ in range(3):
-        u = _random_dg_control(rng, part, order, p.m)
-        v = _random_dg_control(rng, part, order, p.m)
-        quad = hessian_form(p, u, v, part, order, opts, rule)
-        j0 = cost(p, u, solve_state(p, u, part, order, opts, rule), rule)
-        jp = cost(p, u + eps2 * v, solve_state(p, u + eps2 * v, part, order, opts, rule), rule)
-        jm = cost(p, u - eps2 * v, solve_state(p, u - eps2 * v, part, order, opts, rule), rule)
-        fd = (jp - 2 * j0 + jm) / eps2**2
-        worst = max(worst, abs(quad - fd) / max(1.0, abs(fd)))
-    check("hessian-check", worst, 1e-4)
+    check("gradient-check", worst_discrepancy(gradient_discrepancy, rng, p, part, order, 5), 1e-6)
+    check("tangent-check", worst_discrepancy(tangent_discrepancy, rng, p, part, order, 5), 1e-6)
+    check("hessian-check", worst_discrepancy(hessian_discrepancy, rng, p, part, order, 3), 1e-4)
 
     # discrete adjoint weak-form residual over a full test basis
-    u = _random_dg_control(rng, part, order, p.m)
-    x = solve_state(p, u, part, order, opts, rule)
-    lam = solve_adjoint(p, u, x, part, order, opts, rule)
-    check("adjoint-residual", adjoint_residual(p, u, x, lam, rule), 1e-10)
+    u = random_dg(rng, part, order, p.m)
+    x = solve_state(p, u, part, order)
+    lam = solve_adjoint(p, u, x, part, order)
+    check("adjoint-residual", adjoint_residual(p, u, x, lam), 1e-10)
 
-    # time-reversal round trip on a random linear system: reversing the
-    # forward solve equals the backward solve of the time-reversed system
-    d = p.d
-    A = rng.uniform(-1.0, 1.0, size=(d, d))
-    b = rng.uniform(-1.0, 1.0, size=d)
-    rhs = IVPRight(
-        F=lambda ts, X: X @ A.T + b,
-        dF_dx=lambda ts, X: np.broadcast_to(A, (ts.size, d, d)).copy(),
-    )
-    x0 = rng.uniform(-1.0, 1.0, size=d)
-    fwd = solve_forward(rhs, x0, part, order, opts, rule)
-    rev_rhs = IVPRight(
-        F=lambda ts, X: -(X @ A.T + b),
-        dF_dx=lambda ts, X: np.broadcast_to(-A, (ts.size, d, d)).copy(),
-    )
-    back = solve_backward(rev_rhs, x0, part, order, opts, rule)
-    check(
-        "time-reversal",
-        float(np.max(np.abs(back.coeffs - reverse_dg(fwd).coeffs))),
-        1e-10,
-    )
-
+    check("time-reversal", time_reversal_discrepancy(rng, p.d, part, order), 1e-10)
     return ok
 
 
@@ -246,8 +175,8 @@ def build_parser():
     ps = sub.add_parser("solve", help="optimize one problem instance")
     ps.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
     ps.add_argument("--order", type=int, default=1)
-    ps.add_argument("--intervals", type=int)
-    ps.add_argument("--h", type=float)
+    ps.add_argument("--intervals", type=_positive(int))
+    ps.add_argument("--h", type=_positive(float))
     ps.add_argument("--method", choices=["pgd", "fbs"], default="fbs")
     ps.add_argument("--out", default="out")
     ps.add_argument("--grad-tol", type=float, default=1e-10)
@@ -267,7 +196,7 @@ def build_parser():
     pv = sub.add_parser("verify", help="gradient/tangent/Hessian/adjoint oracles")
     pv.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
     pv.add_argument("--order", type=int, default=1)
-    pv.add_argument("--intervals", type=int, default=8)
+    pv.add_argument("--intervals", type=_positive(int), default=8)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--corrupt", choices=["fx", "fu", "gx", "gu"])
     pv.set_defaults(func=cmd_verify)

@@ -18,13 +18,14 @@ from .mesh import DGFunction
 
 __all__ = [
     "IVPRight",
-    "NewtonOptions",
     "SolverFailure",
     "solve_forward",
     "solve_backward",
     "reverse_dg",
 ]
 
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 DAMPING_FLOOR = 2.0**-10
 
 
@@ -51,31 +52,6 @@ class IVPRight:
     lipschitz_bound: Optional[float] = None
     inputs: Callable = _time_rows
 
-    def check_jacobian(self, rng, d, t_span=(0.0, 1.0), probes=5, tol=1e-5):
-        """Finite-difference verification of dF_dx at random probes."""
-        for _ in range(probes):
-            ts = rng.uniform(*t_span, size=1)
-            x = rng.standard_normal((1, d))
-            A = self.dF_dx(ts, x)[0]
-            eps = 1e-6
-            for j in range(d):
-                dx = np.zeros((1, d))
-                dx[0, j] = eps
-                col = (self.F(ts, x + dx)[0] - self.F(ts, x - dx)[0]) / (2 * eps)
-                scale = max(1.0, float(np.max(np.abs(A))))
-                if np.max(np.abs(col - A[:, j])) > tol * scale:
-                    raise ValueError("dF_dx disagrees with finite differences")
-
-
-@dataclass
-class NewtonOptions:
-    tol: float = 1e-12
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if self.tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
-
 
 class SolverFailure(RuntimeError):
     """Newton failed to converge on some interval."""
@@ -89,7 +65,7 @@ class SolverFailure(RuntimeError):
         )
 
 
-def solve_forward(rhs, x0, partition, r, opts=None, rule=None):
+def solve_forward(rhs, x0, partition, r):
     """DG approximation of x' = F(t, x), x(0) = x0, in X_h^r.
 
     On each interval the modal coefficients satisfy
@@ -97,10 +73,9 @@ def solve_forward(rhs, x0, partition, r, opts=None, rule=None):
         D @ C + s (s @ C - x_in) = (h/2) P^T diag(w) F(t_q, P C)
 
     with s_j = P_j(-1) = (-1)^j, which is the weak DG equation tested against
-    the local Legendre basis.
+    the local Legendre basis, on the default_rule(r) quadrature.
     """
-    opts = opts or NewtonOptions()
-    rule = rule or default_rule(r)
+    rule = default_rule(r)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
 
@@ -138,8 +113,8 @@ def solve_forward(rhs, x0, partition, r, opts=None, rule=None):
 
         R, X = residual(C)
         rnorm = np.max(np.abs(R))
-        converged = rnorm <= opts.tol
-        for _ in range(opts.max_iter):
+        converged = rnorm <= NEWTON_TOL
+        for _ in range(NEWTON_MAX_ITER):
             if converged:
                 break
             A = rhs.dF_dx(a, X)                   # (q, d, d)
@@ -154,7 +129,7 @@ def solve_forward(rhs, x0, partition, r, opts=None, rule=None):
                 alpha *= 0.5
             C = C + alpha * delta
             R, X, rnorm = Rn, Xn, rn
-            converged = rnorm <= opts.tol
+            converged = rnorm <= NEWTON_TOL
         if not converged:
             raise SolverFailure(n, rnorm)
         sol.coeffs[n] = C
@@ -170,7 +145,7 @@ def reverse_dg(F):
     return DGFunction(F.partition.reversed(), F.degree, F.dim, coeffs)
 
 
-def solve_backward(rhs, xT, partition, r, opts=None, rule=None):
+def solve_backward(rhs, xT, partition, r):
     """DG solve of the terminal-value problem x' = F(t, x), x(T) = xT.
 
     Realized as a forward solve of W'(s) = -F(T - s, W), W(0) = xT on the
@@ -184,7 +159,7 @@ def solve_backward(rhs, xT, partition, r, opts=None, rule=None):
         lipschitz_bound=rhs.lipschitz_bound,
         inputs=lambda times: rhs.inputs(T - times),
     )
-    W = solve_forward(rev, xT, partition.reversed(), r, opts=opts, rule=rule)
+    W = solve_forward(rev, xT, partition.reversed(), r)
     lam = reverse_dg(W)
     lam.partition = partition  # avoid accumulating float error in T - (T - t)
     return lam

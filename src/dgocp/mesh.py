@@ -164,11 +164,14 @@ class DGFunction:
 
     __rmul__ = __mul__
 
-    def l2_norm(self):
-        """Exact L2(0,T) norm from the modal coefficients."""
+    def l2_norm_sq(self):
+        """Exact squared L2(0,T) norm from the modal coefficients."""
         mass = mass_diagonal(self.degree)
         per = np.einsum("nkd,k->n", self.coeffs**2, mass)
-        return float(np.sqrt(np.sum(0.5 * self.partition.widths * per)))
+        return float(np.sum(0.5 * self.partition.widths * per))
+
+    def l2_norm(self):
+        return float(np.sqrt(self.l2_norm_sq()))
 
 
 def modal_from_values(values, partition, r, rule):

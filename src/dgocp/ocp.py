@@ -60,7 +60,6 @@ class OCProblem:
     guu: Optional[Callable] = None
     u_lo: Optional[np.ndarray] = None
     u_hi: Optional[np.ndarray] = None
-    smoothness_bound: Optional[float] = None
     # closed-form pointwise stationary control (t, x, lam) -> u, used by FBS
     stationary_control: Optional[Callable] = None
 
@@ -88,34 +87,6 @@ class OCProblem:
     def clip_box(self, u_vals):
         return np.clip(u_vals, self.u_lo, self.u_hi)
 
-    def check_derivatives(self, rng=None, probes=5, tol=1e-5, eps=1e-6):
-        """Finite-difference verification of the supplied first partials."""
-        rng = rng or np.random.default_rng(0)
-        for _ in range(probes):
-            t = rng.uniform(0.0, self.T, size=1)
-            x = rng.standard_normal((1, self.d))
-            u = rng.standard_normal((1, self.m))
-            u = np.clip(u, np.maximum(self.u_lo, -2.0), np.minimum(self.u_hi, 2.0))
-            self._check_partial(self.fx, self.f, t, x, u, "x", tol, eps, "fx")
-            self._check_partial(self.fu, self.f, t, x, u, "u", tol, eps, "fu")
-            self._check_partial(self.gx, self.g, t, x, u, "x", tol, eps, "gx")
-            self._check_partial(self.gu, self.g, t, x, u, "u", tol, eps, "gu")
-
-    def _check_partial(self, deriv, base, t, x, u, wrt, tol, eps, name):
-        got = np.asarray(deriv(t, x, u))[0]
-        size = self.d if wrt == "x" else self.m
-        for j in range(size):
-            dz = np.zeros((1, size))
-            dz[0, j] = eps
-            if wrt == "x":
-                fd = (np.asarray(base(t, x + dz, u))[0] - np.asarray(base(t, x - dz, u))[0]) / (2 * eps)
-            else:
-                fd = (np.asarray(base(t, x, u + dz))[0] - np.asarray(base(t, x, u - dz))[0]) / (2 * eps)
-            col = got[..., j]
-            scale = max(1.0, float(np.max(np.abs(got))))
-            if np.max(np.abs(fd - col)) > tol * scale:
-                raise ValueError(f"{name} disagrees with finite differences")
-
 
 def _per_interval(times, *values):
     """Per-interval tuples of data sampled at the (N, q) times, flattened.
@@ -127,7 +98,7 @@ def _per_interval(times, *values):
     return list(zip(*(v.reshape((N, -1) + v.shape[1:]) for v in values)))
 
 
-def solve_state(p, u, partition, r, opts=None, rule=None):
+def solve_state(p, u, partition, r):
     """x_h = G_h(u): forward DG solve of x' = f(t, x, u(t)).
 
     The control is evaluated once, at all quadrature times of the solve.
@@ -139,13 +110,12 @@ def solve_state(p, u, partition, r, opts=None, rule=None):
     rhs = IVPRight(
         F=lambda tu, X: p.f(tu[0], X, tu[1]),
         dF_dx=lambda tu, X: p.fx(tu[0], X, tu[1]),
-        lipschitz_bound=p.smoothness_bound,
         inputs=inputs,
     )
-    return solve_forward(rhs, p.x0, partition, r, opts=opts, rule=rule)
+    return solve_forward(rhs, p.x0, partition, r)
 
 
-def solve_adjoint(p, u, x_h, partition, r, opts=None, rule=None):
+def solve_adjoint(p, u, x_h, partition, r):
     """Discrete adjoint: backward DG solve of lam' = -fx^T lam + gx, lam(T) = 0.
 
     fx and gx along (t, x_h, u) do not depend on lam; they are evaluated once,
@@ -161,7 +131,7 @@ def solve_adjoint(p, u, x_h, partition, r, opts=None, rule=None):
         dF_dx=lambda fg, L: -np.transpose(fg[0], (0, 2, 1)),
         inputs=inputs,
     )
-    return solve_backward(rhs, np.zeros(p.d), partition, r, opts=opts, rule=rule)
+    return solve_backward(rhs, np.zeros(p.d), partition, r)
 
 
 def reduced_gradient(p, u, x_h, lambda_h):
@@ -176,17 +146,20 @@ def reduced_gradient(p, u, x_h, lambda_h):
     return grad
 
 
-def cost(p, u, x_h, rule=None):
-    """j_h(u) = quadrature of g(t, x_h, u) over [0, T]."""
-    rule = rule or default_rule(x_h.degree)
-    ts = x_h.partition.quad_times(rule)
-    flat = ts.ravel()
-    gv = p.g(flat, x_h.eval_many(flat), sample_values(u, flat, p.m))
-    gv = gv.reshape(x_h.partition.N, rule.q)
-    return float(np.sum(0.5 * x_h.partition.widths * (gv @ rule.weights)))
+def _integrate(values, partition, rule):
+    """Quadrature over [0, T] of values sampled at the flattened (N, q) rule times."""
+    per = values.reshape(partition.N, rule.q) @ rule.weights
+    return float(np.sum(0.5 * partition.widths * per))
 
 
-def tangent_solve(p, u, x_h, v, partition, r, opts=None, rule=None):
+def cost(p, u, x_h):
+    """j_h(u) = quadrature of g(t, x_h, u) over [0, T], on the state's default rule."""
+    part, rule = x_h.partition, default_rule(x_h.degree)
+    ts = part.quad_times(rule).ravel()
+    return _integrate(p.g(ts, x_h.eval_many(ts), sample_values(u, ts, p.m)), part, rule)
+
+
+def tangent_solve(p, u, x_h, v, partition, r):
     """y_h = G_h'(u) v: forward DG solve of the linearized dynamics, y(0) = 0.
 
     fx and fu v along (t, x_h, u) do not depend on y; they are evaluated once,
@@ -203,19 +176,17 @@ def tangent_solve(p, u, x_h, v, partition, r, opts=None, rule=None):
         dF_dx=lambda fc, Y: fc[0],
         inputs=inputs,
     )
-    return solve_forward(rhs, np.zeros(p.d), partition, r, opts=opts, rule=rule)
+    return solve_forward(rhs, np.zeros(p.d), partition, r)
 
 
 def pair_with_direction(integrand, v, p, partition, rule):
     """Quadrature of <integrand(t), v(t)> over [0, T]."""
-    ts = partition.quad_times(rule)
-    flat = ts.ravel()
-    prod = np.einsum("qm,qm->q", integrand(flat), sample_values(v, flat, p.m))
-    prod = prod.reshape(partition.N, rule.q)
-    return float(np.sum(0.5 * partition.widths * (prod @ rule.weights)))
+    ts = partition.quad_times(rule).ravel()
+    prod = np.einsum("qm,qm->q", integrand(ts), sample_values(v, ts, p.m))
+    return _integrate(prod, partition, rule)
 
 
-def hessian_form(p, u, v, partition, r, opts=None, rule=None, state=None, adjoint=None):
+def hessian_form(p, u, v, partition, r, state=None, adjoint=None):
     """j_h''(u)(v, v) assembled from x_h, lambda_h, y_h and the second partials.
 
     The two-integral formula: the g-second-derivative quadratic form in
@@ -223,10 +194,10 @@ def hessian_form(p, u, v, partition, r, opts=None, rule=None, state=None, adjoin
     """
     if not p.has_second_partials:
         raise ValueError("hessian_form requires all six second partials")
-    rule = rule or default_rule(r)
-    x_h = state if state is not None else solve_state(p, u, partition, r, opts, rule)
-    lam = adjoint if adjoint is not None else solve_adjoint(p, u, x_h, partition, r, opts, rule)
-    y_h = tangent_solve(p, u, x_h, v, partition, r, opts, rule)
+    rule = default_rule(r)
+    x_h = state if state is not None else solve_state(p, u, partition, r)
+    lam = adjoint if adjoint is not None else solve_adjoint(p, u, x_h, partition, r)
+    y_h = tangent_solve(p, u, x_h, v, partition, r)
 
     ts = partition.quad_times(rule).ravel()
     X = x_h.eval_many(ts)
@@ -245,12 +216,10 @@ def hessian_form(p, u, v, partition, r, opts=None, rule=None, state=None, adjoin
         + 2.0 * np.einsum("qiam,qa,qm->qi", p.fxu(ts, X, U), Y, V)
         + np.einsum("qimn,qm,qn->qi", p.fuu(ts, X, U), V, V)
     )
-    integrand = g_form - np.einsum("qi,qi->q", f_form, L)
-    per = integrand.reshape(partition.N, rule.q) @ rule.weights
-    return float(np.sum(0.5 * partition.widths * per))
+    return _integrate(g_form - np.einsum("qi,qi->q", f_form, L), partition, rule)
 
 
-def adjoint_residual(p, u, x_h, lambda_h, rule=None):
+def adjoint_residual(p, u, x_h, lambda_h):
     """Max-norm residual of the discrete adjoint weak form over a full DG basis.
 
     For each interval n and basis function phi = P_j e_a supported on I_n:
@@ -260,7 +229,7 @@ def adjoint_residual(p, u, x_h, lambda_h, rule=None):
             - (h/2) sum_q w_q P_j(xi_q) rhs_a(t_q).
     """
     r = lambda_h.degree
-    rule = rule or default_rule(r)
+    rule = default_rule(r)
     part = lambda_h.partition
     N = part.N
 

@@ -8,14 +8,13 @@ box projection and converted back to modal coefficients.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .basis import default_rule, gauss_rule, legendre_table, mass_diagonal
-from .ivp import NewtonOptions
-from .mesh import DGFunction, modal_from_values, sample_values, total_variation
+from .basis import default_rule, gauss_rule, legendre_table
+from .mesh import DGFunction, modal_from_values, project_l2, sample_values, total_variation
 from .ocp import cost, reduced_gradient, solve_adjoint, solve_state
 
 __all__ = [
@@ -26,6 +25,7 @@ __all__ = [
     "stationarity",
 ]
 
+ARMIJO_C = 1e-4
 RELAX_FLOOR = 2.0**-10
 STEP_FLOOR = 2.0**-30
 # slack for "non-increasing cost": near the optimum cost differences fall below
@@ -38,19 +38,13 @@ class OptimizeOptions:
     method: str = "fbs"
     grad_tol: float = 1e-10
     max_outer: int = 10000
-    step0: float = 1.0
-    armijo_c: float = 1e-4
-    fbs_relax: float = 1.0
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
     log_path: Optional[str] = None
 
     def __post_init__(self):
         if self.method not in ("pgd", "fbs"):
             raise ValueError("method must be 'pgd' or 'fbs'")
-        if self.grad_tol <= 0.0 or self.step0 <= 0.0:
-            raise ValueError("tolerances and steps must be positive")
-        if not 0.0 < self.fbs_relax <= 1.0:
-            raise ValueError("fbs_relax must lie in (0, 1]")
+        if self.grad_tol <= 0.0:
+            raise ValueError("grad_tol must be positive")
 
 
 @dataclass
@@ -88,14 +82,11 @@ class StallError(RuntimeError):
 
 def _control_to_dg(p, u0, partition, r_control):
     """Initial control as a DGFunction of degree r_control, box-clipped nodally."""
-    rule = gauss_rule(r_control + 1)
-    ts = partition.quad_times(rule)
-    if u0 is None:
-        vals = np.zeros((partition.N, r_control + 1, p.m))
-    else:
-        vals = sample_values(u0, ts.ravel(), p.m).reshape(partition.N, r_control + 1, p.m)
-    vals = p.clip_box(vals)
-    return modal_from_values(vals, partition, r_control, rule)
+    def clipped(ts):
+        vals = np.zeros((ts.size, p.m)) if u0 is None else sample_values(u0, ts, p.m)
+        return p.clip_box(vals)
+
+    return project_l2(clipped, partition, r_control, gauss_rule(r_control + 1), p.m)
 
 
 def _project_box_nodal(p, dg, rule, nodal_P):
@@ -112,12 +103,6 @@ def _stationarity_sup(p, u, grad_fn, quad_ts):
     U = sample_values(u, quad_ts, p.m)
     G = grad_fn(quad_ts)
     return float(np.max(np.abs(U - p.clip_box(U - G))))
-
-
-def _l2_norm_sq(dg):
-    mass = mass_diagonal(dg.degree)
-    per = np.einsum("nkd,k->n", dg.coeffs**2, mass)
-    return float(np.sum(0.5 * dg.partition.widths * per))
 
 
 def _fbs_target(p, u_dg, x_h, lam, nodal_ts):
@@ -161,21 +146,19 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     nodal_rule = gauss_rule(r_control + 1)
     nodal_P = legendre_table(r_control, nodal_rule.points)
     nodal_ts = partition.quad_times(nodal_rule).ravel()
-    nopts = opts.newton
 
     u = _control_to_dg(p, u0, partition, r_control)
-    x = solve_state(p, u, partition, r_state, nopts, rule)
-    c = cost(p, u, x, rule)
+    x = solve_state(p, u, partition, r_state)
+    c = cost(p, u, x)
 
     cost_hist, stat_hist = [], []
-    step = opts.step0
-    theta = opts.fbs_relax
+    step = theta = 1.0  # PGD step and FBS relaxation start at full length
     converged = False
     it = 0
     log_rows = []
 
     for it in range(1, opts.max_outer + 1):
-        lam = solve_adjoint(p, u, x, partition, r_state, nopts, rule)
+        lam = solve_adjoint(p, u, x, partition, r_state)
         grad_fn = reduced_gradient(p, u, x, lam)
         stat = _stationarity_sup(p, u, grad_fn, quad_ts)
         cost_hist.append(c)
@@ -196,8 +179,8 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
             accepted = False
             while True:
                 u_try = u_hat if theta == 1.0 else (1.0 - theta) * u + theta * u_hat
-                x_try = solve_state(p, u_try, partition, r_state, nopts, rule)
-                c_try = cost(p, u_try, x_try, rule)
+                x_try = solve_state(p, u_try, partition, r_state)
+                c_try = cost(p, u_try, x_try)
                 if c_try <= c + COST_SLACK * (1.0 + abs(c)):
                     accepted = True
                     break
@@ -216,10 +199,10 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
             while True:
                 cand = DGFunction(partition, r_control, p.m, u.coeffs - step * g_dg.coeffs)
                 u_try = _project_box_nodal(p, cand, nodal_rule, nodal_P)
-                diff_sq = _l2_norm_sq(u_try - u)
-                x_try = solve_state(p, u_try, partition, r_state, nopts, rule)
-                c_try = cost(p, u_try, x_try, rule)
-                if c_try <= c - (opts.armijo_c / step) * diff_sq:
+                diff_sq = (u_try - u).l2_norm_sq()
+                x_try = solve_state(p, u_try, partition, r_state)
+                c_try = cost(p, u_try, x_try)
+                if c_try <= c - (ARMIJO_C / step) * diff_sq:
                     accepted = True
                     break
                 if step <= STEP_FLOOR:
@@ -230,7 +213,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
             u, x, c = u_try, x_try, c_try
             step = min(step * 2.0, 1e6)
 
-    lam = solve_adjoint(p, u, x, partition, r_state, nopts, rule)
+    lam = solve_adjoint(p, u, x, partition, r_state)
     if not converged:
         grad_fn = reduced_gradient(p, u, x, lam)
         cost_hist.append(c)
@@ -255,11 +238,9 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     )
 
 
-def stationarity(p, u, partition, r, opts=None):
+def stationarity(p, u, partition, r):
     """Projected-gradient sup norm at u (fresh state and adjoint solves)."""
-    opts = opts or OptimizeOptions()
-    rule = default_rule(r)
-    x = solve_state(p, u, partition, r, opts.newton, rule)
-    lam = solve_adjoint(p, u, x, partition, r, opts.newton, rule)
+    x = solve_state(p, u, partition, r)
+    lam = solve_adjoint(p, u, x, partition, r)
     grad_fn = reduced_gradient(p, u, x, lam)
-    return _stationarity_sup(p, u, grad_fn, partition.quad_times(rule).ravel())
+    return _stationarity_sup(p, u, grad_fn, partition.quad_times(default_rule(r)).ravel())

@@ -1,0 +1,132 @@
+"""Finite-difference and structural oracles for the discrete derivatives.
+
+Each discrepancy function runs one trial and returns a number; callers choose
+the trials, seeds and tolerances.  The pointwise partial-derivative checks
+raise ValueError instead.  `dgocp verify` and the test suite share these;
+the package namespace does not import them.
+"""
+
+import numpy as np
+
+from .basis import default_rule
+from .ivp import IVPRight, reverse_dg, solve_backward, solve_forward
+from .mesh import DGFunction
+from .ocp import (cost, hessian_form, pair_with_direction, reduced_gradient, solve_adjoint,
+                  solve_state, tangent_solve)
+
+__all__ = [
+    "random_dg", "worst_discrepancy", "gradient_discrepancy", "tangent_discrepancy",
+    "hessian_discrepancy", "time_reversal_discrepancy", "check_jacobian", "check_derivatives",
+]
+
+FD_EPS = 1e-5        # central first differences of j_h and G_h
+FD2_EPS = 1e-4       # second central difference of j_h
+POINT_EPS = 1e-6     # pointwise partial-derivative checks ...
+POINT_TOL = 1e-5     # ... and their tolerance relative to max(1, max |deriv|)
+POINT_PROBES = 5
+
+
+def random_dg(rng, partition, r, dim=1):
+    """Random DG function with decaying mode amplitudes (tame derivatives)."""
+    coeffs = rng.uniform(-0.5, 0.5, size=(partition.N, r + 1, dim))
+    coeffs *= 1.0 / (1.0 + np.arange(r + 1))[None, :, None]
+    return DGFunction(partition, r, dim, coeffs)
+
+
+def worst_discrepancy(oracle, rng, p, partition, r, trials):
+    """Largest oracle(p, u, v, partition, r) over random pairs, u drawn before v.
+
+    A NaN discrepancy propagates, so it fails any tolerance test.
+    """
+    values = []
+    for _ in range(trials):
+        u = random_dg(rng, partition, r, p.m)
+        v = random_dg(rng, partition, r, p.m)
+        values.append(oracle(p, u, v, partition, r))
+    return float(np.max(values))
+
+
+def _reduced_cost(p, u, partition, r):
+    return cost(p, u, solve_state(p, u, partition, r))
+
+
+def gradient_discrepancy(p, u, v, partition, r):
+    """|<j_h'(u), v> - fd| / max(1e-10, |fd|), fd the central difference of j_h."""
+    x = solve_state(p, u, partition, r)
+    lam = solve_adjoint(p, u, x, partition, r)
+    lhs = pair_with_direction(reduced_gradient(p, u, x, lam), v, p, partition, default_rule(r))
+    jp = _reduced_cost(p, u + FD_EPS * v, partition, r)
+    jm = _reduced_cost(p, u - FD_EPS * v, partition, r)
+    fd = (jp - jm) / (2.0 * FD_EPS)
+    return abs(lhs - fd) / max(1e-10, abs(fd))
+
+
+def tangent_discrepancy(p, u, v, partition, r):
+    """Relative L2 gap between y_h = G_h'(u) v and the central quotient of G_h."""
+    x = solve_state(p, u, partition, r)
+    y = tangent_solve(p, u, x, v, partition, r)
+    xp = solve_state(p, u + FD_EPS * v, partition, r)
+    xm = solve_state(p, u - FD_EPS * v, partition, r)
+    fd = (1.0 / (2.0 * FD_EPS)) * (xp - xm)
+    return (y - fd).l2_norm() / max(1e-12, fd.l2_norm())
+
+
+def hessian_discrepancy(p, u, v, partition, r):
+    """|j_h''(u)(v, v) - fd| / max(1, |fd|), fd the second central difference of j_h."""
+    quad = hessian_form(p, u, v, partition, r)
+    j0 = _reduced_cost(p, u, partition, r)
+    jp = _reduced_cost(p, u + FD2_EPS * v, partition, r)
+    jm = _reduced_cost(p, u - FD2_EPS * v, partition, r)
+    fd = (jp - 2.0 * j0 + jm) / FD2_EPS**2
+    return abs(quad - fd) / max(1.0, abs(fd))
+
+
+def time_reversal_discrepancy(rng, d, partition, r):
+    """Max coefficient gap between reverse_dg of a forward solve and the backward
+    solve of the time-reversed system, for x' = A x + b with A, b, x0 drawn from rng."""
+    A = rng.uniform(-1.0, 1.0, size=(d, d))
+    b = rng.uniform(-1.0, 1.0, size=d)
+    x0 = rng.uniform(-1.0, 1.0, size=d)
+
+    def affine(sign):
+        return IVPRight(
+            F=lambda ts, X: sign * (X @ A.T + b),
+            dF_dx=lambda ts, X: np.broadcast_to(sign * A, (ts.size, d, d)).copy(),
+        )
+
+    fwd = solve_forward(affine(1.0), x0, partition, r)
+    back = solve_backward(affine(-1.0), x0, partition, r)
+    return float(np.max(np.abs(back.coeffs - reverse_dg(fwd).coeffs)))
+
+
+def _check_columns(name, deriv, fn, z):
+    """Compare column j of deriv, the derivative of fn at the (1, k) point z,
+    with the central difference of fn along e_j; raise ValueError on a mismatch."""
+    scale = max(1.0, float(np.max(np.abs(deriv))))
+    for j in range(z.shape[1]):
+        dz = np.zeros_like(z)
+        dz[0, j] = POINT_EPS
+        col = (np.asarray(fn(z + dz))[0] - np.asarray(fn(z - dz))[0]) / (2 * POINT_EPS)
+        if np.max(np.abs(col - deriv[..., j])) > POINT_TOL * scale:
+            raise ValueError(f"{name} disagrees with finite differences")
+
+
+def check_jacobian(rhs, rng, d):
+    """Central-difference check of an IVPRight's dF_dx at random (t, x) in [0, 1) x R^d."""
+    for _ in range(POINT_PROBES):
+        ts = rng.uniform(0.0, 1.0, size=1)
+        x = rng.standard_normal((1, d))
+        _check_columns("dF_dx", rhs.dF_dx(ts, x)[0], lambda z: rhs.F(ts, z), x)
+
+
+def check_derivatives(p, rng):
+    """Central-difference check of an OCProblem's fx, fu, gx and gu at random probes."""
+    for _ in range(POINT_PROBES):
+        t = rng.uniform(0.0, p.T, size=1)
+        x = rng.standard_normal((1, p.d))
+        u = rng.standard_normal((1, p.m))
+        u = np.clip(u, np.maximum(p.u_lo, -2.0), np.minimum(p.u_hi, 2.0))
+        for name, base in (("f", p.f), ("g", p.g)):
+            d_x, d_u = getattr(p, name + "x"), getattr(p, name + "u")
+            _check_columns(name + "x", np.asarray(d_x(t, x, u))[0], lambda z: base(t, z, u), x)
+            _check_columns(name + "u", np.asarray(d_u(t, x, u))[0], lambda z: base(t, x, z), u)

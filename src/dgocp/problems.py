@@ -32,10 +32,6 @@ class BuiltinProblem:
     reference_protocol: Optional[Tuple] = None
 
 
-def _col(v):
-    return np.asarray(v, dtype=float)[:, None]
-
-
 def linear_lq():
     d = m = 1
 

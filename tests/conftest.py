@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dgocp import DGFunction, gauss_rule, make_uniform_partition, modal_from_values
+from dgocp import gauss_rule, make_uniform_partition, project_l2
 
 # collected by the acceptance tests; emitted after the run so every
 # criterion's pass/fail line is visible regardless of output capture
@@ -52,21 +52,9 @@ def simpson(fn, a, b, n=1_000_000):
     return (b - a) / (3.0 * n) * float(w @ fn(ts))
 
 
-def random_dg(rng, partition, r, dim=1, amp=0.5):
-    """Random DG function with decaying mode amplitudes (tame derivatives)."""
-    coeffs = rng.uniform(-amp, amp, size=(partition.N, r + 1, dim))
-    coeffs *= 1.0 / (1.0 + np.arange(r + 1))[None, :, None]
-    return DGFunction(partition, r, dim, coeffs)
-
-
 def project_callable(fn, partition, r, dim=1):
     """Nodal projection of a callable onto degree-r DG space (exact in degree)."""
-    rule = gauss_rule(r + 1)
-    ts = partition.quad_times(rule)
-    vals = np.asarray(fn(ts.ravel()), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return modal_from_values(vals.reshape(partition.N, rule.q, dim), partition, r, rule)
+    return project_l2(fn, partition, r, gauss_rule(r + 1), dim)
 
 
 @pytest.fixture

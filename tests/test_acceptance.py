@@ -12,28 +12,27 @@ import pytest
 
 from dgocp import (
     IVPRight,
-    OptimizeOptions,
     adjoint_residual,
-    cost,
-    default_rule,
     hessian_form,
-    l2_error,
     make_uniform_partition,
-    pair_with_direction,
     project_l2,
-    reduced_gradient,
-    reverse_dg,
     run_convergence,
     solve_adjoint,
-    solve_backward,
     solve_forward,
     solve_state,
-    tangent_solve,
+)
+from dgocp.oracles import (
+    gradient_discrepancy,
+    hessian_discrepancy,
+    random_dg,
+    tangent_discrepancy,
+    time_reversal_discrepancy,
+    worst_discrepancy,
 )
 from dgocp.problems import get_builtin, linear_lq, nonlinear_quadratic
 
 import conftest
-from conftest import project_callable, random_dg
+from conftest import project_callable
 
 # published convergence tables: {r: [(err_x, err_u), ...]} for h = 0.1 * 2^-k
 TABLE_LINEAR = {
@@ -156,68 +155,30 @@ def test_criterion_3_nonlinear_table(table_nonlinear):
     )
 
 
-def test_criterion_4_gradient_oracle():
-    rng = np.random.default_rng(4)
-    eps = 1e-5
-    worst = 0.0
+def _worst_on_builtins(oracle, rng, trials):
+    """Largest oracle discrepancy over random (u, v) pairs, r = 2, N = 8, both builtins."""
+    worst = []
     for name in ("linear-lq", "nonlinear-quadratic"):
         p = get_builtin(name).problem
-        part = make_uniform_partition(p.T, 8)
-        r = 2
-        rule = default_rule(r)
-        for _ in range(20):
-            u = random_dg(rng, part, r)
-            v = random_dg(rng, part, r)
-            x = solve_state(p, u, part, r)
-            lam = solve_adjoint(p, u, x, part, r)
-            lhs = pair_with_direction(reduced_gradient(p, u, x, lam), v, p, part, rule)
-            jp = cost(p, u + eps * v, solve_state(p, u + eps * v, part, r), rule)
-            jm = cost(p, u - eps * v, solve_state(p, u - eps * v, part, r), rule)
-            fd = (jp - jm) / (2.0 * eps)
-            worst = max(worst, abs(lhs - fd) / max(1e-10, abs(fd)))
+        worst.append(worst_discrepancy(oracle, rng, p, make_uniform_partition(p.T, 8), 2, trials))
+    return float(np.max(worst))
+
+
+def test_criterion_4_gradient_oracle():
+    worst = _worst_on_builtins(gradient_discrepancy, np.random.default_rng(4), 20)
     ok = worst <= 1e-6
     _record(4, "gradient oracle", ok, f"worst relative discrepancy {worst:.2e} over 40 pairs")
 
 
 def test_criterion_5_tangent_oracle():
-    rng = np.random.default_rng(5)
-    eps = 1e-5
-    worst = 0.0
-    for name in ("linear-lq", "nonlinear-quadratic"):
-        p = get_builtin(name).problem
-        part = make_uniform_partition(p.T, 8)
-        r = 2
-        for _ in range(20):
-            u = random_dg(rng, part, r)
-            v = random_dg(rng, part, r)
-            x = solve_state(p, u, part, r)
-            y = tangent_solve(p, u, x, v, part, r)
-            xp = solve_state(p, u + eps * v, part, r)
-            xm = solve_state(p, u - eps * v, part, r)
-            fd = (1.0 / (2.0 * eps)) * (xp - xm)
-            worst = max(worst, (y - fd).l2_norm() / max(1e-12, fd.l2_norm()))
+    worst = _worst_on_builtins(tangent_discrepancy, np.random.default_rng(5), 20)
     ok = worst <= 1e-6
     _record(5, "tangent oracle", ok, f"worst relative L2 discrepancy {worst:.2e} over 40 trials")
 
 
 def test_criterion_6_hessian_oracle():
     rng = np.random.default_rng(6)
-    eps = 1e-4
-    worst = 0.0
-    for name in ("linear-lq", "nonlinear-quadratic"):
-        p = get_builtin(name).problem
-        part = make_uniform_partition(p.T, 8)
-        r = 2
-        rule = default_rule(r)
-        for _ in range(5):
-            u = random_dg(rng, part, r)
-            v = random_dg(rng, part, r)
-            quad = hessian_form(p, u, v, part, r)
-            j0 = cost(p, u, solve_state(p, u, part, r), rule)
-            jp = cost(p, u + eps * v, solve_state(p, u + eps * v, part, r), rule)
-            jm = cost(p, u - eps * v, solve_state(p, u - eps * v, part, r), rule)
-            fd = (jp - 2.0 * j0 + jm) / eps**2
-            worst = max(worst, abs(quad - fd) / max(1.0, abs(fd)))
+    worst = _worst_on_builtins(hessian_discrepancy, rng, 5)
 
     # coercivity proxy on the linear problem: j''(v, v) >= 0.99 ||v||^2
     p = linear_lq().problem
@@ -243,24 +204,8 @@ def test_criterion_6_hessian_oracle():
 def test_criterion_7_time_reversal():
     rng = np.random.default_rng(7)
     part = make_uniform_partition(1.0, 8)
-    worst = 0.0
-    for r in range(4):
-        for _ in range(3):
-            d = 2
-            A = rng.uniform(-1.0, 1.0, size=(d, d))
-            b = rng.uniform(-1.0, 1.0, size=d)
-            x0 = rng.uniform(-1.0, 1.0, size=d)
-            fwd_rhs = IVPRight(
-                F=lambda ts, X: X @ A.T + b,
-                dF_dx=lambda ts, X: np.broadcast_to(A, (ts.size, d, d)).copy(),
-            )
-            rev_rhs = IVPRight(
-                F=lambda ts, X: -(X @ A.T + b),
-                dF_dx=lambda ts, X: np.broadcast_to(-A, (ts.size, d, d)).copy(),
-            )
-            fwd = solve_forward(fwd_rhs, x0, part, r)
-            back = solve_backward(rev_rhs, x0, part, r)
-            worst = max(worst, float(np.max(np.abs(back.coeffs - reverse_dg(fwd).coeffs))))
+    worst = float(np.max([time_reversal_discrepancy(rng, 2, part, r)
+                          for r in range(4) for _ in range(3)]))
     ok = worst <= 1e-12
     _record(7, "time reversal", ok, f"max coefficient deviation {worst:.2e} over r = 0..3")
 

@@ -20,16 +20,24 @@ def _read_summary(path):
     return out
 
 
-def test_missing_subcommand_and_problem():
-    with pytest.raises(SystemExit) as err:
-        main([])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["solve"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["solve", "--problem", "no-such-problem"])
-    assert err.value.code == 2
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
+def test_missing_subcommand_and_problem(tmp_path):
+    assert _exit_code([]) == 2
+    assert _exit_code(["solve"]) == 2
+    assert _exit_code(["solve", "--problem", "no-such-problem"]) == 2
+    # no mesh: a non-positive interval count or step, or a step longer than 2T
+    out = ["--out", str(tmp_path / "run")]
+    for bad in (["--intervals", "0"], ["--intervals", "-2"], ["--h", "0"], ["--h", "-0.1"],
+                ["--h", "5"]):
+        assert _exit_code(["solve", "--problem", "linear-lq"] + bad + out) == 2, bad
+    assert _exit_code(["verify", "--problem", "linear-lq", "--intervals", "0"]) == 2
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_artifacts_and_table_entry(tmp_path):
@@ -146,14 +154,15 @@ def test_verify_nonlinear_hessian(capsys):
     assert discrepancy < 1e-4
 
 
-def test_verify_corrupted_derivative(capsys):
+@pytest.mark.parametrize("which", ["fx", "fu", "gx", "gu"])
+@pytest.mark.parametrize("problem", ["linear-lq", "nonlinear-quadratic"])
+def test_verify_corrupted_derivative(problem, which, capsys):
     code = main([
-        "verify", "--problem", "linear-lq", "--order", "1", "--intervals", "8",
-        "--seed", "42", "--corrupt", "fu",
+        "verify", "--problem", problem, "--order", "1", "--intervals", "8",
+        "--seed", "42", "--corrupt", which,
     ])
     assert code == 1
-    out = capsys.readouterr().out
-    assert "gradient-check: FAIL" in out
+    assert "gradient-check: FAIL" in capsys.readouterr().out
 
 
 def test_run_verification_quiet():

@@ -14,9 +14,10 @@ from dgocp import (
     save_dg,
     total_variation,
 )
+from dgocp.oracles import random_dg
 from dgocp.problems import linear_lq
 
-from conftest import project_callable, random_dg
+from conftest import project_callable
 
 
 # -- partitions ---------------------------------------------------------------

@@ -18,7 +18,7 @@ from dgocp import (
 )
 from dgocp.problems import get_builtin, linear_lq
 
-from conftest import random_dg
+from dgocp.oracles import random_dg
 
 
 def _decoupled_problem(c, lo=None, hi=None):
@@ -174,8 +174,6 @@ def test_options_validation():
         OptimizeOptions(method="newton")
     with pytest.raises(ValueError):
         OptimizeOptions(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        OptimizeOptions(fbs_relax=0.0)
     builtin = linear_lq()
     part = make_uniform_partition(1.0, 4)
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dgocp.oracles import check_derivatives
 from dgocp.problems import BUILTINS, get_builtin, linear_lq, nonlinear_quadratic
 
 
@@ -36,7 +37,7 @@ def test_linear_lq_problem_definition(rng):
     p = builtin.problem
     assert (p.d, p.m, p.T) == (1, 1, 1.0)
     assert p.x0 == pytest.approx([1.0])
-    p.check_derivatives(rng)
+    check_derivatives(p, rng)
     assert p.has_second_partials
     # registered pointwise stationarity solve returns the adjoint itself
     lam = np.array([[0.3]])
@@ -48,7 +49,7 @@ def test_nonlinear_quadratic_problem_definition(rng):
     p = builtin.problem
     assert (p.d, p.m, p.T) == (1, 1, 0.2)
     assert p.x0 == pytest.approx([2.0])
-    p.check_derivatives(rng)
+    check_derivatives(p, rng)
     assert p.has_second_partials
     assert builtin.exact_state is None
     kind, h_ref, r_ref = builtin.reference_protocol
