@@ -17,7 +17,7 @@ from .problems import get_builtin
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-EXIT_STALL = 3
+EXIT_NOT_CONVERGED = 3  # stall, or the iteration cap reached
 
 N_PLOT_SAMPLES = 401
 
@@ -68,7 +68,7 @@ def cmd_solve(args):
         report = minimize(p, None, part, args.order, args.order, opts)
     except StallError as err:
         print(f"solver stalled: {err}", file=sys.stderr)
-        return EXIT_STALL
+        return EXIT_NOT_CONVERGED
 
     os.makedirs(args.out, exist_ok=True)
     u_dg = report.u_star
@@ -102,7 +102,7 @@ def cmd_solve(args):
     with open(os.path.join(args.out, "summary.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     print("\n".join(lines))
-    return EXIT_OK
+    return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_convergence(args):
@@ -118,7 +118,7 @@ def cmd_convergence(args):
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write("r,h,err_x,err_u,rate_x,rate_u\n")
-        return EXIT_STALL
+        return EXIT_NOT_CONVERGED
     text = report.to_csv(args.out)
     print(text, end="")
     return EXIT_OK

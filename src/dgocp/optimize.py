@@ -4,7 +4,8 @@ Two methods: projected gradient descent with Armijo backtracking, and the
 forward-backward sweep (state solve, adjoint solve, pointwise control update
 from the stationarity condition).  Controls live in the DG space of degree
 r_control, represented nodally at the (r_control + 1)-point Gauss nodes for
-box projection and converted back to modal coefficients.
+box projection and converted back to modal coefficients; the stationarity is
+measured at the same nodes.
 """
 
 import csv
@@ -14,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .basis import default_rule, gauss_rule, legendre_table
+from .ivp import SolverFailure
 from .mesh import DGFunction, modal_from_values, project_l2, sample_values, total_variation
 from .ocp import cost, reduced_gradient, solve_adjoint, solve_state
 
@@ -89,20 +91,31 @@ def _control_to_dg(p, u0, partition, r_control):
     return project_l2(clipped, partition, r_control, gauss_rule(r_control + 1), p.m)
 
 
+def _nodal(dg, nodal_P):
+    """Values of a DG function at the control Gauss nodes, (N, r_control + 1, m)."""
+    return np.einsum("qk,nkd->nqd", nodal_P, dg.coeffs)
+
+
 def _project_box_nodal(p, dg, rule, nodal_P):
     """Clip a DG control at its Gauss nodes and re-interpolate (exact in degree)."""
-    vals = np.einsum("qk,nkd->nqd", nodal_P, dg.coeffs)
+    vals = _nodal(dg, nodal_P)
     clipped = p.clip_box(vals)
     if np.array_equal(clipped, vals):
         return dg
     return modal_from_values(clipped, dg.partition, dg.degree, rule)
 
 
-def _stationarity_sup(p, u, grad_fn, quad_ts):
-    """sup over quadrature points of |u - clip(u - grad)|."""
-    U = sample_values(u, quad_ts, p.m)
-    G = grad_fn(quad_ts)
-    return float(np.max(np.abs(U - p.clip_box(U - G))))
+def _residual(p, u, x, lam, rule, nodal_P):
+    """Projected-gradient residual max |U - clip(U - G)| at the control nodes.
+
+    G is the reduced gradient, sampled once on the state's quadrature rule and
+    L2-projected onto u's DG space; it is returned as the descent direction.
+    """
+    ts = u.partition.quad_times(rule)
+    gvals = reduced_gradient(p, u, x, lam)(ts.ravel()).reshape(ts.shape + (p.m,))
+    g = modal_from_values(gvals, u.partition, u.degree, rule)
+    U, G = _nodal(u, nodal_P), _nodal(g, nodal_P)
+    return float(np.max(np.abs(U - p.clip_box(U - G)))), g
 
 
 def _fbs_target(p, u_dg, x_h, lam, nodal_ts):
@@ -133,8 +146,10 @@ def _fbs_target(p, u_dg, x_h, lam, nodal_ts):
 def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     """Minimize j_h over box-feasible DG controls of degree r_control.
 
-    Returns an OptimizeReport; raises StallError when neither backtracking nor
-    relaxation produces descent before reaching stationarity.
+    Returns an OptimizeReport.  Raises StallError when the line search finds
+    no acceptable trial before reaching stationarity, and SolverFailure when
+    the state solve at the start control fails; a failed trial solve is a
+    rejected trial.
     """
     opts = opts or OptimizeOptions()
     r_control = r_state if r_control is None else r_control
@@ -142,7 +157,6 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
         raise ValueError("r_control must not exceed r_state")
 
     rule = default_rule(r_state)
-    quad_ts = partition.quad_times(rule).ravel()
     nodal_rule = gauss_rule(r_control + 1)
     nodal_P = legendre_table(r_control, nodal_rule.points)
     nodal_ts = partition.quad_times(nodal_rule).ravel()
@@ -151,74 +165,51 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     x = solve_state(p, u, partition, r_state)
     c = cost(p, u, x)
 
-    cost_hist, stat_hist = [], []
+    cost_hist, stat_hist, log_rows = [], [], []
     step = theta = 1.0  # PGD step and FBS relaxation start at full length
-    converged = False
-    it = 0
-    log_rows = []
-
-    for it in range(1, opts.max_outer + 1):
+    # pass max_outer + 1 only measures the final iterate
+    for it in range(1, opts.max_outer + 2):
         lam = solve_adjoint(p, u, x, partition, r_state)
-        grad_fn = reduced_gradient(p, u, x, lam)
-        stat = _stationarity_sup(p, u, grad_fn, quad_ts)
+        stat, g = _residual(p, u, x, lam, rule, nodal_P)
         cost_hist.append(c)
         stat_hist.append(stat)
         log_rows.append((it, c, stat, step if opts.method == "pgd" else theta))
-        if stat <= opts.grad_tol:
-            converged = True
+        if stat <= opts.grad_tol or it > opts.max_outer:
             break
 
-        if opts.method == "fbs":
-            target = _fbs_target(p, u, x, lam, nodal_ts)
-        else:
-            target = None
-
-        if target is not None:
+        target = _fbs_target(p, u, x, lam, nodal_ts) if opts.method == "fbs" else None
+        relax = target is not None
+        if relax:
             target = p.clip_box(target).reshape(partition.N, r_control + 1, p.m)
             u_hat = modal_from_values(target, partition, r_control, nodal_rule)
-            accepted = False
-            while True:
-                u_try = u_hat if theta == 1.0 else (1.0 - theta) * u + theta * u_hat
-                x_try = solve_state(p, u_try, partition, r_state)
-                c_try = cost(p, u_try, x_try)
-                if c_try <= c + COST_SLACK * (1.0 + abs(c)):
-                    accepted = True
-                    break
-                if theta <= RELAX_FLOOR:
-                    break
-                theta *= 0.5
-            if not accepted:
-                raise StallError(it, c, stat)
-            u, x, c = u_try, x_try, c_try
+            s, floor = theta, RELAX_FLOOR
         else:
             # projected gradient step (also the FBS fallback without a
-            # pointwise update): direction = L2 projection of the gradient
-            gvals = grad_fn(quad_ts).reshape(partition.N, rule.q, p.m)
-            g_dg = modal_from_values(gvals, partition, r_control, rule)
-            accepted = False
-            while True:
-                cand = DGFunction(partition, r_control, p.m, u.coeffs - step * g_dg.coeffs)
+            # pointwise update) along the L2-projected gradient
+            s, floor = step, STEP_FLOOR
+        while True:
+            if relax:
+                u_try = u_hat if s == 1.0 else (1.0 - s) * u + s * u_hat
+                bound = c + COST_SLACK * (1.0 + abs(c))
+            else:
+                cand = DGFunction(partition, r_control, p.m, u.coeffs - s * g.coeffs)
                 u_try = _project_box_nodal(p, cand, nodal_rule, nodal_P)
-                diff_sq = (u_try - u).l2_norm_sq()
+                bound = c - (ARMIJO_C / s) * (u_try - u).l2_norm_sq()
+            try:
                 x_try = solve_state(p, u_try, partition, r_state)
                 c_try = cost(p, u_try, x_try)
-                if c_try <= c - (ARMIJO_C / step) * diff_sq:
-                    accepted = True
-                    break
-                if step <= STEP_FLOOR:
-                    break
-                step *= 0.5
-            if not accepted:
+            except SolverFailure:
+                c_try = np.inf
+            if c_try <= bound:
+                break
+            if s <= floor:
                 raise StallError(it, c, stat)
-            u, x, c = u_try, x_try, c_try
-            step = min(step * 2.0, 1e6)
-
-    lam = solve_adjoint(p, u, x, partition, r_state)
-    if not converged:
-        grad_fn = reduced_gradient(p, u, x, lam)
-        cost_hist.append(c)
-        stat_hist.append(_stationarity_sup(p, u, grad_fn, quad_ts))
-        converged = stat_hist[-1] <= opts.grad_tol
+            s *= 0.5
+        u, x, c = u_try, x_try, c_try
+        if relax:
+            theta = s
+        else:
+            step = min(s * 2.0, 1e6)
 
     if opts.log_path:
         with open(opts.log_path, "w", newline="") as fh:
@@ -232,15 +223,16 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
         lambda_star=lam,
         cost_history=cost_hist,
         stationarity_history=stat_hist,
-        iterations=it,
-        converged=converged,
+        iterations=min(it, opts.max_outer),
+        converged=stat <= opts.grad_tol,
         tv_u=total_variation(u),
     )
 
 
 def stationarity(p, u, partition, r):
-    """Projected-gradient sup norm at u (fresh state and adjoint solves)."""
+    """Projected-gradient residual at the control nodes of the DGFunction u
+    (fresh state and adjoint solves of degree r); the measure `minimize` stops on."""
     x = solve_state(p, u, partition, r)
     lam = solve_adjoint(p, u, x, partition, r)
-    grad_fn = reduced_gradient(p, u, x, lam)
-    return _stationarity_sup(p, u, grad_fn, partition.quad_times(default_rule(r)).ravel())
+    nodal_P = legendre_table(u.degree, gauss_rule(u.degree + 1).points)
+    return _residual(p, u, x, lam, default_rule(r), nodal_P)[0]

@@ -65,6 +65,15 @@ def test_solve_artifacts_and_table_entry(tmp_path):
     assert len(jump_lines) == 10  # header + 9 interior nodes
 
 
+def test_solve_not_converged_exit_code(tmp_path):
+    out = tmp_path / "run"
+    code = main(["solve", "--problem", "linear-lq", "--method", "pgd", "--max-iter", "1",
+                 "--out", str(out)])
+    assert code == 3
+    assert _read_summary(out / "summary.txt")["converged"] == "False"
+    assert (out / "u.csv").exists()
+
+
 def test_solve_cost_against_oracle(tmp_path):
     builtin = linear_lq()
     xbar, ubar = builtin.exact_state, builtin.exact_control
