@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from .convergence import run_convergence
+from .convergence import ConvergenceReport, run_convergence
 from .mesh import l2_error, make_uniform_partition, save_dg
 from .ocp import adjoint_residual, solve_adjoint, solve_state
 from .optimize import OptimizeOptions, StallError, minimize
@@ -116,8 +116,7 @@ def cmd_convergence(args):
     except StallError as err:
         print(f"solver stalled: {err}", file=sys.stderr)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write("r,h,err_x,err_u,rate_x,rate_u\n")
+            ConvergenceReport().to_csv(args.out)
         return EXIT_NOT_CONVERGED
     text = report.to_csv(args.out)
     print(text, end="")

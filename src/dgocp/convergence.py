@@ -7,7 +7,7 @@ from typing import List, Optional
 import numpy as np
 
 from .mesh import l2_error, make_uniform_partition
-from .optimize import OptimizeOptions, minimize
+from .optimize import OptimizeOptions, StallError, minimize
 
 __all__ = ["ConvergenceRow", "ConvergenceReport", "run_convergence"]
 
@@ -43,8 +43,13 @@ class ConvergenceReport:
 
 
 def _solve_level(problem, r, N, opts):
+    """The optimum at degree r on N intervals; StallError when it is not reached."""
     part = make_uniform_partition(problem.T, N)
     report = minimize(problem, None, part, r, r, opts)
+    if not report.converged:
+        raise StallError(report.iterations, report.cost, report.stationarity,
+                         f"level r={r}, N={N} not converged after {report.iterations} "
+                         f"iterations: stationarity {report.stationarity:.3e}")
     return report
 
 
@@ -54,6 +59,8 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, base_h=BASE_
 
     Errors are measured against the closed-form optimum when available,
     otherwise against a self-computed reference on the protocol's fine mesh.
+    Raises StallError when a level (or the reference) is not solved to
+    opts.grad_tol.
     """
     # the finest levels sit near round-off; the optimizer has to be driven
     # well below the default stationarity tolerance to resolve them

@@ -7,9 +7,8 @@ iteration drives the (r+1)*d modal residual below tolerance.  Backward
 reversed partition, followed by a coefficient-level reversal.
 """
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,7 +48,6 @@ class IVPRight:
 
     F: Callable
     dF_dx: Callable
-    lipschitz_bound: Optional[float] = None
     inputs: Callable = _time_rows
 
 
@@ -78,12 +76,6 @@ def solve_forward(rhs, x0, partition, r):
     rule = default_rule(r)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
-
-    if rhs.lipschitz_bound is not None and partition.h * rhs.lipschitz_bound >= 1.0:
-        warnings.warn(
-            "h * L >= 1: uniqueness hypothesis of the DG error bound is not met",
-            stacklevel=2,
-        )
 
     P = legendre_table(r, rule.points)            # (q, r+1)
     w = rule.weights
@@ -156,7 +148,6 @@ def solve_backward(rhs, xT, partition, r):
     rev = IVPRight(
         F=lambda a, X: -rhs.F(a, X),
         dF_dx=lambda a, X: -rhs.dF_dx(a, X),
-        lipschitz_bound=rhs.lipschitz_bound,
         inputs=lambda times: rhs.inputs(T - times),
     )
     W = solve_forward(rev, xT, partition.reversed(), r)

@@ -1,11 +1,13 @@
 """Box-constrained minimization of the reduced cost over discretized controls.
 
-Two methods: projected gradient descent with Armijo backtracking, and the
-forward-backward sweep (state solve, adjoint solve, pointwise control update
-from the stationarity condition).  Controls live in the DG space of degree
-r_control, represented nodally at the (r_control + 1)-point Gauss nodes for
-box projection and converted back to modal coefficients; the stationarity is
-measured at the same nodes.
+Controls live in the DG space of degree r_control and are box-clipped at the
+(r_control + 1)-point Gauss nodes, where the stationarity is measured too.
+Each iteration picks a target control at those nodes and relaxes toward it:
+the trial u + theta (u_hat - u) is accepted when the cost does not rise
+beyond round-off, and otherwise theta is halved.  The two methods differ only
+in the target: the projected-gradient point clip(U - G) for projected
+gradient descent, and the pointwise solution of the stationarity condition
+for the forward-backward sweep (state solve, adjoint solve, control update).
 """
 
 import csv
@@ -14,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import default_rule, gauss_rule, legendre_table
+from .basis import default_rule, gauss_rule
 from .ivp import SolverFailure
 from .mesh import DGFunction, modal_from_values, project_l2, sample_values, total_variation
 from .ocp import cost, reduced_gradient, solve_adjoint, solve_state
@@ -27,9 +29,7 @@ __all__ = [
     "stationarity",
 ]
 
-ARMIJO_C = 1e-4
 RELAX_FLOOR = 2.0**-10
-STEP_FLOOR = 2.0**-30
 # slack for "non-increasing cost": near the optimum cost differences fall below
 # the resolution of the cost value itself
 COST_SLACK = 1e-13
@@ -70,14 +70,16 @@ class OptimizeReport:
 
 
 class StallError(RuntimeError):
-    """No descent after exhausting backtracking / relaxation."""
+    """The optimizer ended short of stationarity: no descent after relaxing to
+    RELAX_FLOOR, or (raised by callers that need an optimum) the iteration cap."""
 
-    def __init__(self, iteration, cost, stationarity):
+    def __init__(self, iteration, cost, stationarity, message=None):
         self.iteration = iteration
         self.cost = cost
         self.stationarity = stationarity
         super().__init__(
-            f"optimizer stalled at iteration {iteration}: "
+            message
+            or f"optimizer stalled at iteration {iteration}: "
             f"cost {cost:.6e}, stationarity {stationarity:.3e}"
         )
 
@@ -91,31 +93,19 @@ def _control_to_dg(p, u0, partition, r_control):
     return project_l2(clipped, partition, r_control, gauss_rule(r_control + 1), p.m)
 
 
-def _nodal(dg, nodal_P):
-    """Values of a DG function at the control Gauss nodes, (N, r_control + 1, m)."""
-    return np.einsum("qk,nkd->nqd", nodal_P, dg.coeffs)
-
-
-def _project_box_nodal(p, dg, rule, nodal_P):
-    """Clip a DG control at its Gauss nodes and re-interpolate (exact in degree)."""
-    vals = _nodal(dg, nodal_P)
-    clipped = p.clip_box(vals)
-    if np.array_equal(clipped, vals):
-        return dg
-    return modal_from_values(clipped, dg.partition, dg.degree, rule)
-
-
-def _residual(p, u, x, lam, rule, nodal_P):
-    """Projected-gradient residual max |U - clip(U - G)| at the control nodes.
+def _residual(p, u, x, lam, rule, nodal_rule):
+    """Projected-gradient residual max |U - clip(U - G)| at the control nodes,
+    and the projected-gradient point clip(U - G) there, (N, r_control + 1, m).
 
     G is the reduced gradient, sampled once on the state's quadrature rule and
-    L2-projected onto u's DG space; it is returned as the descent direction.
+    L2-projected onto u's DG space.
     """
     ts = u.partition.quad_times(rule)
     gvals = reduced_gradient(p, u, x, lam)(ts.ravel()).reshape(ts.shape + (p.m,))
     g = modal_from_values(gvals, u.partition, u.degree, rule)
-    U, G = _nodal(u, nodal_P), _nodal(g, nodal_P)
-    return float(np.max(np.abs(U - p.clip_box(U - G)))), g
+    U = u.values_on_quad(nodal_rule)
+    point = p.clip_box(U - g.values_on_quad(nodal_rule))
+    return float(np.max(np.abs(U - point))), point
 
 
 def _fbs_target(p, u_dg, x_h, lam, nodal_ts):
@@ -146,10 +136,10 @@ def _fbs_target(p, u_dg, x_h, lam, nodal_ts):
 def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     """Minimize j_h over box-feasible DG controls of degree r_control.
 
-    Returns an OptimizeReport.  Raises StallError when the line search finds
-    no acceptable trial before reaching stationarity, and SolverFailure when
-    the state solve at the start control fails; a failed trial solve is a
-    rejected trial.
+    Returns an OptimizeReport.  Raises StallError when no relaxation down to
+    RELAX_FLOOR is accepted before reaching stationarity, and SolverFailure
+    when the state solve at the start control fails; a failed trial solve is
+    a rejected trial.
     """
     opts = opts or OptimizeOptions()
     r_control = r_state if r_control is None else r_control
@@ -158,7 +148,6 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
 
     rule = default_rule(r_state)
     nodal_rule = gauss_rule(r_control + 1)
-    nodal_P = legendre_table(r_control, nodal_rule.points)
     nodal_ts = partition.quad_times(nodal_rule).ravel()
 
     u = _control_to_dg(p, u0, partition, r_control)
@@ -166,35 +155,25 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     c = cost(p, u, x)
 
     cost_hist, stat_hist, log_rows = [], [], []
-    step = theta = 1.0  # PGD step and FBS relaxation start at full length
+    theta = 1.0  # relaxation; it starts at the full step and only halves
     # pass max_outer + 1 only measures the final iterate
     for it in range(1, opts.max_outer + 2):
         lam = solve_adjoint(p, u, x, partition, r_state)
-        stat, g = _residual(p, u, x, lam, rule, nodal_P)
+        stat, target = _residual(p, u, x, lam, rule, nodal_rule)
         cost_hist.append(c)
         stat_hist.append(stat)
-        log_rows.append((it, c, stat, step if opts.method == "pgd" else theta))
+        log_rows.append((it, c, stat, theta))
         if stat <= opts.grad_tol or it > opts.max_outer:
             break
 
-        target = _fbs_target(p, u, x, lam, nodal_ts) if opts.method == "fbs" else None
-        relax = target is not None
-        if relax:
-            target = p.clip_box(target).reshape(partition.N, r_control + 1, p.m)
-            u_hat = modal_from_values(target, partition, r_control, nodal_rule)
-            s, floor = theta, RELAX_FLOOR
-        else:
-            # projected gradient step (also the FBS fallback without a
-            # pointwise update) along the L2-projected gradient
-            s, floor = step, STEP_FLOOR
+        # FBS without a pointwise update keeps the projected-gradient point
+        stationary = _fbs_target(p, u, x, lam, nodal_ts) if opts.method == "fbs" else None
+        if stationary is not None:
+            target = p.clip_box(stationary).reshape(partition.N, r_control + 1, p.m)
+        u_hat = modal_from_values(target, partition, r_control, nodal_rule)
+        bound = c + COST_SLACK * (1.0 + abs(c))
         while True:
-            if relax:
-                u_try = u_hat if s == 1.0 else (1.0 - s) * u + s * u_hat
-                bound = c + COST_SLACK * (1.0 + abs(c))
-            else:
-                cand = DGFunction(partition, r_control, p.m, u.coeffs - s * g.coeffs)
-                u_try = _project_box_nodal(p, cand, nodal_rule, nodal_P)
-                bound = c - (ARMIJO_C / s) * (u_try - u).l2_norm_sq()
+            u_try = u_hat if theta == 1.0 else (1.0 - theta) * u + theta * u_hat
             try:
                 x_try = solve_state(p, u_try, partition, r_state)
                 c_try = cost(p, u_try, x_try)
@@ -202,14 +181,10 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
                 c_try = np.inf
             if c_try <= bound:
                 break
-            if s <= floor:
+            if theta <= RELAX_FLOOR:
                 raise StallError(it, c, stat)
-            s *= 0.5
+            theta *= 0.5
         u, x, c = u_try, x_try, c_try
-        if relax:
-            theta = s
-        else:
-            step = min(s * 2.0, 1e6)
 
     if opts.log_path:
         with open(opts.log_path, "w", newline="") as fh:
@@ -234,5 +209,4 @@ def stationarity(p, u, partition, r):
     (fresh state and adjoint solves of degree r); the measure `minimize` stops on."""
     x = solve_state(p, u, partition, r)
     lam = solve_adjoint(p, u, x, partition, r)
-    nodal_P = legendre_table(u.degree, gauss_rule(u.degree + 1).points)
-    return _residual(p, u, x, lam, default_rule(r), nodal_P)[0]
+    return _residual(p, u, x, lam, default_rule(r), gauss_rule(u.degree + 1))[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dgocp import load_dg, run_convergence
+from dgocp import ConvergenceReport, OptimizeOptions, load_dg, run_convergence
 from dgocp.cli import main, run_verification
 from dgocp.optimize import StallError
 from dgocp.problems import linear_lq
@@ -132,7 +132,15 @@ def test_convergence_stall_partial_csv(tmp_path, monkeypatch, capsys):
     path = tmp_path / "partial.csv"
     code = main(["convergence", "--problem", "linear-lq", "--out", str(path)])
     assert code == 3
-    assert path.read_text().startswith("r,h,err_x,err_u,rate_x,rate_u")
+    assert path.read_text() == ConvergenceReport().to_csv()
+
+
+def test_unconverged_level_raises():
+    # a level stopped by the iteration cap is not an optimum: no table row
+    with pytest.raises(StallError, match=r"r=1, N=10 .*stationarity") as err:
+        run_convergence(linear_lq(), orders=(1,), levels=2,
+                        opts=OptimizeOptions(method="pgd", max_outer=3))
+    assert err.value.stationarity > OptimizeOptions().grad_tol
 
 
 def test_verify_passes(capsys):

@@ -161,17 +161,6 @@ def test_discrete_stability(rng):
     assert abs(constants[1] - constants[0]) < 0.25 * constants[0]
 
 
-def test_lipschitz_warning():
-    part = make_uniform_partition(1.0, 10)
-    rhs = IVPRight(
-        F=lambda ts, X: -20.0 * X,
-        dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -20.0),
-        lipschitz_bound=20.0,
-    )
-    with pytest.warns(UserWarning, match="h \\* L"):
-        solve_forward(rhs, np.array([1.0]), part, 1)
-
-
 def test_solver_failure_blowup():
     # x' = x^2 from x0 = 2 blows up at t = 0.5, inside the single interval
     part = make_uniform_partition(1.0, 1)

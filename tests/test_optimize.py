@@ -152,7 +152,8 @@ def test_trial_solver_failure_is_a_rejection():
     p = builtin.problem
     part = make_uniform_partition(p.T, 8)
     u0 = lambda t: np.full(np.size(t), 33.0)
-    # the full PGD step from u0 makes the state solve fail; it backtracks
+    # a far start converges with both methods; no trial solve of this run
+    # fails (see test_failed_trial_backtracks for a rejected trial)
     rep = minimize(p, u0, part, 1, opts=OptimizeOptions(method="pgd", grad_tol=1e-8,
                                                          max_outer=100))
     ref = minimize(p, u0, part, 1, opts=OptimizeOptions(method="fbs", grad_tol=1e-8))
@@ -161,6 +162,38 @@ def test_trial_solver_failure_is_a_rejection():
     # a start control whose state solve fails is not a trial: it raises
     with pytest.raises(SolverFailure):
         minimize(p, lambda t: np.full(np.size(t), 40.0), make_uniform_partition(p.T, 4), 1)
+
+
+def test_failed_trial_backtracks(monkeypatch):
+    p = linear_lq().problem
+    part = make_uniform_partition(1.0, 8)
+    opts = OptimizeOptions(method="pgd")
+    ref = minimize(p, None, part, 1, opts=opts)
+
+    controls = []
+
+    def failing_first_trial(p, u, *args):
+        controls.append(u.coeffs.copy())
+        if len(controls) == 2:  # call 1 is the start control, call 2 the first trial
+            raise SolverFailure(0, 1.0)
+        return solve_state(p, u, *args)
+
+    monkeypatch.setattr(dgocp.optimize, "solve_state", failing_first_trial)
+    rep = minimize(p, None, part, 1, opts=opts)
+    # the rejected trial is followed by the half step toward the same target
+    assert np.allclose(controls[2], 0.5 * (controls[0] + controls[1]), rtol=0, atol=1e-15)
+    assert rep.converged
+    assert rep.cost == pytest.approx(ref.cost, abs=1e-12)
+
+
+@pytest.mark.parametrize("box", [None, (-0.3, 0.0)])
+def test_pgd_reaches_default_tolerance(box):
+    p = linear_lq().problem
+    if box is not None:
+        p.u_lo[:], p.u_hi[:] = box
+    part = make_uniform_partition(1.0, 8)
+    report = minimize(p, None, part, 1, opts=OptimizeOptions(method="pgd", max_outer=100))
+    assert report.converged and report.iterations <= 30
 
 
 def test_one_adjoint_solve_per_measured_iterate(monkeypatch):
