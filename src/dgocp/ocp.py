@@ -88,14 +88,9 @@ class OCProblem:
         return np.clip(u_vals, self.u_lo, self.u_hi)
 
 
-def _per_interval(times, *values):
-    """Per-interval tuples of data sampled at the (N, q) times, flattened.
-
-    Each value has leading axis N * q; entry n of the result holds the q rows
-    of every value that belong to interval n.
-    """
-    N = times.shape[0]
-    return list(zip(*(v.reshape((N, -1) + v.shape[1:]) for v in values)))
+def _on_grid(times, *values):
+    """Values sampled at the flattened (N, q) times, each reshaped to (N, q, ...)."""
+    return tuple(v.reshape(times.shape + v.shape[1:]) for v in values)
 
 
 def solve_state(p, u, partition, r):
@@ -105,7 +100,7 @@ def solve_state(p, u, partition, r):
     """
     def inputs(times):
         flat = times.ravel()
-        return _per_interval(times, flat, sample_values(u, flat, p.m))
+        return list(zip(*_on_grid(times, flat, sample_values(u, flat, p.m))))
 
     rhs = IVPRight(
         F=lambda tu, X: p.f(tu[0], X, tu[1]),
@@ -118,20 +113,15 @@ def solve_state(p, u, partition, r):
 def solve_adjoint(p, u, x_h, partition, r):
     """Discrete adjoint: backward DG solve of lam' = -fx^T lam + gx, lam(T) = 0.
 
-    fx and gx along (t, x_h, u) do not depend on lam; they are evaluated once,
-    at all quadrature times of the (reversed) solve.
+    The system is affine in lam: fx and gx along (t, x_h, u) are evaluated
+    once, at all quadrature times of the (reversed) solve.
     """
-    def inputs(times):
+    def affine(times):
         flat = times.ravel()
         X, U = x_h.eval_many(flat), sample_values(u, flat, p.m)
-        return _per_interval(times, p.fx(flat, X, U), p.gx(flat, X, U))
+        return _on_grid(times, -np.transpose(p.fx(flat, X, U), (0, 2, 1)), p.gx(flat, X, U))
 
-    rhs = IVPRight(
-        F=lambda fg, L: -np.einsum("qab,qa->qb", fg[0], L) + fg[1],
-        dF_dx=lambda fg, L: -np.transpose(fg[0], (0, 2, 1)),
-        inputs=inputs,
-    )
-    return solve_backward(rhs, np.zeros(p.d), partition, r)
+    return solve_backward(IVPRight(affine=affine), np.zeros(p.d), partition, r)
 
 
 def reduced_gradient(p, u, x_h, lambda_h):
@@ -162,21 +152,16 @@ def cost(p, u, x_h):
 def tangent_solve(p, u, x_h, v, partition, r):
     """y_h = G_h'(u) v: forward DG solve of the linearized dynamics, y(0) = 0.
 
-    fx and fu v along (t, x_h, u) do not depend on y; they are evaluated once,
-    at all quadrature times of the solve.
+    The system is affine in y: fx and fu v along (t, x_h, u) are evaluated
+    once, at all quadrature times of the solve.
     """
-    def inputs(times):
+    def affine(times):
         flat = times.ravel()
         X, U = x_h.eval_many(flat), sample_values(u, flat, p.m)
         fu_v = np.einsum("qam,qm->qa", p.fu(flat, X, U), sample_values(v, flat, p.m))
-        return _per_interval(times, p.fx(flat, X, U), fu_v)
+        return _on_grid(times, p.fx(flat, X, U), fu_v)
 
-    rhs = IVPRight(
-        F=lambda fc, Y: np.einsum("qab,qb->qa", fc[0], Y) + fc[1],
-        dF_dx=lambda fc, Y: fc[0],
-        inputs=inputs,
-    )
-    return solve_forward(rhs, np.zeros(p.d), partition, r)
+    return solve_forward(IVPRight(affine=affine), np.zeros(p.d), partition, r)
 
 
 def pair_with_direction(integrand, v, p, partition, rule):

@@ -83,20 +83,33 @@ def hessian_discrepancy(p, u, v, partition, r):
 
 def time_reversal_discrepancy(rng, d, partition, r):
     """Max coefficient gap between reverse_dg of a forward solve and the backward
-    solve of the time-reversed system, for x' = A x + b with A, b, x0 drawn from rng."""
+    solve of the time-reversed system, for x' = A x + b with A, b, x0 drawn from rng.
+
+    The system runs both as closures (the Newton solve) and in affine form (the
+    batched solve); the gap between the two forward solves counts as well.
+    """
     A = rng.uniform(-1.0, 1.0, size=(d, d))
     b = rng.uniform(-1.0, 1.0, size=d)
     x0 = rng.uniform(-1.0, 1.0, size=d)
 
-    def affine(sign):
+    def closures(sign):
         return IVPRight(
             F=lambda ts, X: sign * (X @ A.T + b),
             dF_dx=lambda ts, X: np.broadcast_to(sign * A, (ts.size, d, d)).copy(),
         )
 
-    fwd = solve_forward(affine(1.0), x0, partition, r)
-    back = solve_backward(affine(-1.0), x0, partition, r)
-    return float(np.max(np.abs(back.coeffs - reverse_dg(fwd).coeffs)))
+    def affine(sign):
+        return IVPRight(affine=lambda times: (np.broadcast_to(sign * A, times.shape + (d, d)),
+                                              np.broadcast_to(sign * b, times.shape + (d,))))
+
+    gaps, forward = [], []
+    for form in (closures, affine):
+        fwd = solve_forward(form(1.0), x0, partition, r)
+        back = solve_backward(form(-1.0), x0, partition, r)
+        gaps.append(np.max(np.abs(back.coeffs - reverse_dg(fwd).coeffs)))
+        forward.append(fwd.coeffs)
+    gaps.append(np.max(np.abs(forward[0] - forward[1])))
+    return float(max(gaps))
 
 
 def _check_columns(name, deriv, fn, z):

@@ -5,6 +5,7 @@ import pytest
 
 from dgocp import (
     IVPRight,
+    Partition,
     SolverFailure,
     make_uniform_partition,
     l2_error,
@@ -168,6 +169,37 @@ def test_solver_failure_blowup():
     with pytest.raises(SolverFailure) as err:
         solve_forward(rhs, np.array([2.0]), part, 2)
     assert err.value.interval == 0
+
+
+def _scalar_rhs(a, affine):
+    """x' = a(t) x (d = 1) as closures or in affine form."""
+    if affine:
+        return IVPRight(affine=lambda times: (a(times)[..., None, None],
+                                              np.zeros(times.shape + (1,))))
+    return IVPRight(F=lambda ts, X: a(ts)[:, None] * X, dF_dx=lambda ts, X: a(ts)[:, None, None])
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_singular_block_names_its_interval(affine):
+    # r = 0: the block of x' = 10 x on interval n is 1 - 10 h_n, which rounds to
+    # exactly 0 on the width-0.1 interval 2 of this graded partition only
+    part = Partition(np.array([0.0, 0.3, 0.5, 0.6, 0.8, 1.0]))
+    rhs = _scalar_rhs(lambda t: np.full_like(t, 10.0), affine)
+    with pytest.raises(SolverFailure) as err:
+        solve_forward(rhs, np.array([1.0]), part, 0)
+    assert err.value.interval == 2 and err.value.residual == np.inf
+
+
+@pytest.mark.parametrize("affine", [False, True])
+def test_non_finite_data_names_its_interval(affine):
+    # NaN data on interval 3 of 8 leaves a NaN residual there and on every later
+    # interval; the failure names the first of them
+    part = make_uniform_partition(1.0, 8)
+    rhs = _scalar_rhs(lambda t: np.where((t > 0.375) & (t < 0.5), np.nan, -1.0), affine)
+    for r in (0, 2):
+        with pytest.raises(SolverFailure) as err:
+            solve_forward(rhs, np.array([1.0]), part, r)
+        assert err.value.interval == 3 and np.isnan(err.value.residual)
 
 
 def test_jacobian_check(rng):
