@@ -1,22 +1,32 @@
 """DG solver for x' = F(t, x), x(0) = x0, and backward solves.
 
 The weak DG equation couples intervals only through the upwind trace.  A
-right-hand side comes in one of two forms, and each has its solve:
+right-hand side comes in closure form, F(ts, X) and dF_dx(ts, X), or in
+affine form, x' = A(t) x + b(t) with A and b sampled once on the solve's
+quadrature grid.  A solve takes one of three routes:
 
-* closures F(ts, X) and dF_dx(ts, X), for a nonlinear system: the solve
-  marches interval by interval, and on each interval a damped Newton
-  iteration drives the (r+1)*d modal residual below tolerance;
-* affine, x' = A(t) x + b(t), with A and b sampled once on the solve's
-  quadrature grid: all N interval blocks are solved in one batched
+* affine form: all N interval blocks are solved in one batched
   np.linalg.solve, for their response to the incoming trace and to the
-  forcing, and only a d x d trace recurrence runs interval by interval.
+  forcing, and only a d x d trace recurrence runs interval by interval;
+* closures of a linear system: dF_dx is sampled on the whole quadrature grid
+  at two states, x = 0 and x = PROBE_SHIFT.  When the samples are identical,
+  A = dF_dx and b = F at x = 0 take the batched affine route, and its result
+  is kept when the closure's own residual, with F evaluated at that result,
+  passes on every interval;
+* closures of a nonlinear system (or of one whose batched result fails that
+  check): the solve marches interval by interval, and on each interval a
+  damped Newton iteration drives the (r+1)*d modal residual below tolerance.
 
-Both forms assemble their interval blocks with one helper.  Backward
+An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
+most ROUNDOFF times the largest entry of the residual's terms when that is
+larger: a large solution has a round-off floor above any absolute tolerance.
+All routes assemble their interval blocks with one helper.  Backward
 (terminal-value) solves are forward solves of the time-reversed system on the
 reversed partition, followed by a coefficient-level reversal.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,9 +45,11 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 50
 DAMPING_FLOOR = 2.0**-10
+ROUNDOFF = 16.0 * np.finfo(float).eps
+PROBE_SHIFT = 1.0
 
 
-def _time_rows(times):
+def _times(times):
     return times
 
 
@@ -46,12 +58,14 @@ class IVPRight:
     """Right-hand side F(t, x) of an IVP, in closure or in affine form.
 
     Closure form: F(ts, X) maps (q,), (q, d) -> (q, d); dF_dx maps to
-    (q, d, d), both vectorized over time batches.  On interval n the solvers
-    pass F and dF_dx, as first argument, entry n of `inputs(times)`, where
-    `times` holds the (N, q) quadrature times of the partition.  The default
-    hands over row n of the times, so F sees (ts, X).  A right-hand side built
-    on time-dependent data (a control, a state) can instead sample that data
-    once on the whole grid and hand each interval its slice.
+    (q, d, d), both vectorized over time batches.  The first argument of F
+    and dF_dx comes from `inputs(times)`, where `times` holds the (N, q)
+    quadrature times of the partition: it returns an array, or a tuple of
+    arrays, with leading axes (N, q).  The default returns the times, so F
+    sees (ts, X).  A right-hand side built on time-dependent data (a control,
+    a state) can sample that data once on the whole grid.  The batched route
+    passes the grid flattened to (N*q, ...); the march passes interval n its
+    row n.
 
     Affine form: F(t, x) = A(t) x + b(t), given as `affine(times) -> (A, b)`
     with A of shape (N, q, d, d) and b of shape (N, q, d), sampled at the
@@ -60,7 +74,7 @@ class IVPRight:
 
     F: Optional[Callable] = None
     dF_dx: Optional[Callable] = None
-    inputs: Callable = _time_rows
+    inputs: Callable = _times
     affine: Optional[Callable] = None
 
     def __post_init__(self):
@@ -69,8 +83,8 @@ class IVPRight:
 
 
 class SolverFailure(RuntimeError):
-    """A solve failed on some interval: its residual stayed above NEWTON_TOL,
-    or its block was singular (residual inf)."""
+    """A solve failed on some interval: its residual stayed above its
+    tolerance, or its block was singular (residual inf)."""
 
     def __init__(self, interval, residual, message=None):
         self.interval = interval
@@ -83,6 +97,20 @@ class SolverFailure(RuntimeError):
 
 def _singular(n):
     return SolverFailure(n, np.inf, f"singular DG block on interval {n}")
+
+
+def _tolerance(scale):
+    """Residual tolerance for residual terms whose largest entry is `scale`:
+    NEWTON_TOL, or the round-off floor ROUNDOFF * scale when that is larger."""
+    return np.maximum(NEWTON_TOL, ROUNDOFF * scale)
+
+
+def _batched_residual(terms):
+    """Residual R = T0 - T1 - T2 of the (N, nd) terms (T0, T1, T2), its
+    max-norm and its tolerance, each per interval."""
+    R = terms[0] - terms[1] - terms[2]
+    largest = np.max(np.abs(np.concatenate(terms, axis=1)), axis=1)
+    return R, np.max(np.abs(R), axis=1), _tolerance(largest)
 
 
 class _Scheme:
@@ -101,6 +129,7 @@ class _Scheme:
         self.P = legendre_table(r, self.rule.points)      # (q, r+1)
         self.PtW = self.P.T * self.rule.weights            # (r+1, q)
         self.s = (-1.0) ** np.arange(r + 1)                # traces at xi = -1
+        self.S = np.kron(self.s[:, None], np.eye(d))       # (nd, d): takes x_in into a block
         self.lin = deriv_inner_matrix(r) + np.outer(self.s, self.s)
         self.J_base = np.kron(self.lin, np.eye(d))         # state-independent block part
         # WPP[(q, a', b'), (j, a, k, b)] = w_q P_qj P_qk [a = a'] [b = b']: a block's
@@ -117,33 +146,94 @@ class _Scheme:
         return self.J_base - half_h * K
 
 
+@lru_cache(maxsize=32)
+def _scheme(r, d):
+    """The _Scheme of degree r and size d, shared per (r, d): its arrays are read-only."""
+    sch = _Scheme(r, d)
+    for value in vars(sch).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return sch
+
+
 def solve_forward(rhs, x0, partition, r):
     """DG approximation of x' = F(t, x), x(0) = x0, in X_h^r.
 
-    A closure right-hand side is solved by damped Newton, interval by
-    interval; an affine one by a batched block solve and a trace recurrence.
-    Either raises SolverFailure naming an interval when its residual stays
-    above NEWTON_TOL or its block is singular.
+    An affine right-hand side, or closures of a linear system, is solved by a
+    batched block solve and a trace recurrence; other closures by damped
+    Newton, interval by interval.  Either raises SolverFailure naming an
+    interval when its residual stays above its tolerance or its block is
+    singular.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    scheme = _Scheme(r, x0.size)
-    solve = _solve_affine if rhs.affine is not None else _solve_newton
-    return DGFunction(partition, r, x0.size, solve(rhs, x0, partition, scheme))
+    sch = _scheme(r, x0.size)
+    times = partition.quad_times(sch.rule)
+    if rhs.affine is not None:
+        coeffs = _solve_affine(*rhs.affine(times), x0, partition, sch)
+    else:
+        coeffs = _solve_closures(rhs, rhs.inputs(times), x0, partition, sch)
+    return DGFunction(partition, r, x0.size, coeffs)
 
 
-def _solve_newton(rhs, x0, partition, sch):
-    """Coefficients (N, r+1, d) by damped Newton, marching interval by interval."""
+def _flat(inputs):
+    if isinstance(inputs, tuple):
+        return tuple(_flat(a) for a in inputs)
+    return inputs.reshape((-1,) + inputs.shape[2:])
+
+
+def _row(inputs, n):
+    if isinstance(inputs, tuple):
+        return tuple(a[n] for a in inputs)
+    return inputs[n]
+
+
+def _solve_closures(rhs, inputs, x0, partition, sch):
+    """Coefficients (N, r+1, d) for a closure right-hand side: the batched
+    route when dF_dx is the same at two probe states and the closure's own
+    residual passes there, the march otherwise."""
+    flat, grid = _flat(inputs), (partition.N, sch.rule.q)
+    X = np.zeros((grid[0] * grid[1], x0.size))
+    with np.errstate(all="ignore"):             # probe states, not the solution
+        A = np.asarray(rhs.dF_dx(flat, X))
+        linear = np.array_equal(A, rhs.dF_dx(flat, X + PROBE_SHIFT))
+    if linear:
+        b = np.asarray(rhs.F(flat, X))
+        try:
+            C = _solve_affine(A.reshape(grid + A.shape[1:]), b.reshape(grid + b.shape[1:]),
+                              x0, partition, sch)
+            if _closure_residual_passes(rhs, flat, C, x0, partition, sch):
+                return C
+        except SolverFailure:
+            pass
+    return _solve_newton(rhs, inputs, x0, partition, sch)
+
+
+def _closure_residual_passes(rhs, flat, C, x0, partition, sch):
+    """Whether the closure residual of coefficients C (N, r+1, d), with F
+    evaluated at C, passes on every interval."""
+    N = partition.N
+    X = sch.P @ C                                                  # (N, q, d)
+    x_in = np.concatenate((x0[None], C[:-1].sum(axis=1)))
+    LC, trace = sch.lin @ C, sch.s[:, None] * x_in[:, None, :]
+    HF = 0.5 * partition.widths[:, None, None] * (
+        sch.PtW @ np.asarray(rhs.F(flat, X.reshape(-1, x0.size))).reshape(X.shape))
+    _, rnorm, tol = _batched_residual(tuple(t.reshape(N, -1) for t in (LC, trace, HF)))
+    return bool(np.all(rnorm <= tol))
+
+
+def _solve_newton(rhs, inputs, x0, partition, sch):
+    """Coefficients (N, r+1, d) by damped Newton, marching interval by interval;
+    interval n gets row n of the whole-grid `inputs`."""
     P, PtW, lin = sch.P, sch.PtW, sch.lin
     r1, d = sch.s.size, x0.size
     nd = r1 * d
     coeffs = np.empty((partition.N, r1, d))
     x_in = x0
     widths = partition.widths
-    inputs = rhs.inputs(partition.quad_times(sch.rule))
 
     for n in range(partition.N):
         h = widths[n]
-        a = inputs[n]
+        a = _row(inputs, n)
         C = np.zeros((r1, d))
         C[0] = x_in  # constant extension of the incoming trace
         trace_in = np.outer(sch.s, x_in)
@@ -155,7 +245,10 @@ def _solve_newton(rhs, x0, partition, sch):
 
         R, X = residual(C)
         rnorm = np.max(np.abs(R))
-        converged = rnorm <= NEWTON_TOL
+        # at the constant extension lin @ C equals the trace term exactly, so
+        # the residual's terms are x_in and R: the interval's tolerance
+        tol = _tolerance(max(rnorm, np.max(np.abs(x_in))))
+        converged = rnorm <= tol
         for _ in range(NEWTON_MAX_ITER):
             if converged:
                 break
@@ -173,7 +266,7 @@ def _solve_newton(rhs, x0, partition, sch):
                 alpha *= 0.5
             C = C + alpha * delta
             R, X, rnorm = Rn, Xn, rn
-            converged = rnorm <= NEWTON_TOL
+            converged = rnorm <= tol
         if not converged:
             raise SolverFailure(n, rnorm)
         coeffs[n] = C
@@ -191,22 +284,23 @@ def _solve_blocks(J, B):
         raise _singular(int(np.argmin(np.abs(np.linalg.det(J))))) from None
 
 
-def _solve_affine(rhs, x0, partition, sch):
-    """Coefficients (N, r+1, d) of the affine system x' = A x + b.
+def _solve_affine(A, b, x0, partition, sch):
+    """Coefficients (N, r+1, d) of the affine system x' = A x + b, with A
+    (N, q, d, d) and b (N, q, d) sampled on the quadrature grid.
 
     Block n solves J_n C_n = (s (x) I) x_n + f_n, so C_n = G_n x_n + g_n, and
     the outgoing trace x_{n+1} = sum_j C_nj = M_n x_n + m_n.  The blocks, the
     forcing and the residual check are batched over all intervals; only the
     recurrence for the incoming traces x_n runs interval by interval.  A
-    residual above NEWTON_TOL is corrected by the same solve applied to it.
+    residual above its tolerance is corrected by the same solve applied to it;
+    SolverFailure names the interval whose residual exceeds it most.
     """
     N, r1, d = partition.N, sch.s.size, x0.size
     nd = r1 * d
-    A, b = rhs.affine(partition.quad_times(sch.rule))
     half_h = 0.5 * partition.widths[:, None, None]
     J = sch.blocks(half_h, A)                           # (N, nd, nd)
     f = (half_h * (sch.PtW @ b)).reshape(N, nd)
-    S = np.kron(sch.s[:, None], np.eye(d))              # (nd, d): takes x_n into block n
+    S = sch.S
     Z = _solve_blocks(J, np.concatenate((np.broadcast_to(S, (N, nd, d)), f[:, :, None]), axis=2))
     G = Z[:, :, :d]
     M = G.reshape(N, r1, d, d).sum(axis=1)
@@ -223,18 +317,18 @@ def _solve_affine(rhs, x0, partition, sch):
     def residual(C):
         x_out = C.reshape(N, r1, d).sum(axis=1)
         xs = np.concatenate((x0[None], x_out[:-1]))
-        return (J @ C[:, :, None])[:, :, 0] - xs @ S.T - f
+        return _batched_residual(((J @ C[:, :, None])[:, :, 0], xs @ S.T, f))
 
     C = sweep(Z[:, :, d], x0)
-    R = residual(C)
+    R, rnorm, tol = residual(C)
     for _ in range(NEWTON_MAX_ITER):
-        if np.max(np.abs(R)) <= NEWTON_TOL:
+        if np.all(rnorm <= tol):
             break
         C = C + sweep(_solve_blocks(J, -R[:, :, None])[:, :, 0], np.zeros(d))
-        R = residual(C)
-    rnorm = np.max(np.abs(R), axis=1)
-    if not np.max(rnorm) <= NEWTON_TOL:
-        raise SolverFailure(int(np.argmax(rnorm)), float(np.max(rnorm)))
+        R, rnorm, tol = residual(C)
+    if not np.all(rnorm <= tol):
+        n = int(np.argmax(rnorm - tol))
+        raise SolverFailure(n, float(rnorm[n]))
     return C.reshape(N, r1, d)
 
 

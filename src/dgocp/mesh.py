@@ -249,35 +249,59 @@ def l2_error(F, ref, rule=None):
     return float(np.sqrt(np.sum(F.partition.widths * per)))
 
 
+def _legcompanion(c):
+    """numpy's scaled Legendre companion matrix for each row of c (K, n+1), n >= 1,
+    whose last coefficients are nonzero; shape (K, n, n)."""
+    n = c.shape[1] - 1
+    scl = 1.0 / np.sqrt(2.0 * np.arange(n) + 1.0)
+    mat = np.zeros((c.shape[0], n, n))
+    i = np.arange(n - 1)
+    mat[:, i, i + 1] = mat[:, i + 1, i] = np.arange(1, n) * scl[:-1] * scl[1:]
+    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * (n / (2 * n - 1))
+    return mat
+
+
+def _critical_points(c):
+    """Real roots in (-1, 1) of the derivative of each Legendre series c (K, r+1),
+    r >= 2, as (K, r-1); unused slots hold -1, a break that adds no variation.
+
+    The roots are those of np.polynomial.legendre.legroots: the eigenvalues of
+    the rotated companion matrix of the derivative with its trailing zeros
+    trimmed, batched over the series of equal trimmed length.
+    """
+    dc = np.polynomial.legendre.legder(c, axis=1)             # (K, r)
+    K, r = dc.shape
+    nonzero = dc != 0
+    length = np.where(nonzero.any(axis=1), r - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    out = np.full((K, r - 1), -1.0)
+    for L in np.unique(length[length >= 2]):
+        rows = np.flatnonzero(length == L)
+        z = np.linalg.eigvals(_legcompanion(dc[rows, :L])[:, ::-1, ::-1])
+        real = (np.abs(z.imag) < 1e-12) & (-1.0 < z.real) & (z.real < 1.0)
+        out[rows, :L - 1] = np.where(real, z.real, -1.0)
+    return out
+
+
 def total_variation(u):
     """Total variation of a piecewise-polynomial control.
 
     Per component: the exact variation of the polynomial inside each interval
     (split at the real roots of its derivative) plus the interior jump
-    magnitudes; the component TVs are summed.
+    magnitudes; the component TVs are summed.  All intervals and components
+    are handled at once.
     """
     if not isinstance(u, DGFunction):
         raise TypeError("total variation needs a DGFunction")
 
-    tv = 0.0
     r = u.degree
-    for n in range(u.partition.N):
-        for comp in range(u.dim):
-            c = u.coeffs[n, :, comp]
-            # variation of the polynomial on the reference interval
-            breaks = [-1.0, 1.0]
-            if r >= 2:
-                dc = np.polynomial.legendre.legder(c)
-                roots = np.polynomial.legendre.legroots(dc)
-                for z in roots:
-                    if abs(z.imag) < 1e-12 and -1.0 < z.real < 1.0:
-                        breaks.append(float(z.real))
-            breaks.sort()
-            vals = np.polynomial.legendre.legval(np.asarray(breaks), c)
-            tv += float(np.sum(np.abs(np.diff(vals))))
-    for n in range(1, u.partition.N):
-        tv += float(np.sum(np.abs(u.jump(n))))
-    return tv
+    c = np.moveaxis(u.coeffs, 2, 1).reshape(-1, r + 1)         # one series per (n, comp)
+    breaks = np.broadcast_to([-1.0, 1.0], (c.shape[0], 2))
+    if r >= 2:
+        breaks = np.concatenate((breaks, _critical_points(c)), axis=1)
+    vals = np.polynomial.legendre.legval(np.sort(breaks, axis=1), c.T[:, :, None], tensor=False)
+    signs = (-1.0) ** np.arange(r + 1)
+    jumps = signs @ u.coeffs[1:] - u.coeffs[:-1].sum(axis=1)   # right minus left traces
+    return float(np.sum(np.abs(np.diff(vals, axis=1))) + np.sum(np.abs(jumps)))
 
 
 def save_dg(F, path):

@@ -99,8 +99,7 @@ def solve_state(p, u, partition, r):
     The control is evaluated once, at all quadrature times of the solve.
     """
     def inputs(times):
-        flat = times.ravel()
-        return list(zip(*_on_grid(times, flat, sample_values(u, flat, p.m))))
+        return (times,) + _on_grid(times, sample_values(u, times.ravel(), p.m))
 
     rhs = IVPRight(
         F=lambda tu, X: p.f(tu[0], X, tu[1]),

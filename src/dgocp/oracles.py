@@ -85,8 +85,10 @@ def time_reversal_discrepancy(rng, d, partition, r):
     """Max coefficient gap between reverse_dg of a forward solve and the backward
     solve of the time-reversed system, for x' = A x + b with A, b, x0 drawn from rng.
 
-    The system runs both as closures (the Newton solve) and in affine form (the
-    batched solve); the gap between the two forward solves counts as well.
+    The system runs both as closures and in affine form; the gap between the
+    two forward solves counts as well.  Both forms take the batched solve: the
+    closures' dF_dx is the same at the linearity probe's two states, so their
+    (A, b) come from dF_dx and F, and the closure residual confirms the result.
     """
     A = rng.uniform(-1.0, 1.0, size=(d, d))
     b = rng.uniform(-1.0, 1.0, size=d)

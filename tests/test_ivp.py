@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dgocp.ivp as ivp
 from dgocp import (
     IVPRight,
     Partition,
@@ -200,6 +201,100 @@ def test_non_finite_data_names_its_interval(affine):
         with pytest.raises(SolverFailure) as err:
             solve_forward(rhs, np.array([1.0]), part, r)
         assert err.value.interval == 3 and np.isnan(err.value.residual)
+
+
+def _count_routes(monkeypatch):
+    """Count the calls of the batched and the marching route of solve_forward."""
+    calls = {"batched": 0, "march": 0}
+
+    def counted(route, fn):
+        def wrapper(*args):
+            calls[route] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ivp, "_solve_affine", counted("batched", ivp._solve_affine))
+    monkeypatch.setattr(ivp, "_solve_newton", counted("march", ivp._solve_newton))
+    return calls
+
+
+def _march(rhs, x0, part, r):
+    """The marching route alone, as the reference for the batched one."""
+    sch = ivp._scheme(r, len(x0))
+    return ivp._solve_newton(rhs, rhs.inputs(part.quad_times(sch.rule)),
+                             np.asarray(x0, dtype=float), part, sch)
+
+
+def test_linear_closures_take_the_batched_route(monkeypatch):
+    # x' = A(t) x + b(t), d = 2, with A and b sampled once through `inputs`
+    part = Partition(np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 0.9, 1.0]))
+    A0 = np.array([[-1.0, 2.0], [-0.5, 0.3]])
+
+    def inputs(times):
+        return times, np.cos(3.0 * times)[..., None] * np.sin(times)[..., None]
+
+    rhs = IVPRight(
+        F=lambda tb, X: (1.0 + tb[0])[:, None] * X @ A0.T + tb[1],
+        dF_dx=lambda tb, X: (1.0 + tb[0])[:, None, None] * A0,
+        inputs=inputs,
+    )
+    x0 = [1.0, -0.5]
+    calls = _count_routes(monkeypatch)
+    for r in range(4):
+        sol = solve_forward(rhs, x0, part, r)
+        assert np.max(np.abs(sol.coeffs - _march(rhs, x0, part, r))) <= 1e-13
+    assert calls == {"batched": 4, "march": 4}   # the march runs only as the reference
+
+
+def test_nonlinear_closure_with_matching_probes_falls_back(monkeypatch):
+    # dF/dx = 0.6 pi cos(2 pi x) is identical at the probe states 0 and PROBE_SHIFT,
+    # but F is not affine: the batched result fails the closure residual
+    k = 2.0 * np.pi / ivp.PROBE_SHIFT
+    rhs = IVPRight(
+        F=lambda ts, X: 0.3 * np.sin(k * X) + ts[:, None],
+        dF_dx=lambda ts, X: (0.3 * k * np.cos(k * X))[:, :, None],
+    )
+    part = make_uniform_partition(1.0, 6)
+    calls = _count_routes(monkeypatch)
+    for r in range(4):
+        sol = solve_forward(rhs, [0.3], part, r)
+        assert np.array_equal(sol.coeffs, _march(rhs, [0.3], part, r))
+    assert calls == {"batched": 4, "march": 8}
+
+
+def _decay_rhs(route):
+    """x' = -x in affine form, as linear closures, or (route "march") the
+    nonlinear x' = -x + sin x."""
+    if route == "affine":
+        return IVPRight(affine=lambda times: (np.full(times.shape + (1, 1), -1.0),
+                                              np.zeros(times.shape + (1,))))
+    if route == "closures":
+        return IVPRight(F=lambda ts, X: -X, dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0))
+    return IVPRight(F=lambda ts, X: np.sin(X) - X, dF_dx=lambda ts, X: (np.cos(X) - 1.0)[:, :, None])
+
+
+@pytest.mark.parametrize("route", ["affine", "closures", "march"])
+def test_large_solutions_pass_the_roundoff_floor(monkeypatch, route):
+    # an absolute 1e-12 is below the round-off of a residual whose terms are
+    # ~1e4 or more; every route solves these, and the linear ones scale with x0
+    part = make_uniform_partition(1.0, 8)
+    calls = _count_routes(monkeypatch)
+    for r in range(4):
+        unit = solve_forward(_decay_rhs(route), [1.0], part, r).coeffs
+        for x0 in (1e3, 1e4, 1e5, 1e6):
+            coeffs = solve_forward(_decay_rhs(route), [x0], part, r).coeffs
+            if route != "march":
+                assert np.max(np.abs(coeffs / x0 - unit)) <= 1e-13
+    assert calls["march" if route == "march" else "batched"] == 20
+    assert calls["batched" if route == "march" else "march"] == 0
+
+
+def test_scheme_tables_are_shared_and_read_only():
+    sch = ivp._scheme(2, 3)
+    assert ivp._scheme(2, 3) is sch
+    with pytest.raises(ValueError):
+        sch.J_base[0, 0] = 1.0
+    assert not sch.S.flags.writeable and sch.S.shape == (9, 3)
 
 
 def test_jacobian_check(rng):

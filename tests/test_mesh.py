@@ -198,6 +198,37 @@ def test_total_variation_interior_extremum():
     assert total_variation(F) == pytest.approx(0.5, abs=1e-13)
 
 
+def _total_variation_per_interval(u):
+    """The per-interval formula: legroots of each derivative, then legval."""
+    tv = 0.0
+    for n in range(u.partition.N):
+        for comp in range(u.dim):
+            c = u.coeffs[n, :, comp]
+            breaks = [-1.0, 1.0]
+            if u.degree >= 2:
+                roots = np.polynomial.legendre.legroots(np.polynomial.legendre.legder(c))
+                breaks += [float(z.real) for z in roots
+                           if abs(z.imag) < 1e-12 and -1.0 < z.real < 1.0]
+            vals = np.polynomial.legendre.legval(np.sort(breaks), c)
+            tv += float(np.sum(np.abs(np.diff(vals))))
+    for n in range(1, u.partition.N):
+        tv += float(np.sum(np.abs(u.jump(n))))
+    return tv
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_total_variation_matches_per_interval_formula(rng, r):
+    part = Partition(np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 0.9, 1.0]))
+    for dim in (1, 2):
+        u = DGFunction(part, r, dim, rng.standard_normal((part.N, r + 1, dim)))
+        if r >= 2:
+            u.coeffs[1, r, 0] = 0.0      # derivative with a zero leading coefficient
+            u.coeffs[2, 2:, -1] = 0.0    # a linear piece among higher-degree ones
+            u.coeffs[4, 1:, 0] = 0.0     # a constant piece: derivative all zero
+        ref = _total_variation_per_interval(u)
+        assert total_variation(u) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 def test_total_variation_closed_form_unsupported():
     with pytest.raises(TypeError):
         total_variation(lambda t: np.sin(t))

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import dgocp.ivp
 import dgocp.optimize
 from dgocp import (
     OCProblem,
@@ -210,6 +211,38 @@ def test_one_adjoint_solve_per_measured_iterate(monkeypatch):
         calls.clear()
         report = minimize(builtin.problem, None, part, 1, opts=opts)
         assert len(calls) == len(report.stationarity_history)
+
+
+@pytest.mark.parametrize("name, route", [("linear-lq", "batched"),
+                                         ("nonlinear-quadratic", "march")])
+def test_state_solve_route(monkeypatch, name, route):
+    # every state solve of a run takes one route: the batched one for the
+    # state-affine linear-lq, the march for nonlinear-quadratic
+    calls = {"batched": 0, "march": 0}
+    per_solve = []
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def state(*args, **kwargs):
+        before = dict(calls)
+        out = solve_state(*args, **kwargs)
+        per_solve.append({k: calls[k] - before[k] for k in calls})
+        return out
+
+    monkeypatch.setattr(dgocp.ivp, "_solve_affine", counted("batched", dgocp.ivp._solve_affine))
+    monkeypatch.setattr(dgocp.ivp, "_solve_newton", counted("march", dgocp.ivp._solve_newton))
+    monkeypatch.setattr(dgocp.optimize, "solve_state", state)
+    builtin = get_builtin(name)
+    for r in (0, 2):
+        part = make_uniform_partition(builtin.problem.T, 8)
+        assert minimize(builtin.problem, None, part, r).converged
+    other = "march" if route == "batched" else "batched"
+    assert len(per_solve) > 10
+    assert all(c == {route: 1, other: 0} for c in per_solve)
 
 
 def test_methods_agree():
