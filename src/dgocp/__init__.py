@@ -29,7 +29,9 @@ from .ocp import (
     adjoint_residual,
     cost,
     hessian_form,
+    hessian_vector,
     pair_with_direction,
+    projected_gradient,
     reduced_gradient,
     solve_adjoint,
     solve_state,
@@ -49,7 +51,8 @@ __all__ = [
     "make_uniform_partition", "modal_from_values", "project_l2", "save_dg",
     "total_variation",
     "OCProblem", "adjoint_residual", "cost",
-    "hessian_form", "pair_with_direction", "reduced_gradient", "solve_adjoint",
+    "hessian_form", "hessian_vector", "pair_with_direction", "projected_gradient",
+    "reduced_gradient", "solve_adjoint",
     "solve_state", "tangent_solve",
     "OptimizeOptions", "OptimizeReport", "StallError", "minimize", "stationarity",
     "BuiltinProblem", "get_builtin", "linear_lq", "nonlinear_quadratic",

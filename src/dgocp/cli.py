@@ -9,9 +9,10 @@ import numpy as np
 from .convergence import ConvergenceReport, run_convergence
 from .mesh import l2_error, make_uniform_partition, save_dg
 from .ocp import adjoint_residual, solve_adjoint, solve_state
-from .optimize import OptimizeOptions, StallError, minimize
-from .oracles import (gradient_discrepancy, hessian_discrepancy, random_dg, tangent_discrepancy,
-                      time_reversal_discrepancy, worst_discrepancy)
+from .optimize import METHODS, OptimizeOptions, StallError, minimize
+from .oracles import (gradient_discrepancy, hessian_discrepancy, hessian_vector_discrepancy,
+                      random_dg, tangent_discrepancy, time_reversal_discrepancy,
+                      worst_discrepancy)
 from .problems import get_builtin
 
 EXIT_OK = 0
@@ -149,6 +150,8 @@ def run_verification(problem_name, order, intervals, seed, corrupt=None, echo=pr
     check("gradient-check", worst_discrepancy(gradient_discrepancy, rng, p, part, order, 5), 1e-6)
     check("tangent-check", worst_discrepancy(tangent_discrepancy, rng, p, part, order, 5), 1e-6)
     check("hessian-check", worst_discrepancy(hessian_discrepancy, rng, p, part, order, 3), 1e-4)
+    check("hessian-vector-check",
+          worst_discrepancy(hessian_vector_discrepancy, rng, p, part, order, 3), 1e-6)
 
     # discrete adjoint weak-form residual over a full test basis
     u = random_dg(rng, part, order, p.m)
@@ -176,7 +179,7 @@ def build_parser():
     ps.add_argument("--order", type=int, default=1)
     ps.add_argument("--intervals", type=_positive(int))
     ps.add_argument("--h", type=_positive(float))
-    ps.add_argument("--method", choices=["pgd", "fbs"], default="fbs")
+    ps.add_argument("--method", choices=METHODS, default="fbs")
     ps.add_argument("--out", default="out")
     ps.add_argument("--grad-tol", type=float, default=1e-10)
     ps.add_argument("--max-iter", type=int, default=10000)
@@ -186,7 +189,7 @@ def build_parser():
     pc.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
     pc.add_argument("--orders", default="1,2,3")
     pc.add_argument("--levels", type=int, default=6)
-    pc.add_argument("--method", choices=["pgd", "fbs"], default="fbs")
+    pc.add_argument("--method", choices=METHODS, default="newton")
     pc.add_argument("--grad-tol", type=float, default=1e-14)
     pc.add_argument("--out")
     pc.add_argument("--verbose", action="store_true")

@@ -59,12 +59,14 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, base_h=BASE_
 
     Errors are measured against the closed-form optimum when available,
     otherwise against a self-computed reference on the protocol's fine mesh.
+    The default options solve each level by Newton-CG to stationarity 1e-14;
+    a problem with a control box needs opts with method "fbs" or "pgd".
     Raises StallError when a level (or the reference) is not solved to
     opts.grad_tol.
     """
     # the finest levels sit near round-off; the optimizer has to be driven
     # well below the default stationarity tolerance to resolve them
-    opts = opts or OptimizeOptions(grad_tol=1e-14)
+    opts = opts or OptimizeOptions(method="newton", grad_tol=1e-14)
     p = builtin.problem
 
     if builtin.exact_state is not None:

@@ -164,11 +164,17 @@ class DGFunction:
 
     __rmul__ = __mul__
 
+    def inner(self, other):
+        """Exact L2(0,T) inner product with a compatible DGFunction, from the
+        modal coefficients (weights h/2 times the reference mass diagonal)."""
+        self._compatible(other)
+        mass = mass_diagonal(self.degree)
+        per = np.einsum("nkd,k->n", self.coeffs * other.coeffs, mass)
+        return float(np.sum(0.5 * self.partition.widths * per))
+
     def l2_norm_sq(self):
         """Exact squared L2(0,T) norm from the modal coefficients."""
-        mass = mass_diagonal(self.degree)
-        per = np.einsum("nkd,k->n", self.coeffs**2, mass)
-        return float(np.sum(0.5 * self.partition.widths * per))
+        return self.inner(self)
 
     def l2_norm(self):
         return float(np.sqrt(self.l2_norm_sq()))

@@ -1,8 +1,9 @@
 """Optimal control problem definition and the reduced-space primitives.
 
 The reduced pipeline: state solve x_h = G_h(u), discrete adjoint lambda_h,
-reduced gradient g_u - f_u^T lambda_h, tangent solve y_h = G_h'(u) v, and the
-Hessian quadratic form j_h''(u)(v, v).
+reduced gradient g_u - f_u^T lambda_h, tangent solve y_h = G_h'(u) v, the
+Hessian quadratic form j_h''(u)(v, v), and the Hessian-vector product H v
+from a tangent and a second-order adjoint solve.
 
 A control u (or direction v) is a DGFunction or a callable t -> (q, m); for
 m = 1 the callable may return shape (q,).  Both kinds are sampled through
@@ -23,16 +24,18 @@ import numpy as np
 
 from .basis import default_rule, deriv_inner_matrix, legendre_table
 from .ivp import IVPRight, solve_forward, solve_backward
-from .mesh import sample_values
+from .mesh import modal_from_values, sample_values
 
 __all__ = [
     "OCProblem",
     "solve_state",
     "solve_adjoint",
     "reduced_gradient",
+    "projected_gradient",
     "cost",
     "tangent_solve",
     "hessian_form",
+    "hessian_vector",
     "pair_with_direction",
     "adjoint_residual",
 ]
@@ -135,6 +138,16 @@ def reduced_gradient(p, u, x_h, lambda_h):
     return grad
 
 
+def projected_gradient(p, u, x_h, lambda_h):
+    """The reduced gradient as a DGFunction of u's degree: its integrand,
+    sampled once on the state's default rule, L2-projected onto u's DG space.
+    Its L2 inner product with any direction of that degree is j_h'(u) there."""
+    part, rule = u.partition, default_rule(x_h.degree)
+    ts = part.quad_times(rule)
+    gvals = reduced_gradient(p, u, x_h, lambda_h)(ts.ravel()).reshape(ts.shape + (p.m,))
+    return modal_from_values(gvals, part, u.degree, rule)
+
+
 def _integrate(values, partition, rule):
     """Quadrature over [0, T] of values sampled at the flattened (N, q) rule times."""
     per = values.reshape(partition.N, rule.q) @ rule.weights
@@ -201,6 +214,55 @@ def hessian_form(p, u, v, partition, r, state=None, adjoint=None):
         + np.einsum("qimn,qm,qn->qi", p.fuu(ts, X, U), V, V)
     )
     return _integrate(g_form - np.einsum("qi,qi->q", f_form, L), partition, rule)
+
+
+def hessian_vector(p, u, x_h, lambda_h, partition, r):
+    """The discrete reduced Hessian j_h''(u) as an operator v -> H v.
+
+    u is a DGFunction; H v is the DGFunction of u's degree whose L2 inner
+    product with any w of that degree is j_h''(u)(v, w): the L2 projection of
+    the integrand below, as projected_gradient projects the gradient.  x_h
+    and lambda_h are the state and the adjoint at u.  The data along
+    (t, x_h, u, lambda_h) and the second partials are sampled once, on the
+    state's quadrature grid; each product is then one tangent solve
+    y = G_h'(u) v and one backward solve for the second-order adjoint mu,
+    both affine:
+
+        mu' = -fx^T mu + Lxx y + Lxu v,   mu(T) = 0,
+        H v = Luu v + Lxu^T y - fu^T mu,
+
+    with L = g - lambda_h . f, so Lxx = gxx - lambda_h . fxx, and so on.
+    """
+    if not p.has_second_partials:
+        raise ValueError("hessian_vector requires all six second partials")
+    rule = default_rule(r)
+    times = partition.quad_times(rule)
+    ts = times.ravel()
+    X, U, L = x_h.eval_many(ts), sample_values(u, ts, p.m), lambda_h.eval_many(ts)
+    fx, fu = p.fx(ts, X, U), p.fu(ts, X, U)
+    Lxx = p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U))
+    Lxu = p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U))
+    Luu = p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U))
+    A, = _on_grid(times, fx)
+    # solve_backward samples at T - s on the reversed partition: with a
+    # symmetric rule those are this grid's points in reverse order
+    A_adj = -np.transpose(A, (0, 1, 3, 2))[::-1, ::-1]
+    zeros = np.zeros(p.d)
+
+    def apply(v):
+        V = sample_values(v, ts, p.m)
+        fu_v, = _on_grid(times, np.einsum("qam,qm->qa", fu, V))
+        y = solve_forward(IVPRight(affine=lambda _: (A, fu_v)), zeros, partition, r)
+        Y = y.values_on_quad(rule).reshape(ts.size, p.d)
+        b, = _on_grid(times, np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V))
+        mu = solve_backward(IVPRight(affine=lambda _: (A_adj, b[::-1, ::-1])), zeros,
+                            partition, r)
+        M = mu.values_on_quad(rule).reshape(ts.size, p.d)
+        hv = (np.einsum("qmn,qn->qm", Luu, V) + np.einsum("qam,qa->qm", Lxu, Y)
+              - np.einsum("qam,qa->qm", fu, M))
+        return modal_from_values(hv.reshape(times.shape + (p.m,)), partition, u.degree, rule)
+
+    return apply
 
 
 def adjoint_residual(p, u, x_h, lambda_h):

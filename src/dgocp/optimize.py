@@ -2,12 +2,21 @@
 
 Controls live in the DG space of degree r_control and are box-clipped at the
 (r_control + 1)-point Gauss nodes, where the stationarity is measured too.
-Each iteration picks a target control at those nodes and relaxes toward it:
-the trial u + theta (u_hat - u) is accepted when the cost does not rise
-beyond round-off, and otherwise theta is halved.  The two methods differ only
-in the target: the projected-gradient point clip(U - G) for projected
-gradient descent, and the pointwise solution of the stationarity condition
-for the forward-backward sweep (state solve, adjoint solve, control update).
+Each iteration picks a target control and relaxes toward it: the trial
+u + theta (u_hat - u) is accepted when the cost does not rise beyond
+round-off, and otherwise theta is halved.  The three methods differ only in
+the target:
+
+* pgd: the projected-gradient point clip(U - G) at the control nodes;
+* fbs (forward-backward sweep: state solve, adjoint solve, control update):
+  the pointwise solution of the stationarity condition at the control nodes;
+* newton (no box): u + d, with d from truncated conjugate gradients on the
+  discrete reduced Hessian, H d = -g, in the control L2 inner product.  Each
+  Hessian-vector product is one tangent and one second-order adjoint solve,
+  both batched affine solves, so a step costs one nonlinear state solve.
+
+pgd and fbs keep theta across iterations (it only halves); newton starts
+each iteration at the full step.
 """
 
 import csv
@@ -16,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import default_rule, gauss_rule
+from .basis import gauss_rule
 from .ivp import SolverFailure
 from .mesh import DGFunction, modal_from_values, project_l2, sample_values, total_variation
-from .ocp import cost, reduced_gradient, solve_adjoint, solve_state
+from .ocp import cost, hessian_vector, projected_gradient, solve_adjoint, solve_state
 
 __all__ = [
     "OptimizeOptions",
@@ -33,6 +42,11 @@ RELAX_FLOOR = 2.0**-10
 # slack for "non-increasing cost": near the optimum cost differences fall below
 # the resolution of the cost value itself
 COST_SLACK = 1e-13
+METHODS = ("fbs", "pgd", "newton")
+# CG stops at the relative residual min(CG_FORCING, ||g||), a forcing term of
+# order ||g||: quadratic convergence near the optimum (Nocedal and Wright,
+# Numerical Optimization, section 7.1)
+CG_FORCING = 0.1
 
 
 @dataclass
@@ -43,8 +57,8 @@ class OptimizeOptions:
     log_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.method not in ("pgd", "fbs"):
-            raise ValueError("method must be 'pgd' or 'fbs'")
+        if self.method not in METHODS:
+            raise ValueError("method must be 'fbs', 'pgd' or 'newton'")
         if self.grad_tol <= 0.0:
             raise ValueError("grad_tol must be positive")
 
@@ -93,19 +107,42 @@ def _control_to_dg(p, u0, partition, r_control):
     return project_l2(clipped, partition, r_control, gauss_rule(r_control + 1), p.m)
 
 
-def _residual(p, u, x, lam, rule, nodal_rule):
+def _residual(p, u, x, lam, nodal_rule):
     """Projected-gradient residual max |U - clip(U - G)| at the control nodes,
-    and the projected-gradient point clip(U - G) there, (N, r_control + 1, m).
-
-    G is the reduced gradient, sampled once on the state's quadrature rule and
-    L2-projected onto u's DG space.
+    the projected-gradient point clip(U - G) there, (N, r_control + 1, m), and
+    the projected gradient g, whose values at the control nodes are G.
     """
-    ts = u.partition.quad_times(rule)
-    gvals = reduced_gradient(p, u, x, lam)(ts.ravel()).reshape(ts.shape + (p.m,))
-    g = modal_from_values(gvals, u.partition, u.degree, rule)
+    g = projected_gradient(p, u, x, lam)
     U = u.values_on_quad(nodal_rule)
     point = p.clip_box(U - g.values_on_quad(nodal_rule))
-    return float(np.max(np.abs(U - point))), point
+    return float(np.max(np.abs(U - point))), point, g
+
+
+def _newton_direction(hess, g):
+    """Truncated (Steihaug) CG for H d = -g in the control L2 inner product.
+
+    It stops at the relative residual min(CG_FORCING, ||g||), after as many
+    steps as g has coefficients, or on a direction whose curvature is not
+    positive: then it returns the iterate so far, or -g when that happens on
+    the first step.
+    """
+    gnorm = g.l2_norm()
+    tol = min(CG_FORCING, gnorm) * gnorm
+    d, res = 0.0 * g, -1.0 * g
+    direction, rr = res, gnorm**2
+    for step in range(g.coeffs.size):
+        Hp = hess(direction)
+        curvature = direction.inner(Hp)
+        if not curvature > 0.0:  # a NaN curvature stops too
+            return res if step == 0 else d
+        alpha = rr / curvature
+        d = d + alpha * direction
+        res = res - alpha * Hp
+        rr, rr_old = res.l2_norm_sq(), rr
+        if np.sqrt(rr) <= tol:
+            break
+        direction = res + (rr / rr_old) * direction
+    return d
 
 
 def _fbs_target(p, u_dg, x_h, lam, nodal_ts):
@@ -139,14 +176,20 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     Returns an OptimizeReport.  Raises StallError when no relaxation down to
     RELAX_FLOOR is accepted before reaching stationarity, and SolverFailure
     when the state solve at the start control fails; a failed trial solve is
-    a rejected trial.
+    a rejected trial.  Raises ValueError, before any solve, for method
+    "newton" on a problem without all six second partials or with a finite
+    control bound.
     """
     opts = opts or OptimizeOptions()
     r_control = r_state if r_control is None else r_control
     if r_control > r_state:
         raise ValueError("r_control must not exceed r_state")
+    newton = opts.method == "newton"
+    if newton and not p.has_second_partials:
+        raise ValueError("method 'newton' requires all six second partials")
+    if newton and np.any(np.isfinite(np.concatenate((p.u_lo, p.u_hi)))):
+        raise ValueError("method 'newton' does not handle a control box")
 
-    rule = default_rule(r_state)
     nodal_rule = gauss_rule(r_control + 1)
     nodal_ts = partition.quad_times(nodal_rule).ravel()
 
@@ -155,22 +198,26 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     c = cost(p, u, x)
 
     cost_hist, stat_hist, log_rows = [], [], []
-    theta = 1.0  # relaxation; it starts at the full step and only halves
+    theta = 1.0  # relaxation; it starts at the full step, and only halves but for newton
     # pass max_outer + 1 only measures the final iterate
     for it in range(1, opts.max_outer + 2):
         lam = solve_adjoint(p, u, x, partition, r_state)
-        stat, target = _residual(p, u, x, lam, rule, nodal_rule)
+        stat, target, g = _residual(p, u, x, lam, nodal_rule)
         cost_hist.append(c)
         stat_hist.append(stat)
         log_rows.append((it, c, stat, theta))
         if stat <= opts.grad_tol or it > opts.max_outer:
             break
 
-        # FBS without a pointwise update keeps the projected-gradient point
-        stationary = _fbs_target(p, u, x, lam, nodal_ts) if opts.method == "fbs" else None
-        if stationary is not None:
-            target = p.clip_box(stationary).reshape(partition.N, r_control + 1, p.m)
-        u_hat = modal_from_values(target, partition, r_control, nodal_rule)
+        if newton:
+            u_hat = u + _newton_direction(hessian_vector(p, u, x, lam, partition, r_state), g)
+            theta = 1.0
+        else:
+            # FBS without a pointwise update keeps the projected-gradient point
+            stationary = _fbs_target(p, u, x, lam, nodal_ts) if opts.method == "fbs" else None
+            if stationary is not None:
+                target = p.clip_box(stationary).reshape(partition.N, r_control + 1, p.m)
+            u_hat = modal_from_values(target, partition, r_control, nodal_rule)
         bound = c + COST_SLACK * (1.0 + abs(c))
         while True:
             u_try = u_hat if theta == 1.0 else (1.0 - theta) * u + theta * u_hat
@@ -209,4 +256,4 @@ def stationarity(p, u, partition, r):
     (fresh state and adjoint solves of degree r); the measure `minimize` stops on."""
     x = solve_state(p, u, partition, r)
     lam = solve_adjoint(p, u, x, partition, r)
-    return _residual(p, u, x, lam, default_rule(r), gauss_rule(u.degree + 1))[0]
+    return _residual(p, u, x, lam, gauss_rule(u.degree + 1))[0]

@@ -11,12 +11,13 @@ import numpy as np
 from .basis import default_rule
 from .ivp import IVPRight, reverse_dg, solve_backward, solve_forward
 from .mesh import DGFunction
-from .ocp import (cost, hessian_form, pair_with_direction, reduced_gradient, solve_adjoint,
-                  solve_state, tangent_solve)
+from .ocp import (cost, hessian_form, hessian_vector, pair_with_direction, projected_gradient,
+                  reduced_gradient, solve_adjoint, solve_state, tangent_solve)
 
 __all__ = [
     "random_dg", "worst_discrepancy", "gradient_discrepancy", "tangent_discrepancy",
-    "hessian_discrepancy", "time_reversal_discrepancy", "check_jacobian", "check_derivatives",
+    "hessian_discrepancy", "hessian_vector_discrepancy", "time_reversal_discrepancy",
+    "check_jacobian", "check_derivatives",
 ]
 
 FD_EPS = 1e-5        # central first differences of j_h and G_h
@@ -79,6 +80,35 @@ def hessian_discrepancy(p, u, v, partition, r):
     jm = _reduced_cost(p, u - FD2_EPS * v, partition, r)
     fd = (jp - 2.0 * j0 + jm) / FD2_EPS**2
     return abs(quad - fd) / max(1.0, abs(fd))
+
+
+def _projected_gradient(p, u, partition, r):
+    x = solve_state(p, u, partition, r)
+    return projected_gradient(p, u, x, solve_adjoint(p, u, x, partition, r))
+
+
+def hessian_vector_discrepancy(p, u, v, partition, r):
+    """Largest of three relative gaps of the Hessian-vector product H at u:
+
+    * H v against the central quotient of the projected gradient along v,
+      in the control L2 norm (truncation and round-off, about 1e-10);
+    * symmetry, <H v, u> against <v, H u>, with u as the second direction;
+    * <v, H v> against hessian_form(v, v).
+
+    The last two hold to round-off.  Each gap is relative, with a 1e-10 floor.
+    """
+    x = solve_state(p, u, partition, r)
+    hess = hessian_vector(p, u, x, solve_adjoint(p, u, x, partition, r), partition, r)
+    Hv, Hu = hess(v), hess(u)
+    fd = (1.0 / (2.0 * FD_EPS)) * (_projected_gradient(p, u + FD_EPS * v, partition, r)
+                                    - _projected_gradient(p, u - FD_EPS * v, partition, r))
+    vHv = v.inner(Hv)
+    gaps = (
+        (Hv - fd).l2_norm() / max(1e-10, fd.l2_norm()),
+        abs(Hv.inner(u) - v.inner(Hu)) / max(1e-10, abs(Hv.inner(u))),
+        abs(vHv - hessian_form(p, u, v, partition, r)) / max(1e-10, abs(vHv)),
+    )
+    return float(max(gaps))
 
 
 def time_reversal_discrepancy(rng, d, partition, r):

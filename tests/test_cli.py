@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgocp import ConvergenceReport, OptimizeOptions, load_dg, run_convergence
-from dgocp.cli import main, run_verification
+from dgocp.cli import build_parser, main, run_verification
 from dgocp.optimize import StallError
 from dgocp.problems import linear_lq
 
@@ -106,6 +106,21 @@ def test_convergence_csv(tmp_path, capsys):
     assert float(lines[2].split(",")[4]) == pytest.approx(2.0, abs=0.05)
 
 
+@pytest.mark.parametrize("problem", ["linear-lq", "nonlinear-quadratic"])
+def test_newton_method_commands(tmp_path, problem):
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", problem, "--order", "2", "--intervals", "8",
+                 "--method", "newton", "--out", str(out)]) == 0
+    summary = _read_summary(out / "summary.txt")
+    assert summary["method"] == "newton" and summary["converged"] == "True"
+    table = tmp_path / "table.csv"
+    assert main(["convergence", "--problem", problem, "--orders", "1", "--levels", "2",
+                 "--method", "newton", "--out", str(table)]) == 0
+    assert len(table.read_text().splitlines()) == 3
+    # convergence defaults to newton, as run_convergence does
+    assert build_parser().parse_args(["convergence", "--problem", problem]).method == "newton"
+
+
 def test_convergence_csv_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["convergence", "--problem", "linear-lq", "--orders", "2", "--levels", "2"]
@@ -151,7 +166,7 @@ def test_verify_passes(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    for name in ("gradient-check", "tangent-check", "hessian-check",
+    for name in ("gradient-check", "tangent-check", "hessian-check", "hessian-vector-check",
                  "adjoint-residual", "time-reversal"):
         assert f"{name}: PASS" in out
     grad_line = next(l for l in out.splitlines() if l.startswith("gradient-check"))
@@ -185,4 +200,4 @@ def test_verify_corrupted_derivative(problem, which, capsys):
 def test_run_verification_quiet():
     lines = []
     assert run_verification("linear-lq", 2, 6, 1, echo=lines.append)
-    assert len(lines) == 5
+    assert len(lines) == 6

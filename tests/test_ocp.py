@@ -11,6 +11,7 @@ from dgocp import (
     cost,
     default_rule,
     hessian_form,
+    hessian_vector,
     l2_error,
     make_uniform_partition,
     pair_with_direction,
@@ -21,7 +22,7 @@ from dgocp import (
     solve_state,
     tangent_solve,
 )
-from dgocp.oracles import check_derivatives, random_dg
+from dgocp.oracles import check_derivatives, hessian_vector_discrepancy, random_dg
 from dgocp.problems import get_builtin, linear_lq, nonlinear_quadratic
 
 from conftest import simpson
@@ -326,6 +327,71 @@ def test_hessian_requires_second_partials():
     part = make_uniform_partition(1.0, 4)
     with pytest.raises(ValueError):
         hessian_form(p, _zero_control(part), _zero_control(part), part, 1)
+
+
+def _coupled_problem():
+    """d = m = 2, every second partial nonzero and none symmetric across its
+    index pairs, so a transposed contraction in H v shows:
+
+        f = (x0 x1 + u0 x0, sin x0 + u0 u1 + u0 x1),
+        g = (|x|^2 + |u|^2) / 2 + x0 u1.
+    """
+    def col(*cols):
+        return np.stack(cols, axis=-1)
+
+    def table(t, entries):
+        out = np.zeros((t.size, 2, 2, 2))
+        for index, value in entries.items():
+            out[(slice(None),) + index] = value
+        return out
+
+    return OCProblem(
+        d=2, m=2, T=0.5, x0=[0.5, -0.3],
+        f=lambda t, x, u: col(x[:, 0] * x[:, 1] + u[:, 0] * x[:, 0],
+                              np.sin(x[:, 0]) + u[:, 0] * u[:, 1] + u[:, 0] * x[:, 1]),
+        g=lambda t, x, u: 0.5 * (np.sum(x**2, axis=1) + np.sum(u**2, axis=1)) + x[:, 0] * u[:, 1],
+        fx=lambda t, x, u: np.stack((col(x[:, 1] + u[:, 0], x[:, 0]),
+                                     col(np.cos(x[:, 0]), u[:, 0])), axis=1),
+        fu=lambda t, x, u: np.stack((col(x[:, 0], 0.0 * x[:, 0]),
+                                     col(u[:, 1] + x[:, 1], u[:, 0])), axis=1),
+        gx=lambda t, x, u: col(x[:, 0] + u[:, 1], x[:, 1]),
+        gu=lambda t, x, u: col(u[:, 0], u[:, 1] + x[:, 0]),
+        fxx=lambda t, x, u: table(t, {(0, 0, 1): 1.0, (0, 1, 0): 1.0, (1, 0, 0): -np.sin(x[:, 0])}),
+        fxu=lambda t, x, u: table(t, {(0, 0, 0): 1.0, (1, 1, 0): 1.0}),
+        fuu=lambda t, x, u: table(t, {(1, 0, 1): 1.0, (1, 1, 0): 1.0}),
+        gxx=lambda t, x, u: np.broadcast_to(np.eye(2), (t.size, 2, 2)).copy(),
+        gxu=lambda t, x, u: np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (t.size, 2, 2)).copy(),
+        guu=lambda t, x, u: np.broadcast_to(np.eye(2), (t.size, 2, 2)).copy(),
+    )
+
+
+@pytest.mark.parametrize("name", ["linear-lq", "nonlinear-quadratic", "coupled"])
+def test_hessian_vector_oracle_on_graded_partition(rng, name):
+    # H v against central differences of the projected gradient, by symmetry
+    # and against hessian_form, for r = 0..3
+    p = _coupled_problem() if name == "coupled" else get_builtin(name).problem
+    part = Partition(p.T * np.array([0.0, 0.04, 0.1, 0.25, 0.3, 0.55, 0.8, 1.0]))
+    check_derivatives(p, rng)
+    for r in range(4):
+        for _ in range(2):
+            u, v = random_dg(rng, part, r, p.m), random_dg(rng, part, r, p.m)
+            assert hessian_vector_discrepancy(p, u, v, part, r) < 1e-7
+
+
+def test_hessian_vector_is_linear_and_projected(rng):
+    # H(a v + w) = a H v + H w to round-off, and H v lives in the control space
+    # of u's degree even when the state has a higher degree
+    p = nonlinear_quadratic().problem
+    part = make_uniform_partition(p.T, 6)
+    u, v, w = (random_dg(rng, part, 1) for _ in range(3))
+    x = solve_state(p, u, part, 3)
+    hess = hessian_vector(p, u, x, solve_adjoint(p, u, x, part, 3), part, 3)
+    Hv, Hw, Hsum = hess(v), hess(w), hess(2.5 * v + w)
+    assert Hv.degree == 1 and Hv.dim == 1
+    assert np.max(np.abs(Hsum.coeffs - (2.5 * Hv + Hw).coeffs)) < 1e-13
+    with pytest.raises(ValueError):
+        p.fxu = None
+        hessian_vector(p, u, x, solve_adjoint(p, u, x, part, 3), part, 3)
 
 
 # -- problem validation -------------------------------------------------------

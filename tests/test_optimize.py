@@ -1,6 +1,7 @@
-"""Box-constrained minimization: projected gradient and forward-backward sweep."""
+"""Minimization: projected gradient, forward-backward sweep and Newton-CG."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,6 +269,122 @@ def test_control_refinement_rate():
     assert np.all(np.abs(rates - 2.0) < 0.1)
 
 
+def test_nodal_superconvergence_linear_lq():
+    # DG time stepping converges at order 2r+1 at the mesh nodes (Lesaint and
+    # Raviart 1974): the state's left traces x_h(t_n^-) and the control's right
+    # traces u_h(t_n^+), which equal the adjoint's upwind traces at the optimum
+    builtin = linear_lq()
+    opts = OptimizeOptions(method="newton", grad_tol=1e-14)
+    for r in range(3):
+        errs = []
+        for N in (10, 20, 40, 80, 160):
+            part = make_uniform_partition(1.0, N)
+            report = minimize(builtin.problem, None, part, r, opts=opts)
+            x_left = report.x_star.coeffs.sum(axis=1)[:, 0]
+            u_right = ((-1.0) ** np.arange(r + 1)) @ report.u_star.coeffs[:, :, 0].T
+            errs.append((np.max(np.abs(x_left - builtin.exact_state(part.nodes[1:]))),
+                         np.max(np.abs(u_right - builtin.exact_control(part.nodes[:-1])))))
+        for col in range(2):
+            e = np.array([pair[col] for pair in errs])
+            e = e[e > 1e-13]
+            assert e.size >= 3
+            rates = np.log2(e[:-1] / e[1:])
+            assert np.all(np.abs(rates - (2 * r + 1)) <= 0.1), (r, col, rates)
+
+
+@pytest.mark.parametrize("name", ["linear-lq", "nonlinear-quadratic"])
+def test_newton_reaches_the_fbs_optimum(name):
+    builtin = get_builtin(name)
+    part = make_uniform_partition(builtin.problem.T, 8)
+    for r in range(4):
+        reports = [minimize(builtin.problem, None, part, r,
+                            opts=OptimizeOptions(method=method, grad_tol=1e-14))
+                   for method in ("fbs", "newton")]
+        assert all(rep.converged for rep in reports)
+        fbs, newton = reports
+        assert np.max(np.abs(newton.u_star.coeffs - fbs.u_star.coeffs)) <= 1e-12
+        assert np.max(np.abs(newton.x_star.coeffs - fbs.x_star.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["linear-lq", "nonlinear-quadratic"])
+def test_newton_outer_iterations(name):
+    # at most 5 measured iterates to stationarity 1e-14, on the coarsest and
+    # the finest level of the convergence tables
+    builtin = get_builtin(name)
+    opts = OptimizeOptions(method="newton", grad_tol=1e-14)
+    for r in (1, 2, 3):
+        for h in (0.1, 0.1 * 2.0**-5):
+            part = make_uniform_partition(builtin.problem.T, int(round(builtin.problem.T / h)))
+            report = minimize(builtin.problem, None, part, r, opts=opts)
+            assert report.converged and report.iterations <= 5, (r, h, report.iterations)
+
+
+def test_newton_state_solves(monkeypatch):
+    # the Hessian-vector products take affine solves only: one nonlinear state
+    # solve at the start and one per accepted or rejected trial
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr(dgocp.optimize, "solve_state", counting)
+    builtin = get_builtin("nonlinear-quadratic")
+    opts = OptimizeOptions(method="newton", grad_tol=1e-14)
+    for r in range(4):
+        for N in (4, 64):  # the r = 0 state at the zero control does not exist for N = 2
+            calls.clear()
+            report = minimize(builtin.problem, None, make_uniform_partition(0.2, N), r, opts=opts)
+            assert report.converged
+            assert len(calls) <= 6, (r, N, len(calls))
+
+
+def test_newton_takes_the_full_step_after_a_backtrack(monkeypatch):
+    # g = sqrt(1 + (u - c)^2) is convex, but the full Newton step from
+    # u - c = 2 lands at -8 and is rejected down to a quarter step (-0.5).
+    # Every later iteration starts from the full step again, where Newton maps
+    # u - c to -(u - c)^3: stationarity 1e-12 at the sixth iterate
+    c = 0.7
+    p = replace(_decoupled_problem(c),
+                g=lambda t, x, u: np.sqrt(1.0 + (u[:, 0] - c) ** 2),
+                gu=lambda t, x, u: (u - c) / np.sqrt(1.0 + (u - c) ** 2),
+                guu=lambda t, x, u: (1.0 + (u - c) ** 2)[:, :, None] ** -1.5)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_state(*args, **kwargs)
+
+    monkeypatch.setattr(dgocp.optimize, "solve_state", counting)
+    part = make_uniform_partition(1.0, 4)
+    opts = OptimizeOptions(method="newton", grad_tol=1e-12, max_outer=20)
+    report = minimize(p, lambda t: np.full(np.size(t), c + 2.0), part, 1, opts=opts)
+    assert report.converged and report.iterations == 6
+    assert len(calls) == report.iterations + 2  # two rejected trials in the first step
+    assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - c)) < 1e-12
+
+
+def test_newton_rejects_unsupported_problems(monkeypatch):
+    # typed errors before any solve: no box handling, and H v needs every
+    # second partial
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before validating")
+
+    monkeypatch.setattr(dgocp.optimize, "solve_state", no_solve)
+    part = make_uniform_partition(1.0, 4)
+    opts = OptimizeOptions(method="newton")
+    for box in ((0.0, None), (None, 1.0), (-1.0, 1.0)):
+        with pytest.raises(ValueError, match="box"):
+            minimize(_decoupled_problem(0.7, *box), None, part, 1, opts=opts)
+    for name in ("fxx", "fxu", "fuu", "gxx", "gxu", "guu"):
+        p = _decoupled_problem(0.7)
+        setattr(p, name, None)
+        with pytest.raises(ValueError, match="second partials"):
+            minimize(p, None, part, 1, opts=opts)
+    with pytest.raises(ValueError, match="'fbs', 'pgd' or 'newton'"):
+        OptimizeOptions(method="Newton")
+
+
 def test_truthful_convergence_flag():
     builtin = linear_lq()
     part = make_uniform_partition(1.0, 8)
@@ -290,7 +407,7 @@ def test_iteration_log(tmp_path):
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        OptimizeOptions(method="newton")
+        OptimizeOptions(method="bfgs")
     with pytest.raises(ValueError):
         OptimizeOptions(grad_tol=0.0)
     builtin = linear_lq()
