@@ -7,6 +7,7 @@ import sys
 import numpy as np
 
 from .convergence import ConvergenceReport, run_convergence
+from .ivp import SolverFailure
 from .mesh import l2_error, make_uniform_partition, save_dg
 from .ocp import adjoint_residual, solve_adjoint, solve_state
 from .optimize import METHODS, OptimizeOptions, StallError, minimize
@@ -18,7 +19,7 @@ from .problems import get_builtin
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-EXIT_NOT_CONVERGED = 3  # stall, or the iteration cap reached
+EXIT_NOT_CONVERGED = 3  # stall, the iteration cap reached, or a failed state solve
 
 N_PLOT_SAMPLES = 401
 
@@ -51,6 +52,26 @@ def _positive(kind):
     return parse
 
 
+def _degree(text):
+    """argparse type: a polynomial degree, an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
+def _degrees(text):
+    """argparse type: comma-separated polynomial degrees."""
+    return tuple(_degree(v) for v in text.split(","))
+
+
+def _not_converged(err):
+    """Report a StallError or SolverFailure on one stderr line."""
+    kind = "stalled" if isinstance(err, StallError) else "failed"
+    print(f"solver {kind}: {err}", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
+
+
 def cmd_solve(args):
     builtin = get_builtin(args.problem)
     p = builtin.problem
@@ -67,9 +88,8 @@ def cmd_solve(args):
     )
     try:
         report = minimize(p, None, part, args.order, args.order, opts)
-    except StallError as err:
-        print(f"solver stalled: {err}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    except (StallError, SolverFailure) as err:
+        return _not_converged(err)
 
     os.makedirs(args.out, exist_ok=True)
     u_dg = report.u_star
@@ -108,17 +128,15 @@ def cmd_solve(args):
 
 def cmd_convergence(args):
     builtin = get_builtin(args.problem)
-    orders = tuple(int(v) for v in args.orders.split(","))
     opts = OptimizeOptions(method=args.method, grad_tol=args.grad_tol)
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     try:
-        report = run_convergence(builtin, orders=orders, levels=args.levels,
+        report = run_convergence(builtin, orders=args.orders, levels=args.levels,
                                  opts=opts, progress=progress)
-    except StallError as err:
-        print(f"solver stalled: {err}", file=sys.stderr)
+    except (StallError, SolverFailure) as err:
         if args.out:
             ConvergenceReport().to_csv(args.out)
-        return EXIT_NOT_CONVERGED
+        return _not_converged(err)
     text = report.to_csv(args.out)
     print(text, end="")
     return EXIT_OK
@@ -176,28 +194,28 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="optimize one problem instance")
     ps.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
-    ps.add_argument("--order", type=int, default=1)
+    ps.add_argument("--order", type=_degree, default=1)
     ps.add_argument("--intervals", type=_positive(int))
     ps.add_argument("--h", type=_positive(float))
     ps.add_argument("--method", choices=METHODS, default="fbs")
     ps.add_argument("--out", default="out")
-    ps.add_argument("--grad-tol", type=float, default=1e-10)
+    ps.add_argument("--grad-tol", type=_positive(float), default=1e-10)
     ps.add_argument("--max-iter", type=int, default=10000)
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("convergence", help="mesh-refinement error table")
     pc.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
-    pc.add_argument("--orders", default="1,2,3")
-    pc.add_argument("--levels", type=int, default=6)
+    pc.add_argument("--orders", type=_degrees, default="1,2,3")
+    pc.add_argument("--levels", type=_positive(int), default=6)
     pc.add_argument("--method", choices=METHODS, default="newton")
-    pc.add_argument("--grad-tol", type=float, default=1e-14)
+    pc.add_argument("--grad-tol", type=_positive(float), default=1e-14)
     pc.add_argument("--out")
     pc.add_argument("--verbose", action="store_true")
     pc.set_defaults(func=cmd_convergence)
 
     pv = sub.add_parser("verify", help="gradient/tangent/Hessian/adjoint oracles")
     pv.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
-    pv.add_argument("--order", type=int, default=1)
+    pv.add_argument("--order", type=_degree, default=1)
     pv.add_argument("--intervals", type=_positive(int), default=8)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--corrupt", choices=["fx", "fu", "gx", "gu"])

@@ -5,9 +5,11 @@ right-hand side comes in closure form, F(ts, X) and dF_dx(ts, X), or in
 affine form, x' = A(t) x + b(t) with A and b sampled once on the solve's
 quadrature grid.  A solve takes one of three routes:
 
-* affine form: all N interval blocks are solved in one batched
-  np.linalg.solve, for their response to the incoming trace and to the
-  forcing, and only a d x d trace recurrence runs interval by interval;
+* affine form: an AffineSystem inverts all N interval blocks at once and
+  builds the doubling tables of the d x d trace recurrence; a solve is then
+  a few batched products, with the recurrence run as a scan of ceil(log2 N)
+  steps.  A system solved for many forcings (the Hessian-vector products of
+  ocp) is factored once;
 * closures of a linear system: dF_dx is sampled on the whole quadrature grid
   at two states, x = 0 and x = PROBE_SHIFT.  When the samples are identical,
   A = dF_dx and b = F at x = 0 take the batched affine route, and its result
@@ -20,11 +22,13 @@ quadrature grid.  A solve takes one of three routes:
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
 larger: a large solution has a round-off floor above any absolute tolerance.
-All routes assemble their interval blocks with one helper.  Backward
-(terminal-value) solves are forward solves of the time-reversed system on the
-reversed partition, followed by a coefficient-level reversal.
+All routes assemble their interval blocks with one helper, and stop at the
+first residual that is not finite.  Backward (terminal-value) solves are
+forward solves of the time-reversed system on the reversed partition,
+followed by a coefficient-level reversal.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -35,6 +39,7 @@ from .basis import default_rule, deriv_inner_matrix, legendre_table
 from .mesh import DGFunction
 
 __all__ = [
+    "AffineSystem",
     "IVPRight",
     "SolverFailure",
     "solve_forward",
@@ -125,6 +130,7 @@ class _Scheme:
     """
 
     def __init__(self, r, d):
+        self.r = r
         self.rule = default_rule(r)
         self.P = legendre_table(r, self.rule.points)      # (q, r+1)
         self.PtW = self.P.T * self.rule.weights            # (r+1, q)
@@ -159,17 +165,17 @@ def _scheme(r, d):
 def solve_forward(rhs, x0, partition, r):
     """DG approximation of x' = F(t, x), x(0) = x0, in X_h^r.
 
-    An affine right-hand side, or closures of a linear system, is solved by a
-    batched block solve and a trace recurrence; other closures by damped
-    Newton, interval by interval.  Either raises SolverFailure naming an
-    interval when its residual stays above its tolerance or its block is
-    singular.
+    An affine right-hand side, or closures of a linear system, is solved by an
+    AffineSystem (batched block inverses and a scan for the trace
+    recurrence); other closures by damped Newton, interval by interval.
+    Either raises SolverFailure naming an interval when its residual stays
+    above its tolerance or is not finite, or its block is singular.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sch = _scheme(r, x0.size)
     times = partition.quad_times(sch.rule)
     if rhs.affine is not None:
-        coeffs = _solve_affine(*rhs.affine(times), x0, partition, sch)
+        coeffs = _solve_affine(*rhs.affine(times), x0, partition, r)
     else:
         coeffs = _solve_closures(rhs, rhs.inputs(times), x0, partition, sch)
     return DGFunction(partition, r, x0.size, coeffs)
@@ -200,7 +206,7 @@ def _solve_closures(rhs, inputs, x0, partition, sch):
         b = np.asarray(rhs.F(flat, X))
         try:
             C = _solve_affine(A.reshape(grid + A.shape[1:]), b.reshape(grid + b.shape[1:]),
-                              x0, partition, sch)
+                              x0, partition, sch.r)
             if _closure_residual_passes(rhs, flat, C, x0, partition, sch):
                 return C
         except SolverFailure:
@@ -250,7 +256,7 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
         tol = _tolerance(max(rnorm, np.max(np.abs(x_in))))
         converged = rnorm <= tol
         for _ in range(NEWTON_MAX_ITER):
-            if converged:
+            if converged or not math.isfinite(rnorm):
                 break
             J = sch.blocks(0.5 * h, rhs.dF_dx(a, X))
             try:
@@ -275,61 +281,95 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
     return coeffs
 
 
-def _solve_blocks(J, B):
-    """np.linalg.solve on the stacked interval blocks; a singular block raises
-    SolverFailure naming its interval."""
-    try:
-        return np.linalg.solve(J, B)
-    except np.linalg.LinAlgError:
-        raise _singular(int(np.argmin(np.abs(np.linalg.det(J))))) from None
+class AffineSystem:
+    """The DG system of x' = A x + b for a fixed A, factored once for any b.
 
+    A is sampled on the (N, q) quadrature grid of `partition`, as (N, q, d, d).
+    Block n solves J_n C_n = (s (x) I) x_n + f_n, so C_n = G_n x_n + g_n with
+    G_n = J_n^{-1} (s (x) I), and the outgoing trace is the recurrence
 
-def _solve_affine(A, b, x0, partition, sch):
-    """Coefficients (N, r+1, d) of the affine system x' = A x + b, with A
-    (N, q, d, d) and b (N, q, d) sampled on the quadrature grid.
+        x_{n+1} = sum_j C_nj = M_n x_n + m_n.
 
-    Block n solves J_n C_n = (s (x) I) x_n + f_n, so C_n = G_n x_n + g_n, and
-    the outgoing trace x_{n+1} = sum_j C_nj = M_n x_n + m_n.  The blocks, the
-    forcing and the residual check are batched over all intervals; only the
-    recurrence for the incoming traces x_n runs interval by interval.  A
-    residual above its tolerance is corrected by the same solve applied to it;
-    SolverFailure names the interval whose residual exceeds it most.
+    The factor step (the constructor) inverts all N blocks at once, forms G
+    and M, and builds the ceil(log2 N) doubling tables of the recurrence: the
+    table of window w = 2^k holds, for every n >= w, the product
+    M_{n-1} ... M_{n-w} that maps x_{n-w} to x_n (a Hillis-Steele scan;
+    Blelloch 1990, "Prefix sums and their applications").  Each
+    solve(b, x0) is then one batched product for the forcing response, one
+    scan step per table, C = G x + g, and one batched residual check.  A
+    singular block raises SolverFailure(n, inf).
     """
-    N, r1, d = partition.N, sch.s.size, x0.size
-    nd = r1 * d
-    half_h = 0.5 * partition.widths[:, None, None]
-    J = sch.blocks(half_h, A)                           # (N, nd, nd)
-    f = (half_h * (sch.PtW @ b)).reshape(N, nd)
-    S = sch.S
-    Z = _solve_blocks(J, np.concatenate((np.broadcast_to(S, (N, nd, d)), f[:, :, None]), axis=2))
-    G = Z[:, :, :d]
-    M = G.reshape(N, r1, d, d).sum(axis=1)
 
-    def sweep(g, x):
-        """Coefficients (N, nd) for particular responses g and x_0 = x."""
-        m = g.reshape(N, r1, d).sum(axis=1)
-        xs = np.empty((N, d))
-        for n in range(N):
-            xs[n] = x
-            x = M[n] @ x + m[n]
-        return (G @ xs[:, :, None])[:, :, 0] + g
+    def __init__(self, A, partition, r):
+        N, d = partition.N, A.shape[-1]
+        self.sch = sch = _scheme(r, d)
+        self.shape = (N, r + 1, d)
+        self.half_h = 0.5 * partition.widths[:, None, None]
+        self.J = sch.blocks(self.half_h, A)                     # (N, nd, nd)
+        try:
+            self.Jinv = np.linalg.inv(self.J)
+        except np.linalg.LinAlgError:
+            raise _singular(int(np.argmin(np.abs(np.linalg.det(self.J))))) from None
+        self.G = self.Jinv @ sch.S                              # (N, nd, d)
+        M = self.G.reshape(N, r + 1, d, d).sum(axis=1)
+        # entry n - w of the table of window w is M_{n-1} ... M_{n-w}, n = w..N-1;
+        # a table of window 2w multiplies two of window w
+        self.tables, table, w = [], M[:-1], 1
+        while w < N:
+            self.tables.append(table)
+            if 2 * w < N:
+                table = table[w:] @ table[:-w]
+            w *= 2
 
-    def residual(C):
-        x_out = C.reshape(N, r1, d).sum(axis=1)
+    def solve(self, b, x0):
+        """Coefficients (N, r+1, d) for the forcing b (N, q, d) and x(0) = x0.
+
+        A residual above its tolerance is corrected by the same factored
+        solve applied to it; SolverFailure names the interval whose residual
+        exceeds it most, at once when a residual is not finite.
+        """
+        N = self.shape[0]
+        f = (self.half_h * (self.sch.PtW @ b)).reshape(N, -1)
+        C = self._sweep(f, x0)
+        R, rnorm, tol = self._residual(C, f, x0)
+        for _ in range(NEWTON_MAX_ITER):
+            if np.all(rnorm <= tol) or not np.all(np.isfinite(rnorm)):
+                break
+            C = C + self._sweep(-R, np.zeros_like(x0))
+            R, rnorm, tol = self._residual(C, f, x0)
+        if not np.all(rnorm <= tol):
+            n = int(np.argmax(rnorm - tol))
+            raise SolverFailure(n, float(rnorm[n]))
+        return C.reshape(self.shape)
+
+    def _traces(self, m, x0):
+        """Incoming traces x_n, (N, d, 1), for the forcing traces m (N, d) and
+        x_0 = x0.  Entry n starts as m_{n-1}; after the scan step of window w
+        it is x_n when n < 2w, and otherwise the sum over the last 2w steps."""
+        xs = np.empty(m.shape + (1,))
+        xs[0, :, 0], xs[1:, :, 0] = x0, m[:-1]
+        w = 1
+        for table in self.tables:
+            xs[w:] += table @ xs[:-w]
+            w *= 2
+        return xs
+
+    def _sweep(self, f, x0):
+        """Coefficients (N, nd) for the block right-hand sides f (N, nd) and x_0 = x0."""
+        g = self.Jinv @ f[:, :, None]
+        xs = self._traces(g.reshape(self.shape).sum(axis=1), x0)
+        return (self.G @ xs + g)[:, :, 0]
+
+    def _residual(self, C, f, x0):
+        x_out = C.reshape(self.shape).sum(axis=1)
         xs = np.concatenate((x0[None], x_out[:-1]))
-        return _batched_residual(((J @ C[:, :, None])[:, :, 0], xs @ S.T, f))
+        return _batched_residual(((self.J @ C[:, :, None])[:, :, 0], xs @ self.sch.S.T, f))
 
-    C = sweep(Z[:, :, d], x0)
-    R, rnorm, tol = residual(C)
-    for _ in range(NEWTON_MAX_ITER):
-        if np.all(rnorm <= tol):
-            break
-        C = C + sweep(_solve_blocks(J, -R[:, :, None])[:, :, 0], np.zeros(d))
-        R, rnorm, tol = residual(C)
-    if not np.all(rnorm <= tol):
-        n = int(np.argmax(rnorm - tol))
-        raise SolverFailure(n, float(rnorm[n]))
-    return C.reshape(N, r1, d)
+
+def _solve_affine(A, b, x0, partition, r):
+    """Coefficients (N, r+1, d) of the affine system x' = A x + b, with A
+    (N, q, d, d) and b (N, q, d) sampled on the quadrature grid."""
+    return AffineSystem(A, partition, r).solve(b, x0)
 
 
 def reverse_dg(F):

@@ -3,7 +3,7 @@
 The reduced pipeline: state solve x_h = G_h(u), discrete adjoint lambda_h,
 reduced gradient g_u - f_u^T lambda_h, tangent solve y_h = G_h'(u) v, the
 Hessian quadratic form j_h''(u)(v, v), and the Hessian-vector product H v
-from a tangent and a second-order adjoint solve.
+from a tangent and a second-order adjoint system, factored once per operator.
 
 A control u (or direction v) is a DGFunction or a callable t -> (q, m); for
 m = 1 the callable may return shape (q,).  Both kinds are sampled through
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import default_rule, deriv_inner_matrix, legendre_table
-from .ivp import IVPRight, solve_forward, solve_backward
+from .ivp import AffineSystem, IVPRight, solve_forward, solve_backward
 from .mesh import modal_from_values, sample_values
 
 __all__ = [
@@ -219,19 +219,21 @@ def hessian_form(p, u, v, partition, r, state=None, adjoint=None):
 def hessian_vector(p, u, x_h, lambda_h, partition, r):
     """The discrete reduced Hessian j_h''(u) as an operator v -> H v.
 
-    u is a DGFunction; H v is the DGFunction of u's degree whose L2 inner
-    product with any w of that degree is j_h''(u)(v, w): the L2 projection of
-    the integrand below, as projected_gradient projects the gradient.  x_h
-    and lambda_h are the state and the adjoint at u.  The data along
-    (t, x_h, u, lambda_h) and the second partials are sampled once, on the
-    state's quadrature grid; each product is then one tangent solve
-    y = G_h'(u) v and one backward solve for the second-order adjoint mu,
-    both affine:
+    u and v are DGFunctions; H v is the DGFunction of u's degree whose L2
+    inner product with any w of that degree is j_h''(u)(v, w): the L2
+    projection of the integrand below, as projected_gradient projects the
+    gradient.  x_h and lambda_h are the state and the adjoint at u.  The data
+    along (t, x_h, u, lambda_h) and the second partials are sampled once, on
+    the state's quadrature grid, and the two affine systems of a product are
+    factored once: the tangent y = G_h'(u) v and the second-order adjoint mu,
 
-        mu' = -fx^T mu + Lxx y + Lxu v,   mu(T) = 0,
+        y' = fx y + fu v,                    y(0) = 0,
+        mu' = -fx^T mu + Lxx y + Lxu v,      mu(T) = 0,
         H v = Luu v + Lxu^T y - fu^T mu,
 
-    with L = g - lambda_h . f, so Lxx = gxx - lambda_h . fxx, and so on.
+    with L = g - lambda_h . f, so Lxx = gxx - lambda_h . fxx, and so on.  A
+    product samples v through its Legendre table on the grid and applies the
+    two factored systems.
     """
     if not p.has_second_partials:
         raise ValueError("hessian_vector requires all six second partials")
@@ -244,20 +246,21 @@ def hessian_vector(p, u, x_h, lambda_h, partition, r):
     Lxu = p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U))
     Luu = p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U))
     A, = _on_grid(times, fx)
-    # solve_backward samples at T - s on the reversed partition: with a
-    # symmetric rule those are this grid's points in reverse order
-    A_adj = -np.transpose(A, (0, 1, 3, 2))[::-1, ::-1]
+    tangent = AffineSystem(A, partition, r)
+    # mu as solve_backward poses it: a forward solve on the reversed partition
+    # with fx^T at T - s, which with a symmetric rule are this grid's points in
+    # reverse order, then reverse_dg's coefficient reversal
+    adjoint = AffineSystem(np.transpose(A, (0, 1, 3, 2))[::-1, ::-1], partition.reversed(), r)
+    P, signs = legendre_table(r, rule.points), (-1.0) ** np.arange(r + 1)
     zeros = np.zeros(p.d)
 
     def apply(v):
-        V = sample_values(v, ts, p.m)
+        V = v.values_on_quad(rule).reshape(ts.size, p.m)
         fu_v, = _on_grid(times, np.einsum("qam,qm->qa", fu, V))
-        y = solve_forward(IVPRight(affine=lambda _: (A, fu_v)), zeros, partition, r)
-        Y = y.values_on_quad(rule).reshape(ts.size, p.d)
+        Y = (P @ tangent.solve(fu_v, zeros)).reshape(ts.size, p.d)
         b, = _on_grid(times, np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V))
-        mu = solve_backward(IVPRight(affine=lambda _: (A_adj, b[::-1, ::-1])), zeros,
-                            partition, r)
-        M = mu.values_on_quad(rule).reshape(ts.size, p.d)
+        W = adjoint.solve(-b[::-1, ::-1], zeros)
+        M = (P @ (W[::-1] * signs[:, None])).reshape(ts.size, p.d)
         hv = (np.einsum("qmn,qn->qm", Luu, V) + np.einsum("qam,qa->qm", Lxu, Y)
               - np.einsum("qam,qa->qm", fu, M))
         return modal_from_values(hv.reshape(times.shape + (p.m,)), partition, u.degree, rule)

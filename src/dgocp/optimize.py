@@ -11,9 +11,10 @@ the target:
 * fbs (forward-backward sweep: state solve, adjoint solve, control update):
   the pointwise solution of the stationarity condition at the control nodes;
 * newton (no box): u + d, with d from truncated conjugate gradients on the
-  discrete reduced Hessian, H d = -g, in the control L2 inner product.  Each
-  Hessian-vector product is one tangent and one second-order adjoint solve,
-  both batched affine solves, so a step costs one nonlinear state solve.
+  discrete reduced Hessian, H d = -g, in the control L2 inner product.  The
+  tangent and second-order adjoint systems are factored once per step, and
+  each Hessian-vector product applies them, so a step costs one nonlinear
+  state solve.
 
 pgd and fbs keep theta across iterations (it only halves); newton starts
 each iteration at the full step.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dgocp import ConvergenceReport, OptimizeOptions, load_dg, run_convergence
+from dgocp import ConvergenceReport, OptimizeOptions, SolverFailure, load_dg, run_convergence
 from dgocp.cli import build_parser, main, run_verification
 from dgocp.optimize import StallError
 from dgocp.problems import linear_lq
@@ -37,6 +37,14 @@ def test_missing_subcommand_and_problem(tmp_path):
                 ["--h", "5"]):
         assert _exit_code(["solve", "--problem", "linear-lq"] + bad + out) == 2, bad
     assert _exit_code(["verify", "--problem", "linear-lq", "--intervals", "0"]) == 2
+    # negative degrees, a non-positive or NaN tolerance, no refinement level
+    for bad in (["--order", "-1"], ["--grad-tol", "0"], ["--grad-tol", "nan"]):
+        assert _exit_code(["solve", "--problem", "linear-lq"] + bad + out) == 2, bad
+    assert _exit_code(["verify", "--problem", "linear-lq", "--order", "-1"]) == 2
+    table = ["--out", str(tmp_path / "run" / "table.csv")]
+    for bad in (["--orders", "1,-1"], ["--orders", "1,"], ["--levels", "0"],
+                ["--grad-tol", "0"], ["--grad-tol", "nan"]):
+        assert _exit_code(["convergence", "--problem", "linear-lq"] + bad + table) == 2, bad
     assert not (tmp_path / "run").exists()
 
 
@@ -148,6 +156,27 @@ def test_convergence_stall_partial_csv(tmp_path, monkeypatch, capsys):
     code = main(["convergence", "--problem", "linear-lq", "--out", str(path)])
     assert code == 3
     assert path.read_text() == ConvergenceReport().to_csv()
+
+
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # r = 0 on 2 intervals: the state solve at the start control fails
+    out = tmp_path / "run"
+    code = main(["solve", "--problem", "nonlinear-quadratic", "--order", "0",
+                 "--intervals", "2", "--out", str(out)])
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed: ") and err.count("\n") == 1
+
+    import dgocp.cli as cli
+
+    def boom(*args, **kwargs):
+        raise SolverFailure(1, 0.26)
+
+    monkeypatch.setattr(cli, "run_convergence", boom)
+    path = tmp_path / "partial.csv"
+    assert main(["convergence", "--problem", "linear-lq", "--out", str(path)]) == 3
+    assert path.read_text() == ConvergenceReport().to_csv()
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_unconverged_level_raises():

@@ -203,6 +203,68 @@ def test_non_finite_data_names_its_interval(affine):
         assert err.value.interval == 3 and np.isnan(err.value.residual)
 
 
+@pytest.mark.parametrize("affine", [False, True])
+def test_non_finite_residual_stops_at_once(monkeypatch, affine):
+    # the NaN residual of interval 3 ends the solve: one factorization and no
+    # correction on the affine route, one F call on that interval on the march
+    part = make_uniform_partition(1.0, 8)
+    a = lambda t: np.where((t > 0.375) & (t < 0.5), np.nan, -1.0)
+    counts = {"factor": 0, "sweep": 0, "F_failing": 0, "F_later": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def F(ts, X):
+        counts["F_failing"] += bool(np.all((ts > 0.375) & (ts < 0.5)))
+        counts["F_later"] += bool(np.all(ts > 0.5))
+        return a(ts)[:, None] * X
+
+    monkeypatch.setattr(ivp.AffineSystem, "__init__", counted("factor", ivp.AffineSystem.__init__))
+    monkeypatch.setattr(ivp.AffineSystem, "_sweep", counted("sweep", ivp.AffineSystem._sweep))
+    rhs = _scalar_rhs(a, True) if affine else IVPRight(F=F, dF_dx=lambda ts, X: a(ts)[:, None, None])
+    for r in (0, 2):
+        with pytest.raises(SolverFailure) as err:
+            solve_forward(rhs, np.array([1.0]), part, r)
+        assert err.value.interval == 3 and np.isnan(err.value.residual)
+    if affine:
+        assert counts["factor"] == 2 and counts["sweep"] == 2
+    else:
+        assert counts["factor"] == 0 and counts["F_failing"] == 2 and counts["F_later"] == 0
+
+
+def _rotating_A(times):
+    """A time-dependent 2 x 2 A(t) on the quadrature grid; A(t) and A(s) do not
+    commute for t != s."""
+    c, s = np.cos(3.0 * times), np.sin(3.0 * times)
+    return np.stack((np.stack((-1.0 + s, 2.0 * c), -1), np.stack((-1.5 + c, 0.4 * s), -1)), -2)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 8, 33])
+def test_scan_matches_the_sequential_recurrence(rng, N):
+    # the doubling scan for x_{n+1} = M_n x_n + m_n against the plain loop
+    part = Partition(np.linspace(0.0, 1.0, N + 1) ** 1.5)   # graded
+    for r in range(4):
+        sch = ivp._scheme(r, 2)
+        system = ivp.AffineSystem(_rotating_A(part.quad_times(sch.rule)), part, r)
+        M = system.G.reshape(N, r + 1, 2, 2).sum(axis=1)
+        m, x0 = rng.standard_normal((N, 2)), rng.standard_normal(2)
+        ref, x = np.empty((N, 2)), x0
+        for n in range(N):
+            ref[n] = x
+            x = M[n] @ x + m[n]
+        xs = system._traces(m, x0)[:, :, 0]
+        assert np.max(np.abs(xs - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the whole solve against the march on the same system as closures
+        b = lambda ts: np.stack((np.sin(ts), ts), -1)
+        rhs = IVPRight(F=lambda ts, X: (_rotating_A(ts) @ X[:, :, None])[:, :, 0] + b(ts),
+                       dF_dx=lambda ts, X: _rotating_A(ts))
+        C = system.solve(b(part.quad_times(sch.rule)), x0)
+        assert np.max(np.abs(C - _march(rhs, x0, part, r))) <= 1e-13 * np.max(np.abs(C))
+
+
 def _count_routes(monkeypatch):
     """Count the calls of the batched and the marching route of solve_forward."""
     calls = {"batched": 0, "march": 0}

@@ -14,6 +14,7 @@ from dgocp import (
     hessian_vector,
     l2_error,
     make_uniform_partition,
+    modal_from_values,
     pair_with_direction,
     reduced_gradient,
     solve_adjoint,
@@ -392,6 +393,83 @@ def test_hessian_vector_is_linear_and_projected(rng):
     with pytest.raises(ValueError):
         p.fxu = None
         hessian_vector(p, u, x, solve_adjoint(p, u, x, part, 3), part, 3)
+
+
+def _hessian_vector_by_solves(p, u, x, lam, v, partition, r):
+    """H v from a tangent_solve and a solve_backward for the second-order
+    adjoint, each sampling its own data at the times it is given."""
+    def second(ts):
+        X, U, L = x.eval_many(ts), u.eval_many(ts), lam.eval_many(ts)
+        return (X, U, p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U)),
+                p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U)),
+                p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U)))
+
+    y = tangent_solve(p, u, x, v, partition, r)
+
+    def affine(times):
+        ts = times.ravel()
+        X, U, Lxx, Lxu, _ = second(ts)
+        b = np.einsum("qab,qb->qa", Lxx, y.eval_many(ts)) + np.einsum("qam,qm->qa", Lxu,
+                                                                     v.eval_many(ts))
+        A = -np.transpose(p.fx(ts, X, U), (0, 2, 1))
+        return A.reshape(times.shape + A.shape[1:]), b.reshape(times.shape + b.shape[1:])
+
+    mu = solve_backward(IVPRight(affine=affine), np.zeros(p.d), partition, r)
+    rule = default_rule(r)
+    ts = partition.quad_times(rule).ravel()
+    X, U, _, Lxu, Luu = second(ts)
+    V, Y, M = v.eval_many(ts), y.eval_many(ts), mu.eval_many(ts)
+    hv = (np.einsum("qmn,qn->qm", Luu, V) + np.einsum("qam,qa->qm", Lxu, Y)
+          - np.einsum("qam,qa->qm", p.fu(ts, X, U), M))
+    return modal_from_values(hv.reshape(partition.N, rule.q, p.m), partition, u.degree, rule)
+
+
+def test_hessian_vector_matches_the_solves(rng):
+    # the factored tangent and second-order adjoint systems against a
+    # solve_forward and a solve_backward per product
+    p = _coupled_problem()
+    part = Partition(p.T * np.array([0.0, 0.04, 0.1, 0.25, 0.3, 0.55, 0.8, 1.0]))
+    for r in range(4):
+        u = random_dg(rng, part, r, p.m)
+        x = solve_state(p, u, part, r)
+        lam = solve_adjoint(p, u, x, part, r)
+        hess = hessian_vector(p, u, x, lam, part, r)
+        for _ in range(2):
+            v = random_dg(rng, part, r, p.m)
+            ref = _hessian_vector_by_solves(p, u, x, lam, v, part, r).coeffs
+            assert np.max(np.abs(hess(v).coeffs - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_hessian_vector_factors_two_systems_per_call(rng, monkeypatch):
+    # the tangent and the second-order adjoint system are factored when the
+    # operator is built; a product makes no solve of its own
+    import dgocp.ocp as ocp
+    from dgocp.ivp import AffineSystem
+
+    factored = []
+    init = AffineSystem.__init__
+
+    def counting(self, *args):
+        factored.append(1)
+        init(self, *args)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a product made a solve")
+
+    p = nonlinear_quadratic().problem
+    part = make_uniform_partition(p.T, 6)
+    u = random_dg(rng, part, 2)
+    x = solve_state(p, u, part, 2)
+    lam = solve_adjoint(p, u, x, part, 2)
+    monkeypatch.setattr(AffineSystem, "__init__", counting)
+    monkeypatch.setattr(ocp, "solve_forward", no_solve)
+    monkeypatch.setattr(ocp, "solve_backward", no_solve)
+    for products in (0, 1, 5):
+        factored.clear()
+        hess = hessian_vector(p, u, x, lam, part, 2)
+        for _ in range(products):
+            hess(random_dg(rng, part, 2))
+        assert len(factored) == 2
 
 
 # -- problem validation -------------------------------------------------------
