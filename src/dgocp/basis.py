@@ -18,6 +18,7 @@ __all__ = [
     "legendre_deriv_table",
     "gauss_rule",
     "default_rule",
+    "rule_table",
     "deriv_inner_matrix",
     "mass_diagonal",
 ]
@@ -75,9 +76,10 @@ def legendre_deriv(k, xi):
     return float(res[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else res
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Gauss-Legendre nodes/weights on [-1, 1]."""
+    """Gauss-Legendre nodes/weights on [-1, 1]; compared and hashed by
+    identity, so that a rule can key a cache."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -87,22 +89,31 @@ class QuadratureRule:
         return self.points.size
 
 
+@lru_cache(maxsize=32)
 def gauss_rule(q):
-    """q-point Gauss-Legendre rule; exact for polynomials of degree <= 2q-1."""
+    """q-point Gauss-Legendre rule; exact for polynomials of degree <= 2q-1.
+
+    Shared per q (building one is an eigenvalue solve): its arrays are read-only.
+    """
     if q < 1:
         raise ValueError("quadrature rule needs at least one point")
     pts, wts = np.polynomial.legendre.leggauss(q)
+    pts.flags.writeable = False
+    wts.flags.writeable = False
     return QuadratureRule(points=pts, weights=wts)
 
 
-@lru_cache(maxsize=16)
 def default_rule(r):
-    """Module-wide default rule for degree-r DG computations (q = r + 3),
-    shared per degree (building one is an eigenvalue solve): its arrays are read-only."""
-    rule = gauss_rule(r + DEFAULT_EXTRA_POINTS)
-    rule.points.flags.writeable = False
-    rule.weights.flags.writeable = False
-    return rule
+    """Module-wide default rule for degree-r DG computations (q = r + 3)."""
+    return gauss_rule(r + DEFAULT_EXTRA_POINTS)
+
+
+@lru_cache(maxsize=64)
+def rule_table(r, rule):
+    """legendre_table(r, rule.points), shared per (r, rule): read-only."""
+    P = legendre_table(r, rule.points)
+    P.flags.writeable = False
+    return P
 
 
 def deriv_inner_matrix(r):

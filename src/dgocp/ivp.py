@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import default_rule, deriv_inner_matrix, legendre_table
+from .basis import default_rule, deriv_inner_matrix, rule_table
 from .mesh import DGFunction
 
 __all__ = [
@@ -132,7 +132,7 @@ class _Scheme:
     def __init__(self, r, d):
         self.r = r
         self.rule = default_rule(r)
-        self.P = legendre_table(r, self.rule.points)      # (q, r+1)
+        self.P = rule_table(r, self.rule)                  # (q, r+1)
         self.PtW = self.P.T * self.rule.weights            # (r+1, q)
         self.s = (-1.0) ** np.arange(r + 1)                # traces at xi = -1
         self.S = np.kron(self.s[:, None], np.eye(d))       # (nd, d): takes x_in into a block

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import default_rule, legendre_table, mass_diagonal
+from .basis import default_rule, legendre_table, mass_diagonal, rule_table
 
 __all__ = [
     "Partition",
@@ -18,6 +18,7 @@ __all__ = [
     "make_uniform_partition",
     "project_l2",
     "modal_from_values",
+    "sample_on_quad",
     "l2_error",
     "total_variation",
     "save_dg",
@@ -27,19 +28,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Strictly increasing time nodes 0 = t_0 < ... < t_N = T."""
+    """Strictly increasing time nodes 0 = t_0 < ... < t_N = T.
+
+    The nodes are a read-only copy of the given array, and the interval
+    widths are computed from them once.
+    """
 
     nodes: np.ndarray
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
+        nodes = np.array(self.nodes, dtype=float)  # a copy: the caller's array stays writeable
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a partition needs at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError("partition must start at t = 0")
-        if np.any(np.diff(nodes) <= 0.0):
+        widths = np.diff(nodes)
+        if np.any(widths <= 0.0):
             raise ValueError("partition nodes must be strictly increasing")
+        nodes.flags.writeable = False
+        widths.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "widths", widths)
 
     @property
     def N(self):
@@ -48,10 +58,6 @@ class Partition:
     @property
     def T(self):
         return float(self.nodes[-1])
-
-    @property
-    def widths(self):
-        return np.diff(self.nodes)
 
     @property
     def h(self):
@@ -123,8 +129,7 @@ class DGFunction:
 
     def values_on_quad(self, rule):
         """Values at the mapped quadrature points of every interval, (N, q, d)."""
-        P = legendre_table(self.degree, rule.points)
-        return np.einsum("qk,nkd->nqd", P, self.coeffs)
+        return np.einsum("qk,nkd->nqd", rule_table(self.degree, rule), self.coeffs)
 
     # -- traces and jumps ---------------------------------------------------
 
@@ -148,7 +153,8 @@ class DGFunction:
     def _compatible(self, other):
         if self.degree != other.degree or self.dim != other.dim:
             raise ValueError("mismatched degree or dimension")
-        if not np.array_equal(self.partition.nodes, other.partition.nodes):
+        if self.partition is not other.partition and not np.array_equal(
+                self.partition.nodes, other.partition.nodes):
             raise ValueError("mismatched partitions")
 
     def __add__(self, other):
@@ -186,7 +192,7 @@ def modal_from_values(values, partition, r, rule):
     `values` has shape (N, q, d) at the rule's mapped points.
     """
     values = np.asarray(values, dtype=float)
-    P = legendre_table(r, rule.points)
+    P = rule_table(r, rule)
     scale = (2.0 * np.arange(r + 1) + 1.0) / 2.0
     coeffs = np.einsum("q,qk,nqd,k->nkd", rule.weights, P, values, scale)
     return DGFunction(partition, r, values.shape[2], coeffs)
@@ -204,6 +210,22 @@ def sample_values(fn, ts, dim=None):
     if dim is not None and vals.shape[1] != dim:
         raise ValueError(f"callable returned {vals.shape[1]} columns, expected {dim}")
     return vals
+
+
+def sample_on_quad(fn, partition, rule, dim):
+    """Values of fn at the partition's mapped rule points, (N*q, dim).
+
+    A DGFunction on this partition is evaluated from its coefficients
+    (values_on_quad); anything else, a callable or a DGFunction on another
+    partition, at the flattened times through sample_values.  A width other
+    than `dim` raises ValueError.
+    """
+    if isinstance(fn, DGFunction) and (fn.partition is partition or np.array_equal(
+            fn.partition.nodes, partition.nodes)):
+        if fn.dim != dim:
+            raise ValueError(f"DG function has {fn.dim} columns, expected {dim}")
+        return fn.values_on_quad(rule).reshape(-1, dim)
+    return sample_values(fn, partition.quad_times(rule).ravel(), dim)
 
 
 def project_l2(fn, partition, r, rule=None, dim=None):
@@ -224,11 +246,7 @@ def l2_error(F, ref, rule=None):
     quadrature of the continuous L2 norm instead.
     """
     if rule is not None:
-        ts = F.partition.quad_times(rule)
-        if isinstance(ref, DGFunction):
-            rv = ref.eval_many(ts.ravel())
-        else:
-            rv = sample_values(ref, ts.ravel(), F.dim)
+        rv = sample_on_quad(ref, F.partition, rule, F.dim)
         diff = F.values_on_quad(rule) - rv.reshape(F.partition.N, rule.q, F.dim)
         per = np.einsum("q,nqd->n", rule.weights, diff**2)
         return float(np.sqrt(np.sum(0.5 * F.partition.widths * per)))

@@ -6,8 +6,9 @@ Hessian quadratic form j_h''(u)(v, v), and the Hessian-vector product H v
 from a tangent and a second-order adjoint system, factored once per operator.
 
 A control u (or direction v) is a DGFunction or a callable t -> (q, m); for
-m = 1 the callable may return shape (q,).  Both kinds are sampled through
-mesh.sample_values.
+m = 1 the callable may return shape (q,).  Inputs are sampled on the quadrature
+grid by mesh.sample_on_quad: a DGFunction on the grid's own partition from its
+coefficients, anything else through mesh.sample_values.
 
 All problem callables are vectorized over time batches:
     t: (q,), x: (q, d), u: (q, m)
@@ -22,9 +23,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import default_rule, deriv_inner_matrix, legendre_table
+from .basis import default_rule, deriv_inner_matrix, rule_table
 from .ivp import AffineSystem, IVPRight, solve_forward, solve_backward
-from .mesh import modal_from_values, sample_values
+from .mesh import modal_from_values, sample_on_quad, sample_values
 
 __all__ = [
     "OCProblem",
@@ -91,49 +92,59 @@ class OCProblem:
         return np.clip(u_vals, self.u_lo, self.u_hi)
 
 
-def _on_grid(times, *values):
-    """Values sampled at the flattened (N, q) times, each reshaped to (N, q, ...)."""
-    return tuple(v.reshape(times.shape + v.shape[1:]) for v in values)
+def _on_grid(grid, *values):
+    """Values sampled at the flattened (N, q) grid, each reshaped to (N, q, ...)."""
+    return tuple(v.reshape(grid + v.shape[1:]) for v in values)
+
+
+def _along(p, x_h, u, partition, rule):
+    """The flattened quadrature times of the partition under the rule, and the
+    state x_h (N*q, d) and control u (N*q, m) sampled there."""
+    ts = partition.quad_times(rule).ravel()
+    return ts, sample_on_quad(x_h, partition, rule, p.d), sample_on_quad(u, partition, rule, p.m)
 
 
 def solve_state(p, u, partition, r):
     """x_h = G_h(u): forward DG solve of x' = f(t, x, u(t)).
 
-    The control is evaluated once, at all quadrature times of the solve.
+    The control is sampled once, at all quadrature times of the solve.
     """
-    def inputs(times):
-        return (times,) + _on_grid(times, sample_values(u, times.ravel(), p.m))
+    U = sample_on_quad(u, partition, default_rule(r), p.m)
 
-    rhs = IVPRight(
-        F=lambda tu, X: p.f(tu[0], X, tu[1]),
-        dF_dx=lambda tu, X: p.fx(tu[0], X, tu[1]),
-        inputs=inputs,
-    )
+    def inputs(times):
+        return (times,) + _on_grid(times.shape, U)
+
+    rhs = IVPRight(F=lambda tu, X: p.f(tu[0], X, tu[1]),
+                   dF_dx=lambda tu, X: p.fx(tu[0], X, tu[1]), inputs=inputs)
     return solve_forward(rhs, p.x0, partition, r)
 
 
 def solve_adjoint(p, u, x_h, partition, r):
     """Discrete adjoint: backward DG solve of lam' = -fx^T lam + gx, lam(T) = 0.
 
-    The system is affine in lam: fx and gx along (t, x_h, u) are evaluated
-    once, at all quadrature times of the (reversed) solve.
+    The system is affine in lam: fx and gx along (t, x_h, u) are sampled
+    once, on the forward quadrature grid.  solve_backward asks for them at
+    T - s on the reversed grid, which with a symmetric rule are the forward
+    grid's points in reverse order.
     """
-    def affine(times):
-        flat = times.ravel()
-        X, U = x_h.eval_many(flat), sample_values(u, flat, p.m)
-        return _on_grid(times, -np.transpose(p.fx(flat, X, U), (0, 2, 1)), p.gx(flat, X, U))
+    rule = default_rule(r)
+    ts, X, U = _along(p, x_h, u, partition, rule)
+    A, b = _on_grid((partition.N, rule.q), -np.transpose(p.fx(ts, X, U), (0, 2, 1)),
+                    p.gx(ts, X, U))
+    reversed_ab = A[::-1, ::-1], b[::-1, ::-1]
+    return solve_backward(IVPRight(affine=lambda _: reversed_ab), np.zeros(p.d), partition, r)
 
-    return solve_backward(IVPRight(affine=affine), np.zeros(p.d), partition, r)
+
+def _gradient_values(p, ts, X, U, L):
+    return p.gu(ts, X, U) - np.einsum("qdm,qd->qm", p.fu(ts, X, U), L)
 
 
 def reduced_gradient(p, u, x_h, lambda_h):
     """Pointwise integrand of j_h'(u): gu(t, x_h, u) - fu(t, x_h, u)^T lambda_h."""
     def grad(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        X = x_h.eval_many(ts)
-        U = sample_values(u, ts, p.m)
-        L = lambda_h.eval_many(ts)
-        return p.gu(ts, X, U) - np.einsum("qdm,qd->qm", p.fu(ts, X, U), L)
+        return _gradient_values(p, ts, x_h.eval_many(ts), sample_values(u, ts, p.m),
+                                lambda_h.eval_many(ts))
 
     return grad
 
@@ -143,9 +154,9 @@ def projected_gradient(p, u, x_h, lambda_h):
     sampled once on the state's default rule, L2-projected onto u's DG space.
     Its L2 inner product with any direction of that degree is j_h'(u) there."""
     part, rule = u.partition, default_rule(x_h.degree)
-    ts = part.quad_times(rule)
-    gvals = reduced_gradient(p, u, x_h, lambda_h)(ts.ravel()).reshape(ts.shape + (p.m,))
-    return modal_from_values(gvals, part, u.degree, rule)
+    ts, X, U = _along(p, x_h, u, part, rule)
+    gvals = _gradient_values(p, ts, X, U, sample_on_quad(lambda_h, part, rule, p.d))
+    return modal_from_values(gvals.reshape(part.N, rule.q, p.m), part, u.degree, rule)
 
 
 def _integrate(values, partition, rule):
@@ -157,29 +168,26 @@ def _integrate(values, partition, rule):
 def cost(p, u, x_h):
     """j_h(u) = quadrature of g(t, x_h, u) over [0, T], on the state's default rule."""
     part, rule = x_h.partition, default_rule(x_h.degree)
-    ts = part.quad_times(rule).ravel()
-    return _integrate(p.g(ts, x_h.eval_many(ts), sample_values(u, ts, p.m)), part, rule)
+    return _integrate(p.g(*_along(p, x_h, u, part, rule)), part, rule)
 
 
 def tangent_solve(p, u, x_h, v, partition, r):
     """y_h = G_h'(u) v: forward DG solve of the linearized dynamics, y(0) = 0.
 
-    The system is affine in y: fx and fu v along (t, x_h, u) are evaluated
+    The system is affine in y: fx and fu v along (t, x_h, u) are sampled
     once, at all quadrature times of the solve.
     """
-    def affine(times):
-        flat = times.ravel()
-        X, U = x_h.eval_many(flat), sample_values(u, flat, p.m)
-        fu_v = np.einsum("qam,qm->qa", p.fu(flat, X, U), sample_values(v, flat, p.m))
-        return _on_grid(times, p.fx(flat, X, U), fu_v)
-
-    return solve_forward(IVPRight(affine=affine), np.zeros(p.d), partition, r)
+    rule = default_rule(r)
+    ts, X, U = _along(p, x_h, u, partition, rule)
+    fu_v = np.einsum("qam,qm->qa", p.fu(ts, X, U), sample_on_quad(v, partition, rule, p.m))
+    A, b = _on_grid((partition.N, rule.q), p.fx(ts, X, U), fu_v)
+    return solve_forward(IVPRight(affine=lambda _: (A, b)), np.zeros(p.d), partition, r)
 
 
 def pair_with_direction(integrand, v, p, partition, rule):
     """Quadrature of <integrand(t), v(t)> over [0, T]."""
     ts = partition.quad_times(rule).ravel()
-    prod = np.einsum("qm,qm->q", integrand(ts), sample_values(v, ts, p.m))
+    prod = np.einsum("qm,qm->q", integrand(ts), sample_on_quad(v, partition, rule, p.m))
     return _integrate(prod, partition, rule)
 
 
@@ -196,12 +204,9 @@ def hessian_form(p, u, v, partition, r, state=None, adjoint=None):
     lam = adjoint if adjoint is not None else solve_adjoint(p, u, x_h, partition, r)
     y_h = tangent_solve(p, u, x_h, v, partition, r)
 
-    ts = partition.quad_times(rule).ravel()
-    X = x_h.eval_many(ts)
-    U = sample_values(u, ts, p.m)
-    L = lam.eval_many(ts)
-    Y = y_h.eval_many(ts)
-    V = sample_values(v, ts, p.m)
+    ts, X, U = _along(p, x_h, u, partition, rule)
+    L, Y = (sample_on_quad(fn, partition, rule, p.d) for fn in (lam, y_h))
+    V = sample_on_quad(v, partition, rule, p.m)
 
     g_form = (
         np.einsum("qab,qa,qb->q", p.gxx(ts, X, U), Y, Y)
@@ -232,38 +237,37 @@ def hessian_vector(p, u, x_h, lambda_h, partition, r):
         H v = Luu v + Lxu^T y - fu^T mu,
 
     with L = g - lambda_h . f, so Lxx = gxx - lambda_h . fxx, and so on.  A
-    product samples v through its Legendre table on the grid and applies the
-    two factored systems.
+    product samples v on the grid and applies the two factored systems.
     """
     if not p.has_second_partials:
         raise ValueError("hessian_vector requires all six second partials")
     rule = default_rule(r)
-    times = partition.quad_times(rule)
-    ts = times.ravel()
-    X, U, L = x_h.eval_many(ts), sample_values(u, ts, p.m), lambda_h.eval_many(ts)
+    grid = (partition.N, rule.q)
+    ts, X, U = _along(p, x_h, u, partition, rule)
+    L = sample_on_quad(lambda_h, partition, rule, p.d)
     fx, fu = p.fx(ts, X, U), p.fu(ts, X, U)
     Lxx = p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U))
     Lxu = p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U))
     Luu = p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U))
-    A, = _on_grid(times, fx)
+    A, = _on_grid(grid, fx)
     tangent = AffineSystem(A, partition, r)
     # mu as solve_backward poses it: a forward solve on the reversed partition
     # with fx^T at T - s, which with a symmetric rule are this grid's points in
     # reverse order, then reverse_dg's coefficient reversal
     adjoint = AffineSystem(np.transpose(A, (0, 1, 3, 2))[::-1, ::-1], partition.reversed(), r)
-    P, signs = legendre_table(r, rule.points), (-1.0) ** np.arange(r + 1)
+    P, signs = rule_table(r, rule), (-1.0) ** np.arange(r + 1)
     zeros = np.zeros(p.d)
 
     def apply(v):
-        V = v.values_on_quad(rule).reshape(ts.size, p.m)
-        fu_v, = _on_grid(times, np.einsum("qam,qm->qa", fu, V))
+        V = sample_on_quad(v, partition, rule, p.m)
+        fu_v, = _on_grid(grid, np.einsum("qam,qm->qa", fu, V))
         Y = (P @ tangent.solve(fu_v, zeros)).reshape(ts.size, p.d)
-        b, = _on_grid(times, np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V))
+        b, = _on_grid(grid, np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V))
         W = adjoint.solve(-b[::-1, ::-1], zeros)
         M = (P @ (W[::-1] * signs[:, None])).reshape(ts.size, p.d)
         hv = (np.einsum("qmn,qn->qm", Luu, V) + np.einsum("qam,qa->qm", Lxu, Y)
               - np.einsum("qam,qa->qm", fu, M))
-        return modal_from_values(hv.reshape(times.shape + (p.m,)), partition, u.degree, rule)
+        return modal_from_values(hv.reshape(grid + (p.m,)), partition, u.degree, rule)
 
     return apply
 
@@ -282,23 +286,19 @@ def adjoint_residual(p, u, x_h, lambda_h):
     part = lambda_h.partition
     N = part.N
 
-    ts = part.quad_times(rule).ravel()
-    X = x_h.eval_many(ts)
-    U = sample_values(u, ts, p.m)
-    L = lambda_h.eval_many(ts)
+    ts, X, U = _along(p, x_h, u, part, rule)
+    L = sample_on_quad(lambda_h, part, rule, p.d)
     rhs = np.einsum("qab,qa->qb", p.fx(ts, X, U), L) - p.gx(ts, X, U)
     rhs = rhs.reshape(N, rule.q, p.d)
 
-    P = legendre_table(r, rule.points)
+    P = rule_table(r, rule)
     D = deriv_inner_matrix(r)  # D[j,k] = int P_k' P_j
     # int P_j' lam dxi = sum_k (int P_j' P_k) c_k = (D^T C)_j
     dterm = np.einsum("jk,nkd->njd", D.T, lambda_h.coeffs)
     sign = (-1.0) ** np.arange(r + 1)
 
     res = dterm - 0.5 * np.einsum("n,qj,q,nqd->njd", part.widths, P, rule.weights, rhs)
-    for n in range(N):
-        lam_plus_prev = lambda_h.trace_right(n)             # lam^+ at node n
-        res[n] += np.outer(sign, lam_plus_prev)
-        if n < N - 1:
-            res[n] -= np.outer(np.ones(r + 1), lambda_h.trace_right(n + 1))
+    plus = sign @ lambda_h.coeffs                           # lam^+ at node n, (N, d)
+    res += sign[:, None] * plus[:, None, :]
+    res[:-1] -= plus[1:, None, :]
     return float(np.max(np.abs(res)))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .basis import gauss_rule
 from .ivp import SolverFailure
-from .mesh import DGFunction, modal_from_values, project_l2, sample_values, total_variation
+from .mesh import (DGFunction, modal_from_values, project_l2, sample_on_quad, sample_values,
+                   total_variation)
 from .ocp import cost, hessian_vector, projected_gradient, solve_adjoint, solve_state
 
 __all__ = [
@@ -146,16 +147,17 @@ def _newton_direction(hess, g):
     return d
 
 
-def _fbs_target(p, u_dg, x_h, lam, nodal_ts):
+def _fbs_target(p, u_dg, x_h, lam, nodal_rule):
     """Pointwise stationary control at the control nodes: solve gu = fu^T lam."""
-    X = x_h.eval_many(nodal_ts)
-    L = lam.eval_many(nodal_ts)
+    part = u_dg.partition
+    nodal_ts = part.quad_times(nodal_rule).ravel()
+    X, L = (sample_on_quad(fn, part, nodal_rule, p.d) for fn in (x_h, lam))
     if p.stationary_control is not None:
         return np.asarray(p.stationary_control(nodal_ts, X, L), dtype=float)
     if not p.has_second_partials:
         return None
     # guarded scalar Newton per point on  gu(t, x, u) - fu(t, x, u)^T lam = 0
-    U = u_dg.eval_many(nodal_ts)
+    U = sample_on_quad(u_dg, part, nodal_rule, p.m)
     for _ in range(50):
         res = p.gu(nodal_ts, X, U) - np.einsum("qdm,qd->qm", p.fu(nodal_ts, X, U), L)
         if np.max(np.abs(res)) <= 1e-12:
@@ -192,7 +194,6 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
         raise ValueError("method 'newton' does not handle a control box")
 
     nodal_rule = gauss_rule(r_control + 1)
-    nodal_ts = partition.quad_times(nodal_rule).ravel()
 
     u = _control_to_dg(p, u0, partition, r_control)
     x = solve_state(p, u, partition, r_state)
@@ -215,7 +216,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
             theta = 1.0
         else:
             # FBS without a pointwise update keeps the projected-gradient point
-            stationary = _fbs_target(p, u, x, lam, nodal_ts) if opts.method == "fbs" else None
+            stationary = _fbs_target(p, u, x, lam, nodal_rule) if opts.method == "fbs" else None
             if stationary is not None:
                 target = p.clip_box(stationary).reshape(partition.N, r_control + 1, p.m)
             u_hat = modal_from_values(target, partition, r_control, nodal_rule)

@@ -12,6 +12,7 @@ from dgocp import (
     legendre_table,
     mass_diagonal,
 )
+from dgocp.basis import rule_table
 
 
 def test_legendre_eval_examples():
@@ -97,6 +98,16 @@ def test_domain_and_argument_errors():
 
 def test_default_rule_order():
     assert default_rule(2).q == 5
+
+
+def test_rules_and_their_tables_are_shared_and_read_only():
+    rule = default_rule(2)
+    assert rule is gauss_rule(5) and rule is not gauss_rule(4)
+    P = rule_table(2, rule)
+    assert P is rule_table(2, rule)
+    assert np.array_equal(P, legendre_table(2, rule.points))
+    for a in (rule.points, rule.weights, P):
+        assert not a.flags.writeable
 
 
 def test_deriv_inner_matrix_against_quadrature():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dgocp.mesh
 from dgocp import (
     DGFunction,
     Partition,
@@ -14,6 +15,7 @@ from dgocp import (
     save_dg,
     total_variation,
 )
+from dgocp.mesh import sample_on_quad
 from dgocp.oracles import random_dg
 from dgocp.problems import linear_lq
 
@@ -49,6 +51,31 @@ def test_partition_reversed():
     rev = part.reversed()
     assert rev.nodes == pytest.approx([0.0, 0.5, 0.8, 1.0])
     assert np.sort(rev.widths) == pytest.approx(np.sort(part.widths))
+
+
+def test_partition_keeps_a_frozen_copy_of_its_nodes():
+    nodes = np.array([0.0, 0.1, 0.35, 0.5, 1.0])
+    part = Partition(nodes)
+    assert np.array_equal(part.widths, np.diff(nodes))
+    assert not part.nodes.flags.writeable and not part.widths.flags.writeable
+    assert nodes.flags.writeable
+    nodes[1] = 0.2  # the caller's array is a copy, so the stored widths cannot go stale
+    assert part.nodes[1] == 0.1 and np.array_equal(part.widths, np.diff(part.nodes))
+
+
+def test_algebra_needs_matching_partitions():
+    part = make_uniform_partition(1.0, 4)
+    F = DGFunction(part, 1, 1, np.ones((4, 2, 1)))
+    assert np.array_equal((F + F).coeffs, 2.0 * F.coeffs)
+    same_nodes = DGFunction(Partition(part.nodes), 1, 1, np.ones((4, 2, 1)))
+    assert np.array_equal((F - same_nodes).coeffs, np.zeros((4, 2, 1)))
+    other = DGFunction(Partition(np.array([0.0, 0.2, 0.5, 0.7, 1.0])), 1, 1)
+    with pytest.raises(ValueError, match="mismatched partitions"):
+        F + other
+    with pytest.raises(ValueError, match="mismatched partitions"):
+        F.inner(other)
+    with pytest.raises(ValueError, match="mismatched degree"):
+        F + DGFunction(part, 2, 1)
 
 
 # -- evaluation, traces, jumps ------------------------------------------------
@@ -90,6 +117,40 @@ def test_trace_consistency(rng):
         t = part.nodes[n]
         diff = F.eval(t, side="right") - F.eval(t, side="left")
         assert np.max(np.abs(diff - F.jump(n))) < 1e-14
+
+
+def test_sample_on_quad_matches_eval_many(rng):
+    part = Partition(np.linspace(0.0, 1.0, 8) ** 1.5)
+    rule = gauss_rule(4)
+    ts = part.quad_times(rule).ravel()
+    for r in range(4):
+        F = random_dg(rng, part, r, dim=2)
+        for on in (part, Partition(part.nodes)):  # the same object, and equal nodes
+            vals = sample_on_quad(F, on, rule, 2)
+            assert vals.shape == (ts.size, 2)
+            assert np.max(np.abs(vals - F.eval_many(ts))) <= 1e-15
+
+
+def test_sample_on_quad_falls_back_to_sample_values(monkeypatch, rng):
+    calls, original = [], dgocp.mesh.sample_values
+
+    def counting(fn, ts, dim=None):
+        calls.append(fn)
+        return original(fn, ts, dim)
+
+    monkeypatch.setattr(dgocp.mesh, "sample_values", counting)
+    part, rule = make_uniform_partition(1.0, 4), gauss_rule(3)
+    ts = part.quad_times(rule).ravel()
+    F = random_dg(rng, part, 2)
+    coarse = random_dg(rng, make_uniform_partition(1.0, 3), 2)
+    sample_on_quad(F, part, rule, 1)
+    assert calls == []
+    assert sample_on_quad(np.sin, part, rule, 1) == pytest.approx(np.sin(ts)[:, None])
+    assert sample_on_quad(coarse, part, rule, 1) == pytest.approx(coarse.eval_many(ts))
+    assert calls == [np.sin, coarse]
+    for fn in (F, coarse, lambda t: np.ones((t.size, 2))):
+        with pytest.raises(ValueError, match="expected 3"):
+            sample_on_quad(fn, part, rule, 3)
 
 
 def test_coefficient_shape_validation():

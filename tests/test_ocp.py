@@ -266,6 +266,30 @@ def test_solves_match_pointwise_closures_on_graded_partition(rng):
                 assert np.max(np.abs(y_h.coeffs - y.coeffs)) <= 1e-13
 
 
+def test_adjoint_reverses_the_forward_grid_data(rng):
+    # solve_adjoint samples fx and gx on the forward grid and hands the
+    # reversed solve that data in reverse order; the reference samples x_h and
+    # u at the times T - s that solve_backward asks for.  On a graded
+    # partition a wrong ordering would move the coefficients far beyond 1e-14.
+    for name in ("linear-lq", "nonlinear-quadratic"):
+        p = get_builtin(name).problem
+        part = Partition(p.T * np.linspace(0.0, 1.0, 10) ** 2)
+        for r in range(4):
+            u = random_dg(rng, part, r)
+            x = solve_state(p, u, part, r)
+
+            def affine(times):
+                ts = times.ravel()
+                X, U = x.eval_many(ts), u.eval_many(ts)
+                A = -np.transpose(p.fx(ts, X, U), (0, 2, 1))
+                return A.reshape(times.shape + A.shape[1:]), p.gx(ts, X, U).reshape(
+                    times.shape + (p.d,))
+
+            ref = solve_backward(IVPRight(affine=affine), np.zeros(p.d), part, r)
+            lam = solve_adjoint(p, u, x, part, r)
+            assert np.max(np.abs(lam.coeffs - ref.coeffs)) <= 1e-14
+
+
 def test_adjoint_gradient_consistency(rng):
     # pairing the gradient with v equals the tangent-based derivative
     for name in ("linear-lq", "nonlinear-quadratic"):

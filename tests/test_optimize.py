@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dgocp.ivp
+import dgocp.mesh
 import dgocp.optimize
 from dgocp import (
     OCProblem,
@@ -212,6 +213,29 @@ def test_one_adjoint_solve_per_measured_iterate(monkeypatch):
         calls.clear()
         report = minimize(builtin.problem, None, part, 1, opts=opts)
         assert len(calls) == len(report.stationarity_history)
+
+
+def test_minimize_samples_on_its_own_grid(monkeypatch):
+    # every DG function of a run lives on the run's partition, so no primitive
+    # has to search for the interval of a time
+    calls = []
+    locate = dgocp.mesh.Partition.locate
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return locate(self, *args, **kwargs)
+
+    monkeypatch.setattr(dgocp.mesh.Partition, "locate", counting)
+    p = get_builtin("nonlinear-quadratic").problem
+    report = minimize(p, None, make_uniform_partition(p.T, 8), 2,
+                      opts=OptimizeOptions(method="newton"))
+    assert report.converged and calls == []
+    boxed = linear_lq().problem
+    boxed.u_lo[:], boxed.u_hi[:] = -0.3, 0.0
+    part = make_uniform_partition(1.0, 8)
+    for method in ("fbs", "pgd"):
+        report = minimize(boxed, None, part, 1, opts=OptimizeOptions(method=method))
+        assert report.converged and calls == []
 
 
 @pytest.mark.parametrize("name, route", [("linear-lq", "batched"),
