@@ -52,8 +52,8 @@ def _positive(kind):
     return parse
 
 
-def _degree(text):
-    """argparse type: a polynomial degree, an int >= 0."""
+def _nonnegative(text):
+    """argparse type: an int >= 0 (a polynomial degree, an iteration cap)."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
@@ -62,7 +62,7 @@ def _degree(text):
 
 def _degrees(text):
     """argparse type: comma-separated polynomial degrees."""
-    return tuple(_degree(v) for v in text.split(","))
+    return tuple(_nonnegative(v) for v in text.split(","))
 
 
 def _not_converged(err):
@@ -194,13 +194,13 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="optimize one problem instance")
     ps.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
-    ps.add_argument("--order", type=_degree, default=1)
+    ps.add_argument("--order", type=_nonnegative, default=1)
     ps.add_argument("--intervals", type=_positive(int))
     ps.add_argument("--h", type=_positive(float))
     ps.add_argument("--method", choices=METHODS, default="fbs")
     ps.add_argument("--out", default="out")
     ps.add_argument("--grad-tol", type=_positive(float), default=1e-10)
-    ps.add_argument("--max-iter", type=int, default=10000)
+    ps.add_argument("--max-iter", type=_nonnegative, default=10000)
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("convergence", help="mesh-refinement error table")
@@ -215,7 +215,7 @@ def build_parser():
 
     pv = sub.add_parser("verify", help="gradient/tangent/Hessian/adjoint oracles")
     pv.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
-    pv.add_argument("--order", type=_degree, default=1)
+    pv.add_argument("--order", type=_nonnegative, default=1)
     pv.add_argument("--intervals", type=_positive(int), default=8)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--corrupt", choices=["fx", "fu", "gx", "gu"])

@@ -18,6 +18,9 @@ quadrature grid.  A solve takes one of three routes:
 * closures of a nonlinear system (or of one whose batched result fails that
   check): the solve marches interval by interval, and on each interval a
   damped Newton iteration drives the (r+1)*d modal residual below tolerance.
+  A step assembles the interval's block from dF_dx, solves it with
+  np.linalg.solve and halves the step until the residual falls.  The half
+  widths, the input rows and the scheme's tables are fetched once per solve.
 
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
@@ -187,12 +190,6 @@ def _flat(inputs):
     return inputs.reshape((-1,) + inputs.shape[2:])
 
 
-def _row(inputs, n):
-    if isinstance(inputs, tuple):
-        return tuple(a[n] for a in inputs)
-    return inputs[n]
-
-
 def _solve_closures(rhs, inputs, x0, partition, sch):
     """Coefficients (N, r+1, d) for a closure right-hand side: the batched
     route when dF_dx is the same at two probe states and the closure's own
@@ -229,55 +226,51 @@ def _closure_residual_passes(rhs, flat, C, x0, partition, sch):
 
 def _solve_newton(rhs, inputs, x0, partition, sch):
     """Coefficients (N, r+1, d) by damped Newton, marching interval by interval;
-    interval n gets row n of the whole-grid `inputs`."""
-    P, PtW, lin = sch.P, sch.PtW, sch.lin
-    r1, d = sch.s.size, x0.size
-    nd = r1 * d
-    coeffs = np.empty((partition.N, r1, d))
+    interval n gets row n of the whole-grid `inputs` and its half width h/2.
+
+    A Newton step solves the interval's block for delta, then halves a step
+    alpha from 1 until the residual's max-norm falls below the previous one or
+    alpha reaches DAMPING_FLOOR.
+    """
+    F, dF_dx = rhs.F, rhs.dF_dx
+    P, PtW, lin, J_base, WPP = sch.P, sch.PtW, sch.lin, sch.J_base, sch.WPP
+    s = sch.s[:, None]
+    coeffs = np.empty((partition.N, s.size, x0.size))
+    nd = coeffs[0].size
+    rows = zip(*inputs) if isinstance(inputs, tuple) else inputs
     x_in = x0
-    widths = partition.widths
-
-    for n in range(partition.N):
-        h = widths[n]
-        a = _row(inputs, n)
-        C = np.zeros((r1, d))
+    for n, (half, a) in enumerate(zip((0.5 * partition.widths).tolist(), rows)):
+        trace_in = s * x_in
+        C = np.zeros(trace_in.shape)
         C[0] = x_in  # constant extension of the incoming trace
-        trace_in = np.outer(sch.s, x_in)
-
-        def residual(C):
-            X = P @ C
-            Fv = rhs.F(a, X)
-            return lin @ C - trace_in - 0.5 * h * (PtW @ Fv), X
-
-        R, X = residual(C)
-        rnorm = np.max(np.abs(R))
+        X = P @ C
+        R = lin @ C - trace_in - half * (PtW @ F(a, X))
+        rnorm = abs(R).max()
         # at the constant extension lin @ C equals the trace term exactly, so
         # the residual's terms are x_in and R: the interval's tolerance
-        tol = _tolerance(max(rnorm, np.max(np.abs(x_in))))
-        converged = rnorm <= tol
+        tol = max(NEWTON_TOL, ROUNDOFF * max(rnorm, abs(x_in).max()))
         for _ in range(NEWTON_MAX_ITER):
-            if converged or not math.isfinite(rnorm):
+            if rnorm <= tol or not math.isfinite(rnorm):
                 break
-            J = sch.blocks(0.5 * h, rhs.dF_dx(a, X))
+            J = J_base - half * (dF_dx(a, X).reshape(-1) @ WPP).reshape(nd, nd)
             try:
-                delta = np.linalg.solve(J, -R.reshape(nd)).reshape(r1, d)
+                delta = np.linalg.solve(J, -R.reshape(nd)).reshape(C.shape)
             except np.linalg.LinAlgError:
                 raise _singular(n) from None
-            alpha = 1.0
+            alpha, last = 1.0, rnorm
             while True:
-                Rn, Xn = residual(C + alpha * delta)
-                rn = np.max(np.abs(Rn))
-                if rn < rnorm or alpha <= DAMPING_FLOOR:
+                C_try = C + alpha * delta
+                X = P @ C_try
+                R = lin @ C_try - trace_in - half * (PtW @ F(a, X))
+                rnorm = abs(R).max()
+                if rnorm < last or alpha <= DAMPING_FLOOR:
                     break
                 alpha *= 0.5
-            C = C + alpha * delta
-            R, X, rnorm = Rn, Xn, rn
-            converged = rnorm <= tol
-        if not converged:
+            C = C_try
+        if not rnorm <= tol:
             raise SolverFailure(n, rnorm)
         coeffs[n] = C
         x_in = C.sum(axis=0)                       # left trace at t_n
-
     return coeffs
 
 

@@ -31,11 +31,15 @@ class Partition:
     """Strictly increasing time nodes 0 = t_0 < ... < t_N = T.
 
     The nodes are a read-only copy of the given array, and the interval
-    widths are computed from them once.
+    widths are computed from them once.  The reversed partition is built on
+    first use, and the quadrature times once per rule (keyed by identity, as
+    in basis.rule_table); both are kept, read-only.
     """
 
     nodes: np.ndarray
     widths: np.ndarray = field(init=False, repr=False, compare=False)
+    _reversed: "Partition" = field(default=None, init=False, repr=False, compare=False)
+    _quad_times: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)  # a copy: the caller's array stays writeable
@@ -65,12 +69,19 @@ class Partition:
 
     def reversed(self):
         """Partition with nodes T - t_{N-n} (same interval widths, reversed order)."""
-        return Partition(self.T - self.nodes[::-1])
+        if self._reversed is None:
+            object.__setattr__(self, "_reversed", Partition(self.T - self.nodes[::-1]))
+        return self._reversed
 
     def quad_times(self, rule):
-        """Mapped quadrature times, shape (N, q)."""
-        left = self.nodes[:-1]
-        return left[:, None] + 0.5 * self.widths[:, None] * (rule.points[None, :] + 1.0)
+        """Mapped quadrature times, shape (N, q): read-only."""
+        times = self._quad_times.get(rule)
+        if times is None:
+            left = self.nodes[:-1]
+            times = left[:, None] + 0.5 * self.widths[:, None] * (rule.points[None, :] + 1.0)
+            times.flags.writeable = False
+            self._quad_times[rule] = times
+        return times
 
     def locate(self, ts, side="left"):
         """Interval index for each time; `side` picks the interval at interior nodes."""

@@ -61,8 +61,10 @@ class OptimizeOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError("method must be 'fbs', 'pgd' or 'newton'")
-        if self.grad_tol <= 0.0:
+        if not self.grad_tol > 0.0:                 # NaN fails too
             raise ValueError("grad_tol must be positive")
+        if not self.max_outer >= 0:
+            raise ValueError("max_outer must be >= 0")
 
 
 @dataclass

@@ -37,8 +37,10 @@ def test_missing_subcommand_and_problem(tmp_path):
                 ["--h", "5"]):
         assert _exit_code(["solve", "--problem", "linear-lq"] + bad + out) == 2, bad
     assert _exit_code(["verify", "--problem", "linear-lq", "--intervals", "0"]) == 2
-    # negative degrees, a non-positive or NaN tolerance, no refinement level
-    for bad in (["--order", "-1"], ["--grad-tol", "0"], ["--grad-tol", "nan"]):
+    # negative degrees, a non-positive or NaN tolerance, a negative iteration
+    # cap, no refinement level
+    for bad in (["--order", "-1"], ["--grad-tol", "0"], ["--grad-tol", "nan"],
+                ["--max-iter", "-1"]):
         assert _exit_code(["solve", "--problem", "linear-lq"] + bad + out) == 2, bad
     assert _exit_code(["verify", "--problem", "linear-lq", "--order", "-1"]) == 2
     table = ["--out", str(tmp_path / "run" / "table.csv")]

@@ -1,5 +1,8 @@
 """Forward/backward DG initial value solves."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -322,6 +325,130 @@ def test_nonlinear_closure_with_matching_probes_falls_back(monkeypatch):
         sol = solve_forward(rhs, [0.3], part, r)
         assert np.array_equal(sol.coeffs, _march(rhs, [0.3], part, r))
     assert calls == {"batched": 4, "march": 8}
+
+
+def _reference_march(rhs, inputs, x0, partition, sch, backtracks):
+    """The march in its plain form (a residual closure per interval, numpy
+    reductions, the scheme's block helper): the reference that
+    ivp._solve_newton must repeat bit for bit.  backtracks[0] counts the
+    halvings of the Newton step."""
+    P, PtW, lin = sch.P, sch.PtW, sch.lin
+    r1, d = sch.s.size, x0.size
+    nd = r1 * d
+    coeffs = np.empty((partition.N, r1, d))
+    x_in = x0
+    widths = partition.widths
+
+    for n in range(partition.N):
+        h = widths[n]
+        a = tuple(v[n] for v in inputs) if isinstance(inputs, tuple) else inputs[n]
+        C = np.zeros((r1, d))
+        C[0] = x_in
+        trace_in = np.outer(sch.s, x_in)
+
+        def residual(C):
+            X = P @ C
+            Fv = rhs.F(a, X)
+            return lin @ C - trace_in - 0.5 * h * (PtW @ Fv), X
+
+        R, X = residual(C)
+        rnorm = np.max(np.abs(R))
+        tol = ivp._tolerance(max(rnorm, np.max(np.abs(x_in))))
+        converged = rnorm <= tol
+        for _ in range(ivp.NEWTON_MAX_ITER):
+            if converged or not math.isfinite(rnorm):
+                break
+            J = sch.blocks(0.5 * h, rhs.dF_dx(a, X))
+            try:
+                delta = np.linalg.solve(J, -R.reshape(nd)).reshape(r1, d)
+            except np.linalg.LinAlgError:
+                raise ivp._singular(n) from None
+            alpha = 1.0
+            while True:
+                Rn, Xn = residual(C + alpha * delta)
+                rn = np.max(np.abs(Rn))
+                if rn < rnorm or alpha <= ivp.DAMPING_FLOOR:
+                    break
+                alpha *= 0.5
+                backtracks[0] += 1
+            C = C + alpha * delta
+            R, X, rnorm = Rn, Xn, rn
+            converged = rnorm <= tol
+        if not converged:
+            raise SolverFailure(n, rnorm)
+        coeffs[n] = C
+        x_in = C.sum(axis=0)
+
+    return coeffs
+
+
+def _counted(rhs):
+    """rhs with F and dF_dx counting their calls in [F calls, dF_dx calls]."""
+    counts = [0, 0]
+
+    def F(a, X):
+        counts[0] += 1
+        return rhs.F(a, X)
+
+    def dF_dx(a, X):
+        counts[1] += 1
+        return rhs.dF_dx(a, X)
+
+    return dataclasses.replace(rhs, F=F, dF_dx=dF_dx), counts
+
+
+def _march_against_reference(rhs, x0, part, r):
+    """Run the march and the reference on the same data: equal coefficients
+    (or the same failure) and equal F and dF_dx counts.  Returns the
+    reference's backtracks."""
+    x0 = np.asarray(x0, dtype=float)
+    sch = ivp._scheme(r, x0.size)
+    inputs = rhs.inputs(part.quad_times(sch.rule))
+    (fast, fast_counts), (ref, ref_counts) = _counted(rhs), _counted(rhs)
+    backtracks = [0]
+    try:
+        C_ref = _reference_march(ref, inputs, x0, part, sch, backtracks)
+    except SolverFailure as failure:
+        with pytest.raises(SolverFailure) as err:
+            ivp._solve_newton(fast, inputs, x0, part, sch)
+        assert err.value.interval == failure.interval
+        assert np.array_equal(err.value.residual, failure.residual, equal_nan=True)
+    else:
+        assert np.array_equal(ivp._solve_newton(fast, inputs, x0, part, sch), C_ref)
+    assert fast_counts == ref_counts and ref_counts[1] > 0
+    return backtracks[0]
+
+
+def test_march_repeats_the_reference_iterates():
+    # a scalar right-hand side with a time input row, r = 0..3 on a graded partition
+    part = Partition(np.linspace(0.0, 1.0, 13) ** 1.7)
+    scalar = IVPRight(
+        F=lambda tu, X: np.sin(3.0 * X) * tu[1] + tu[0][:, None],
+        dF_dx=lambda tu, X: (3.0 * np.cos(3.0 * X) * tu[1])[:, :, None],
+        inputs=lambda times: (times, 1.0 + 0.5 * np.cos(5.0 * times)[..., None]),
+    )
+    for r in range(4):
+        _march_against_reference(scalar, [0.7], part, r)
+    # a coupled d = 2 system: x1' = -x2 + x1 x2, x2' = x1 - x2^3
+    coupled = IVPRight(
+        F=lambda ts, X: np.stack((-X[:, 1] + X[:, 0] * X[:, 1], X[:, 0] - X[:, 1] ** 3), -1),
+        dF_dx=lambda ts, X: np.stack((np.stack((X[:, 1], X[:, 0] - 1.0), -1),
+                                      np.stack((np.ones(ts.size), -3.0 * X[:, 1] ** 2), -1)), -2),
+    )
+    _march_against_reference(coupled, [0.5, -1.2], part, 2)
+
+
+def test_march_repeats_the_reference_backtracking():
+    # x' = -8 atan(4 x) on two wide intervals: the full Newton step overshoots,
+    # and the damped steps are taken as the reference takes them
+    rhs = IVPRight(F=lambda ts, X: -8.0 * np.arctan(4.0 * X),
+                   dF_dx=lambda ts, X: (-32.0 / (1.0 + 16.0 * X**2))[:, :, None])
+    part = make_uniform_partition(1.0, 2)
+    backtracks = [_march_against_reference(rhs, [1.0], part, r) for r in range(4)]
+    assert all(b > 0 for b in backtracks)
+    # x' = x^2 from 2 blows up: the damping floor is reached, then the same failure
+    blowup = IVPRight(F=lambda ts, X: X**2, dF_dx=lambda ts, X: 2.0 * X[:, :, None])
+    assert _march_against_reference(blowup, [2.0], make_uniform_partition(1.0, 1), 2) > 0
 
 
 def _decay_rhs(route):

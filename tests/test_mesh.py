@@ -63,6 +63,25 @@ def test_partition_keeps_a_frozen_copy_of_its_nodes():
     assert part.nodes[1] == 0.1 and np.array_equal(part.widths, np.diff(part.nodes))
 
 
+def test_partition_caches_its_reversal_and_quadrature_times():
+    part = Partition(np.linspace(0.0, 1.0, 9) ** 2)   # graded
+    rev = part.reversed()
+    assert part.reversed() is rev
+    assert not rev.nodes.flags.writeable and not rev.widths.flags.writeable
+    assert np.array_equal(rev.nodes, part.T - part.nodes[::-1])
+    assert np.allclose(rev.widths, part.widths[::-1], rtol=0.0, atol=4e-16)
+    for q in (1, 4):
+        rule = gauss_rule(q)
+        times = part.quad_times(rule)
+        assert part.quad_times(rule) is times and not times.flags.writeable
+        formula = part.nodes[:-1, None] + 0.5 * part.widths[:, None] * (rule.points + 1.0)
+        assert np.array_equal(times, formula)
+    # the cache is keyed by the rule object, not by its values
+    copy = type(rule)(rule.points.copy(), rule.weights.copy())
+    assert part.quad_times(copy) is not times
+    assert np.array_equal(part.quad_times(copy), times)
+
+
 def test_algebra_needs_matching_partitions():
     part = make_uniform_partition(1.0, 4)
     F = DGFunction(part, 1, 1, np.ones((4, 2, 1)))

@@ -432,8 +432,11 @@ def test_iteration_log(tmp_path):
 def test_options_validation():
     with pytest.raises(ValueError):
         OptimizeOptions(method="bfgs")
-    with pytest.raises(ValueError):
-        OptimizeOptions(grad_tol=0.0)
+    for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-10}, {"grad_tol": float("nan")},
+                {"max_outer": -1}):
+        with pytest.raises(ValueError):
+            OptimizeOptions(**bad)
+    assert OptimizeOptions(max_outer=0).max_outer == 0
     builtin = linear_lq()
     part = make_uniform_partition(1.0, 4)
     with pytest.raises(ValueError):
