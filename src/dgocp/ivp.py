@@ -1,40 +1,39 @@
 """DG solver for x' = F(t, x), x(0) = x0, and backward solves.
 
 The weak DG equation couples intervals only through the upwind trace.  A
-right-hand side comes in closure form, F(ts, X) and dF_dx(ts, X), or in
-affine form, x' = A(t) x + b(t) with A and b sampled once on the solve's
-quadrature grid.  A solve takes one of three routes:
+system comes in one of two forms:
 
-* affine form: an AffineSystem inverts all N interval blocks at once and
-  builds the doubling tables of the d x d trace recurrence; a solve is then
-  a few batched products, with the recurrence run as a scan of ceil(log2 N)
-  steps.  A system solved for many forcings (the Hessian-vector products of
-  ocp) is factored once;
-* closures of a linear system: dF_dx is sampled on the whole quadrature grid
-  at two states, x = 0 and x = PROBE_SHIFT.  When the samples are identical,
-  A = dF_dx and b = F at x = 0 take the batched affine route, and its result
-  is kept when the closure's own residual, with F evaluated at that result,
-  passes on every interval;
-* closures of a nonlinear system (or of one whose batched result fails that
-  check): the solve marches interval by interval, and on each interval a
-  damped Newton iteration drives the (r+1)*d modal residual below tolerance.
-  A step assembles the interval's block from dF_dx, solves it with
-  np.linalg.solve and halves the step until the residual falls.  The half
-  widths, the input rows and the scheme's tables are fetched once per solve.
+* arrays: x' = A(t) x + b(t) with A and b sampled on the quadrature grid,
+  as the tangent and adjoint systems of ocp are.  An AffineSystem inverts
+  all N interval blocks at once and builds the doubling tables of the d x d
+  trace recurrence; a solve is then a few batched products, with the
+  recurrence run as a scan of ceil(log2 N) steps.  A system solved for many
+  forcings (the Hessian-vector products of ocp) is factored once;
+* closures F(ts, X) and dF_dx(ts, X), an IVPRight, solved by solve_forward.
+  dF_dx is sampled on the whole grid at two states, x = 0 and
+  x = PROBE_SHIFT.  When the samples are identical, A = dF_dx and b = F at
+  x = 0 go to an AffineSystem, whose result is kept when the closure's own
+  residual, with F evaluated at that result, passes on every interval.
+  Otherwise (a nonlinear system, or a failed check) the solve marches
+  interval by interval, and on each interval a damped Newton iteration
+  drives the (r+1)*d modal residual below tolerance.  A step assembles the
+  interval's block from dF_dx, solves it with np.linalg.solve and halves the
+  step until the residual falls.  The half widths, the input rows and the
+  scheme's tables are fetched once per solve.
 
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
 larger: a large solution has a round-off floor above any absolute tolerance.
-All routes assemble their interval blocks with one helper, and stop at the
-first residual that is not finite.  Backward (terminal-value) solves are
-forward solves of the time-reversed system on the reversed partition,
-followed by a coefficient-level reversal.
+Both solvers stop at the first residual that is not finite.  Backward
+(terminal-value) solves, solve_backward and BackwardAffineSystem, are forward
+solves of the time-reversed system on the reversed partition, followed by a
+coefficient-level reversal.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .mesh import DGFunction
 
 __all__ = [
     "AffineSystem",
+    "BackwardAffineSystem",
     "IVPRight",
     "SolverFailure",
     "solve_forward",
@@ -63,31 +63,22 @@ def _times(times):
 
 @dataclass
 class IVPRight:
-    """Right-hand side F(t, x) of an IVP, in closure or in affine form.
+    """Right-hand side F(t, x) of an IVP, as closures.
 
-    Closure form: F(ts, X) maps (q,), (q, d) -> (q, d); dF_dx maps to
-    (q, d, d), both vectorized over time batches.  The first argument of F
-    and dF_dx comes from `inputs(times)`, where `times` holds the (N, q)
-    quadrature times of the partition: it returns an array, or a tuple of
-    arrays, with leading axes (N, q).  The default returns the times, so F
-    sees (ts, X).  A right-hand side built on time-dependent data (a control,
-    a state) can sample that data once on the whole grid.  The batched route
-    passes the grid flattened to (N*q, ...); the march passes interval n its
-    row n.
-
-    Affine form: F(t, x) = A(t) x + b(t), given as `affine(times) -> (A, b)`
-    with A of shape (N, q, d, d) and b of shape (N, q, d), sampled at the
-    (N, q) quadrature times.  F, dF_dx and inputs are then not used.
+    F(ts, X) maps (q,), (q, d) -> (q, d); dF_dx maps to (q, d, d), both
+    vectorized over time batches.  The first argument of F and dF_dx comes
+    from `inputs(times)`, where `times` holds the (N, q) quadrature times of
+    the partition: it returns an array, or a tuple of arrays, with leading
+    axes (N, q).  The default returns the times, so F sees (ts, X).  A
+    right-hand side built on time-dependent data (a control, a state) can
+    sample that data once on the whole grid.  The batched route passes the
+    grid flattened to (N*q, ...); the march passes interval n its row n.
+    An affine system already sampled on the grid goes to an AffineSystem.
     """
 
-    F: Optional[Callable] = None
-    dF_dx: Optional[Callable] = None
+    F: Callable
+    dF_dx: Callable
     inputs: Callable = _times
-    affine: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.affine is None and (self.F is None or self.dF_dx is None):
-            raise ValueError("IVPRight needs F and dF_dx, or affine")
 
 
 class SolverFailure(RuntimeError):
@@ -166,34 +157,17 @@ def _scheme(r, d):
 
 
 def solve_forward(rhs, x0, partition, r):
-    """DG approximation of x' = F(t, x), x(0) = x0, in X_h^r.
+    """DG approximation of x' = F(t, x), x(0) = x0, in X_h^r, for closures rhs.
 
-    An affine right-hand side, or closures of a linear system, is solved by an
-    AffineSystem (batched block inverses and a scan for the trace
-    recurrence); other closures by damped Newton, interval by interval.
-    Either raises SolverFailure naming an interval when its residual stays
-    above its tolerance or is not finite, or its block is singular.
+    Closures of a linear system (dF_dx the same at two probe states, and the
+    closure's own residual passing at the result) are solved by an
+    AffineSystem; others by damped Newton, interval by interval.  Either
+    raises SolverFailure naming an interval when its residual stays above its
+    tolerance or is not finite, or its block is singular.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sch = _scheme(r, x0.size)
-    times = partition.quad_times(sch.rule)
-    if rhs.affine is not None:
-        coeffs = _solve_affine(*rhs.affine(times), x0, partition, r)
-    else:
-        coeffs = _solve_closures(rhs, rhs.inputs(times), x0, partition, sch)
-    return DGFunction(partition, r, x0.size, coeffs)
-
-
-def _flat(inputs):
-    if isinstance(inputs, tuple):
-        return tuple(_flat(a) for a in inputs)
-    return inputs.reshape((-1,) + inputs.shape[2:])
-
-
-def _solve_closures(rhs, inputs, x0, partition, sch):
-    """Coefficients (N, r+1, d) for a closure right-hand side: the batched
-    route when dF_dx is the same at two probe states and the closure's own
-    residual passes there, the march otherwise."""
+    inputs = rhs.inputs(partition.quad_times(sch.rule))
     flat, grid = _flat(inputs), (partition.N, sch.rule.q)
     X = np.zeros((grid[0] * grid[1], x0.size))
     with np.errstate(all="ignore"):             # probe states, not the solution
@@ -202,13 +176,19 @@ def _solve_closures(rhs, inputs, x0, partition, sch):
     if linear:
         b = np.asarray(rhs.F(flat, X))
         try:
-            C = _solve_affine(A.reshape(grid + A.shape[1:]), b.reshape(grid + b.shape[1:]),
-                              x0, partition, sch.r)
+            C = AffineSystem(A.reshape(grid + A.shape[1:]), partition, r).solve(
+                b.reshape(grid + b.shape[1:]), x0)
             if _closure_residual_passes(rhs, flat, C, x0, partition, sch):
-                return C
+                return DGFunction(partition, r, x0.size, C)
         except SolverFailure:
             pass
-    return _solve_newton(rhs, inputs, x0, partition, sch)
+    return DGFunction(partition, r, x0.size, _solve_newton(rhs, inputs, x0, partition, sch))
+
+
+def _flat(inputs):
+    if isinstance(inputs, tuple):
+        return tuple(_flat(a) for a in inputs)
+    return inputs.reshape((-1,) + inputs.shape[2:])
 
 
 def _closure_residual_passes(rhs, flat, C, x0, partition, sch):
@@ -359,41 +339,56 @@ class AffineSystem:
         return _batched_residual(((self.J @ C[:, :, None])[:, :, 0], xs @ self.sch.S.T, f))
 
 
-def _solve_affine(A, b, x0, partition, r):
-    """Coefficients (N, r+1, d) of the affine system x' = A x + b, with A
-    (N, q, d, d) and b (N, q, d) sampled on the quadrature grid."""
-    return AffineSystem(A, partition, r).solve(b, x0)
+class BackwardAffineSystem(AffineSystem):
+    """The DG system of x' = A x + b with the terminal value x(T) = xT, for a
+    fixed A (N, q, d, d) sampled on the quadrature grid of `partition`,
+    factored once for any b.
+
+    As solve_backward poses it: the forward system W' = -A(T - s) W - b(T - s),
+    W(0) = xT on the reversed partition, then W reversed back.  The reversed
+    partition's grid holds this grid's points in reverse order (the rule is
+    symmetric), so its data are this grid's, reversed and negated.
+    """
+
+    def __init__(self, A, partition, r):
+        super().__init__(_reversed_grid(A), partition.reversed(), r)
+
+    def solve(self, b, xT):
+        """Coefficients (N, r+1, d), on `partition`, for the forcing b (N, q, d)
+        and x(T) = xT."""
+        return _reversed_coeffs(super().solve(_reversed_grid(b), xT))
+
+
+def _reversed_grid(values):
+    """Data (N, q, ...) on the quadrature grid, read at T - s on the reversed
+    partition's grid and negated."""
+    return -values[::-1, ::-1]
+
+
+def _reversed_coeffs(coeffs):
+    """Coefficients (N, r+1, d) of t -> F(T - t) on the reversed partition."""
+    return coeffs[::-1] * ((-1.0) ** np.arange(coeffs.shape[1]))[:, None]
 
 
 def reverse_dg(F):
     """The time-reversed function t -> F(T - t) on the reversed partition."""
-    signs = (-1.0) ** np.arange(F.degree + 1)
-    coeffs = F.coeffs[::-1] * signs[None, :, None]
-    return DGFunction(F.partition.reversed(), F.degree, F.dim, coeffs)
+    return DGFunction(F.partition.reversed(), F.degree, F.dim, _reversed_coeffs(F.coeffs))
 
 
 def solve_backward(rhs, xT, partition, r):
-    """DG solve of the terminal-value problem x' = F(t, x), x(T) = xT.
+    """DG solve of the terminal-value problem x' = F(t, x), x(T) = xT, for closures rhs.
 
     Realized as a forward solve of W'(s) = -F(T - s, W), W(0) = xT on the
     reversed partition, then reversed back; the result is the discrete
-    upwind-adjoint solution tested against X_h^r.  An affine (A, b) becomes
-    (-A, -b) sampled at T - s.
+    upwind-adjoint solution tested against X_h^r.  A BackwardAffineSystem
+    solves an affine system sampled on the grid the same way.
     """
     T = partition.T
-    if rhs.affine is not None:
-        def affine(times):
-            A, b = rhs.affine(T - times)
-            return -A, -b
-
-        rev = IVPRight(affine=affine)
-    else:
-        rev = IVPRight(
-            F=lambda a, X: -rhs.F(a, X),
-            dF_dx=lambda a, X: -rhs.dF_dx(a, X),
-            inputs=lambda times: rhs.inputs(T - times),
-        )
+    rev = IVPRight(
+        F=lambda a, X: -rhs.F(a, X),
+        dF_dx=lambda a, X: -rhs.dF_dx(a, X),
+        inputs=lambda times: rhs.inputs(T - times),
+    )
     W = solve_forward(rev, xT, partition.reversed(), r)
-    lam = reverse_dg(W)
-    lam.partition = partition  # avoid accumulating float error in T - (T - t)
-    return lam
+    # on `partition` itself: T - (T - t) would accumulate float error in the nodes
+    return DGFunction(partition, r, W.dim, _reversed_coeffs(W.coeffs))

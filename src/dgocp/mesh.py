@@ -26,20 +26,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Strictly increasing time nodes 0 = t_0 < ... < t_N = T.
 
     The nodes are a read-only copy of the given array, and the interval
     widths are computed from them once.  The reversed partition is built on
     first use, and the quadrature times once per rule (keyed by identity, as
-    in basis.rule_table); both are kept, read-only.
+    in basis.rule_table); both are kept, read-only.  A partition is compared
+    and hashed by identity, as a QuadratureRule is.
     """
 
     nodes: np.ndarray
-    widths: np.ndarray = field(init=False, repr=False, compare=False)
-    _reversed: "Partition" = field(default=None, init=False, repr=False, compare=False)
-    _quad_times: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    widths: np.ndarray = field(init=False, repr=False)
+    _reversed: "Partition" = field(default=None, init=False, repr=False)
+    _quad_times: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.array(self.nodes, dtype=float)  # a copy: the caller's array stays writeable
@@ -102,9 +103,10 @@ def make_uniform_partition(T, N):
     return Partition(np.linspace(0.0, T, N + 1))
 
 
-@dataclass
+@dataclass(eq=False)
 class DGFunction:
-    """Piecewise polynomial of degree <= r, modal coefficients (N, r+1, d)."""
+    """Piecewise polynomial of degree <= r, modal coefficients (N, r+1, d);
+    compared and hashed by identity."""
 
     partition: Partition
     degree: int

@@ -24,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import default_rule, deriv_inner_matrix, rule_table
-from .ivp import AffineSystem, IVPRight, solve_forward, solve_backward
-from .mesh import modal_from_values, sample_on_quad, sample_values
+from .ivp import AffineSystem, BackwardAffineSystem, IVPRight, solve_forward
+from .mesh import DGFunction, modal_from_values, sample_on_quad, sample_values
 
 __all__ = [
     "OCProblem",
@@ -123,16 +123,14 @@ def solve_adjoint(p, u, x_h, partition, r):
     """Discrete adjoint: backward DG solve of lam' = -fx^T lam + gx, lam(T) = 0.
 
     The system is affine in lam: fx and gx along (t, x_h, u) are sampled
-    once, on the forward quadrature grid.  solve_backward asks for them at
-    T - s on the reversed grid, which with a symmetric rule are the forward
-    grid's points in reverse order.
+    once, on the forward quadrature grid, and solved by a BackwardAffineSystem.
     """
     rule = default_rule(r)
     ts, X, U = _along(p, x_h, u, partition, rule)
     A, b = _on_grid((partition.N, rule.q), -np.transpose(p.fx(ts, X, U), (0, 2, 1)),
                     p.gx(ts, X, U))
-    reversed_ab = A[::-1, ::-1], b[::-1, ::-1]
-    return solve_backward(IVPRight(affine=lambda _: reversed_ab), np.zeros(p.d), partition, r)
+    coeffs = BackwardAffineSystem(A, partition, r).solve(b, np.zeros(p.d))
+    return DGFunction(partition, r, p.d, coeffs)
 
 
 def _gradient_values(p, ts, X, U, L):
@@ -181,7 +179,7 @@ def tangent_solve(p, u, x_h, v, partition, r):
     ts, X, U = _along(p, x_h, u, partition, rule)
     fu_v = np.einsum("qam,qm->qa", p.fu(ts, X, U), sample_on_quad(v, partition, rule, p.m))
     A, b = _on_grid((partition.N, rule.q), p.fx(ts, X, U), fu_v)
-    return solve_forward(IVPRight(affine=lambda _: (A, b)), np.zeros(p.d), partition, r)
+    return DGFunction(partition, r, p.d, AffineSystem(A, partition, r).solve(b, np.zeros(p.d)))
 
 
 def pair_with_direction(integrand, v, p, partition, rule):
@@ -251,20 +249,15 @@ def hessian_vector(p, u, x_h, lambda_h, partition, r):
     Luu = p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U))
     A, = _on_grid(grid, fx)
     tangent = AffineSystem(A, partition, r)
-    # mu as solve_backward poses it: a forward solve on the reversed partition
-    # with fx^T at T - s, which with a symmetric rule are this grid's points in
-    # reverse order, then reverse_dg's coefficient reversal
-    adjoint = AffineSystem(np.transpose(A, (0, 1, 3, 2))[::-1, ::-1], partition.reversed(), r)
-    P, signs = rule_table(r, rule), (-1.0) ** np.arange(r + 1)
-    zeros = np.zeros(p.d)
+    adjoint = BackwardAffineSystem(-np.transpose(A, (0, 1, 3, 2)), partition, r)
+    P, zeros = rule_table(r, rule), np.zeros(p.d)
 
     def apply(v):
         V = sample_on_quad(v, partition, rule, p.m)
         fu_v, = _on_grid(grid, np.einsum("qam,qm->qa", fu, V))
         Y = (P @ tangent.solve(fu_v, zeros)).reshape(ts.size, p.d)
         b, = _on_grid(grid, np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V))
-        W = adjoint.solve(-b[::-1, ::-1], zeros)
-        M = (P @ (W[::-1] * signs[:, None])).reshape(ts.size, p.d)
+        M = (P @ adjoint.solve(b, zeros)).reshape(ts.size, p.d)
         hv = (np.einsum("qmn,qn->qm", Luu, V) + np.einsum("qam,qa->qm", Lxu, Y)
               - np.einsum("qam,qa->qm", fu, M))
         return modal_from_values(hv.reshape(grid + (p.m,)), partition, u.degree, rule)

@@ -20,9 +20,7 @@ pgd and fbs keep theta across iterations (it only halves); newton starts
 each iteration at the full step.
 """
 
-import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,12 +49,11 @@ METHODS = ("fbs", "pgd", "newton")
 CG_FORCING = 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizeOptions:
     method: str = "fbs"
     grad_tol: float = 1e-10
     max_outer: int = 10000
-    log_path: Optional[str] = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -201,7 +198,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     x = solve_state(p, u, partition, r_state)
     c = cost(p, u, x)
 
-    cost_hist, stat_hist, log_rows = [], [], []
+    cost_hist, stat_hist = [], []
     theta = 1.0  # relaxation; it starts at the full step, and only halves but for newton
     # pass max_outer + 1 only measures the final iterate
     for it in range(1, opts.max_outer + 2):
@@ -209,7 +206,6 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
         stat, target, g = _residual(p, u, x, lam, nodal_rule)
         cost_hist.append(c)
         stat_hist.append(stat)
-        log_rows.append((it, c, stat, theta))
         if stat <= opts.grad_tol or it > opts.max_outer:
             break
 
@@ -236,12 +232,6 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
                 raise StallError(it, c, stat)
             theta *= 0.5
         u, x, c = u_try, x_try, c_try
-
-    if opts.log_path:
-        with open(opts.log_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", "cost", "stationarity", "step"])
-            writer.writerows(log_rows)
 
     return OptimizeReport(
         u_star=u,

@@ -9,7 +9,8 @@ the package namespace does not import them.
 import numpy as np
 
 from .basis import default_rule
-from .ivp import IVPRight, reverse_dg, solve_backward, solve_forward
+from .ivp import (AffineSystem, BackwardAffineSystem, IVPRight, reverse_dg, solve_backward,
+                  solve_forward)
 from .mesh import DGFunction
 from .ocp import (cost, hessian_form, hessian_vector, pair_with_direction, projected_gradient,
                   reduced_gradient, solve_adjoint, solve_state, tangent_solve)
@@ -115,10 +116,12 @@ def time_reversal_discrepancy(rng, d, partition, r):
     """Max coefficient gap between reverse_dg of a forward solve and the backward
     solve of the time-reversed system, for x' = A x + b with A, b, x0 drawn from rng.
 
-    The system runs both as closures and in affine form; the gap between the
-    two forward solves counts as well.  Both forms take the batched solve: the
-    closures' dF_dx is the same at the linearity probe's two states, so their
-    (A, b) come from dF_dx and F, and the closure residual confirms the result.
+    The system runs both as closures (solve_forward, solve_backward) and as
+    arrays on the quadrature grid (AffineSystem, BackwardAffineSystem, the
+    pair the adjoint solves use); the gap between the two forward solves
+    counts as well.  The closures take the batched solve too: their dF_dx is
+    the same at the linearity probe's two states, so their (A, b) come from
+    dF_dx and F, and the closure residual confirms the result.
     """
     A = rng.uniform(-1.0, 1.0, size=(d, d))
     b = rng.uniform(-1.0, 1.0, size=d)
@@ -130,18 +133,15 @@ def time_reversal_discrepancy(rng, d, partition, r):
             dF_dx=lambda ts, X: np.broadcast_to(sign * A, (ts.size, d, d)).copy(),
         )
 
-    def affine(sign):
-        return IVPRight(affine=lambda times: (np.broadcast_to(sign * A, times.shape + (d, d)),
-                                              np.broadcast_to(sign * b, times.shape + (d,))))
-
-    gaps, forward = [], []
-    for form in (closures, affine):
-        fwd = solve_forward(form(1.0), x0, partition, r)
-        back = solve_backward(form(-1.0), x0, partition, r)
-        gaps.append(np.max(np.abs(back.coeffs - reverse_dg(fwd).coeffs)))
-        forward.append(fwd.coeffs)
-    gaps.append(np.max(np.abs(forward[0] - forward[1])))
-    return float(max(gaps))
+    grid = partition.quad_times(default_rule(r)).shape
+    A_grid, b_grid = np.broadcast_to(A, grid + (d, d)), np.broadcast_to(b, grid + (d,))
+    fwd = solve_forward(closures(1.0), x0, partition, r)
+    fwd_arrays = DGFunction(partition, r, d, AffineSystem(A_grid, partition, r).solve(b_grid, x0))
+    back = solve_backward(closures(-1.0), x0, partition, r).coeffs
+    back_arrays = BackwardAffineSystem(-A_grid, partition, r).solve(-b_grid, x0)
+    gaps = (back - reverse_dg(fwd).coeffs, back_arrays - reverse_dg(fwd_arrays).coeffs,
+            fwd.coeffs - fwd_arrays.coeffs)
+    return float(max(np.max(np.abs(gap)) for gap in gaps))
 
 
 def _check_columns(name, deriv, fn, z):

@@ -11,6 +11,7 @@ from dgocp import (
     IVPRight,
     Partition,
     SolverFailure,
+    default_rule,
     make_uniform_partition,
     l2_error,
     reverse_dg,
@@ -175,12 +176,17 @@ def test_solver_failure_blowup():
     assert err.value.interval == 0
 
 
-def _scalar_rhs(a, affine):
-    """x' = a(t) x (d = 1) as closures or in affine form."""
+def _scalar_solve(a, affine, part, r, F=None):
+    """Solve x' = a(t) x, x(0) = 1 (d = 1): with an AffineSystem on a(t) sampled
+    on the quadrature grid, or by solve_forward of closures (F, when given,
+    in place of a(t) x)."""
+    x0 = np.array([1.0])
     if affine:
-        return IVPRight(affine=lambda times: (a(times)[..., None, None],
-                                              np.zeros(times.shape + (1,))))
-    return IVPRight(F=lambda ts, X: a(ts)[:, None] * X, dF_dx=lambda ts, X: a(ts)[:, None, None])
+        times = part.quad_times(default_rule(r))
+        return ivp.AffineSystem(a(times)[..., None, None], part, r).solve(
+            np.zeros(times.shape + (1,)), x0)
+    F = F or (lambda ts, X: a(ts)[:, None] * X)
+    return solve_forward(IVPRight(F=F, dF_dx=lambda ts, X: a(ts)[:, None, None]), x0, part, r)
 
 
 @pytest.mark.parametrize("affine", [False, True])
@@ -188,9 +194,8 @@ def test_singular_block_names_its_interval(affine):
     # r = 0: the block of x' = 10 x on interval n is 1 - 10 h_n, which rounds to
     # exactly 0 on the width-0.1 interval 2 of this graded partition only
     part = Partition(np.array([0.0, 0.3, 0.5, 0.6, 0.8, 1.0]))
-    rhs = _scalar_rhs(lambda t: np.full_like(t, 10.0), affine)
     with pytest.raises(SolverFailure) as err:
-        solve_forward(rhs, np.array([1.0]), part, 0)
+        _scalar_solve(lambda t: np.full_like(t, 10.0), affine, part, 0)
     assert err.value.interval == 2 and err.value.residual == np.inf
 
 
@@ -199,10 +204,10 @@ def test_non_finite_data_names_its_interval(affine):
     # NaN data on interval 3 of 8 leaves a NaN residual there and on every later
     # interval; the failure names the first of them
     part = make_uniform_partition(1.0, 8)
-    rhs = _scalar_rhs(lambda t: np.where((t > 0.375) & (t < 0.5), np.nan, -1.0), affine)
+    a = lambda t: np.where((t > 0.375) & (t < 0.5), np.nan, -1.0)
     for r in (0, 2):
         with pytest.raises(SolverFailure) as err:
-            solve_forward(rhs, np.array([1.0]), part, r)
+            _scalar_solve(a, affine, part, r)
         assert err.value.interval == 3 and np.isnan(err.value.residual)
 
 
@@ -227,10 +232,9 @@ def test_non_finite_residual_stops_at_once(monkeypatch, affine):
 
     monkeypatch.setattr(ivp.AffineSystem, "__init__", counted("factor", ivp.AffineSystem.__init__))
     monkeypatch.setattr(ivp.AffineSystem, "_sweep", counted("sweep", ivp.AffineSystem._sweep))
-    rhs = _scalar_rhs(a, True) if affine else IVPRight(F=F, dF_dx=lambda ts, X: a(ts)[:, None, None])
     for r in (0, 2):
         with pytest.raises(SolverFailure) as err:
-            solve_forward(rhs, np.array([1.0]), part, r)
+            _scalar_solve(a, affine, part, r, F)
         assert err.value.interval == 3 and np.isnan(err.value.residual)
     if affine:
         assert counts["factor"] == 2 and counts["sweep"] == 2
@@ -268,8 +272,28 @@ def test_scan_matches_the_sequential_recurrence(rng, N):
         assert np.max(np.abs(C - _march(rhs, x0, part, r))) <= 1e-13 * np.max(np.abs(C))
 
 
+def test_backward_affine_system_reverses_a_forward_solve(rng):
+    # x' = A(t) x + b(t), x(T) = xT, d = 2, on a graded partition: the same
+    # coefficients as reverse_dg of the forward solve of W' = -A(T - s) W - b(T - s),
+    # W(0) = xT on the reversed partition, and as solve_backward, both from
+    # closures evaluated at the times they are given
+    part = Partition(np.linspace(0.0, 1.0, 12) ** 1.5)
+    b = lambda ts: np.stack((np.sin(ts), ts), -1)
+    forward = IVPRight(F=lambda ts, X: (_rotating_A(ts) @ X[:, :, None])[:, :, 0] + b(ts),
+                       dF_dx=lambda ts, X: _rotating_A(ts))
+    reversed_rhs = IVPRight(F=lambda ts, W: -forward.F(1.0 - ts, W),
+                            dF_dx=lambda ts, W: -_rotating_A(1.0 - ts))
+    for r in range(4):
+        xT = rng.standard_normal(2)
+        times = part.quad_times(default_rule(r))
+        C = ivp.BackwardAffineSystem(_rotating_A(times), part, r).solve(b(times), xT)
+        for ref in (reverse_dg(solve_forward(reversed_rhs, xT, part.reversed(), r)).coeffs,
+                    solve_backward(forward, xT, part, r).coeffs):
+            assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def _count_routes(monkeypatch):
-    """Count the calls of the batched and the marching route of solve_forward."""
+    """Count the calls of AffineSystem.solve (the batched route) and of the march."""
     calls = {"batched": 0, "march": 0}
 
     def counted(route, fn):
@@ -278,7 +302,7 @@ def _count_routes(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(ivp, "_solve_affine", counted("batched", ivp._solve_affine))
+    monkeypatch.setattr(ivp.AffineSystem, "solve", counted("batched", ivp.AffineSystem.solve))
     monkeypatch.setattr(ivp, "_solve_newton", counted("march", ivp._solve_newton))
     return calls
 
@@ -451,15 +475,20 @@ def test_march_repeats_the_reference_backtracking():
     assert _march_against_reference(blowup, [2.0], make_uniform_partition(1.0, 1), 2) > 0
 
 
-def _decay_rhs(route):
-    """x' = -x in affine form, as linear closures, or (route "march") the
-    nonlinear x' = -x + sin x."""
+def _decay_solve(route, x0, part, r):
+    """Coefficients of x' = -x, x(0) = x0, with an AffineSystem on the data
+    sampled on the quadrature grid, as linear closures, or (route "march") of
+    the nonlinear x' = -x + sin x."""
     if route == "affine":
-        return IVPRight(affine=lambda times: (np.full(times.shape + (1, 1), -1.0),
-                                              np.zeros(times.shape + (1,))))
+        times = part.quad_times(default_rule(r))
+        return ivp.AffineSystem(np.full(times.shape + (1, 1), -1.0), part, r).solve(
+            np.zeros(times.shape + (1,)), np.array([x0]))
     if route == "closures":
-        return IVPRight(F=lambda ts, X: -X, dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0))
-    return IVPRight(F=lambda ts, X: np.sin(X) - X, dF_dx=lambda ts, X: (np.cos(X) - 1.0)[:, :, None])
+        rhs = IVPRight(F=lambda ts, X: -X, dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0))
+    else:
+        rhs = IVPRight(F=lambda ts, X: np.sin(X) - X,
+                       dF_dx=lambda ts, X: (np.cos(X) - 1.0)[:, :, None])
+    return solve_forward(rhs, [x0], part, r).coeffs
 
 
 @pytest.mark.parametrize("route", ["affine", "closures", "march"])
@@ -469,9 +498,9 @@ def test_large_solutions_pass_the_roundoff_floor(monkeypatch, route):
     part = make_uniform_partition(1.0, 8)
     calls = _count_routes(monkeypatch)
     for r in range(4):
-        unit = solve_forward(_decay_rhs(route), [1.0], part, r).coeffs
+        unit = _decay_solve(route, 1.0, part, r)
         for x0 in (1e3, 1e4, 1e5, 1e6):
-            coeffs = solve_forward(_decay_rhs(route), [x0], part, r).coeffs
+            coeffs = _decay_solve(route, x0, part, r)
             if route != "march":
                 assert np.max(np.abs(coeffs / x0 - unit)) <= 1e-13
     assert calls["march" if route == "march" else "batched"] == 20

@@ -82,6 +82,15 @@ def test_partition_caches_its_reversal_and_quadrature_times():
     assert np.array_equal(part.quad_times(copy), times)
 
 
+def test_partitions_and_dg_functions_compare_by_identity():
+    # equal nodes or coefficients make two objects alike, not equal: value
+    # equality on array fields would raise instead of returning a bool
+    a, b = make_uniform_partition(1.0, 4), make_uniform_partition(1.0, 4)
+    assert a == a and a != b and len({a, b, a}) == 2
+    f, g = DGFunction(a, 1, 1), DGFunction(a, 1, 1)
+    assert f == f and f != g and len({f, g, f}) == 2
+
+
 def test_algebra_needs_matching_partitions():
     part = make_uniform_partition(1.0, 4)
     F = DGFunction(part, 1, 1, np.ones((4, 2, 1)))

@@ -268,9 +268,10 @@ def test_solves_match_pointwise_closures_on_graded_partition(rng):
 
 def test_adjoint_reverses_the_forward_grid_data(rng):
     # solve_adjoint samples fx and gx on the forward grid and hands the
-    # reversed solve that data in reverse order; the reference samples x_h and
-    # u at the times T - s that solve_backward asks for.  On a graded
-    # partition a wrong ordering would move the coefficients far beyond 1e-14.
+    # reversed solve that data in reverse order; the reference is a closure
+    # solve_backward that samples x_h and u at the times T - s it is given.
+    # On a graded partition a wrong ordering would move the coefficients far
+    # beyond 1e-14.
     for name in ("linear-lq", "nonlinear-quadratic"):
         p = get_builtin(name).problem
         part = Partition(p.T * np.linspace(0.0, 1.0, 10) ** 2)
@@ -278,14 +279,14 @@ def test_adjoint_reverses_the_forward_grid_data(rng):
             u = random_dg(rng, part, r)
             x = solve_state(p, u, part, r)
 
-            def affine(times):
-                ts = times.ravel()
+            def F(ts, L):
                 X, U = x.eval_many(ts), u.eval_many(ts)
-                A = -np.transpose(p.fx(ts, X, U), (0, 2, 1))
-                return A.reshape(times.shape + A.shape[1:]), p.gx(ts, X, U).reshape(
-                    times.shape + (p.d,))
+                return p.gx(ts, X, U) - np.einsum("qba,qb->qa", p.fx(ts, X, U), L)
 
-            ref = solve_backward(IVPRight(affine=affine), np.zeros(p.d), part, r)
+            def dF_dx(ts, L):
+                return -np.transpose(p.fx(ts, x.eval_many(ts), u.eval_many(ts)), (0, 2, 1))
+
+            ref = solve_backward(IVPRight(F=F, dF_dx=dF_dx), np.zeros(p.d), part, r)
             lam = solve_adjoint(p, u, x, part, r)
             assert np.max(np.abs(lam.coeffs - ref.coeffs)) <= 1e-14
 
@@ -430,15 +431,16 @@ def _hessian_vector_by_solves(p, u, x, lam, v, partition, r):
 
     y = tangent_solve(p, u, x, v, partition, r)
 
-    def affine(times):
-        ts = times.ravel()
+    def F(ts, M):
         X, U, Lxx, Lxu, _ = second(ts)
-        b = np.einsum("qab,qb->qa", Lxx, y.eval_many(ts)) + np.einsum("qam,qm->qa", Lxu,
-                                                                     v.eval_many(ts))
-        A = -np.transpose(p.fx(ts, X, U), (0, 2, 1))
-        return A.reshape(times.shape + A.shape[1:]), b.reshape(times.shape + b.shape[1:])
+        return (np.einsum("qab,qb->qa", Lxx, y.eval_many(ts))
+                + np.einsum("qam,qm->qa", Lxu, v.eval_many(ts))
+                - np.einsum("qba,qb->qa", p.fx(ts, X, U), M))
 
-    mu = solve_backward(IVPRight(affine=affine), np.zeros(p.d), partition, r)
+    def dF_dx(ts, M):
+        return -np.transpose(p.fx(ts, x.eval_many(ts), u.eval_many(ts)), (0, 2, 1))
+
+    mu = solve_backward(IVPRight(F=F, dF_dx=dF_dx), np.zeros(p.d), partition, r)
     rule = default_rule(r)
     ts = partition.quad_times(rule).ravel()
     X, U, _, Lxu, Luu = second(ts)
@@ -467,11 +469,11 @@ def test_hessian_vector_matches_the_solves(rng):
 def test_hessian_vector_factors_two_systems_per_call(rng, monkeypatch):
     # the tangent and the second-order adjoint system are factored when the
     # operator is built; a product makes no solve of its own
+    import dgocp.ivp as ivp
     import dgocp.ocp as ocp
-    from dgocp.ivp import AffineSystem
 
     factored = []
-    init = AffineSystem.__init__
+    init = ivp.AffineSystem.__init__
 
     def counting(self, *args):
         factored.append(1)
@@ -485,9 +487,9 @@ def test_hessian_vector_factors_two_systems_per_call(rng, monkeypatch):
     u = random_dg(rng, part, 2)
     x = solve_state(p, u, part, 2)
     lam = solve_adjoint(p, u, x, part, 2)
-    monkeypatch.setattr(AffineSystem, "__init__", counting)
+    monkeypatch.setattr(ivp.AffineSystem, "__init__", counting)
     monkeypatch.setattr(ocp, "solve_forward", no_solve)
-    monkeypatch.setattr(ocp, "solve_backward", no_solve)
+    monkeypatch.setattr(ivp, "solve_backward", no_solve)
     for products in (0, 1, 5):
         factored.clear()
         hess = hessian_vector(p, u, x, lam, part, 2)

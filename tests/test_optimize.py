@@ -1,7 +1,6 @@
 """Minimization: projected gradient, forward-backward sweep and Newton-CG."""
 
-import csv
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -258,7 +257,8 @@ def test_state_solve_route(monkeypatch, name, route):
         per_solve.append({k: calls[k] - before[k] for k in calls})
         return out
 
-    monkeypatch.setattr(dgocp.ivp, "_solve_affine", counted("batched", dgocp.ivp._solve_affine))
+    monkeypatch.setattr(dgocp.ivp.AffineSystem, "solve",
+                        counted("batched", dgocp.ivp.AffineSystem.solve))
     monkeypatch.setattr(dgocp.ivp, "_solve_newton", counted("march", dgocp.ivp._solve_newton))
     monkeypatch.setattr(dgocp.optimize, "solve_state", state)
     builtin = get_builtin(name)
@@ -418,17 +418,6 @@ def test_truthful_convergence_flag():
     assert report.iterations == 1
 
 
-def test_iteration_log(tmp_path):
-    builtin = linear_lq()
-    part = make_uniform_partition(1.0, 8)
-    log = tmp_path / "iters.csv"
-    minimize(builtin.problem, None, part, 1, opts=OptimizeOptions(log_path=str(log)))
-    with open(log) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "cost", "stationarity", "step"]
-    assert len(rows) > 1
-
-
 def test_options_validation():
     with pytest.raises(ValueError):
         OptimizeOptions(method="bfgs")
@@ -441,6 +430,15 @@ def test_options_validation():
     part = make_uniform_partition(1.0, 4)
     with pytest.raises(ValueError):
         minimize(builtin.problem, None, part, 1, r_control=2)
+
+
+def test_options_are_frozen():
+    # options are validated once, in __post_init__: assigning afterwards would
+    # skip that check
+    opts = OptimizeOptions()
+    with pytest.raises(FrozenInstanceError):
+        opts.max_outer = -1
+    assert opts.max_outer == 10000
 
 
 def test_report_extras():
