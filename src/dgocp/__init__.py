@@ -5,9 +5,6 @@ from .basis import (
     default_rule,
     deriv_inner_matrix,
     gauss_rule,
-    legendre_deriv,
-    legendre_deriv_table,
-    legendre_eval,
     legendre_table,
     mass_diagonal,
 )
@@ -30,9 +27,7 @@ from .ocp import (
     cost,
     hessian_form,
     hessian_vector,
-    pair_with_direction,
     projected_gradient,
-    reduced_gradient,
     solve_adjoint,
     solve_state,
     tangent_solve,
@@ -42,7 +37,6 @@ from .problems import BuiltinProblem, get_builtin, linear_lq, nonlinear_quadrati
 
 __all__ = [
     "QuadratureRule", "default_rule", "deriv_inner_matrix", "gauss_rule",
-    "legendre_deriv", "legendre_deriv_table", "legendre_eval",
     "legendre_table", "mass_diagonal",
     "ConvergenceReport", "ConvergenceRow", "run_convergence",
     "IVPRight", "SolverFailure", "reverse_dg",
@@ -51,8 +45,7 @@ __all__ = [
     "make_uniform_partition", "modal_from_values", "project_l2", "save_dg",
     "total_variation",
     "OCProblem", "adjoint_residual", "cost",
-    "hessian_form", "hessian_vector", "pair_with_direction", "projected_gradient",
-    "reduced_gradient", "solve_adjoint",
+    "hessian_form", "hessian_vector", "projected_gradient", "solve_adjoint",
     "solve_state", "tangent_solve",
     "OptimizeOptions", "OptimizeReport", "StallError", "minimize", "stationarity",
     "BuiltinProblem", "get_builtin", "linear_lq", "nonlinear_quadratic",

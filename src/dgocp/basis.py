@@ -2,7 +2,7 @@
 
 Everything downstream (DG containers, solvers, norms) works in modal Legendre
 coordinates, so this module is the single place where basis values, derivative
-values and quadrature rules are produced.
+inner products and quadrature rules are produced.
 """
 
 from dataclasses import dataclass
@@ -12,10 +12,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureRule",
-    "legendre_eval",
-    "legendre_deriv",
     "legendre_table",
-    "legendre_deriv_table",
     "gauss_rule",
     "default_rule",
     "rule_table",
@@ -44,36 +41,6 @@ def legendre_table(r, xi):
         # (k+1) P_{k+1} = (2k+1) xi P_k - k P_{k-1}
         out[:, k + 1] = ((2 * k + 1) * xi * out[:, k] - k * out[:, k - 1]) / (k + 1)
     return out
-
-
-def legendre_deriv_table(r, xi):
-    """Values of P_0'..P_r' at the points xi, shape (len(xi), r+1)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    _check_domain(xi)
-    vals = legendre_table(r, xi)
-    out = np.zeros((xi.size, r + 1))
-    if r >= 1:
-        out[:, 1] = 1.0
-    for k in range(1, r):
-        # P'_{k+1} = P'_{k-1} + (2k+1) P_k
-        out[:, k + 1] = out[:, k - 1] + (2 * k + 1) * vals[:, k]
-    return out
-
-
-def legendre_eval(k, xi):
-    """P_k(xi) via the three-term recurrence."""
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    res = legendre_table(k, xi)[:, k]
-    return float(res[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else res
-
-
-def legendre_deriv(k, xi):
-    """P_k'(xi) via the derivative recurrence."""
-    if k < 0:
-        raise ValueError("degree must be non-negative")
-    res = legendre_deriv_table(k, xi)[:, k]
-    return float(res[0]) if np.isscalar(xi) or np.ndim(xi) == 0 else res
 
 
 @dataclass(frozen=True, eq=False)

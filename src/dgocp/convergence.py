@@ -53,12 +53,12 @@ def _solve_level(problem, r, N, opts):
     return report
 
 
-def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, base_h=BASE_H,
-                    progress=None):
-    """Optimize on h = base_h * 2^-k for k = 0..levels-1 and tabulate L2 errors.
+def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=None):
+    """Optimize on h = BASE_H * 2^-k for k = 0..levels-1 and tabulate L2 errors.
 
     Errors are measured against the closed-form optimum when available,
-    otherwise against a self-computed reference on the protocol's fine mesh.
+    otherwise against a self-computed reference of degree max(orders) on the
+    builtin's fine mesh of width reference_h.
     The default options solve each level by Newton-CG to stationarity 1e-14;
     a problem with a control box needs opts with method "fbs" or "pgd".
     Raises StallError when a level (or the reference) is not solved to
@@ -72,11 +72,7 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, base_h=BASE_
     if builtin.exact_state is not None:
         ref_x, ref_u = builtin.exact_state, builtin.exact_control
     else:
-        kind, h_ref, r_ref = builtin.reference_protocol
-        if kind != "self_refined":
-            raise ValueError(f"unknown reference protocol {kind!r}")
-        r_ref = max(orders) if r_ref is None else r_ref
-        N_ref = int(round(p.T / h_ref))
+        r_ref, N_ref = max(orders), int(round(p.T / builtin.reference_h))
         if progress:
             progress(f"reference solve: r={r_ref}, N={N_ref}")
         ref = _solve_level(p, r_ref, N_ref, opts)
@@ -86,7 +82,7 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, base_h=BASE_
     for r in orders:
         prev = None
         for k in range(levels):
-            h = base_h * 2.0**-k
+            h = BASE_H * 2.0**-k
             N = int(round(p.T / h))
             if progress:
                 progress(f"r={r}, k={k}, N={N}")

@@ -25,19 +25,17 @@ import numpy as np
 
 from .basis import default_rule, deriv_inner_matrix, rule_table
 from .ivp import AffineSystem, BackwardAffineSystem, IVPRight, solve_forward
-from .mesh import DGFunction, modal_from_values, sample_on_quad, sample_values
+from .mesh import DGFunction, modal_from_values, sample_on_quad
 
 __all__ = [
     "OCProblem",
     "solve_state",
     "solve_adjoint",
-    "reduced_gradient",
     "projected_gradient",
     "cost",
     "tangent_solve",
     "hessian_form",
     "hessian_vector",
-    "pair_with_direction",
     "adjoint_residual",
 ]
 
@@ -133,27 +131,14 @@ def solve_adjoint(p, u, x_h, partition, r):
     return DGFunction(partition, r, p.d, coeffs)
 
 
-def _gradient_values(p, ts, X, U, L):
-    return p.gu(ts, X, U) - np.einsum("qdm,qd->qm", p.fu(ts, X, U), L)
-
-
-def reduced_gradient(p, u, x_h, lambda_h):
-    """Pointwise integrand of j_h'(u): gu(t, x_h, u) - fu(t, x_h, u)^T lambda_h."""
-    def grad(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return _gradient_values(p, ts, x_h.eval_many(ts), sample_values(u, ts, p.m),
-                                lambda_h.eval_many(ts))
-
-    return grad
-
-
 def projected_gradient(p, u, x_h, lambda_h):
     """The reduced gradient as a DGFunction of u's degree: its integrand,
     sampled once on the state's default rule, L2-projected onto u's DG space.
     Its L2 inner product with any direction of that degree is j_h'(u) there."""
     part, rule = u.partition, default_rule(x_h.degree)
     ts, X, U = _along(p, x_h, u, part, rule)
-    gvals = _gradient_values(p, ts, X, U, sample_on_quad(lambda_h, part, rule, p.d))
+    L = sample_on_quad(lambda_h, part, rule, p.d)
+    gvals = p.gu(ts, X, U) - np.einsum("qdm,qd->qm", p.fu(ts, X, U), L)
     return modal_from_values(gvals.reshape(part.N, rule.q, p.m), part, u.degree, rule)
 
 
@@ -182,14 +167,7 @@ def tangent_solve(p, u, x_h, v, partition, r):
     return DGFunction(partition, r, p.d, AffineSystem(A, partition, r).solve(b, np.zeros(p.d)))
 
 
-def pair_with_direction(integrand, v, p, partition, rule):
-    """Quadrature of <integrand(t), v(t)> over [0, T]."""
-    ts = partition.quad_times(rule).ravel()
-    prod = np.einsum("qm,qm->q", integrand(ts), sample_on_quad(v, partition, rule, p.m))
-    return _integrate(prod, partition, rule)
-
-
-def hessian_form(p, u, v, partition, r, state=None, adjoint=None):
+def hessian_form(p, u, v, partition, r):
     """j_h''(u)(v, v) assembled from x_h, lambda_h, y_h and the second partials.
 
     The two-integral formula: the g-second-derivative quadratic form in
@@ -198,8 +176,8 @@ def hessian_form(p, u, v, partition, r, state=None, adjoint=None):
     if not p.has_second_partials:
         raise ValueError("hessian_form requires all six second partials")
     rule = default_rule(r)
-    x_h = state if state is not None else solve_state(p, u, partition, r)
-    lam = adjoint if adjoint is not None else solve_adjoint(p, u, x_h, partition, r)
+    x_h = solve_state(p, u, partition, r)
+    lam = solve_adjoint(p, u, x_h, partition, r)
     y_h = tangent_solve(p, u, x_h, v, partition, r)
 
     ts, X, U = _along(p, x_h, u, partition, rule)

@@ -12,8 +12,8 @@ from .basis import default_rule
 from .ivp import (AffineSystem, BackwardAffineSystem, IVPRight, reverse_dg, solve_backward,
                   solve_forward)
 from .mesh import DGFunction
-from .ocp import (cost, hessian_form, hessian_vector, pair_with_direction, projected_gradient,
-                  reduced_gradient, solve_adjoint, solve_state, tangent_solve)
+from .ocp import (cost, hessian_form, hessian_vector, projected_gradient, solve_adjoint,
+                  solve_state, tangent_solve)
 
 __all__ = [
     "random_dg", "worst_discrepancy", "gradient_discrepancy", "tangent_discrepancy",
@@ -52,11 +52,15 @@ def _reduced_cost(p, u, partition, r):
     return cost(p, u, solve_state(p, u, partition, r))
 
 
-def gradient_discrepancy(p, u, v, partition, r):
-    """|<j_h'(u), v> - fd| / max(1e-10, |fd|), fd the central difference of j_h."""
+def _projected_gradient(p, u, partition, r):
     x = solve_state(p, u, partition, r)
-    lam = solve_adjoint(p, u, x, partition, r)
-    lhs = pair_with_direction(reduced_gradient(p, u, x, lam), v, p, partition, default_rule(r))
+    return projected_gradient(p, u, x, solve_adjoint(p, u, x, partition, r))
+
+
+def gradient_discrepancy(p, u, v, partition, r):
+    """|<j_h'(u), v> - fd| / max(1e-10, |fd|), fd the central difference of j_h,
+    with j_h'(u) the projected gradient that minimize uses."""
+    lhs = _projected_gradient(p, u, partition, r).inner(v)
     jp = _reduced_cost(p, u + FD_EPS * v, partition, r)
     jm = _reduced_cost(p, u - FD_EPS * v, partition, r)
     fd = (jp - jm) / (2.0 * FD_EPS)
@@ -81,11 +85,6 @@ def hessian_discrepancy(p, u, v, partition, r):
     jm = _reduced_cost(p, u - FD2_EPS * v, partition, r)
     fd = (jp - 2.0 * j0 + jm) / FD2_EPS**2
     return abs(quad - fd) / max(1.0, abs(fd))
-
-
-def _projected_gradient(p, u, partition, r):
-    x = solve_state(p, u, partition, r)
-    return projected_gradient(p, u, x, solve_adjoint(p, u, x, partition, r))
 
 
 def hessian_vector_discrepancy(p, u, v, partition, r):
@@ -113,8 +112,11 @@ def hessian_vector_discrepancy(p, u, v, partition, r):
 
 
 def time_reversal_discrepancy(rng, d, partition, r):
-    """Max coefficient gap between reverse_dg of a forward solve and the backward
-    solve of the time-reversed system, for x' = A x + b with A, b, x0 drawn from rng.
+    """Max coefficient gap between the backward solve, on `partition`, of the
+    time-reversed system and reverse_dg of a forward solve, on the reversed
+    partition, of x' = A(t) x + b(t), x(0) = x0, with A(t) = A0 + t A1,
+    b(t) = b0 + t b1 and x0 drawn from rng.  Both sides live on the same mesh,
+    and the data vary in time, so a wrong reversal of the grid shows.
 
     The system runs both as closures (solve_forward, solve_backward) and as
     arrays on the quadrature grid (AffineSystem, BackwardAffineSystem, the
@@ -123,22 +125,27 @@ def time_reversal_discrepancy(rng, d, partition, r):
     the same at the linearity probe's two states, so their (A, b) come from
     dF_dx and F, and the closure residual confirms the result.
     """
-    A = rng.uniform(-1.0, 1.0, size=(d, d))
-    b = rng.uniform(-1.0, 1.0, size=d)
+    A0, A1 = rng.uniform(-1.0, 1.0, size=(2, d, d))
+    b0, b1 = rng.uniform(-1.0, 1.0, size=(2, d))
     x0 = rng.uniform(-1.0, 1.0, size=d)
+    T, rev, rule = partition.T, partition.reversed(), default_rule(r)
 
-    def closures(sign):
-        return IVPRight(
-            F=lambda ts, X: sign * (X @ A.T + b),
-            dF_dx=lambda ts, X: np.broadcast_to(sign * A, (ts.size, d, d)).copy(),
-        )
+    def forward(ts):
+        return A0 + ts[..., None, None] * A1, b0 + ts[..., None] * b1
 
-    grid = partition.quad_times(default_rule(r)).shape
-    A_grid, b_grid = np.broadcast_to(A, grid + (d, d)), np.broadcast_to(b, grid + (d,))
-    fwd = solve_forward(closures(1.0), x0, partition, r)
-    fwd_arrays = DGFunction(partition, r, d, AffineSystem(A_grid, partition, r).solve(b_grid, x0))
-    back = solve_backward(closures(-1.0), x0, partition, r).coeffs
-    back_arrays = BackwardAffineSystem(-A_grid, partition, r).solve(-b_grid, x0)
+    def backward(ts):
+        return tuple(-a for a in forward(T - ts))
+
+    def closures(data):
+        return IVPRight(F=lambda ts, X: np.einsum("qab,qb->qa", data(ts)[0], X) + data(ts)[1],
+                        dF_dx=lambda ts, X: data(ts)[0])
+
+    fwd = solve_forward(closures(forward), x0, rev, r)
+    A, b = forward(rev.quad_times(rule))
+    fwd_arrays = DGFunction(rev, r, d, AffineSystem(A, rev, r).solve(b, x0))
+    back = solve_backward(closures(backward), x0, partition, r).coeffs
+    A, b = backward(partition.quad_times(rule))
+    back_arrays = BackwardAffineSystem(A, partition, r).solve(b, x0)
     gaps = (back - reverse_dg(fwd).coeffs, back_arrays - reverse_dg(fwd_arrays).coeffs,
             fwd.coeffs - fwd_arrays.coeffs)
     return float(max(np.max(np.abs(gap)) for gap in gaps))

@@ -10,7 +10,7 @@ nonlinear-quadratic:  minimize 1/2 int_0^0.2 x^2 + u^2 subject to
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -28,8 +28,8 @@ class BuiltinProblem:
     problem: OCProblem
     exact_state: Optional[Callable] = None
     exact_control: Optional[Callable] = None
-    # None, or ("self_refined", h_ref, r_ref); r_ref None means "max order used"
-    reference_protocol: Optional[Tuple] = None
+    # mesh width of the self-computed reference, for a problem without a closed form
+    reference_h: Optional[float] = None
 
 
 def linear_lq():
@@ -120,7 +120,7 @@ def nonlinear_quadratic():
     return BuiltinProblem(
         name="nonlinear-quadratic",
         problem=problem,
-        reference_protocol=("self_refined", 0.1 * 2.0**-9, None),
+        reference_h=0.1 * 2.0**-9,
     )
 
 

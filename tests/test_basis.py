@@ -7,31 +7,17 @@ from dgocp import (
     deriv_inner_matrix,
     default_rule,
     gauss_rule,
-    legendre_deriv,
-    legendre_eval,
     legendre_table,
     mass_diagonal,
 )
 from dgocp.basis import rule_table
 
 
-def test_legendre_eval_examples():
-    assert legendre_eval(0, 0.3) == 1.0
-    assert legendre_eval(1, 0.5) == 0.5
-    assert legendre_eval(2, 1.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_legendre_deriv_examples():
-    assert legendre_deriv(1, -0.7) == 1.0
-    assert legendre_deriv(0, 0.2) == 0.0
-    assert legendre_deriv(2, 0.5) == pytest.approx(1.5, abs=1e-14)
-
-
 def test_legendre_endpoint_values():
     # P_k(1) = 1 and P_k(-1) = (-1)^k for every degree
-    for k in range(9):
-        assert legendre_eval(k, 1.0) == pytest.approx(1.0, abs=1e-13)
-        assert legendre_eval(k, -1.0) == pytest.approx((-1.0) ** k, abs=1e-13)
+    right, left = legendre_table(8, [1.0, -1.0])
+    assert right == pytest.approx(np.ones(9), abs=1e-13)
+    assert left == pytest.approx((-1.0) ** np.arange(9), abs=1e-13)
 
 
 def test_orthogonality():
@@ -87,11 +73,9 @@ def test_recurrence_stability():
 
 def test_domain_and_argument_errors():
     with pytest.raises(ValueError):
-        legendre_eval(2, 1.5)
+        legendre_table(2, 1.5)
     with pytest.raises(ValueError):
-        legendre_deriv(1, -1.0001)
-    with pytest.raises(ValueError):
-        legendre_eval(-1, 0.0)
+        legendre_table(1, [0.0, -1.0001])
     with pytest.raises(ValueError):
         gauss_rule(0)
 
@@ -113,10 +97,10 @@ def test_rules_and_their_tables_are_shared_and_read_only():
 def test_deriv_inner_matrix_against_quadrature():
     r = 5
     rule = gauss_rule(r + 1)
-    from dgocp import legendre_deriv_table
-
+    leg = np.polynomial.legendre
     P = legendre_table(r, rule.points)
-    dP = legendre_deriv_table(r, rule.points)
+    # dP[:, k] = P_k' at the points, from numpy's own Legendre series
+    dP = np.stack([leg.legval(rule.points, leg.legder(e)) for e in np.eye(r + 1)], -1)
     # D[j, k] = int P_k' P_j
     ref = np.einsum("q,qj,qk->jk", rule.weights, P, dP)
     assert np.max(np.abs(deriv_inner_matrix(r) - ref)) < 1e-12

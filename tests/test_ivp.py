@@ -18,7 +18,7 @@ from dgocp import (
     solve_backward,
     solve_forward,
 )
-from dgocp.oracles import check_jacobian, random_dg
+from dgocp.oracles import check_jacobian, random_dg, time_reversal_discrepancy
 from dgocp.problems import linear_lq
 
 from conftest import project_callable, rk4_at
@@ -290,6 +290,16 @@ def test_backward_affine_system_reverses_a_forward_solve(rng):
         for ref in (reverse_dg(solve_forward(reversed_rhs, xT, part.reversed(), r)).coeffs,
                     solve_backward(forward, xT, part, r).coeffs):
             assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_time_reversal_oracle_on_graded_partition():
+    # the oracle's two sides live on the same mesh when the partition is not
+    # symmetric about T/2, and its time-dependent data show a wrong grid reversal
+    part = Partition(np.linspace(0.0, 1.0, 9) ** 1.5)
+    rng = np.random.default_rng(7)
+    for d in (1, 2):
+        for r in range(4):
+            assert time_reversal_discrepancy(rng, d, part, r) <= 1e-12
 
 
 def _count_routes(monkeypatch):

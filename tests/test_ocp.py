@@ -15,15 +15,16 @@ from dgocp import (
     l2_error,
     make_uniform_partition,
     modal_from_values,
-    pair_with_direction,
-    reduced_gradient,
+    projected_gradient,
     solve_adjoint,
     solve_backward,
     solve_forward,
     solve_state,
     tangent_solve,
 )
-from dgocp.oracles import check_derivatives, hessian_vector_discrepancy, random_dg
+import dgocp.oracles
+from dgocp.oracles import (check_derivatives, gradient_discrepancy, hessian_vector_discrepancy,
+                          random_dg)
 from dgocp.problems import get_builtin, linear_lq, nonlinear_quadratic
 
 from conftest import simpson
@@ -157,8 +158,7 @@ def test_gradient_zero_when_cost_and_dynamics_ignore_control():
     u = _zero_control(part)
     x = solve_state(p, u, part, 2)
     lam = solve_adjoint(p, u, x, part, 2)
-    grad = reduced_gradient(p, u, x, lam)
-    assert np.max(np.abs(grad(np.linspace(0, 1, 33)))) < 1e-13
+    assert np.max(np.abs(projected_gradient(p, u, x, lam).coeffs)) < 1e-13
 
 
 def test_cost_trivial_values():
@@ -303,7 +303,7 @@ def test_adjoint_gradient_consistency(rng):
         x = solve_state(p, u, part, r)
         lam = solve_adjoint(p, u, x, part, r)
         y = tangent_solve(p, u, x, v, part, r)
-        lhs = pair_with_direction(reduced_gradient(p, u, x, lam), v, p, part, rule)
+        lhs = projected_gradient(p, u, x, lam).inner(v)
 
         ts = part.quad_times(rule).ravel()
         X, U, Y, V = x.eval_many(ts), u.eval_many(ts), y.eval_many(ts), v.eval_many(ts)
@@ -313,6 +313,18 @@ def test_adjoint_gradient_consistency(rng):
         per = integrand.reshape(part.N, rule.q) @ rule.weights
         rhs = float(np.sum(0.5 * part.widths * per))
         assert abs(lhs - rhs) < 1e-9
+
+
+def test_gradient_oracle_checks_the_projected_gradient(rng, monkeypatch):
+    # the oracle pairs the gradient minimize uses with v: scaling it by 1.001
+    # must show
+    p = nonlinear_quadratic().problem
+    part = make_uniform_partition(p.T, 8)
+    u, v = random_dg(rng, part, 2), random_dg(rng, part, 2)
+    assert gradient_discrepancy(p, u, v, part, 2) <= 1e-6
+    scaled = lambda *args: 1.001 * projected_gradient(*args)
+    monkeypatch.setattr(dgocp.oracles, "projected_gradient", scaled)
+    assert gradient_discrepancy(p, u, v, part, 2) > 1e-6
 
 
 # -- Hessian ------------------------------------------------------------------

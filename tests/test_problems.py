@@ -52,9 +52,7 @@ def test_nonlinear_quadratic_problem_definition(rng):
     check_derivatives(p, rng)
     assert p.has_second_partials
     assert builtin.exact_state is None
-    kind, h_ref, r_ref = builtin.reference_protocol
-    assert kind == "self_refined"
-    assert h_ref == pytest.approx(0.1 * 2.0**-9)
+    assert builtin.reference_h == pytest.approx(0.1 * 2.0**-9)
 
 
 def test_builtin_instances_are_independent():
