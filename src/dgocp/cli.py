@@ -195,8 +195,9 @@ def build_parser():
     ps = sub.add_parser("solve", help="optimize one problem instance")
     ps.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
     ps.add_argument("--order", type=_nonnegative, default=1)
-    ps.add_argument("--intervals", type=_positive(int))
-    ps.add_argument("--h", type=_positive(float))
+    mesh = ps.add_mutually_exclusive_group()
+    mesh.add_argument("--intervals", type=_positive(int))
+    mesh.add_argument("--h", type=_positive(float))
     ps.add_argument("--method", choices=METHODS, default="fbs")
     ps.add_argument("--out", default="out")
     ps.add_argument("--grad-tol", type=_positive(float), default=1e-10)

@@ -2,6 +2,7 @@
 
 import io
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import List, Optional
 
 import numpy as np
@@ -42,17 +43,6 @@ class ConvergenceReport:
         return text
 
 
-def _solve_level(problem, r, N, opts):
-    """The optimum at degree r on N intervals; StallError when it is not reached."""
-    part = make_uniform_partition(problem.T, N)
-    report = minimize(problem, None, part, r, r, opts)
-    if not report.converged:
-        raise StallError(report.iterations, report.cost, report.stationarity,
-                         f"level r={r}, N={N} not converged after {report.iterations} "
-                         f"iterations: stationarity {report.stationarity:.3e}")
-    return report
-
-
 def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=None):
     """Optimize on h = BASE_H * 2^-k for k = 0..levels-1 and tabulate L2 errors.
 
@@ -61,21 +51,49 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=Non
     builtin's fine mesh of width reference_h.
     The default options solve each level by Newton-CG to stationarity 1e-14;
     a problem with a control box needs opts with method "fbs" or "pgd".
-    Raises StallError when a level (or the reference) is not solved to
-    opts.grad_tol.
+    The first solve (the reference, when there is one) starts from zero and
+    every later one from the optimal control of the solve before it (nested
+    iteration), across degrees too.  progress, when given, receives one line
+    before each solve and one after it with its iterations and wall seconds.
+    Raises ValueError, before any solve, on no orders, a negative order or
+    levels < 1, and StallError when a level (or the reference) is not solved
+    to opts.grad_tol.
     """
+    orders = tuple(orders)
+    if not orders:
+        raise ValueError("orders must name at least one degree")
+    if min(orders) < 0:
+        raise ValueError(f"orders must be >= 0, got {orders}")
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     # the finest levels sit near round-off; the optimizer has to be driven
     # well below the default stationarity tolerance to resolve them
     opts = opts or OptimizeOptions(method="newton", grad_tol=1e-14)
     p = builtin.problem
+    u_prev = None
+
+    def solve(r, N, label):
+        """The optimum at degree r on N intervals, started from the previous
+        one; StallError when it is not reached."""
+        nonlocal u_prev
+        if progress:
+            progress(label)
+        t0 = perf_counter()
+        report = minimize(p, u_prev, make_uniform_partition(p.T, N), r, r, opts)
+        if not report.converged:
+            raise StallError(report.iterations, report.cost, report.stationarity,
+                             f"level r={r}, N={N} not converged after {report.iterations} "
+                             f"iterations: stationarity {report.stationarity:.3e}")
+        if progress:
+            progress(f"{label}: {report.iterations} iterations, {perf_counter() - t0:.3f} s")
+        u_prev = report.u_star
+        return report
 
     if builtin.exact_state is not None:
         ref_x, ref_u = builtin.exact_state, builtin.exact_control
     else:
         r_ref, N_ref = max(orders), int(round(p.T / builtin.reference_h))
-        if progress:
-            progress(f"reference solve: r={r_ref}, N={N_ref}")
-        ref = _solve_level(p, r_ref, N_ref, opts)
+        ref = solve(r_ref, N_ref, f"reference solve: r={r_ref}, N={N_ref}")
         ref_x, ref_u = ref.x_star, ref.u_star
 
     report = ConvergenceReport()
@@ -84,9 +102,7 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=Non
         for k in range(levels):
             h = BASE_H * 2.0**-k
             N = int(round(p.T / h))
-            if progress:
-                progress(f"r={r}, k={k}, N={N}")
-            res = _solve_level(p, r, N, opts)
+            res = solve(r, N, f"r={r}, k={k}, N={N}")
             err_x = l2_error(res.x_star, ref_x)
             err_u = l2_error(res.u_star, ref_u)
             row = ConvergenceRow(r=r, h=h, err_x=err_x, err_u=err_u)

@@ -45,7 +45,9 @@ COST_SLACK = 1e-13
 METHODS = ("fbs", "pgd", "newton")
 # CG stops at the relative residual min(CG_FORCING, ||g||), a forcing term of
 # order ||g||: quadratic convergence near the optimum (Nocedal and Wright,
-# Numerical Optimization, section 7.1)
+# Numerical Optimization, section 7.1); it stops already at the absolute
+# residual CG_FORCING * grad_tol, below which the stop test cannot tell
+# iterates apart (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996)
 CG_FORCING = 0.1
 
 
@@ -119,16 +121,16 @@ def _residual(p, u, x, lam, nodal_rule):
     return float(np.max(np.abs(U - point))), point, g
 
 
-def _newton_direction(hess, g):
+def _newton_direction(hess, g, grad_tol):
     """Truncated (Steihaug) CG for H d = -g in the control L2 inner product.
 
-    It stops at the relative residual min(CG_FORCING, ||g||), after as many
-    steps as g has coefficients, or on a direction whose curvature is not
-    positive: then it returns the iterate so far, or -g when that happens on
-    the first step.
+    It stops at the residual max(min(CG_FORCING, ||g||) ||g||,
+    CG_FORCING grad_tol), after as many steps as g has coefficients, or on a
+    direction whose curvature is not positive: then it returns the iterate so
+    far, or -g when that happens on the first step.
     """
     gnorm = g.l2_norm()
-    tol = min(CG_FORCING, gnorm) * gnorm
+    tol = max(min(CG_FORCING, gnorm) * gnorm, CG_FORCING * grad_tol)
     d, res = 0.0 * g, -1.0 * g
     direction, rr = res, gnorm**2
     for step in range(g.coeffs.size):
@@ -210,7 +212,8 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
             break
 
         if newton:
-            u_hat = u + _newton_direction(hessian_vector(p, u, x, lam, partition, r_state), g)
+            hess = hessian_vector(p, u, x, lam, partition, r_state)
+            u_hat = u + _newton_direction(hess, g, opts.grad_tol)
             theta = 1.0
         else:
             # FBS without a pointwise update keeps the projected-gradient point

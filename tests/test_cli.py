@@ -1,5 +1,7 @@
 """Command-line interface: solve, convergence, verify."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -31,10 +33,11 @@ def test_missing_subcommand_and_problem(tmp_path):
     assert _exit_code([]) == 2
     assert _exit_code(["solve"]) == 2
     assert _exit_code(["solve", "--problem", "no-such-problem"]) == 2
-    # no mesh: a non-positive interval count or step, or a step longer than 2T
+    # no mesh: a non-positive interval count or step, or a step longer than 2T;
+    # two meshes: an interval count and a step
     out = ["--out", str(tmp_path / "run")]
     for bad in (["--intervals", "0"], ["--intervals", "-2"], ["--h", "0"], ["--h", "-0.1"],
-                ["--h", "5"]):
+                ["--h", "5"], ["--intervals", "4", "--h", "0.5"]):
         assert _exit_code(["solve", "--problem", "linear-lq"] + bad + out) == 2, bad
     assert _exit_code(["verify", "--problem", "linear-lq", "--intervals", "0"]) == 2
     # negative degrees, a non-positive or NaN tolerance, a negative iteration
@@ -129,6 +132,16 @@ def test_newton_method_commands(tmp_path, problem):
     assert len(table.read_text().splitlines()) == 3
     # convergence defaults to newton, as run_convergence does
     assert build_parser().parse_args(["convergence", "--problem", problem]).method == "newton"
+
+
+def test_convergence_verbose_levels(capsys):
+    # one line before each level and one after it with its iterations and time
+    assert main(["convergence", "--problem", "linear-lq", "--orders", "1", "--levels", "2",
+                 "--verbose"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0::2] == ["r=1, k=0, N=10", "r=1, k=1, N=20"]
+    assert all(re.fullmatch(r"r=1, k=\d, N=\d+: \d+ iterations, \d+\.\d{3} s", line)
+               for line in err[1::2]), err
 
 
 def test_convergence_csv_determinism(tmp_path):

@@ -9,6 +9,7 @@ import dgocp.ivp
 import dgocp.mesh
 import dgocp.optimize
 from dgocp import (
+    DGFunction,
     OCProblem,
     OptimizeOptions,
     SolverFailure,
@@ -448,3 +449,44 @@ def test_report_extras():
     assert report.tv_u >= 0.0
     assert report.lambda_star.partition.N == part.N
     assert len(report.cost_history) == len(report.stationarity_history)
+
+
+def _cg_path(hess, g):
+    """Plain CG for H d = -g in the control L2 inner product: the iterate and
+    the residual norm after each step."""
+    d, res = 0.0 * g, -1.0 * g
+    direction, rr = res, res.l2_norm_sq()
+    path = []
+    for _ in range(g.coeffs.size):
+        Hp = hess(direction)
+        alpha = rr / direction.inner(Hp)
+        d, res = d + alpha * direction, res - alpha * Hp
+        rr, rr_old = res.l2_norm_sq(), rr
+        path.append((d, np.sqrt(rr)))
+        direction = res + (rr / rr_old) * direction
+    return path
+
+
+def test_newton_direction_stops_at_the_cg_floor():
+    # H scales the modal coefficients by eigenvalues spread over [1, 100],
+    # which is self-adjoint in L2 (the Legendre modes are orthogonal); with
+    # ||g|| = 1e-3 the forcing term alone asks for a residual of 1e-6, the
+    # floor CG_FORCING * grad_tol for 1e-4
+    g = random_dg(np.random.default_rng(7), make_uniform_partition(1.0, 8), 2)
+    g = (1e-3 / g.l2_norm()) * g
+    eig = np.geomspace(1.0, 100.0, g.coeffs.size).reshape(g.coeffs.shape)
+    products = []
+
+    def hess(v):
+        products.append(1)
+        return DGFunction(v.partition, v.degree, v.dim, eig * v.coeffs)
+
+    grad_tol = 1e-3
+    floor = dgocp.optimize.CG_FORCING * grad_tol
+    path = _cg_path(hess, g)
+    stop = next(k for k, (_, res) in enumerate(path) if res <= floor)
+    assert stop >= 1 and path[stop][1] > 1e-6  # the forcing term alone goes on
+    products.clear()
+    d = dgocp.optimize._newton_direction(hess, g, grad_tol)
+    assert len(products) == stop + 1
+    assert np.max(np.abs(d.coeffs - path[stop][0].coeffs)) <= 1e-12 * np.max(np.abs(d.coeffs))
