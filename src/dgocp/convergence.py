@@ -51,13 +51,15 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=Non
     builtin's fine mesh of width reference_h.
     The default options solve each level by Newton-CG to stationarity 1e-14;
     a problem with a control box needs opts with method "fbs" or "pgd".
-    The first solve (the reference, when there is one) starts from zero and
-    every later one from the optimal control of the solve before it (nested
-    iteration), across degrees too.  progress, when given, receives one line
-    before each solve and one after it with its iterations and wall seconds.
-    Raises ValueError, before any solve, on no orders, a negative order or
-    levels < 1, and StallError when a level (or the reference) is not solved
-    to opts.grad_tol.
+    The levels are solved first, degree by degree and coarse to fine: the
+    first from zero, every later one from the optimal control of the level
+    before it (nested iteration), across degrees too.  The reference, when
+    there is one, is solved last, from the optimum of the finest level of its
+    degree.  progress, when given, receives one line before each solve and
+    one after it with its iterations and wall seconds.  Raises ValueError,
+    before any solve, on no orders, a negative order or levels < 1, and
+    StallError when a level or the reference is not solved to opts.grad_tol;
+    a reference that stalls does so only after every level was solved.
     """
     orders = tuple(orders)
     if not orders:
@@ -70,45 +72,48 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=Non
     # well below the default stationarity tolerance to resolve them
     opts = opts or OptimizeOptions(method="newton", grad_tol=1e-14)
     p = builtin.problem
-    u_prev = None
 
-    def solve(r, N, label):
-        """The optimum at degree r on N intervals, started from the previous
-        one; StallError when it is not reached."""
-        nonlocal u_prev
+    def solve(r, N, label, u0):
+        """The optimum at degree r on N intervals, started from u0;
+        StallError when it is not reached."""
         if progress:
             progress(label)
         t0 = perf_counter()
-        report = minimize(p, u_prev, make_uniform_partition(p.T, N), r, r, opts)
+        report = minimize(p, u0, make_uniform_partition(p.T, N), r, r, opts)
         if not report.converged:
             raise StallError(report.iterations, report.cost, report.stationarity,
                              f"level r={r}, N={N} not converged after {report.iterations} "
                              f"iterations: stationarity {report.stationarity:.3e}")
         if progress:
             progress(f"{label}: {report.iterations} iterations, {perf_counter() - t0:.3f} s")
-        u_prev = report.u_star
         return report
+
+    solved, u0 = [], None  # (r, k, h, report), r-major, k-minor
+    for r in orders:
+        for k in range(levels):
+            h = BASE_H * 2.0**-k
+            N = int(round(p.T / h))
+            res = solve(r, N, f"r={r}, k={k}, N={N}", u0)
+            solved.append((r, k, h, res))
+            u0 = res.u_star
 
     if builtin.exact_state is not None:
         ref_x, ref_u = builtin.exact_state, builtin.exact_control
     else:
+        # its closest start is the finest level of its own degree, which need
+        # not be the last one solved (orders may not ascend)
         r_ref, N_ref = max(orders), int(round(p.T / builtin.reference_h))
-        ref = solve(r_ref, N_ref, f"reference solve: r={r_ref}, N={N_ref}")
+        finest = [res for r, _, _, res in solved if r == r_ref][-1]
+        ref = solve(r_ref, N_ref, f"reference solve: r={r_ref}, N={N_ref}", finest.u_star)
         ref_x, ref_u = ref.x_star, ref.u_star
 
     report = ConvergenceReport()
-    for r in orders:
-        prev = None
-        for k in range(levels):
-            h = BASE_H * 2.0**-k
-            N = int(round(p.T / h))
-            res = solve(r, N, f"r={r}, k={k}, N={N}")
-            err_x = l2_error(res.x_star, ref_x)
-            err_u = l2_error(res.u_star, ref_u)
-            row = ConvergenceRow(r=r, h=h, err_x=err_x, err_u=err_u)
-            if prev is not None:
-                row.rate_x = float(np.log2(prev.err_x / err_x))
-                row.rate_u = float(np.log2(prev.err_u / err_u))
-            report.rows.append(row)
-            prev = row
+    for r, k, h, res in solved:
+        row = ConvergenceRow(r=r, h=h, err_x=l2_error(res.x_star, ref_x),
+                             err_u=l2_error(res.u_star, ref_u))
+        if k > 0:
+            prev = report.rows[-1]
+            row.rate_x = float(np.log2(prev.err_x / row.err_x))
+            row.rate_u = float(np.log2(prev.err_u / row.err_u))
+        report.rows.append(row)
     return report

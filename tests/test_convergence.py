@@ -1,4 +1,5 @@
-"""Convergence tables: nested-iteration warm starts, work per table, arguments."""
+"""Convergence tables: nested-iteration warm starts, work per table, call
+order, arguments."""
 
 import re
 
@@ -6,14 +7,13 @@ import pytest
 
 import dgocp.convergence
 import dgocp.optimize
-from dgocp import run_convergence
+from dgocp import SolverFailure, run_convergence
 from dgocp.problems import get_builtin, linear_lq
 
 
-@pytest.fixture(scope="module", params=["linear-lq", "nonlinear-quadratic"])
-def recorded_table(request):
-    """One default table with every minimize call, state solve and H v product
-    recorded; returns (name, calls as (r, N, u0, report), counts)."""
+def record_table(builtin, **kwargs):
+    """run_convergence(builtin, **kwargs) with every minimize call, state solve
+    and H v product recorded; returns (calls as (r, N, u0, report), counts)."""
     calls, counts = [], {"state": 0, "products": 0}
     minimize, solve_state = dgocp.convergence.minimize, dgocp.optimize.solve_state
     hessian_vector = dgocp.optimize.hessian_vector
@@ -39,28 +39,51 @@ def recorded_table(request):
         mp.setattr(dgocp.convergence, "minimize", recording)
         mp.setattr(dgocp.optimize, "solve_state", counting_state)
         mp.setattr(dgocp.optimize, "hessian_vector", counting_hessian)
-        run_convergence(get_builtin(request.param))
-    return request.param, calls, counts
+        run_convergence(builtin, **kwargs)
+    return calls, counts
+
+
+@pytest.fixture(scope="module", params=["linear-lq", "nonlinear-quadratic"])
+def recorded_table(request):
+    """One default table, recorded; returns (name, calls, counts)."""
+    return (request.param, *record_table(get_builtin(request.param)))
 
 
 def test_each_solve_starts_from_the_previous_optimum(recorded_table):
     name, calls, _ = recorded_table
-    # the reference solve first (nonlinear-quadratic only), then r-major, k-minor
+    # the levels r-major, k-minor, then the reference (nonlinear-quadratic only)
     T = get_builtin(name).problem.T
-    expected = [(3, 1024)] if name == "nonlinear-quadratic" else []
-    expected += [(r, round(T / (0.1 * 2.0**-k))) for r in (1, 2, 3) for k in range(6)]
+    expected = [(r, round(T / (0.1 * 2.0**-k))) for r in (1, 2, 3) for k in range(6)]
+    expected += [(3, 1024)] if name == "nonlinear-quadratic" else []
     assert [(r, N) for r, N, _, _ in calls] == expected
-    assert calls[0][2] is None
-    for (_, _, _, before), (r, N, u0, _) in zip(calls, calls[1:]):
+    levels = calls[:18]
+    assert levels[0][2] is None
+    for (_, _, _, before), (r, N, u0, _) in zip(levels, levels[1:]):
         assert u0 is before.u_star, (r, N)
+    if name == "nonlinear-quadratic":
+        # from the finest r=3 level, which here is also the last one solved
+        assert calls[-1][2] is levels[-1][3].u_star
+
+
+def test_reference_starts_from_the_finest_level_of_its_degree():
+    # orders not ascending: the reference (r=2) is not solved after an r=2 level
+    calls, _ = record_table(get_builtin("nonlinear-quadratic"), orders=(2, 1), levels=1)
+    assert [(r, N) for r, N, _, _ in calls] == [(2, 2), (1, 2), (2, 1024)]
+    assert calls[0][2] is None and calls[1][2] is calls[0][3].u_star
+    assert calls[2][2] is calls[0][3].u_star
 
 
 def test_work_per_table(recorded_table):
     # cold starts took 90 state solves and 234 products (linear-lq), 76 and
-    # 131 (nonlinear-quadratic)
-    name, _, counts = recorded_table
-    most = {"linear-lq": (50, 90), "nonlinear-quadratic": (55, 90)}[name]
+    # 131 (nonlinear-quadratic); warm levels with a cold reference took 47 and
+    # 74 (linear-lq), 51 and 74 (nonlinear-quadratic); with the reference last
+    # the counts are 47 and 74, 50 and 70.
+    name, calls, counts = recorded_table
+    most = {"linear-lq": (50, 90), "nonlinear-quadratic": (50, 74)}[name]
     assert counts["state"] <= most[0] and counts["products"] <= most[1], counts
+    if name == "nonlinear-quadratic":
+        # the reference, started from the finest r=3 level, takes 4 iterations cold
+        assert calls[-1][1] == 1024 and calls[-1][3].iterations <= 2
 
 
 def test_progress_lines_before_and_after_each_level():
@@ -69,6 +92,31 @@ def test_progress_lines_before_and_after_each_level():
     assert lines[0::2] == ["r=1, k=0, N=10", "r=1, k=1, N=20"]
     for before, after in zip(lines[0::2], lines[1::2]):
         assert re.fullmatch(re.escape(before) + r": \d+ iterations, \d+\.\d{3} s", after), after
+
+
+def test_progress_lines_put_the_reference_last():
+    lines = []
+    run_convergence(get_builtin("nonlinear-quadratic"), orders=(1,), levels=1,
+                    progress=lines.append)
+    assert lines[0::2] == ["r=1, k=0, N=2", "reference solve: r=1, N=1024"]
+    for before, after in zip(lines[0::2], lines[1::2]):
+        assert re.fullmatch(re.escape(before) + r": \d+ iterations, \d+\.\d{3} s", after), after
+
+
+def test_a_failing_level_fails_before_the_reference(monkeypatch):
+    # DG(0) has no discrete state at the start control on interval 1 of N=2
+    Ns = []
+    minimize = dgocp.convergence.minimize
+
+    def recording(p, u0, partition, *args, **kwargs):
+        Ns.append(partition.N)
+        return minimize(p, u0, partition, *args, **kwargs)
+
+    monkeypatch.setattr(dgocp.convergence, "minimize", recording)
+    with pytest.raises(SolverFailure) as failure:
+        run_convergence(get_builtin("nonlinear-quadratic"), orders=(0,), levels=1)
+    assert failure.value.interval == 1
+    assert Ns == [2]
 
 
 @pytest.mark.parametrize("kwargs, match", [
