@@ -7,12 +7,16 @@ system comes in one of two forms:
   as the tangent and adjoint systems of ocp are.  An AffineSystem inverts
   all N interval blocks at once and builds the doubling tables of the d x d
   trace recurrence; a solve is then a few batched products, with the
-  recurrence run as a scan of ceil(log2 N) steps.  A system solved for many
-  forcings (the Hessian-vector products of ocp) is factored once;
+  recurrence run as a scan of ceil(log2 N) steps.  The same factors solve the
+  transposed system, lam' = -A^T lam + b with lam(T) = lamT: upwind DG in
+  time is adjoint-consistent, so that is the discrete adjoint.  factored()
+  keeps the last system it built and returns it while its data repeat, so
+  the state, adjoint, tangent and second-order adjoint solves of one
+  linearization share one factorization;
 * closures F(ts, X) and dF_dx(ts, X), an IVPRight, solved by solve_forward.
   dF_dx is sampled on the whole grid at two states, x = 0 and
   x = PROBE_SHIFT.  When the samples are identical, A = dF_dx and b = F at
-  x = 0 go to an AffineSystem, whose result is kept when the closure's own
+  x = 0 go to factored(), and the result is kept when the closure's own
   residual, with F evaluated at that result, passes on every interval.
   Otherwise (a nonlinear system, or a failed check) the solve marches
   interval by interval, and on each interval a damped Newton iteration
@@ -24,9 +28,9 @@ system comes in one of two forms:
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
 larger: a large solution has a round-off floor above any absolute tolerance.
-Both solvers stop at the first residual that is not finite.  Backward
-(terminal-value) solves, solve_backward and BackwardAffineSystem, are forward
-solves of the time-reversed system on the reversed partition, followed by a
+Both solvers stop at the first residual that is not finite.  The closure
+backward (terminal-value) solve, solve_backward, is a forward solve of the
+time-reversed system on the reversed partition, followed by a
 coefficient-level reversal.
 """
 
@@ -42,9 +46,9 @@ from .mesh import DGFunction
 
 __all__ = [
     "AffineSystem",
-    "BackwardAffineSystem",
     "IVPRight",
     "SolverFailure",
+    "factored",
     "solve_forward",
     "solve_backward",
     "reverse_dg",
@@ -160,10 +164,11 @@ def solve_forward(rhs, x0, partition, r):
     """DG approximation of x' = F(t, x), x(0) = x0, in X_h^r, for closures rhs.
 
     Closures of a linear system (dF_dx the same at two probe states, and the
-    closure's own residual passing at the result) are solved by an
-    AffineSystem; others by damped Newton, interval by interval.  Either
-    raises SolverFailure naming an interval when its residual stays above its
-    tolerance or is not finite, or its block is singular.
+    closure's own residual passing at the result) are solved by the
+    AffineSystem of factored(); others by damped Newton, interval by
+    interval.  Either raises SolverFailure naming an interval when its
+    residual stays above its tolerance or is not finite, or its block is
+    singular.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sch = _scheme(r, x0.size)
@@ -176,7 +181,7 @@ def solve_forward(rhs, x0, partition, r):
     if linear:
         b = np.asarray(rhs.F(flat, X))
         try:
-            C = AffineSystem(A.reshape(grid + A.shape[1:]), partition, r).solve(
+            C = factored(A.reshape(grid + A.shape[1:]), partition, r).solve(
                 b.reshape(grid + b.shape[1:]), x0)
             if _closure_residual_passes(rhs, flat, C, x0, partition, sch):
                 return DGFunction(partition, r, x0.size, C)
@@ -265,11 +270,12 @@ class AffineSystem:
 
     The factor step (the constructor) inverts all N blocks at once, forms G
     and M, and builds the ceil(log2 N) doubling tables of the recurrence: the
-    table of window w = 2^k holds, for every n >= w, the product
-    M_{n-1} ... M_{n-w} that maps x_{n-w} to x_n (a Hillis-Steele scan;
+    table of window w = 2^k holds, for every i <= N - w, the product
+    M_{i+w-1} ... M_i that maps x_i to x_{i+w} (a Hillis-Steele scan;
     Blelloch 1990, "Prefix sums and their applications").  Each
     solve(b, x0) is then one batched product for the forcing response, one
-    scan step per table, C = G x + g, and one batched residual check.  A
+    scan step per table, C = G x + g, and one batched residual check;
+    solve_transposed runs the transposed recurrence on the same tables.  A
     singular block raises SolverFailure(n, inf).
     """
 
@@ -285,9 +291,9 @@ class AffineSystem:
             raise _singular(int(np.argmin(np.abs(np.linalg.det(self.J))))) from None
         self.G = self.Jinv @ sch.S                              # (N, nd, d)
         M = self.G.reshape(N, r + 1, d, d).sum(axis=1)
-        # entry n - w of the table of window w is M_{n-1} ... M_{n-w}, n = w..N-1;
+        # entry i of the table of window w is M_{i+w-1} ... M_i, i = 0..N-w;
         # a table of window 2w multiplies two of window w
-        self.tables, table, w = [], M[:-1], 1
+        self.tables, table, w = [], M, 1
         while w < N:
             self.tables.append(table)
             if 2 * w < N:
@@ -301,68 +307,85 @@ class AffineSystem:
         solve applied to it; SolverFailure names the interval whose residual
         exceeds it most, at once when a residual is not finite.
         """
-        N = self.shape[0]
-        f = (self.half_h * (self.sch.PtW @ b)).reshape(N, -1)
-        C = self._sweep(f, x0)
-        R, rnorm, tol = self._residual(C, f, x0)
+        return self._corrected(self._forcing(b), x0, False)
+
+    def solve_transposed(self, b, lamT):
+        """Coefficients (N, r+1, d), on the same partition, of the discrete
+        adjoint lam' = -A^T lam + b, lam(T) = lamT: the transposed system
+
+            J_n^T L_n = E^T w_n - f_n,   w_{N-1} = lamT,   w_{n-1} = (s (x) I)^T L_n,
+
+        with E = 1^T (x) I, so w_{n-1} = M_n^T w_n - G_n^T f_n.  It is checked
+        and corrected as solve is, and its SolverFailure names the forward
+        interval.
+        """
+        return self._corrected(-self._forcing(b), lamT, True)
+
+    def _forcing(self, b):
+        return (self.half_h * (self.sch.PtW @ b)).reshape(self.shape[0], -1)
+
+    def _corrected(self, f, x0, transposed):
+        C = self._sweep(f, x0, transposed)
+        R, rnorm, tol = self._residual(C, f, x0, transposed)
         for _ in range(NEWTON_MAX_ITER):
             if np.all(rnorm <= tol) or not np.all(np.isfinite(rnorm)):
                 break
-            C = C + self._sweep(-R, np.zeros_like(x0))
-            R, rnorm, tol = self._residual(C, f, x0)
+            C = C + self._sweep(-R, np.zeros_like(x0), transposed)
+            R, rnorm, tol = self._residual(C, f, x0, transposed)
         if not np.all(rnorm <= tol):
             n = int(np.argmax(rnorm - tol))
             raise SolverFailure(n, float(rnorm[n]))
         return C.reshape(self.shape)
 
-    def _traces(self, m, x0):
+    def _traces(self, m, x0, transposed=False):
         """Incoming traces x_n, (N, d, 1), for the forcing traces m (N, d) and
         x_0 = x0.  Entry n starts as m_{n-1}; after the scan step of window w
-        it is x_n when n < 2w, and otherwise the sum over the last 2w steps."""
+        it is x_n when n < 2w, and otherwise the sum over the last 2w steps.
+        Transposed, the maps are M_{N-1}^T, ..., M_1^T, so entry n is w_{N-1-n}."""
         xs = np.empty(m.shape + (1,))
         xs[0, :, 0], xs[1:, :, 0] = x0, m[:-1]
         w = 1
         for table in self.tables:
-            xs[w:] += table @ xs[:-w]
+            xs[w:] += (table[:0:-1].swapaxes(1, 2) if transposed else table[:-1]) @ xs[:-w]
             w *= 2
         return xs
 
-    def _sweep(self, f, x0):
-        """Coefficients (N, nd) for the block right-hand sides f (N, nd) and x_0 = x0."""
-        g = self.Jinv @ f[:, :, None]
-        xs = self._traces(g.reshape(self.shape).sum(axis=1), x0)
-        return (self.G @ xs + g)[:, :, 0]
+    def _sweep(self, f, x0, transposed):
+        """Coefficients (N, nd) for the block right-hand sides f (N, nd) and
+        x_0 = x0; transposed, of J_n^T L_n = E^T w_n + f_n with w_{N-1} = x0."""
+        if not transposed:
+            g = self.Jinv @ f[:, :, None]
+            xs = self._traces(g.reshape(self.shape).sum(axis=1), x0)
+            return (self.G @ xs + g)[:, :, 0]
+        m = (self.G.swapaxes(1, 2) @ f[:, :, None])[::-1, :, 0]     # G_n^T f_n, n = N-1..0
+        ws = np.tile(self._traces(m, x0, True)[::-1], (1, self.shape[1], 1))
+        return (self.Jinv.swapaxes(1, 2) @ (ws + f[:, :, None]))[:, :, 0]
 
-    def _residual(self, C, f, x0):
-        x_out = C.reshape(self.shape).sum(axis=1)
-        xs = np.concatenate((x0[None], x_out[:-1]))
-        return _batched_residual(((self.J @ C[:, :, None])[:, :, 0], xs @ self.sch.S.T, f))
-
-
-class BackwardAffineSystem(AffineSystem):
-    """The DG system of x' = A x + b with the terminal value x(T) = xT, for a
-    fixed A (N, q, d, d) sampled on the quadrature grid of `partition`,
-    factored once for any b.
-
-    As solve_backward poses it: the forward system W' = -A(T - s) W - b(T - s),
-    W(0) = xT on the reversed partition, then W reversed back.  The reversed
-    partition's grid holds this grid's points in reverse order (the rule is
-    symmetric), so its data are this grid's, reversed and negated.
-    """
-
-    def __init__(self, A, partition, r):
-        super().__init__(_reversed_grid(A), partition.reversed(), r)
-
-    def solve(self, b, xT):
-        """Coefficients (N, r+1, d), on `partition`, for the forcing b (N, q, d)
-        and x(T) = xT."""
-        return _reversed_coeffs(super().solve(_reversed_grid(b), xT))
+    def _residual(self, C, f, x0, transposed):
+        Cs = C.reshape(self.shape)
+        if transposed:
+            ws = np.concatenate((self.sch.s @ Cs[1:], x0[None]))
+            terms = (self.J.swapaxes(1, 2) @ C[:, :, None], np.tile(ws, self.shape[1]), f)
+        else:
+            xs = np.concatenate((x0[None], Cs.sum(axis=1)[:-1]))
+            terms = (self.J @ C[:, :, None], xs @ self.sch.S.T, f)
+        return _batched_residual((terms[0][:, :, 0],) + terms[1:])
 
 
-def _reversed_grid(values):
-    """Data (N, q, ...) on the quadrature grid, read at T - s on the reversed
-    partition's grid and negated."""
-    return -values[::-1, ::-1]
+_memo = []                          # at most one (r, nodes, copy of A, system)
+
+
+def factored(A, partition, r):
+    """AffineSystem(A, partition, r), or the last system built here while r,
+    the partition's nodes and A equal those it was built from.  A is compared
+    with a copy, so an array changed in place builds a new system; a failed
+    factorization raises and keeps the previous one."""
+    for r0, nodes, A0, system in _memo:
+        if r0 == r and np.array_equal(nodes, partition.nodes) and np.array_equal(A0, A):
+            return system
+    system = AffineSystem(A, partition, r)
+    _memo[:] = [(r, partition.nodes, np.array(A), system)]
+    return system
 
 
 def _reversed_coeffs(coeffs):
@@ -380,8 +403,9 @@ def solve_backward(rhs, xT, partition, r):
 
     Realized as a forward solve of W'(s) = -F(T - s, W), W(0) = xT on the
     reversed partition, then reversed back; the result is the discrete
-    upwind-adjoint solution tested against X_h^r.  A BackwardAffineSystem
-    solves an affine system sampled on the grid the same way.
+    upwind-adjoint solution tested against X_h^r.  For an affine system
+    sampled on the grid, AffineSystem.solve_transposed gives the same
+    coefficients from the forward factors.
     """
     T = partition.T
     rev = IVPRight(

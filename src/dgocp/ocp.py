@@ -3,7 +3,9 @@
 The reduced pipeline: state solve x_h = G_h(u), discrete adjoint lambda_h,
 reduced gradient g_u - f_u^T lambda_h, tangent solve y_h = G_h'(u) v, the
 Hessian quadratic form j_h''(u)(v, v), and the Hessian-vector product H v
-from a tangent and a second-order adjoint system, factored once per operator.
+from a tangent and a second-order adjoint system.  The adjoint systems are
+the transposes of the linearized state system, and every affine solve at one
+(u, x_h) shares one factorization of fx (ivp.factored).
 
 A control u (or direction v) is a DGFunction or a callable t -> (q, m); for
 m = 1 the callable may return shape (q,).  Inputs are sampled on the quadrature
@@ -24,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import default_rule, deriv_inner_matrix, rule_table
-from .ivp import AffineSystem, BackwardAffineSystem, IVPRight, solve_forward
+from .ivp import IVPRight, factored, solve_forward
 from .mesh import DGFunction, modal_from_values, sample_on_quad
 
 __all__ = [
@@ -121,13 +123,13 @@ def solve_adjoint(p, u, x_h, partition, r):
     """Discrete adjoint: backward DG solve of lam' = -fx^T lam + gx, lam(T) = 0.
 
     The system is affine in lam: fx and gx along (t, x_h, u) are sampled
-    once, on the forward quadrature grid, and solved by a BackwardAffineSystem.
+    once, on the forward quadrature grid, and lam solves the transpose of the
+    DG system of fx (AffineSystem.solve_transposed).
     """
     rule = default_rule(r)
     ts, X, U = _along(p, x_h, u, partition, rule)
-    A, b = _on_grid((partition.N, rule.q), -np.transpose(p.fx(ts, X, U), (0, 2, 1)),
-                    p.gx(ts, X, U))
-    coeffs = BackwardAffineSystem(A, partition, r).solve(b, np.zeros(p.d))
+    A, b = _on_grid((partition.N, rule.q), p.fx(ts, X, U), p.gx(ts, X, U))
+    coeffs = factored(A, partition, r).solve_transposed(b, np.zeros(p.d))
     return DGFunction(partition, r, p.d, coeffs)
 
 
@@ -164,7 +166,7 @@ def tangent_solve(p, u, x_h, v, partition, r):
     ts, X, U = _along(p, x_h, u, partition, rule)
     fu_v = np.einsum("qam,qm->qa", p.fu(ts, X, U), sample_on_quad(v, partition, rule, p.m))
     A, b = _on_grid((partition.N, rule.q), p.fx(ts, X, U), fu_v)
-    return DGFunction(partition, r, p.d, AffineSystem(A, partition, r).solve(b, np.zeros(p.d)))
+    return DGFunction(partition, r, p.d, factored(A, partition, r).solve(b, np.zeros(p.d)))
 
 
 def hessian_form(p, u, v, partition, r):
@@ -205,15 +207,17 @@ def hessian_vector(p, u, x_h, lambda_h, partition, r):
     projection of the integrand below, as projected_gradient projects the
     gradient.  x_h and lambda_h are the state and the adjoint at u.  The data
     along (t, x_h, u, lambda_h) and the second partials are sampled once, on
-    the state's quadrature grid, and the two affine systems of a product are
-    factored once: the tangent y = G_h'(u) v and the second-order adjoint mu,
+    the state's quadrature grid.  A product solves two affine systems, the
+    tangent y = G_h'(u) v and the second-order adjoint mu,
 
         y' = fx y + fu v,                    y(0) = 0,
         mu' = -fx^T mu + Lxx y + Lxu v,      mu(T) = 0,
         H v = Luu v + Lxu^T y - fu^T mu,
 
-    with L = g - lambda_h . f, so Lxx = gxx - lambda_h . fxx, and so on.  A
-    product samples v on the grid and applies the two factored systems.
+    with L = g - lambda_h . f, so Lxx = gxx - lambda_h . fxx, and so on.  The
+    second is the transpose of the first, so both use the one factorization
+    of fx, which solve_adjoint at the same (u, x_h) has already built; a
+    product samples v on the grid and makes no further factorization.
     """
     if not p.has_second_partials:
         raise ValueError("hessian_vector requires all six second partials")
@@ -225,17 +229,15 @@ def hessian_vector(p, u, x_h, lambda_h, partition, r):
     Lxx = p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U))
     Lxu = p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U))
     Luu = p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U))
-    A, = _on_grid(grid, fx)
-    tangent = AffineSystem(A, partition, r)
-    adjoint = BackwardAffineSystem(-np.transpose(A, (0, 1, 3, 2)), partition, r)
+    system = factored(*_on_grid(grid, fx), partition, r)
     P, zeros = rule_table(r, rule), np.zeros(p.d)
 
     def apply(v):
         V = sample_on_quad(v, partition, rule, p.m)
         fu_v, = _on_grid(grid, np.einsum("qam,qm->qa", fu, V))
-        Y = (P @ tangent.solve(fu_v, zeros)).reshape(ts.size, p.d)
+        Y = (P @ system.solve(fu_v, zeros)).reshape(ts.size, p.d)
         b, = _on_grid(grid, np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V))
-        M = (P @ adjoint.solve(b, zeros)).reshape(ts.size, p.d)
+        M = (P @ system.solve_transposed(b, zeros)).reshape(ts.size, p.d)
         hv = (np.einsum("qmn,qn->qm", Luu, V) + np.einsum("qam,qa->qm", Lxu, Y)
               - np.einsum("qam,qa->qm", fu, M))
         return modal_from_values(hv.reshape(grid + (p.m,)), partition, u.degree, rule)

@@ -12,9 +12,9 @@ the target:
   the pointwise solution of the stationarity condition at the control nodes;
 * newton (no box): u + d, with d from truncated conjugate gradients on the
   discrete reduced Hessian, H d = -g, in the control L2 inner product.  The
-  tangent and second-order adjoint systems are factored once per step, and
-  each Hessian-vector product applies them, so a step costs one nonlinear
-  state solve.
+  tangent and second-order adjoint systems are the factored system of the
+  step's adjoint solve and its transpose, and each Hessian-vector product
+  applies them, so a step costs one nonlinear state solve.
 
 pgd and fbs keep theta across iterations (it only halves); newton starts
 each iteration at the full step.
@@ -75,7 +75,6 @@ class OptimizeReport:
     stationarity_history: list
     iterations: int
     converged: bool
-    tv_u: float
 
     @property
     def cost(self):
@@ -84,6 +83,10 @@ class OptimizeReport:
     @property
     def stationarity(self):
         return self.stationarity_history[-1]
+
+    @property
+    def tv_u(self):
+        return total_variation(self.u_star)
 
 
 class StallError(RuntimeError):
@@ -244,7 +247,6 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
         stationarity_history=stat_hist,
         iterations=min(it, opts.max_outer),
         converged=stat <= opts.grad_tol,
-        tv_u=total_variation(u),
     )
 
 

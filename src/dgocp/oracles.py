@@ -9,8 +9,7 @@ the package namespace does not import them.
 import numpy as np
 
 from .basis import default_rule
-from .ivp import (AffineSystem, BackwardAffineSystem, IVPRight, reverse_dg, solve_backward,
-                  solve_forward)
+from .ivp import AffineSystem, IVPRight, reverse_dg, solve_backward, solve_forward
 from .mesh import DGFunction
 from .ocp import (cost, hessian_form, hessian_vector, projected_gradient, solve_adjoint,
                   solve_state, tangent_solve)
@@ -119,9 +118,10 @@ def time_reversal_discrepancy(rng, d, partition, r):
     and the data vary in time, so a wrong reversal of the grid shows.
 
     The system runs both as closures (solve_forward, solve_backward) and as
-    arrays on the quadrature grid (AffineSystem, BackwardAffineSystem, the
-    pair the adjoint solves use); the gap between the two forward solves
-    counts as well.  The closures take the batched solve too: their dF_dx is
+    arrays on the quadrature grid: AffineSystem.solve on the reversed
+    partition, and on `partition` the transposed solve that the adjoint
+    solves use, of the AffineSystem of -A^T for the backward system's A.  The
+    gap between the two forward solves counts as well.  The closures take the batched solve too: their dF_dx is
     the same at the linearity probe's two states, so their (A, b) come from
     dF_dx and F, and the closure residual confirms the result.
     """
@@ -145,7 +145,7 @@ def time_reversal_discrepancy(rng, d, partition, r):
     fwd_arrays = DGFunction(rev, r, d, AffineSystem(A, rev, r).solve(b, x0))
     back = solve_backward(closures(backward), x0, partition, r).coeffs
     A, b = backward(partition.quad_times(rule))
-    back_arrays = BackwardAffineSystem(A, partition, r).solve(b, x0)
+    back_arrays = AffineSystem(-np.swapaxes(A, -1, -2), partition, r).solve_transposed(b, x0)
     gaps = (back - reverse_dg(fwd).coeffs, back_arrays - reverse_dg(fwd_arrays).coeffs,
             fwd.coeffs - fwd_arrays.coeffs)
     return float(max(np.max(np.abs(gap)) for gap in gaps))

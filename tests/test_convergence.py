@@ -6,17 +6,19 @@ import re
 import pytest
 
 import dgocp.convergence
+import dgocp.ivp
 import dgocp.optimize
 from dgocp import SolverFailure, run_convergence
 from dgocp.problems import get_builtin, linear_lq
 
 
 def record_table(builtin, **kwargs):
-    """run_convergence(builtin, **kwargs) with every minimize call, state solve
-    and H v product recorded; returns (calls as (r, N, u0, report), counts)."""
-    calls, counts = [], {"state": 0, "products": 0}
+    """run_convergence(builtin, **kwargs) with every minimize call, state solve,
+    H v product and AffineSystem factorization recorded; returns (calls as
+    (r, N, u0, report), counts)."""
+    calls, counts = [], {"state": 0, "products": 0, "factorizations": 0}
     minimize, solve_state = dgocp.convergence.minimize, dgocp.optimize.solve_state
-    hessian_vector = dgocp.optimize.hessian_vector
+    hessian_vector, factor = dgocp.optimize.hessian_vector, dgocp.ivp.AffineSystem.__init__
 
     def recording(p, u0, partition, r_state, *args, **kwargs):
         report = minimize(p, u0, partition, r_state, *args, **kwargs)
@@ -35,10 +37,15 @@ def record_table(builtin, **kwargs):
             return apply(v)
         return product
 
+    def counting_factor(*args):
+        counts["factorizations"] += 1
+        factor(*args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dgocp.convergence, "minimize", recording)
         mp.setattr(dgocp.optimize, "solve_state", counting_state)
         mp.setattr(dgocp.optimize, "hessian_vector", counting_hessian)
+        mp.setattr(dgocp.ivp.AffineSystem, "__init__", counting_factor)
         run_convergence(builtin, **kwargs)
     return calls, counts
 
@@ -77,10 +84,14 @@ def test_work_per_table(recorded_table):
     # cold starts took 90 state solves and 234 products (linear-lq), 76 and
     # 131 (nonlinear-quadratic); warm levels with a cold reference took 47 and
     # 74 (linear-lq), 51 and 74 (nonlinear-quadratic); with the reference last
-    # the counts are 47 and 74, 50 and 70.
+    # the counts are 47 and 74, 50 and 70.  With a system factored per affine
+    # solve a table took 152 (linear-lq) and 112 (nonlinear-quadratic)
+    # factorizations; with one per linearization, 18 (one per level: fx is
+    # constant) and 50 (one per iterate's adjoint and H v products).
     name, calls, counts = recorded_table
-    most = {"linear-lq": (50, 90), "nonlinear-quadratic": (50, 74)}[name]
+    most = {"linear-lq": (50, 90, 18), "nonlinear-quadratic": (50, 74, 50)}[name]
     assert counts["state"] <= most[0] and counts["products"] <= most[1], counts
+    assert counts["factorizations"] <= most[2], counts
     if name == "nonlinear-quadratic":
         # the reference, started from the finest r=3 level, takes 4 iterations cold
         assert calls[-1][1] == 1024 and calls[-1][3].iterations <= 2

@@ -272,24 +272,58 @@ def test_scan_matches_the_sequential_recurrence(rng, N):
         assert np.max(np.abs(C - _march(rhs, x0, part, r))) <= 1e-13 * np.max(np.abs(C))
 
 
-def test_backward_affine_system_reverses_a_forward_solve(rng):
-    # x' = A(t) x + b(t), x(T) = xT, d = 2, on a graded partition: the same
-    # coefficients as reverse_dg of the forward solve of W' = -A(T - s) W - b(T - s),
-    # W(0) = xT on the reversed partition, and as solve_backward, both from
-    # closures evaluated at the times they are given
-    part = Partition(np.linspace(0.0, 1.0, 12) ** 1.5)
+def test_transposed_solve_reverses_a_forward_solve(rng):
+    # x' = A(t) x + b(t), x(T) = xT, d = 2, on graded partitions, by the
+    # transposed solve of the AffineSystem of -A^T: the same coefficients as
+    # reverse_dg of the forward solve of W' = -A(T - s) W - b(T - s), W(0) = xT
+    # on the reversed partition, and as solve_backward, both from closures
+    # evaluated at the times they are given.  N = 1 has no scan step.
     b = lambda ts: np.stack((np.sin(ts), ts), -1)
     forward = IVPRight(F=lambda ts, X: (_rotating_A(ts) @ X[:, :, None])[:, :, 0] + b(ts),
                        dF_dx=lambda ts, X: _rotating_A(ts))
     reversed_rhs = IVPRight(F=lambda ts, W: -forward.F(1.0 - ts, W),
                             dF_dx=lambda ts, W: -_rotating_A(1.0 - ts))
-    for r in range(4):
-        xT = rng.standard_normal(2)
-        times = part.quad_times(default_rule(r))
-        C = ivp.BackwardAffineSystem(_rotating_A(times), part, r).solve(b(times), xT)
-        for ref in (reverse_dg(solve_forward(reversed_rhs, xT, part.reversed(), r)).coeffs,
-                    solve_backward(forward, xT, part, r).coeffs):
-            assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for N in (1, 2, 3, 7, 8, 11, 33):
+        part = Partition(np.linspace(0.0, 1.0, N + 1) ** 1.5)
+        for r in range(4):
+            xT = rng.standard_normal(2)
+            times = part.quad_times(default_rule(r))
+            system = ivp.AffineSystem(-np.swapaxes(_rotating_A(times), -1, -2), part, r)
+            C = system.solve_transposed(b(times), xT)
+            for ref in (reverse_dg(solve_forward(reversed_rhs, xT, part.reversed(), r)).coeffs,
+                        solve_backward(forward, xT, part, r).coeffs):
+                assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref)), (N, r)
+
+
+def test_factored_returns_the_last_system_while_its_data_repeat(monkeypatch):
+    # one entry: equal r, nodes and A return it; A changed in place after it
+    # was factored, or the same N and A on other nodes, build a new system
+    monkeypatch.setattr(ivp, "_memo", [])
+    graded = Partition(np.linspace(0.0, 1.0, 9) ** 1.5)
+    uniform = make_uniform_partition(1.0, 8)
+    A = _rotating_A(graded.quad_times(default_rule(2)))
+    first = ivp.factored(A, graded, 2)
+    assert ivp.factored(A.copy(), graded, 2) is first
+    A[3, 1, 0, 1] += 1e-9
+    changed = ivp.factored(A, graded, 2)
+    assert changed is not first
+    assert np.array_equal(changed.J, ivp.AffineSystem(A, graded, 2).J)
+    assert ivp.factored(A, graded, 2) is changed
+    other = ivp.factored(A, uniform, 2)
+    assert other is not changed and ivp.factored(A, uniform, 2) is other
+
+
+def test_factored_keeps_its_entry_when_a_block_is_singular(monkeypatch):
+    # the r = 0 block of x' = 10 x is singular on interval 2 (see above): the
+    # failure stores nothing, and the previous system is still returned
+    monkeypatch.setattr(ivp, "_memo", [])
+    part = Partition(np.array([0.0, 0.3, 0.5, 0.6, 0.8, 1.0]))
+    shape = part.quad_times(default_rule(0)).shape + (1, 1)
+    stable = ivp.factored(np.full(shape, -1.0), part, 0)
+    with pytest.raises(SolverFailure) as err:
+        ivp.factored(np.full(shape, 10.0), part, 0)
+    assert err.value.interval == 2 and err.value.residual == np.inf
+    assert ivp.factored(np.full(shape, -1.0), part, 0) is stable
 
 
 def test_time_reversal_oracle_on_graded_partition():

@@ -249,8 +249,9 @@ def _closure_solves(p, u, v, partition, r):
 
 def test_solves_match_pointwise_closures_on_graded_partition(rng):
     # the solves sample u, x_h and v once on the quadrature grid; on a graded
-    # partition a mix-up of interval order or widths between the forward grid
-    # and the adjoint's reversed grid would show as a coefficient mismatch
+    # partition a mix-up of interval order or widths between the state's
+    # forward recurrence and the adjoint's transposed, backward one would
+    # show as a coefficient mismatch
     for name in ("linear-lq", "nonlinear-quadratic"):
         p = get_builtin(name).problem
         part = Partition(p.T * np.linspace(0.0, 1.0, 10) ** 2)
@@ -267,8 +268,8 @@ def test_solves_match_pointwise_closures_on_graded_partition(rng):
 
 
 def test_adjoint_reverses_the_forward_grid_data(rng):
-    # solve_adjoint samples fx and gx on the forward grid and hands the
-    # reversed solve that data in reverse order; the reference is a closure
+    # solve_adjoint samples fx and gx on the forward grid and solves the
+    # transposed system there, interval N-1 first; the reference is a closure
     # solve_backward that samples x_h and u at the times T - s it is given.
     # On a graded partition a wrong ordering would move the coefficients far
     # beyond 1e-14.
@@ -478,9 +479,11 @@ def test_hessian_vector_matches_the_solves(rng):
             assert np.max(np.abs(hess(v).coeffs - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_hessian_vector_factors_two_systems_per_call(rng, monkeypatch):
-    # the tangent and the second-order adjoint system are factored when the
-    # operator is built; a product makes no solve of its own
+def test_hessian_vector_factors_one_system_per_call(rng, monkeypatch):
+    # the tangent and the second-order adjoint system are one factored system
+    # and its transpose: built once when the operator is built cold, and not
+    # at all right after solve_adjoint at the same (u, x); a product makes no
+    # solve of its own
     import dgocp.ivp as ivp
     import dgocp.ocp as ocp
 
@@ -503,11 +506,15 @@ def test_hessian_vector_factors_two_systems_per_call(rng, monkeypatch):
     monkeypatch.setattr(ocp, "solve_forward", no_solve)
     monkeypatch.setattr(ivp, "solve_backward", no_solve)
     for products in (0, 1, 5):
-        factored.clear()
-        hess = hessian_vector(p, u, x, lam, part, 2)
-        for _ in range(products):
-            hess(random_dg(rng, part, 2))
-        assert len(factored) == 2
+        for after_adjoint in (False, True):
+            monkeypatch.setattr(ivp, "_memo", [])
+            if after_adjoint:
+                solve_adjoint(p, u, x, part, 2)
+            factored.clear()
+            hess = hessian_vector(p, u, x, lam, part, 2)
+            for _ in range(products):
+                hess(random_dg(rng, part, 2))
+            assert len(factored) == (0 if after_adjoint else 1)
 
 
 # -- problem validation -------------------------------------------------------

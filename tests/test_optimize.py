@@ -442,11 +442,21 @@ def test_options_are_frozen():
     assert opts.max_outer == 10000
 
 
-def test_report_extras():
+def test_report_extras(monkeypatch):
+    # the report's total variation is computed when read, not by minimize
+    calls = []
+    total_variation = dgocp.optimize.total_variation
+
+    def counting(u):
+        calls.append(u)
+        return total_variation(u)
+
+    monkeypatch.setattr(dgocp.optimize, "total_variation", counting)
     builtin = linear_lq()
     part = make_uniform_partition(1.0, 8)
     report = minimize(builtin.problem, None, part, 1)
-    assert report.tv_u >= 0.0
+    assert calls == []
+    assert report.tv_u == total_variation(report.u_star) >= 0.0
     assert report.lambda_star.partition.N == part.N
     assert len(report.cost_history) == len(report.stationarity_history)
 
