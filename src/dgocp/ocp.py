@@ -64,7 +64,7 @@ class OCProblem:
     guu: Optional[Callable] = None
     u_lo: Optional[np.ndarray] = None
     u_hi: Optional[np.ndarray] = None
-    # closed-form pointwise stationary control (t, x, lam) -> u, used by FBS
+    # closed-form solution (t, x, lam) -> u of gu = fu^T lam; method 'fbs' needs it
     stationary_control: Optional[Callable] = None
 
     def __post_init__(self):

@@ -9,7 +9,8 @@ the target:
 
 * pgd: the projected-gradient point clip(U - G) at the control nodes;
 * fbs (forward-backward sweep: state solve, adjoint solve, control update):
-  the pointwise solution of the stationarity condition at the control nodes;
+  the problem's closed-form stationary_control at the control nodes, clipped
+  to the box (a problem without one takes pgd or newton);
 * newton (no box): u + d, with d from truncated conjugate gradients on the
   discrete reduced Hessian, H d = -g, in the control L2 inner product.  The
   tangent and second-order adjoint systems are the factored system of the
@@ -152,29 +153,12 @@ def _newton_direction(hess, g, grad_tol):
 
 
 def _fbs_target(p, u_dg, x_h, lam, nodal_rule):
-    """Pointwise stationary control at the control nodes: solve gu = fu^T lam."""
+    """The problem's closed-form stationary control at the control nodes,
+    clipped to the box: (N, r_control + 1, m)."""
     part = u_dg.partition
-    nodal_ts = part.quad_times(nodal_rule).ravel()
     X, L = (sample_on_quad(fn, part, nodal_rule, p.d) for fn in (x_h, lam))
-    if p.stationary_control is not None:
-        return np.asarray(p.stationary_control(nodal_ts, X, L), dtype=float)
-    if not p.has_second_partials:
-        return None
-    # guarded scalar Newton per point on  gu(t, x, u) - fu(t, x, u)^T lam = 0
-    U = sample_on_quad(u_dg, part, nodal_rule, p.m)
-    for _ in range(50):
-        res = p.gu(nodal_ts, X, U) - np.einsum("qdm,qd->qm", p.fu(nodal_ts, X, U), L)
-        if np.max(np.abs(res)) <= 1e-12:
-            return U
-        J = p.guu(nodal_ts, X, U) - np.einsum(
-            "qdmn,qd->qmn", p.fuu(nodal_ts, X, U), L
-        )
-        try:
-            step = np.linalg.solve(J, res[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return None
-        U = U - np.clip(step, -1.0, 1.0)
-    return None
+    stationary = p.stationary_control(part.quad_times(nodal_rule).ravel(), X, L)
+    return p.clip_box(np.asarray(stationary, dtype=float)).reshape(part.N, -1, p.m)
 
 
 def minimize(p, u0, partition, r_state, r_control=None, opts=None):
@@ -184,14 +168,17 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     RELAX_FLOOR is accepted before reaching stationarity, and SolverFailure
     when the state solve at the start control fails; a failed trial solve is
     a rejected trial.  Raises ValueError, before any solve, for method
-    "newton" on a problem without all six second partials or with a finite
-    control bound.
+    "fbs" on a problem without stationary_control, and for method "newton"
+    on a problem without all six second partials or with a finite control
+    bound.
     """
     opts = opts or OptimizeOptions()
     r_control = r_state if r_control is None else r_control
     if r_control > r_state:
         raise ValueError("r_control must not exceed r_state")
     newton = opts.method == "newton"
+    if opts.method == "fbs" and p.stationary_control is None:
+        raise ValueError("method 'fbs' requires the problem's stationary_control")
     if newton and not p.has_second_partials:
         raise ValueError("method 'newton' requires all six second partials")
     if newton and np.any(np.isfinite(np.concatenate((p.u_lo, p.u_hi)))):
@@ -219,10 +206,8 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
             u_hat = u + _newton_direction(hess, g, opts.grad_tol)
             theta = 1.0
         else:
-            # FBS without a pointwise update keeps the projected-gradient point
-            stationary = _fbs_target(p, u, x, lam, nodal_rule) if opts.method == "fbs" else None
-            if stationary is not None:
-                target = p.clip_box(stationary).reshape(partition.N, r_control + 1, p.m)
+            if opts.method == "fbs":
+                target = _fbs_target(p, u, x, lam, nodal_rule)
             u_hat = modal_from_values(target, partition, r_control, nodal_rule)
         bound = c + COST_SLACK * (1.0 + abs(c))
         while True:

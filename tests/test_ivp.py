@@ -295,6 +295,39 @@ def test_transposed_solve_reverses_a_forward_solve(rng):
                 assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref)), (N, r)
 
 
+def test_a_residual_above_tolerance_is_corrected(monkeypatch):
+    # a sweep off by 1e-9 leaves a residual above the tolerance: one more sweep,
+    # of that residual, restores the coefficients to round-off, forward and
+    # transposed; when every sweep is off, no correction passes and it raises
+    part = Partition(np.linspace(0.0, 1.0, 9) ** 1.5)
+    r = 2
+    times = part.quad_times(default_rule(r))
+    system = ivp.AffineSystem(_rotating_A(times), part, r)
+    b, x0 = np.stack((np.sin(times), times), -1), np.array([1.0, -0.5])
+    sweep = ivp.AffineSystem._sweep
+    calls = []
+
+    def perturbed(every):
+        def wrapper(self, f, x0, transposed):
+            calls.append(1)
+            C = sweep(self, f, x0, transposed)
+            return C + 1e-9 if every or len(calls) == 1 else C
+        return wrapper
+
+    solves = (system.solve, system.solve_transposed)
+    for solve, exact in zip(solves, [solve(b, x0) for solve in solves]):
+        calls.clear()
+        monkeypatch.setattr(ivp.AffineSystem, "_sweep", perturbed(False))
+        C = solve(b, x0)
+        assert len(calls) == 2
+        assert np.max(np.abs(C - exact)) <= 1e-14 * np.max(np.abs(exact))
+        calls.clear()
+        monkeypatch.setattr(ivp.AffineSystem, "_sweep", perturbed(True))
+        with pytest.raises(SolverFailure) as err:
+            solve(b, x0)
+        assert len(calls) == 1 + ivp.NEWTON_MAX_ITER and err.value.residual > ivp.NEWTON_TOL
+
+
 def test_factored_returns_the_last_system_while_its_data_repeat(monkeypatch):
     # one entry: equal r, nodes and A return it; A changed in place after it
     # was factored, or the same N and A on other nodes, build a new system

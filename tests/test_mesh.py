@@ -44,6 +44,9 @@ def test_partition_validation():
         Partition(np.array([0.1, 0.5, 1.0]))  # must start at 0
     with pytest.raises(ValueError):
         Partition(np.array([0.0, 0.5, 0.5, 1.0]))  # strictly increasing
+    for nodes in (np.array([0.0]), np.array([[0.0, 0.5], [0.5, 1.0]])):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            Partition(nodes)
 
 
 def test_partition_reversed():

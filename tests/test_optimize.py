@@ -13,6 +13,7 @@ from dgocp import (
     OCProblem,
     OptimizeOptions,
     SolverFailure,
+    StallError,
     gauss_rule,
     l2_error,
     make_uniform_partition,
@@ -27,7 +28,8 @@ from dgocp.oracles import random_dg
 
 
 def _decoupled_problem(c, lo=None, hi=None):
-    """f ignores u; g = (u - c)^2 / 2, so the optimum is u == c pointwise."""
+    """f ignores u; g = (u - c)^2 / 2, so the optimum is u == c pointwise, the
+    closed-form stationary control."""
     z3 = lambda t: np.zeros((t.size, 1, 1))
     z4 = lambda t: np.zeros((t.size, 1, 1, 1))
     return OCProblem(
@@ -45,6 +47,7 @@ def _decoupled_problem(c, lo=None, hi=None):
         gxu=lambda t, x, u: z3(t),
         guu=lambda t, x, u: np.ones((t.size, 1, 1)),
         u_lo=lo, u_hi=hi,
+        stationary_control=lambda t, x, lam: np.full((t.size, 1), c),
     )
 
 
@@ -58,12 +61,22 @@ def test_decoupled_quadratic_pgd_one_step():
     assert np.max(np.abs(report.u_star.coeffs[:, 1:, :])) < 1e-12
 
 
-def test_decoupled_quadratic_fbs_pointwise_newton():
-    p = _decoupled_problem(0.7, lo=0.0, hi=1.0)
+def test_decoupled_quadratic_fbs_closed_form():
+    # FBS aims at the closed form u = c at the control nodes: the first, full
+    # step lands on it, and the second iterate measures it
+    calls = []
+
+    def closed_form(t, x, lam):
+        calls.append(t.size)
+        return np.full((t.size, 1), 0.7)
+
+    p = replace(_decoupled_problem(0.7, lo=0.0, hi=1.0), stationary_control=closed_form)
     part = make_uniform_partition(1.0, 4)
     report = minimize(p, None, part, 1, opts=OptimizeOptions(method="fbs"))
-    assert report.converged
+    assert report.converged and report.iterations == 2
+    assert calls == [part.N * 2]  # once, at the 2 control nodes of each interval
     assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - 0.7)) < 1e-12
+    assert np.max(np.abs(report.u_star.coeffs[:, 1:, :])) < 1e-12
 
 
 def test_linear_lq_table_entry():
@@ -187,6 +200,24 @@ def test_failed_trial_backtracks(monkeypatch):
     assert np.allclose(controls[2], 0.5 * (controls[0] + controls[1]), rtol=0, atol=1e-15)
     assert rep.converged
     assert rep.cost == pytest.approx(ref.cost, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["pgd", "fbs"])
+def test_no_descent_raises_stall_error(method):
+    # gu, fu and the closed form with the wrong sign: every target lies uphill,
+    # so no relaxation down to RELAX_FLOOR lowers the cost, and the first
+    # iteration raises with the start's cost and stationarity
+    p = replace(linear_lq().problem,
+                gu=lambda t, x, u: -u,
+                fu=lambda t, x, u: -np.ones((t.size, 1, 1)),
+                stationary_control=lambda t, x, lam: -lam)
+    part = make_uniform_partition(1.0, 8)
+    start = minimize(p, None, part, 1, opts=OptimizeOptions(method=method, max_outer=0))
+    with pytest.raises(StallError) as err:
+        minimize(p, None, part, 1, opts=OptimizeOptions(method=method))
+    assert err.value.iteration == 1
+    assert err.value.cost == start.cost
+    assert err.value.stationarity == start.stationarity > 0.4
 
 
 @pytest.mark.parametrize("box", [None, (-0.3, 0.0)])
@@ -391,7 +422,7 @@ def test_newton_takes_the_full_step_after_a_backtrack(monkeypatch):
 
 def test_newton_rejects_unsupported_problems(monkeypatch):
     # typed errors before any solve: no box handling, and H v needs every
-    # second partial
+    # second partial; FBS needs the closed-form stationary control
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating")
 
@@ -406,6 +437,9 @@ def test_newton_rejects_unsupported_problems(monkeypatch):
         setattr(p, name, None)
         with pytest.raises(ValueError, match="second partials"):
             minimize(p, None, part, 1, opts=opts)
+    p = replace(_decoupled_problem(0.7, 0.0, 1.0), stationary_control=None)
+    with pytest.raises(ValueError, match="stationary_control"):
+        minimize(p, None, part, 1, opts=OptimizeOptions(method="fbs"))
     with pytest.raises(ValueError, match="'fbs', 'pgd' or 'newton'"):
         OptimizeOptions(method="Newton")
 
@@ -462,17 +496,18 @@ def test_report_extras(monkeypatch):
 
 
 def _cg_path(hess, g):
-    """Plain CG for H d = -g in the control L2 inner product: the iterate and
-    the residual norm after each step."""
+    """Plain CG for H d = -g in the control L2 inner product: the iterate, the
+    residual norm and the curvature of the step's direction, for each step."""
     d, res = 0.0 * g, -1.0 * g
     direction, rr = res, res.l2_norm_sq()
     path = []
     for _ in range(g.coeffs.size):
         Hp = hess(direction)
-        alpha = rr / direction.inner(Hp)
+        curvature = direction.inner(Hp)
+        alpha = rr / curvature
         d, res = d + alpha * direction, res - alpha * Hp
         rr, rr_old = res.l2_norm_sq(), rr
-        path.append((d, np.sqrt(rr)))
+        path.append((d, np.sqrt(rr), curvature))
         direction = res + (rr / rr_old) * direction
     return path
 
@@ -494,9 +529,37 @@ def test_newton_direction_stops_at_the_cg_floor():
     grad_tol = 1e-3
     floor = dgocp.optimize.CG_FORCING * grad_tol
     path = _cg_path(hess, g)
-    stop = next(k for k, (_, res) in enumerate(path) if res <= floor)
+    stop = next(k for k, (_, res, _) in enumerate(path) if res <= floor)
     assert stop >= 1 and path[stop][1] > 1e-6  # the forcing term alone goes on
     products.clear()
     d = dgocp.optimize._newton_direction(hess, g, grad_tol)
     assert len(products) == stop + 1
     assert np.max(np.abs(d.coeffs - path[stop][0].coeffs)) <= 1e-12 * np.max(np.abs(d.coeffs))
+
+
+def test_newton_direction_stops_on_curvature():
+    # a direction of non-positive curvature ends CG: on the first step it
+    # returns the steepest descent direction -g, later the iterate so far
+    g = random_dg(np.random.default_rng(7), make_uniform_partition(1.0, 8), 2)
+    d = dgocp.optimize._newton_direction(lambda v: -1.0 * v, g, 1e-10)
+    assert np.array_equal(d.coeffs, -g.coeffs)
+
+    # one negative eigenvalue among [1, 100]: the first directions still have
+    # positive curvature
+    eig = np.geomspace(1.0, 100.0, g.coeffs.size)
+    eig[0] = -1.0
+    eig = eig.reshape(g.coeffs.shape)
+    products = []
+
+    def hess(v):
+        products.append(1)
+        return DGFunction(v.partition, v.degree, v.dim, eig * v.coeffs)
+
+    path = _cg_path(hess, g)
+    stop = next(k for k, (_, _, curvature) in enumerate(path) if not curvature > 0.0)
+    assert stop >= 2
+    products.clear()
+    d = dgocp.optimize._newton_direction(hess, g, 1e-10)
+    assert len(products) == stop + 1
+    reached = path[stop - 1][0].coeffs
+    assert np.max(np.abs(d.coeffs - reached)) <= 1e-12 * np.max(np.abs(reached))
