@@ -173,8 +173,8 @@ def run_verification(problem_name, order, intervals, seed, corrupt=None, echo=pr
 
     # discrete adjoint weak-form residual over a full test basis
     u = random_dg(rng, part, order, p.m)
-    x = solve_state(p, u, part, order)
-    lam = solve_adjoint(p, u, x, part, order)
+    x = solve_state(p, u, order)
+    lam = solve_adjoint(p, u, x)
     check("adjoint-residual", adjoint_residual(p, u, x, lam), 1e-10)
 
     check("time-reversal", time_reversal_discrepancy(rng, p.d, part, order), 1e-10)

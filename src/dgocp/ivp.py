@@ -10,9 +10,9 @@ system comes in one of two forms:
   recurrence run as a scan of ceil(log2 N) steps.  The same factors solve the
   transposed system, lam' = -A^T lam + b with lam(T) = lamT: upwind DG in
   time is adjoint-consistent, so that is the discrete adjoint.  factored()
-  keeps the last system it built and returns it while its data repeat, so
-  the state, adjoint, tangent and second-order adjoint solves of one
-  linearization share one factorization;
+  keeps the last system it built, while its partition lives, and returns it
+  while its data repeat, so the state, adjoint, tangent and second-order
+  adjoint solves of one linearization share one factorization;
 * closures F(ts, X) and dF_dx(ts, X), an IVPRight, solved by solve_forward.
   dF_dx is sampled on the whole grid at two states, x = 0 and
   x = PROBE_SHIFT.  When the samples are identical, A = dF_dx and b = F at
@@ -35,6 +35,7 @@ coefficient-level reversal.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -372,19 +373,20 @@ class AffineSystem:
         return _batched_residual((terms[0][:, :, 0],) + terms[1:])
 
 
-_memo = []                          # at most one (r, nodes, copy of A, system)
+_memo = weakref.WeakKeyDictionary()  # at most one entry, partition -> (r, copy of A, system)
 
 
 def factored(A, partition, r):
-    """AffineSystem(A, partition, r), or the last system built here while r,
-    the partition's nodes and A equal those it was built from.  A is compared
+    """AffineSystem(A, partition, r), or the last system built here while the
+    partition object, r and A equal those it was built from.  A is compared
     with a copy, so an array changed in place builds a new system; a failed
     factorization raises and keeps the previous one."""
-    for r0, nodes, A0, system in _memo:
-        if r0 == r and np.array_equal(nodes, partition.nodes) and np.array_equal(A0, A):
-            return system
+    r0, A0, system = _memo.get(partition, (None, None, None))
+    if r0 == r and np.array_equal(A0, A):
+        return system
     system = AffineSystem(A, partition, r)
-    _memo[:] = [(r, partition.nodes, np.array(A), system)]
+    _memo.clear()
+    _memo[partition] = (r, np.array(A), system)
     return system
 
 

@@ -2,7 +2,9 @@
 
 A DGFunction stores modal Legendre coefficients per interval and is allowed to
 jump at the interior nodes.  One-sided traces, jumps, interval-wise L2
-projections/norms and total variation all live here.
+projections/norms and total variation all live here.  sample_on_quad samples
+a DG function on its own partition only; project_l2 and l2_error also take
+callables and DG functions on other partitions.
 """
 
 import io
@@ -46,8 +48,8 @@ class Partition:
         nodes = np.array(self.nodes, dtype=float)  # a copy: the caller's array stays writeable
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("a partition needs at least two nodes")
-        if nodes[0] != 0.0:
-            raise ValueError("partition must start at t = 0")
+        if nodes[0] != 0.0 or not np.all(np.isfinite(nodes)):
+            raise ValueError("partition nodes must be finite and start at t = 0")
         widths = np.diff(nodes)
         if np.any(widths <= 0.0):
             raise ValueError("partition nodes must be strictly increasing")
@@ -87,7 +89,7 @@ class Partition:
     def locate(self, ts, side="left"):
         """Interval index for each time; `side` picks the interval at interior nodes."""
         ts = np.asarray(ts, dtype=float)
-        if np.any(ts < -1e-12) or np.any(ts > self.T * (1 + 1e-12) + 1e-12):
+        if not np.all((ts >= -1e-12) & (ts <= self.T * (1 + 1e-12) + 1e-12)):  # NaN fails too
             raise ValueError("time outside [0, T]")
         mode = "left" if side == "left" else "right"
         idx = np.searchsorted(self.nodes, ts, side=mode) - 1
@@ -96,8 +98,8 @@ class Partition:
 
 def make_uniform_partition(T, N):
     """Uniform partition of [0, T] into N intervals."""
-    if T <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not 0.0 < T < np.inf:                        # NaN fails too
+        raise ValueError("horizon must be positive and finite")
     if N < 1:
         raise ValueError("need at least one interval")
     return Partition(np.linspace(0.0, T, N + 1))
@@ -225,20 +227,17 @@ def sample_values(fn, ts, dim=None):
     return vals
 
 
-def sample_on_quad(fn, partition, rule, dim):
-    """Values of fn at the partition's mapped rule points, (N*q, dim).
-
-    A DGFunction on this partition is evaluated from its coefficients
-    (values_on_quad); anything else, a callable or a DGFunction on another
-    partition, at the flattened times through sample_values.  A width other
-    than `dim` raises ValueError.
-    """
-    if isinstance(fn, DGFunction) and (fn.partition is partition or np.array_equal(
-            fn.partition.nodes, partition.nodes)):
-        if fn.dim != dim:
-            raise ValueError(f"DG function has {fn.dim} columns, expected {dim}")
-        return fn.values_on_quad(rule).reshape(-1, dim)
-    return sample_values(fn, partition.quad_times(rule).ravel(), dim)
+def sample_on_quad(F, partition, rule, dim):
+    """Values of the DGFunction F at the partition's mapped rule points, (N*q, dim),
+    from its coefficients; TypeError for anything else, and ValueError for a
+    DGFunction on another partition or of a width other than `dim`."""
+    if not isinstance(F, DGFunction):
+        raise TypeError("sample_on_quad needs a DGFunction")
+    if F.partition is not partition and not np.array_equal(F.partition.nodes, partition.nodes):
+        raise ValueError("DG function lives on another partition")
+    if F.dim != dim:
+        raise ValueError(f"DG function has {F.dim} columns, expected {dim}")
+    return F.values_on_quad(rule).reshape(-1, dim)
 
 
 def project_l2(fn, partition, r, rule=None, dim=None):
@@ -250,19 +249,12 @@ def project_l2(fn, partition, r, rule=None, dim=None):
     return modal_from_values(values, partition, r, rule)
 
 
-def l2_error(F, ref, rule=None):
+def l2_error(F, ref):
     """Discrete L2 distance between a DG function and a reference.
 
     Samples both at the r+1 equidistant points of each interval (the
     midpoint when r = 0) and returns sqrt(sum_n h_n sum_i |e_i|^2).
-    The optional rule argument switches to interval-wise Gauss
-    quadrature of the continuous L2 norm instead.
     """
-    if rule is not None:
-        rv = sample_on_quad(ref, F.partition, rule, F.dim)
-        diff = F.values_on_quad(rule) - rv.reshape(F.partition.N, rule.q, F.dim)
-        per = np.einsum("q,nqd->n", rule.weights, diff**2)
-        return float(np.sqrt(np.sum(0.5 * F.partition.widths * per)))
     r = F.degree
     xi = np.linspace(-1.0, 1.0, r + 1) if r > 0 else np.zeros(1)
     P = legendre_table(r, xi)

@@ -7,10 +7,10 @@ from a tangent and a second-order adjoint system.  The adjoint systems are
 the transposes of the linearized state system, and every affine solve at one
 (u, x_h) shares one factorization of fx (ivp.factored).
 
-A control u (or direction v) is a DGFunction or a callable t -> (q, m); for
-m = 1 the callable may return shape (q,).  Inputs are sampled on the quadrature
-grid by mesh.sample_on_quad: a DGFunction on the grid's own partition from its
-coefficients, anything else through mesh.sample_values.
+Every primitive takes DG functions only and reads the partition and the
+state degree from them; solve_state and hessian_form take the degree r of the
+state they solve for.  Inputs are sampled on the quadrature grid from their
+coefficients (mesh.sample_on_quad): one on another partition raises ValueError.
 
 All problem callables are vectorized over time batches:
     t: (q,), x: (q, d), u: (q, m)
@@ -68,12 +68,14 @@ class OCProblem:
     stationary_control: Optional[Callable] = None
 
     def __post_init__(self):
+        if not 0.0 < self.T < np.inf:                   # NaN fails too
+            raise ValueError("T must be positive and finite")
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if self.x0.size != self.d:
-            raise ValueError("x0 must have length d")
+        if self.x0.size != self.d or not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 must have d finite entries")
         self.u_lo = self._bound(self.u_lo, -np.inf)
         self.u_hi = self._bound(self.u_hi, np.inf)
-        if np.any(self.u_lo > self.u_hi):
+        if not np.all(self.u_lo <= self.u_hi):          # a NaN bound fails too
             raise ValueError("lower bound exceeds upper bound")
 
     def _bound(self, b, fill):
@@ -97,40 +99,43 @@ def _on_grid(grid, *values):
     return tuple(v.reshape(grid + v.shape[1:]) for v in values)
 
 
-def _along(p, x_h, u, partition, rule):
-    """The flattened quadrature times of the partition under the rule, and the
-    state x_h (N*q, d) and control u (N*q, m) sampled there."""
-    ts = partition.quad_times(rule).ravel()
-    return ts, sample_on_quad(x_h, partition, rule, p.d), sample_on_quad(u, partition, rule, p.m)
+def _along(p, x_h, u, rule):
+    """The flattened quadrature times of x_h's partition under the rule, and
+    the state x_h (N*q, d) and control u (N*q, m) sampled there."""
+    part = x_h.partition
+    ts = part.quad_times(rule).ravel()
+    return ts, sample_on_quad(x_h, part, rule, p.d), sample_on_quad(u, part, rule, p.m)
 
 
-def solve_state(p, u, partition, r):
-    """x_h = G_h(u): forward DG solve of x' = f(t, x, u(t)).
+def solve_state(p, u, r):
+    """x_h = G_h(u): forward DG solve of degree r of x' = f(t, x, u(t)) on u's partition.
 
     The control is sampled once, at all quadrature times of the solve.
     """
-    U = sample_on_quad(u, partition, default_rule(r), p.m)
+    if not isinstance(u, DGFunction):
+        raise TypeError("the control must be a DGFunction")
+    U = sample_on_quad(u, u.partition, default_rule(r), p.m)
 
     def inputs(times):
         return (times,) + _on_grid(times.shape, U)
 
     rhs = IVPRight(F=lambda tu, X: p.f(tu[0], X, tu[1]),
                    dF_dx=lambda tu, X: p.fx(tu[0], X, tu[1]), inputs=inputs)
-    return solve_forward(rhs, p.x0, partition, r)
+    return solve_forward(rhs, p.x0, u.partition, r)
 
 
-def solve_adjoint(p, u, x_h, partition, r):
+def solve_adjoint(p, u, x_h):
     """Discrete adjoint: backward DG solve of lam' = -fx^T lam + gx, lam(T) = 0.
 
     The system is affine in lam: fx and gx along (t, x_h, u) are sampled
-    once, on the forward quadrature grid, and lam solves the transpose of the
-    DG system of fx (AffineSystem.solve_transposed).
+    once, on x_h's forward quadrature grid, and lam, of x_h's degree, solves
+    the transpose of the DG system of fx (AffineSystem.solve_transposed).
     """
-    rule = default_rule(r)
-    ts, X, U = _along(p, x_h, u, partition, rule)
+    partition, rule = x_h.partition, default_rule(x_h.degree)
+    ts, X, U = _along(p, x_h, u, rule)
     A, b = _on_grid((partition.N, rule.q), p.fx(ts, X, U), p.gx(ts, X, U))
-    coeffs = factored(A, partition, r).solve_transposed(b, np.zeros(p.d))
-    return DGFunction(partition, r, p.d, coeffs)
+    coeffs = factored(A, partition, x_h.degree).solve_transposed(b, np.zeros(p.d))
+    return DGFunction(partition, x_h.degree, p.d, coeffs)
 
 
 def projected_gradient(p, u, x_h, lambda_h):
@@ -138,7 +143,7 @@ def projected_gradient(p, u, x_h, lambda_h):
     sampled once on the state's default rule, L2-projected onto u's DG space.
     Its L2 inner product with any direction of that degree is j_h'(u) there."""
     part, rule = u.partition, default_rule(x_h.degree)
-    ts, X, U = _along(p, x_h, u, part, rule)
+    ts, X, U = _along(p, x_h, u, rule)
     L = sample_on_quad(lambda_h, part, rule, p.d)
     gvals = p.gu(ts, X, U) - np.einsum("qdm,qd->qm", p.fu(ts, X, U), L)
     return modal_from_values(gvals.reshape(part.N, rule.q, p.m), part, u.degree, rule)
@@ -153,23 +158,24 @@ def _integrate(values, partition, rule):
 def cost(p, u, x_h):
     """j_h(u) = quadrature of g(t, x_h, u) over [0, T], on the state's default rule."""
     part, rule = x_h.partition, default_rule(x_h.degree)
-    return _integrate(p.g(*_along(p, x_h, u, part, rule)), part, rule)
+    return _integrate(p.g(*_along(p, x_h, u, rule)), part, rule)
 
 
-def tangent_solve(p, u, x_h, v, partition, r):
+def tangent_solve(p, u, x_h, v):
     """y_h = G_h'(u) v: forward DG solve of the linearized dynamics, y(0) = 0.
 
     The system is affine in y: fx and fu v along (t, x_h, u) are sampled
-    once, at all quadrature times of the solve.
+    once, at all quadrature times of the solve, of x_h's degree and grid.
     """
+    partition, r = x_h.partition, x_h.degree
     rule = default_rule(r)
-    ts, X, U = _along(p, x_h, u, partition, rule)
+    ts, X, U = _along(p, x_h, u, rule)
     fu_v = np.einsum("qam,qm->qa", p.fu(ts, X, U), sample_on_quad(v, partition, rule, p.m))
     A, b = _on_grid((partition.N, rule.q), p.fx(ts, X, U), fu_v)
     return DGFunction(partition, r, p.d, factored(A, partition, r).solve(b, np.zeros(p.d)))
 
 
-def hessian_form(p, u, v, partition, r):
+def hessian_form(p, u, v, r):
     """j_h''(u)(v, v) assembled from x_h, lambda_h, y_h and the second partials.
 
     The two-integral formula: the g-second-derivative quadratic form in
@@ -177,14 +183,14 @@ def hessian_form(p, u, v, partition, r):
     """
     if not p.has_second_partials:
         raise ValueError("hessian_form requires all six second partials")
-    rule = default_rule(r)
-    x_h = solve_state(p, u, partition, r)
-    lam = solve_adjoint(p, u, x_h, partition, r)
-    y_h = tangent_solve(p, u, x_h, v, partition, r)
-
-    ts, X, U = _along(p, x_h, u, partition, rule)
-    L, Y = (sample_on_quad(fn, partition, rule, p.d) for fn in (lam, y_h))
+    partition, rule = u.partition, default_rule(r)
     V = sample_on_quad(v, partition, rule, p.m)
+    x_h = solve_state(p, u, r)
+    lam = solve_adjoint(p, u, x_h)
+    y_h = tangent_solve(p, u, x_h, v)
+
+    ts, X, U = _along(p, x_h, u, rule)
+    L, Y = (sample_on_quad(fn, partition, rule, p.d) for fn in (lam, y_h))
 
     g_form = (
         np.einsum("qab,qa,qb->q", p.gxx(ts, X, U), Y, Y)
@@ -199,7 +205,7 @@ def hessian_form(p, u, v, partition, r):
     return _integrate(g_form - np.einsum("qi,qi->q", f_form, L), partition, rule)
 
 
-def hessian_vector(p, u, x_h, lambda_h, partition, r):
+def hessian_vector(p, u, x_h, lambda_h):
     """The discrete reduced Hessian j_h''(u) as an operator v -> H v.
 
     u and v are DGFunctions; H v is the DGFunction of u's degree whose L2
@@ -221,16 +227,16 @@ def hessian_vector(p, u, x_h, lambda_h, partition, r):
     """
     if not p.has_second_partials:
         raise ValueError("hessian_vector requires all six second partials")
-    rule = default_rule(r)
+    partition, rule = x_h.partition, default_rule(x_h.degree)
     grid = (partition.N, rule.q)
-    ts, X, U = _along(p, x_h, u, partition, rule)
+    ts, X, U = _along(p, x_h, u, rule)
     L = sample_on_quad(lambda_h, partition, rule, p.d)
     fx, fu = p.fx(ts, X, U), p.fu(ts, X, U)
     Lxx = p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U))
     Lxu = p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U))
     Luu = p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U))
-    system = factored(*_on_grid(grid, fx), partition, r)
-    P, zeros = rule_table(r, rule), np.zeros(p.d)
+    system = factored(*_on_grid(grid, fx), partition, x_h.degree)
+    P, zeros = rule_table(x_h.degree, rule), np.zeros(p.d)
 
     def apply(v):
         V = sample_on_quad(v, partition, rule, p.m)
@@ -256,10 +262,10 @@ def adjoint_residual(p, u, x_h, lambda_h):
     """
     r = lambda_h.degree
     rule = default_rule(r)
-    part = lambda_h.partition
+    part = x_h.partition
     N = part.N
 
-    ts, X, U = _along(p, x_h, u, part, rule)
+    ts, X, U = _along(p, x_h, u, rule)
     L = sample_on_quad(lambda_h, part, rule, p.d)
     rhs = np.einsum("qab,qa->qb", p.fx(ts, X, U), L) - p.gx(ts, X, U)
     rhs = rhs.reshape(N, rule.q, p.d)

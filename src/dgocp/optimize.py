@@ -187,14 +187,14 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     nodal_rule = gauss_rule(r_control + 1)
 
     u = _control_to_dg(p, u0, partition, r_control)
-    x = solve_state(p, u, partition, r_state)
+    x = solve_state(p, u, r_state)
     c = cost(p, u, x)
 
     cost_hist, stat_hist = [], []
     theta = 1.0  # relaxation; it starts at the full step, and only halves but for newton
     # pass max_outer + 1 only measures the final iterate
     for it in range(1, opts.max_outer + 2):
-        lam = solve_adjoint(p, u, x, partition, r_state)
+        lam = solve_adjoint(p, u, x)
         stat, target, g = _residual(p, u, x, lam, nodal_rule)
         cost_hist.append(c)
         stat_hist.append(stat)
@@ -202,7 +202,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
             break
 
         if newton:
-            hess = hessian_vector(p, u, x, lam, partition, r_state)
+            hess = hessian_vector(p, u, x, lam)
             u_hat = u + _newton_direction(hess, g, opts.grad_tol)
             theta = 1.0
         else:
@@ -213,7 +213,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
         while True:
             u_try = u_hat if theta == 1.0 else (1.0 - theta) * u + theta * u_hat
             try:
-                x_try = solve_state(p, u_try, partition, r_state)
+                x_try = solve_state(p, u_try, r_state)
                 c_try = cost(p, u_try, x_try)
             except SolverFailure:
                 c_try = np.inf
@@ -235,9 +235,9 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     )
 
 
-def stationarity(p, u, partition, r):
+def stationarity(p, u, r):
     """Projected-gradient residual at the control nodes of the DGFunction u
     (fresh state and adjoint solves of degree r); the measure `minimize` stops on."""
-    x = solve_state(p, u, partition, r)
-    lam = solve_adjoint(p, u, x, partition, r)
+    x = solve_state(p, u, r)
+    lam = solve_adjoint(p, u, x)
     return _residual(p, u, x, lam, gauss_rule(u.degree + 1))[0]

@@ -35,7 +35,7 @@ def random_dg(rng, partition, r, dim=1):
 
 
 def worst_discrepancy(oracle, rng, p, partition, r, trials):
-    """Largest oracle(p, u, v, partition, r) over random pairs, u drawn before v.
+    """Largest oracle(p, u, v, r) over random pairs on the partition, u drawn before v.
 
     A NaN discrepancy propagates, so it fails any tolerance test.
     """
@@ -43,50 +43,50 @@ def worst_discrepancy(oracle, rng, p, partition, r, trials):
     for _ in range(trials):
         u = random_dg(rng, partition, r, p.m)
         v = random_dg(rng, partition, r, p.m)
-        values.append(oracle(p, u, v, partition, r))
+        values.append(oracle(p, u, v, r))
     return float(np.max(values))
 
 
-def _reduced_cost(p, u, partition, r):
-    return cost(p, u, solve_state(p, u, partition, r))
+def _reduced_cost(p, u, r):
+    return cost(p, u, solve_state(p, u, r))
 
 
-def _projected_gradient(p, u, partition, r):
-    x = solve_state(p, u, partition, r)
-    return projected_gradient(p, u, x, solve_adjoint(p, u, x, partition, r))
+def _projected_gradient(p, u, r):
+    x = solve_state(p, u, r)
+    return projected_gradient(p, u, x, solve_adjoint(p, u, x))
 
 
-def gradient_discrepancy(p, u, v, partition, r):
+def gradient_discrepancy(p, u, v, r):
     """|<j_h'(u), v> - fd| / max(1e-10, |fd|), fd the central difference of j_h,
     with j_h'(u) the projected gradient that minimize uses."""
-    lhs = _projected_gradient(p, u, partition, r).inner(v)
-    jp = _reduced_cost(p, u + FD_EPS * v, partition, r)
-    jm = _reduced_cost(p, u - FD_EPS * v, partition, r)
+    lhs = _projected_gradient(p, u, r).inner(v)
+    jp = _reduced_cost(p, u + FD_EPS * v, r)
+    jm = _reduced_cost(p, u - FD_EPS * v, r)
     fd = (jp - jm) / (2.0 * FD_EPS)
     return abs(lhs - fd) / max(1e-10, abs(fd))
 
 
-def tangent_discrepancy(p, u, v, partition, r):
+def tangent_discrepancy(p, u, v, r):
     """Relative L2 gap between y_h = G_h'(u) v and the central quotient of G_h."""
-    x = solve_state(p, u, partition, r)
-    y = tangent_solve(p, u, x, v, partition, r)
-    xp = solve_state(p, u + FD_EPS * v, partition, r)
-    xm = solve_state(p, u - FD_EPS * v, partition, r)
+    x = solve_state(p, u, r)
+    y = tangent_solve(p, u, x, v)
+    xp = solve_state(p, u + FD_EPS * v, r)
+    xm = solve_state(p, u - FD_EPS * v, r)
     fd = (1.0 / (2.0 * FD_EPS)) * (xp - xm)
     return (y - fd).l2_norm() / max(1e-12, fd.l2_norm())
 
 
-def hessian_discrepancy(p, u, v, partition, r):
+def hessian_discrepancy(p, u, v, r):
     """|j_h''(u)(v, v) - fd| / max(1, |fd|), fd the second central difference of j_h."""
-    quad = hessian_form(p, u, v, partition, r)
-    j0 = _reduced_cost(p, u, partition, r)
-    jp = _reduced_cost(p, u + FD2_EPS * v, partition, r)
-    jm = _reduced_cost(p, u - FD2_EPS * v, partition, r)
+    quad = hessian_form(p, u, v, r)
+    j0 = _reduced_cost(p, u, r)
+    jp = _reduced_cost(p, u + FD2_EPS * v, r)
+    jm = _reduced_cost(p, u - FD2_EPS * v, r)
     fd = (jp - 2.0 * j0 + jm) / FD2_EPS**2
     return abs(quad - fd) / max(1.0, abs(fd))
 
 
-def hessian_vector_discrepancy(p, u, v, partition, r):
+def hessian_vector_discrepancy(p, u, v, r):
     """Largest of three relative gaps of the Hessian-vector product H at u:
 
     * H v against the central quotient of the projected gradient along v,
@@ -96,16 +96,16 @@ def hessian_vector_discrepancy(p, u, v, partition, r):
 
     The last two hold to round-off.  Each gap is relative, with a 1e-10 floor.
     """
-    x = solve_state(p, u, partition, r)
-    hess = hessian_vector(p, u, x, solve_adjoint(p, u, x, partition, r), partition, r)
+    x = solve_state(p, u, r)
+    hess = hessian_vector(p, u, x, solve_adjoint(p, u, x))
     Hv, Hu = hess(v), hess(u)
-    fd = (1.0 / (2.0 * FD_EPS)) * (_projected_gradient(p, u + FD_EPS * v, partition, r)
-                                    - _projected_gradient(p, u - FD_EPS * v, partition, r))
+    fd = (1.0 / (2.0 * FD_EPS)) * (_projected_gradient(p, u + FD_EPS * v, r)
+                                    - _projected_gradient(p, u - FD_EPS * v, r))
     vHv = v.inner(Hv)
     gaps = (
         (Hv - fd).l2_norm() / max(1e-10, fd.l2_norm()),
         abs(Hv.inner(u) - v.inner(Hu)) / max(1e-10, abs(Hv.inner(u))),
-        abs(vHv - hessian_form(p, u, v, partition, r)) / max(1e-10, abs(vHv)),
+        abs(vHv - hessian_form(p, u, v, r)) / max(1e-10, abs(vHv)),
     )
     return float(max(gaps))
 

@@ -189,7 +189,7 @@ def test_criterion_6_hessian_oracle():
     for _ in range(50):
         v = random_dg(rng, part, r)
         v = v * (1.0 / v.l2_norm())
-        quad = hessian_form(p, u, v, part, r)
+        quad = hessian_form(p, u, v, r)
         min_quad = min(min_quad, quad)
     ok = worst <= 1e-4 and min_quad >= 0.99
     _record(
@@ -217,8 +217,8 @@ def test_criterion_8_adjoint_residual():
             for N in (4, 8, 16, 32):
                 part = make_uniform_partition(p.T, N)
                 u = random_dg(rng, part, r)
-                x = solve_state(p, u, part, r)
-                lam = solve_adjoint(p, u, x, part, r)
+                x = solve_state(p, u, r)
+                lam = solve_adjoint(p, u, x)
                 worst = max(worst, adjoint_residual(p, u, x, lam))
     ok = worst <= 1e-10
     _record(8, "adjoint weak-form residual", ok, f"max residual {worst:.2e} (r <= 3, N <= 32)")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -331,7 +332,7 @@ def test_a_residual_above_tolerance_is_corrected(monkeypatch):
 def test_factored_returns_the_last_system_while_its_data_repeat(monkeypatch):
     # one entry: equal r, nodes and A return it; A changed in place after it
     # was factored, or the same N and A on other nodes, build a new system
-    monkeypatch.setattr(ivp, "_memo", [])
+    monkeypatch.setattr(ivp, "_memo", weakref.WeakKeyDictionary())
     graded = Partition(np.linspace(0.0, 1.0, 9) ** 1.5)
     uniform = make_uniform_partition(1.0, 8)
     A = _rotating_A(graded.quad_times(default_rule(2)))
@@ -346,10 +347,21 @@ def test_factored_returns_the_last_system_while_its_data_repeat(monkeypatch):
     assert other is not changed and ivp.factored(A, uniform, 2) is other
 
 
+def test_factored_drops_its_entry_with_the_partition(monkeypatch):
+    # the entry is keyed weakly by the partition object: once the last
+    # reference to the partition is gone, so is the system built on it
+    monkeypatch.setattr(ivp, "_memo", type(ivp._memo)())  # empty, of the memo's own type
+    part = make_uniform_partition(1.0, 64)
+    ivp.factored(_rotating_A(part.quad_times(default_rule(3))), part, 3)
+    assert len(ivp._memo) == 1
+    del part
+    assert len(ivp._memo) == 0
+
+
 def test_factored_keeps_its_entry_when_a_block_is_singular(monkeypatch):
     # the r = 0 block of x' = 10 x is singular on interval 2 (see above): the
     # failure stores nothing, and the previous system is still returned
-    monkeypatch.setattr(ivp, "_memo", [])
+    monkeypatch.setattr(ivp, "_memo", weakref.WeakKeyDictionary())
     part = Partition(np.array([0.0, 0.3, 0.5, 0.6, 0.8, 1.0]))
     shape = part.quad_times(default_rule(0)).shape + (1, 1)
     stable = ivp.factored(np.full(shape, -1.0), part, 0)

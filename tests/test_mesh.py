@@ -38,6 +38,12 @@ def test_make_uniform_partition_examples():
 def test_partition_validation():
     with pytest.raises(ValueError):
         make_uniform_partition(0.0, 4)
+    for T in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            make_uniform_partition(T, 4)
+    for nodes in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            Partition(np.array(nodes))
     with pytest.raises(ValueError):
         make_uniform_partition(1.0, 0)
     with pytest.raises(ValueError):
@@ -139,6 +145,8 @@ def test_eval_sides_and_jump():
         F.jump(0)
     with pytest.raises(ValueError):
         F.eval(-0.1)
+    with pytest.raises(ValueError, match="outside"):
+        F.eval(np.nan)
 
 
 def test_trace_consistency(rng):
@@ -163,6 +171,9 @@ def test_sample_on_quad_matches_eval_many(rng):
 
 
 def test_sample_on_quad_falls_back_to_sample_values(monkeypatch, rng):
+    # only a DG function on the given partition is sampled, from its
+    # coefficients: a callable raises TypeError, a DG function on another
+    # partition or of another width ValueError, and sample_values never runs
     calls, original = [], dgocp.mesh.sample_values
 
     def counting(fn, ts, dim=None):
@@ -171,17 +182,18 @@ def test_sample_on_quad_falls_back_to_sample_values(monkeypatch, rng):
 
     monkeypatch.setattr(dgocp.mesh, "sample_values", counting)
     part, rule = make_uniform_partition(1.0, 4), gauss_rule(3)
-    ts = part.quad_times(rule).ravel()
     F = random_dg(rng, part, 2)
-    coarse = random_dg(rng, make_uniform_partition(1.0, 3), 2)
     sample_on_quad(F, part, rule, 1)
+    for fn in (np.sin, lambda t: np.ones((t.size, 1))):
+        with pytest.raises(TypeError):
+            sample_on_quad(fn, part, rule, 1)
+    # other nodes: fewer intervals, or as many but graded
+    for other in (make_uniform_partition(1.0, 3), Partition(np.linspace(0.0, 1.0, 5) ** 1.5)):
+        with pytest.raises(ValueError, match="another partition"):
+            sample_on_quad(random_dg(rng, other, 2), part, rule, 1)
+    with pytest.raises(ValueError, match="expected 3"):
+        sample_on_quad(F, part, rule, 3)
     assert calls == []
-    assert sample_on_quad(np.sin, part, rule, 1) == pytest.approx(np.sin(ts)[:, None])
-    assert sample_on_quad(coarse, part, rule, 1) == pytest.approx(coarse.eval_many(ts))
-    assert calls == [np.sin, coarse]
-    for fn in (F, coarse, lambda t: np.ones((t.size, 2))):
-        with pytest.raises(ValueError, match="expected 3"):
-            sample_on_quad(fn, part, rule, 3)
 
 
 def test_coefficient_shape_validation():
@@ -204,11 +216,6 @@ def test_l2_error_unit_offset():
     part = make_uniform_partition(1.0, 10)
     F = DGFunction(part, 0, 1)
     assert l2_error(F, lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-13)
-    # the Gauss-quadrature variant is degree-independent
-    F2 = DGFunction(part, 2, 1)
-    assert l2_error(F2, lambda t: np.ones_like(t), rule=gauss_rule(5)) == pytest.approx(
-        1.0, abs=1e-13
-    )
 
 
 def test_l2_error_triangle_inequality(rng):
@@ -226,8 +233,9 @@ def test_l2_error_triangle_inequality(rng):
 def test_l2_norm_matches_quadrature(rng):
     part = make_uniform_partition(1.0, 4)
     F = random_dg(rng, part, 3, dim=2)
-    zero = DGFunction(part, 3, 2)
-    assert F.l2_norm() == pytest.approx(l2_error(F, zero, rule=gauss_rule(6)), abs=1e-13)
+    rule = gauss_rule(6)
+    per = np.einsum("q,nqd->n", rule.weights, F.values_on_quad(rule) ** 2)
+    assert F.l2_norm() == pytest.approx(np.sqrt(np.sum(0.5 * part.widths * per)), abs=1e-13)
 
 
 # -- projection ---------------------------------------------------------------
@@ -246,13 +254,15 @@ def test_project_l2_mean_value():
 
 
 def test_project_l2_first_order_decay():
+    # the error is measured against the degree-8 projection, with P0 u
+    # padded to degree 8
     exact_u = linear_lq().exact_control
-    rule = gauss_rule(4)
     errs = []
     for N in (10, 20, 40):
         part = make_uniform_partition(1.0, N)
         F = project_l2(exact_u, part, 0)
-        errs.append(l2_error(F, exact_u, rule=rule))
+        padded = DGFunction(part, 8, 1, np.pad(F.coeffs, ((0, 0), (0, 8), (0, 0))))
+        errs.append((padded - project_l2(exact_u, part, 8)).l2_norm())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(rates - 1.0) < 0.05)
 

@@ -96,17 +96,17 @@ def test_stationarity_at_optimum_and_closed_form(rng):
     report = minimize(p, None, part, 2, opts=opts)
     assert report.stationarity <= opts.grad_tol
     # the public measure is the one minimize stops on
-    assert stationarity(p, report.u_star, part, 2) == report.stationarity
+    assert stationarity(p, report.u_star, 2) == report.stationarity
 
     # away from the optimum (box inactive) the residual is max |u - lam| over
     # the control Gauss nodes, where the box is imposed
     u = random_dg(rng, part, 2)
     r = 2
-    x = solve_state(p, u, part, r)
-    lam = solve_adjoint(p, u, x, part, r)
+    x = solve_state(p, u, r)
+    lam = solve_adjoint(p, u, x)
     ts = part.quad_times(gauss_rule(r + 1)).ravel()
     manual = float(np.max(np.abs(u.eval_many(ts) - lam.eval_many(ts))))
-    assert stationarity(p, u, part, r) == pytest.approx(manual, abs=1e-12)
+    assert stationarity(p, u, r) == pytest.approx(manual, abs=1e-12)
 
 
 def test_stationarity_zero_on_active_bound():
@@ -116,7 +116,7 @@ def test_stationarity_zero_on_active_bound():
     report = minimize(p, None, part, 1)
     assert report.converged
     assert np.max(np.abs(report.u_star.coeffs)) < 1e-12  # clamped at 0
-    assert stationarity(p, report.u_star, part, 1) < 1e-12
+    assert stationarity(p, report.u_star, 1) < 1e-12
 
 
 def test_monotone_descent_pgd():
