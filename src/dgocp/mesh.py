@@ -33,15 +33,14 @@ class Partition:
     """Strictly increasing time nodes 0 = t_0 < ... < t_N = T.
 
     The nodes are a read-only copy of the given array, and the interval
-    widths are computed from them once.  The reversed partition is built on
-    first use, and the quadrature times once per rule (keyed by identity, as
-    in basis.rule_table); both are kept, read-only.  A partition is compared
-    and hashed by identity, as a QuadratureRule is.
+    widths are computed from them once.  The quadrature times are computed
+    once per rule (keyed by identity, as in basis.rule_table) and kept,
+    read-only.  A partition is compared and hashed by identity, as a
+    QuadratureRule is.
     """
 
     nodes: np.ndarray
     widths: np.ndarray = field(init=False, repr=False)
-    _reversed: "Partition" = field(default=None, init=False, repr=False)
     _quad_times: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -72,9 +71,7 @@ class Partition:
 
     def reversed(self):
         """Partition with nodes T - t_{N-n} (same interval widths, reversed order)."""
-        if self._reversed is None:
-            object.__setattr__(self, "_reversed", Partition(self.T - self.nodes[::-1]))
-        return self._reversed
+        return Partition(self.T - self.nodes[::-1])
 
     def quad_times(self, rule):
         """Mapped quadrature times, shape (N, q): read-only."""
@@ -252,30 +249,30 @@ def project_l2(fn, partition, r, rule=None, dim=None):
 def l2_error(F, ref):
     """Discrete L2 distance between a DG function and a reference.
 
-    Samples both at the r+1 equidistant points of each interval (the
-    midpoint when r = 0) and returns sqrt(sum_n h_n sum_i |e_i|^2).
+    Samples both at the r+1 equidistant points of each interval of F (the
+    midpoint when r = 0) and returns sqrt(sum_n h_n sum_i |e_i|^2).  The end
+    points are F's nodes themselves; a DG reference is read there from inside
+    the interval (the left end from the right, the right end from the left),
+    so its jumps at F's nodes are not counted as error.  A DG reference of
+    another width raises ValueError.
     """
-    r = F.degree
+    if isinstance(ref, DGFunction) and ref.dim != F.dim:
+        raise ValueError(f"reference has {ref.dim} columns, expected {F.dim}")
+    r, part = F.degree, F.partition
     xi = np.linspace(-1.0, 1.0, r + 1) if r > 0 else np.zeros(1)
-    P = legendre_table(r, xi)
-    nodes = F.partition.nodes
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    ts = mids[:, None] + 0.5 * F.partition.widths[:, None] * xi[None, :]
-    if isinstance(ref, DGFunction) and np.array_equal(ref.partition.nodes, nodes):
-        # same partition: evaluate the reference interval by interval so
-        # its jumps at the boundaries are not counted as error
-        Pr = legendre_table(ref.degree, xi)
-        rv = np.einsum("ij,njd->nid", Pr, ref.coeffs).reshape(-1, F.dim)
-    elif isinstance(ref, DGFunction):
-        rv = ref.eval_many(ts.ravel(), side="left").reshape(F.partition.N, r + 1, F.dim)
+    mids = 0.5 * (part.nodes[:-1] + part.nodes[1:])
+    ts = mids[:, None] + 0.5 * part.widths[:, None] * xi[None, :]
+    if r > 0:
+        ts[:, 0], ts[:, -1] = part.nodes[:-1], part.nodes[1:]
+    if isinstance(ref, DGFunction):
+        rv = ref.eval_many(ts.ravel(), side="left").reshape(part.N, r + 1, F.dim)
         if r > 0:
             rv[:, 0, :] = ref.eval_many(ts[:, 0], side="right")
-        rv = rv.reshape(-1, F.dim)
     else:
-        rv = sample_values(ref, ts.ravel(), F.dim)
-    diff = np.einsum("ij,njd->nid", P, F.coeffs) - rv.reshape(F.partition.N, r + 1, F.dim)
+        rv = sample_values(ref, ts.ravel(), F.dim).reshape(part.N, r + 1, F.dim)
+    diff = np.einsum("ij,njd->nid", legendre_table(r, xi), F.coeffs) - rv
     per = np.sum(diff**2, axis=(1, 2))
-    return float(np.sqrt(np.sum(F.partition.widths * per)))
+    return float(np.sqrt(np.sum(part.widths * per)))
 
 
 def _legcompanion(c):

@@ -172,13 +172,20 @@ def check_jacobian(rhs, rng, d):
 
 
 def check_derivatives(p, rng):
-    """Central-difference check of an OCProblem's fx, fu, gx and gu at random probes."""
+    """Central-difference check at random probes of an OCProblem's fx, fu, gx
+    and gu against f and g, and of each second partial it has against the
+    first partial it differentiates: fxx and fxu against fx, fuu against fu,
+    and so for g."""
     for _ in range(POINT_PROBES):
         t = rng.uniform(0.0, p.T, size=1)
         x = rng.standard_normal((1, p.d))
         u = rng.standard_normal((1, p.m))
         u = np.clip(u, np.maximum(p.u_lo, -2.0), np.minimum(p.u_hi, 2.0))
-        for name, base in (("f", p.f), ("g", p.g)):
-            d_x, d_u = getattr(p, name + "x"), getattr(p, name + "u")
-            _check_columns(name + "x", np.asarray(d_x(t, x, u))[0], lambda z: base(t, z, u), x)
-            _check_columns(name + "u", np.asarray(d_u(t, x, u))[0], lambda z: base(t, x, z), u)
+        for name in ("fx", "fu", "gx", "gu", "fxx", "fxu", "fuu", "gxx", "gxu", "guu"):
+            deriv, base = getattr(p, name), getattr(p, name[:-1])
+            if deriv is None:
+                continue
+            if name.endswith("x"):
+                _check_columns(name, np.asarray(deriv(t, x, u))[0], lambda z: base(t, z, u), x)
+            else:
+                _check_columns(name, np.asarray(deriv(t, x, u))[0], lambda z: base(t, x, z), u)

@@ -1,12 +1,15 @@
 """Built-in benchmark problems.
 
-linear-lq:  minimize 1/2 int_0^1 x^2 + u^2 subject to x' = -x + u, x(0) = 1.
-            Closed-form optimal pair (and the adjoint, which equals the
-            optimal control in the convention lam' = -fx^T lam + gx).
+Both are one family: minimize 1/2 int_0^T x^2 + u^2 subject to
+x' = f(x) + u, x(0) = x0, with d = m = 1.  Only T, x0, f and its first two
+derivatives differ.
 
-nonlinear-quadratic:  minimize 1/2 int_0^0.2 x^2 + u^2 subject to
-            x' = x^2 + u, x(0) = 2.  No closed form; convergence studies use
-            a self-computed fine reference.
+linear-lq:  T = 1, x0 = 1, f(x) = -x.  Closed-form optimal pair (and the
+            adjoint, which equals the optimal control in the convention
+            lam' = -fx^T lam + gx).
+
+nonlinear-quadratic:  T = 0.2, x0 = 2, f(x) = x^2.  No closed form;
+            convergence studies use a self-computed fine reference.
 """
 
 from dataclasses import dataclass
@@ -32,40 +35,36 @@ class BuiltinProblem:
     reference_h: Optional[float] = None
 
 
-def linear_lq():
-    d = m = 1
-
-    def f(t, x, u):
-        return u - x
-
-    def g(t, x, u):
-        return 0.5 * (x[:, 0] ** 2 + u[:, 0] ** 2)
-
-    def fx(t, x, u):
-        return np.full((t.size, 1, 1), -1.0)
-
-    def fu(t, x, u):
-        return np.ones((t.size, 1, 1))
-
-    def gx(t, x, u):
-        return x.copy()
-
-    def gu(t, x, u):
-        return u.copy()
-
-    zeros3 = lambda t: np.zeros((t.size, 1, 1))
-    zeros4 = lambda t: np.zeros((t.size, 1, 1, 1))
-
-    problem = OCProblem(
-        d=d, m=m, T=1.0, x0=[1.0],
-        f=f, g=g, fx=fx, fu=fu, gx=gx, gu=gu,
-        fxx=lambda t, x, u: zeros4(t),
-        fxu=lambda t, x, u: zeros4(t),
-        fuu=lambda t, x, u: zeros4(t),
-        gxx=lambda t, x, u: np.ones((t.size, 1, 1)),
-        gxu=lambda t, x, u: zeros3(t),
-        guu=lambda t, x, u: np.ones((t.size, 1, 1)),
+def _tracking(T, x0, f, fx, fxx):
+    """The builtin family with x' = f(x) + u; f, fx and fxx map a state batch
+    (q, 1) to (q, 1), (q, 1, 1) and (q, 1, 1, 1)."""
+    ones = lambda t, x, u: np.ones((t.size, 1, 1))
+    zeros = lambda t, x, u: np.zeros((t.size, 1, 1))
+    zeros4 = lambda t, x, u: np.zeros((t.size, 1, 1, 1))
+    return OCProblem(
+        d=1, m=1, T=T, x0=[x0],
+        f=lambda t, x, u: f(x) + u,
+        g=lambda t, x, u: 0.5 * (x[:, 0] ** 2 + u[:, 0] ** 2),
+        fx=lambda t, x, u: fx(x),
+        fu=ones,
+        gx=lambda t, x, u: x.copy(),
+        gu=lambda t, x, u: u.copy(),
+        fxx=lambda t, x, u: fxx(x),
+        fxu=zeros4,
+        fuu=zeros4,
+        gxx=ones,
+        gxu=zeros,
+        guu=ones,
         stationary_control=lambda t, x, lam: lam.copy(),
+    )
+
+
+def linear_lq():
+    problem = _tracking(
+        T=1.0, x0=1.0,
+        f=lambda x: -x,
+        fx=lambda x: np.full((x.shape[0], 1, 1), -1.0),
+        fxx=lambda x: np.zeros((x.shape[0], 1, 1, 1)),
     )
 
     def exact_state(t):
@@ -85,38 +84,12 @@ def linear_lq():
 
 
 def nonlinear_quadratic():
-    d = m = 1
-
-    def f(t, x, u):
-        return x**2 + u
-
-    def g(t, x, u):
-        return 0.5 * (x[:, 0] ** 2 + u[:, 0] ** 2)
-
-    def fx(t, x, u):
-        return (2.0 * x)[:, :, None]
-
-    def fu(t, x, u):
-        return np.ones((t.size, 1, 1))
-
-    def gx(t, x, u):
-        return x.copy()
-
-    def gu(t, x, u):
-        return u.copy()
-
-    problem = OCProblem(
-        d=d, m=m, T=0.2, x0=[2.0],
-        f=f, g=g, fx=fx, fu=fu, gx=gx, gu=gu,
-        fxx=lambda t, x, u: np.full((t.size, 1, 1, 1), 2.0),
-        fxu=lambda t, x, u: np.zeros((t.size, 1, 1, 1)),
-        fuu=lambda t, x, u: np.zeros((t.size, 1, 1, 1)),
-        gxx=lambda t, x, u: np.ones((t.size, 1, 1)),
-        gxu=lambda t, x, u: np.zeros((t.size, 1, 1)),
-        guu=lambda t, x, u: np.ones((t.size, 1, 1)),
-        stationary_control=lambda t, x, lam: lam.copy(),
+    problem = _tracking(
+        T=0.2, x0=2.0,
+        f=lambda x: x**2,
+        fx=lambda x: (2.0 * x)[:, :, None],
+        fxx=lambda x: np.full((x.shape[0], 1, 1, 1), 2.0),
     )
-
     return BuiltinProblem(
         name="nonlinear-quadratic",
         problem=problem,

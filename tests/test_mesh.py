@@ -72,10 +72,9 @@ def test_partition_keeps_a_frozen_copy_of_its_nodes():
     assert part.nodes[1] == 0.1 and np.array_equal(part.widths, np.diff(part.nodes))
 
 
-def test_partition_caches_its_reversal_and_quadrature_times():
+def test_partition_reversal_and_cached_quadrature_times():
     part = Partition(np.linspace(0.0, 1.0, 9) ** 2)   # graded
     rev = part.reversed()
-    assert part.reversed() is rev
     assert not rev.nodes.flags.writeable and not rev.widths.flags.writeable
     assert np.array_equal(rev.nodes, part.T - part.nodes[::-1])
     assert np.allclose(rev.widths, part.widths[::-1], rtol=0.0, atol=4e-16)
@@ -170,7 +169,7 @@ def test_sample_on_quad_matches_eval_many(rng):
             assert np.max(np.abs(vals - F.eval_many(ts))) <= 1e-15
 
 
-def test_sample_on_quad_falls_back_to_sample_values(monkeypatch, rng):
+def test_sample_on_quad_takes_only_dg_functions_on_its_partition(monkeypatch, rng):
     # only a DG function on the given partition is sampled, from its
     # coefficients: a callable raises TypeError, a DG function on another
     # partition or of another width ValueError, and sample_values never runs
@@ -216,6 +215,33 @@ def test_l2_error_unit_offset():
     part = make_uniform_partition(1.0, 10)
     F = DGFunction(part, 0, 1)
     assert l2_error(F, lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_l2_error_reads_each_end_from_inside_its_interval(r):
+    # a unit step at a node of F's partition, against the same step on a
+    # 128x finer partition that contains F's nodes: the end points are read
+    # at the nodes themselves, from inside the interval, so no error is seen
+    ref_part = make_uniform_partition(0.2, 1024)
+    part = Partition(ref_part.nodes[::128])
+    for n in range(1, part.N):
+        F = DGFunction(part, r, 1)
+        F.coeffs[n:, 0, 0] = 1.0
+        ref = DGFunction(ref_part, 3, 1)
+        ref.coeffs[128 * n:, 0, 0] = 1.0
+        assert l2_error(F, ref) == 0.0, f"step at t={part.nodes[n]}"
+
+
+def test_l2_error_rejects_a_reference_of_another_width(rng):
+    part = make_uniform_partition(1.0, 4)
+    F = random_dg(rng, part, 2)
+    # on F's partition and on another one; a callable is checked when sampled
+    for ref in (random_dg(rng, part, 2, dim=2),
+                random_dg(rng, make_uniform_partition(1.0, 8), 1, dim=3)):
+        with pytest.raises(ValueError, match=f"{ref.dim} columns, expected 1"):
+            l2_error(F, ref)
+    with pytest.raises(ValueError, match="2 columns, expected 1"):
+        l2_error(F, lambda t: np.ones((t.size, 2)))
 
 
 def test_l2_error_triangle_inequality(rng):

@@ -565,11 +565,17 @@ def test_hessian_vector_factors_one_system_per_call(rng, monkeypatch):
 
 
 def test_check_derivatives_catches_corruption(rng):
-    p = nonlinear_quadratic().problem
-    check_derivatives(p, rng)
-    p.fu = lambda t, x, u: 1.01 * np.ones((t.size, 1, 1))
-    with pytest.raises(ValueError):
-        check_derivatives(p, rng)
+    check_derivatives(nonlinear_quadratic().problem, rng)
+    corrupt = {
+        "fu": lambda t, x, u: 1.01 * np.ones((t.size, 1, 1)),
+        "fxx": lambda t, x, u: np.full((t.size, 1, 1, 1), 2.002),
+        "guu": lambda t, x, u: np.full((t.size, 1, 1), 0.99),
+    }
+    for name, fn in corrupt.items():
+        p = nonlinear_quadratic().problem
+        setattr(p, name, fn)
+        with pytest.raises(ValueError, match=f"{name} disagrees"):
+            check_derivatives(p, rng)
 
 
 def test_problem_validation():

@@ -269,6 +269,14 @@ def test_minimize_samples_on_its_own_grid(monkeypatch):
         assert report.converged and calls == []
 
 
+def test_minimize_rejects_a_start_of_another_width(rng):
+    # a callable or DG start is sampled with the problem's control width
+    p, part = linear_lq().problem, make_uniform_partition(1.0, 4)
+    for u0 in (lambda t: np.ones((np.size(t), 2)), random_dg(rng, part, 1, dim=2)):
+        with pytest.raises(ValueError, match="expected 1"):
+            minimize(p, u0, part, 1)
+
+
 @pytest.mark.parametrize("name, route", [("linear-lq", "batched"),
                                          ("nonlinear-quadratic", "march")])
 def test_state_solve_route(monkeypatch, name, route):
