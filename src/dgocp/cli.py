@@ -42,11 +42,12 @@ def _write_jumps(F, path, names):
 
 
 def _positive(kind):
-    """argparse type: a value of `kind` that is > 0 (so an int is >= 1; NaN fails)."""
+    """argparse type: a finite value of `kind` that is > 0 (so an int is >= 1;
+    NaN and inf fail)."""
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
     parse.__name__ = kind.__name__
     return parse
@@ -198,7 +199,7 @@ def build_parser():
     mesh = ps.add_mutually_exclusive_group()
     mesh.add_argument("--intervals", type=_positive(int))
     mesh.add_argument("--h", type=_positive(float))
-    ps.add_argument("--method", choices=METHODS, default="fbs")
+    ps.add_argument("--method", choices=METHODS, default="pgd")
     ps.add_argument("--out", default="out")
     ps.add_argument("--grad-tol", type=_positive(float), default=1e-10)
     ps.add_argument("--max-iter", type=_nonnegative, default=10000)

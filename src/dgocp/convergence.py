@@ -50,7 +50,7 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=Non
     otherwise against a self-computed reference of degree max(orders) on the
     builtin's fine mesh of width reference_h.
     The default options solve each level by Newton-CG to stationarity 1e-14;
-    a problem with a control box needs opts with method "fbs" or "pgd".
+    a problem with a control box needs opts with method "pgd".
     The levels are solved first, degree by degree and coarse to fine: the
     first from zero, every later one from the optimal control of the level
     before it (nested iteration), across degrees too.  The reference, when

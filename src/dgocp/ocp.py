@@ -12,7 +12,10 @@ state degree from them; solve_state and hessian_form take the degree r of the
 state they solve for.  Inputs are sampled on the quadrature grid from their
 coefficients (mesh.sample_on_quad): one on another partition raises ValueError.
 
-All problem callables are vectorized over time batches:
+A problem is its callables and its control box: no closed-form solution
+enters, and the optimizer reads only the reduced gradient and, for Newton,
+the six second partials.  All problem callables are vectorized over time
+batches:
     t: (q,), x: (q, d), u: (q, m)
     f -> (q, d); g -> (q,)
     fx -> (q, d, d); fu -> (q, d, m); gx -> (q, d); gu -> (q, m)
@@ -64,8 +67,6 @@ class OCProblem:
     guu: Optional[Callable] = None
     u_lo: Optional[np.ndarray] = None
     u_hi: Optional[np.ndarray] = None
-    # closed-form solution (t, x, lam) -> u of gu = fu^T lam; method 'fbs' needs it
-    stationary_control: Optional[Callable] = None
 
     def __post_init__(self):
         if not 0.0 < self.T < np.inf:                   # NaN fails too

@@ -55,7 +55,6 @@ def _tracking(T, x0, f, fx, fxx):
         gxx=ones,
         gxu=zeros,
         guu=ones,
-        stationary_control=lambda t, x, lam: lam.copy(),
     )
 
 

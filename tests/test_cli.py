@@ -40,15 +40,17 @@ def test_missing_subcommand_and_problem(tmp_path):
                 ["--h", "5"], ["--intervals", "4", "--h", "0.5"]):
         assert _exit_code(["solve", "--problem", "linear-lq"] + bad + out) == 2, bad
     assert _exit_code(["verify", "--problem", "linear-lq", "--intervals", "0"]) == 2
-    # negative degrees, a non-positive or NaN tolerance, a negative iteration
-    # cap, no refinement level
+    # negative degrees, a non-positive, NaN or infinite tolerance (every
+    # stationarity is below inf), a negative iteration cap, no refinement
+    # level, the deleted method fbs
     for bad in (["--order", "-1"], ["--grad-tol", "0"], ["--grad-tol", "nan"],
-                ["--max-iter", "-1"]):
+                ["--grad-tol", "inf"], ["--max-iter", "-1"], ["--method", "fbs"]):
         assert _exit_code(["solve", "--problem", "linear-lq"] + bad + out) == 2, bad
     assert _exit_code(["verify", "--problem", "linear-lq", "--order", "-1"]) == 2
     table = ["--out", str(tmp_path / "run" / "table.csv")]
     for bad in (["--orders", "1,-1"], ["--orders", "1,"], ["--levels", "0"],
-                ["--grad-tol", "0"], ["--grad-tol", "nan"]):
+                ["--grad-tol", "0"], ["--grad-tol", "nan"], ["--grad-tol", "inf"],
+                ["--method", "fbs"]):
         assert _exit_code(["convergence", "--problem", "linear-lq"] + bad + table) == 2, bad
     assert not (tmp_path / "run").exists()
 
@@ -61,7 +63,7 @@ def test_solve_artifacts_and_table_entry(tmp_path):
     ])
     assert code == 0
     summary = _read_summary(out / "summary.txt")
-    assert summary["converged"] == "True"
+    assert summary["converged"] == "True" and summary["method"] == "pgd"
     assert float(summary["err_u"]) == pytest.approx(6.2543e-04, rel=1e-2)
     assert float(summary["err_x"]) == pytest.approx(1.9455e-03, rel=1e-2)
 

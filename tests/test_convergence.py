@@ -3,12 +3,14 @@ order, arguments."""
 
 import re
 
+import numpy as np
 import pytest
 
 import dgocp.convergence
 import dgocp.ivp
 import dgocp.optimize
-from dgocp import SolverFailure, run_convergence
+from dgocp import (OptimizeOptions, SolverFailure, make_uniform_partition, minimize,
+                   run_convergence)
 from dgocp.problems import get_builtin, linear_lq
 
 
@@ -143,3 +145,52 @@ def test_bad_arguments_raise_before_any_solve(monkeypatch, kwargs, match):
     for name in ("linear-lq", "nonlinear-quadratic"):
         with pytest.raises(ValueError, match=match):
             run_convergence(get_builtin(name), **kwargs)
+
+
+def _pontryagin_shooting(T, x0, steps):
+    """nonlinear-quadratic's Pontryagin system x' = x^2 - p, p' = -x - 2xp,
+    x(0) = x0, p(T) = 0 by RK4 on `steps` uniform steps and secant shooting on
+    p(0): the RK4 times, x and u = -p there, and the final miss p(T)."""
+    h = T / steps
+
+    def rhs(x, p):
+        return x * x - p, -x - 2.0 * x * p
+
+    def integrate(p0):
+        x, p = x0, p0
+        xs, ps = [x], [p]
+        for _ in range(steps):
+            k1 = rhs(x, p)
+            k2 = rhs(x + 0.5 * h * k1[0], p + 0.5 * h * k1[1])
+            k3 = rhs(x + 0.5 * h * k2[0], p + 0.5 * h * k2[1])
+            k4 = rhs(x + h * k3[0], p + h * k3[1])
+            x += h / 6.0 * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0])
+            p += h / 6.0 * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1])
+            xs.append(x)
+            ps.append(p)
+        return np.array(xs), np.array(ps)
+
+    a, miss_a, b = 0.0, integrate(0.0)[1][-1], 1.0
+    for _ in range(20):
+        xs, ps = integrate(b)
+        if ps[-1] == 0.0 or ps[-1] == miss_a:
+            break
+        a, miss_a, b = b, ps[-1], b - ps[-1] * (b - a) / (ps[-1] - miss_a)
+    return np.linspace(0.0, T, steps + 1), xs, -ps, ps[-1]
+
+
+def test_nonlinear_reference_matches_pontryagin_shooting():
+    # the self-computed reference (r=3 on the reference_h mesh) against an
+    # independent RK4 solve of the continuous optimality system, at the RK4
+    # times inside the mesh intervals (every third RK4 time is a mesh node)
+    builtin = get_builtin("nonlinear-quadratic")
+    p = builtin.problem
+    N = int(round(p.T / builtin.reference_h))
+    ts, xs, us, miss = _pontryagin_shooting(p.T, p.x0[0], 3 * N)
+    assert abs(miss) <= 1e-14
+    report = minimize(p, None, make_uniform_partition(p.T, N), 3,
+                      opts=OptimizeOptions(method="newton", grad_tol=1e-14))
+    assert report.converged
+    inner = np.arange(ts.size) % 3 != 0
+    assert np.max(np.abs(report.x_star.eval_many(ts[inner])[:, 0] - xs[inner])) <= 1e-12
+    assert np.max(np.abs(report.u_star.eval_many(ts[inner])[:, 0] - us[inner])) <= 1e-12

@@ -1,4 +1,4 @@
-"""Minimization: projected gradient, forward-backward sweep and Newton-CG."""
+"""Minimization: projected gradient and Newton-CG."""
 
 from dataclasses import FrozenInstanceError, replace
 
@@ -18,6 +18,7 @@ from dgocp import (
     l2_error,
     make_uniform_partition,
     minimize,
+    modal_from_values,
     solve_adjoint,
     solve_state,
     stationarity,
@@ -28,8 +29,7 @@ from dgocp.oracles import random_dg
 
 
 def _decoupled_problem(c, lo=None, hi=None):
-    """f ignores u; g = (u - c)^2 / 2, so the optimum is u == c pointwise, the
-    closed-form stationary control."""
+    """f ignores u; g = (u - c)^2 / 2, so the optimum is u == c pointwise."""
     z3 = lambda t: np.zeros((t.size, 1, 1))
     z4 = lambda t: np.zeros((t.size, 1, 1, 1))
     return OCProblem(
@@ -47,7 +47,6 @@ def _decoupled_problem(c, lo=None, hi=None):
         gxu=lambda t, x, u: z3(t),
         guu=lambda t, x, u: np.ones((t.size, 1, 1)),
         u_lo=lo, u_hi=hi,
-        stationary_control=lambda t, x, lam: np.full((t.size, 1), c),
     )
 
 
@@ -57,24 +56,6 @@ def test_decoupled_quadratic_pgd_one_step():
     report = minimize(p, None, part, 1, opts=OptimizeOptions(method="pgd"))
     assert report.converged
     assert report.iterations <= 3
-    assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - 0.7)) < 1e-12
-    assert np.max(np.abs(report.u_star.coeffs[:, 1:, :])) < 1e-12
-
-
-def test_decoupled_quadratic_fbs_closed_form():
-    # FBS aims at the closed form u = c at the control nodes: the first, full
-    # step lands on it, and the second iterate measures it
-    calls = []
-
-    def closed_form(t, x, lam):
-        calls.append(t.size)
-        return np.full((t.size, 1), 0.7)
-
-    p = replace(_decoupled_problem(0.7, lo=0.0, hi=1.0), stationary_control=closed_form)
-    part = make_uniform_partition(1.0, 4)
-    report = minimize(p, None, part, 1, opts=OptimizeOptions(method="fbs"))
-    assert report.converged and report.iterations == 2
-    assert calls == [part.N * 2]  # once, at the 2 control nodes of each interval
     assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - 0.7)) < 1e-12
     assert np.max(np.abs(report.u_star.coeffs[:, 1:, :])) < 1e-12
 
@@ -134,33 +115,28 @@ def test_box_feasibility():
     p.u_lo[:] = -0.3
     p.u_hi[:] = 0.0
     part = make_uniform_partition(1.0, 8)
-    for method in ("pgd", "fbs"):
-        report = minimize(p, None, part, 1, opts=OptimizeOptions(method=method))
-        nodal = np.polynomial.legendre.leggauss(2)[0]
-        for n in range(part.N):
-            ts = part.nodes[n] + 0.5 * part.widths[n] * (nodal + 1.0)
-            vals = report.u_star.eval_many(ts)
-            assert np.all(vals >= -0.3 - 1e-12) and np.all(vals <= 1e-12)
-        # the bound is genuinely active for this problem
-        assert np.min(report.u_star.eval_many(np.linspace(0, 1, 101))) < -0.29
+    report = minimize(p, None, part, 1, opts=OptimizeOptions(method="pgd"))
+    nodal = np.polynomial.legendre.leggauss(2)[0]
+    for n in range(part.N):
+        ts = part.nodes[n] + 0.5 * part.widths[n] * (nodal + 1.0)
+        vals = report.u_star.eval_many(ts)
+        assert np.all(vals >= -0.3 - 1e-12) and np.all(vals <= 1e-12)
+    # the bound is genuinely active for this problem
+    assert np.min(report.u_star.eval_many(np.linspace(0, 1, 101))) < -0.29
 
 
 def test_box_optimum_converges():
     # stationarity is measured at the control nodes, where the box is imposed;
     # between the nodes the optimal control dips below the bound
     part = make_uniform_partition(1.0, 8)
-    reports = []
-    for method in ("fbs", "pgd"):
-        p = linear_lq().problem
-        p.u_lo[:] = -0.3
-        p.u_hi[:] = 0.0
-        opts = OptimizeOptions(method=method, grad_tol=1e-8, max_outer=50)
-        reports.append(minimize(p, None, part, 1, opts=opts))
-    for report in reports:
-        assert report.converged and report.iterations <= 15
-        nodal = np.polynomial.legendre.legvander(gauss_rule(2).points, 1)
-        assert np.min(nodal @ report.u_star.coeffs[..., 0].T) == pytest.approx(-0.3, abs=1e-12)
-    assert abs(reports[0].cost - reports[1].cost) <= 1e-14
+    p = linear_lq().problem
+    p.u_lo[:] = -0.3
+    p.u_hi[:] = 0.0
+    opts = OptimizeOptions(method="pgd", grad_tol=1e-8, max_outer=50)
+    report = minimize(p, None, part, 1, opts=opts)
+    assert report.converged and report.iterations <= 15
+    nodal = np.polynomial.legendre.legvander(gauss_rule(2).points, 1)
+    assert np.min(nodal @ report.u_star.coeffs[..., 0].T) == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_trial_solver_failure_is_a_rejection():
@@ -172,7 +148,7 @@ def test_trial_solver_failure_is_a_rejection():
     # fails (see test_failed_trial_backtracks for a rejected trial)
     rep = minimize(p, u0, part, 1, opts=OptimizeOptions(method="pgd", grad_tol=1e-8,
                                                          max_outer=100))
-    ref = minimize(p, u0, part, 1, opts=OptimizeOptions(method="fbs", grad_tol=1e-8))
+    ref = minimize(p, u0, part, 1, opts=OptimizeOptions(method="newton", grad_tol=1e-8))
     assert rep.converged and ref.converged
     assert rep.cost == pytest.approx(ref.cost, abs=1e-12)
     # a start control whose state solve fails is not a trial: it raises
@@ -202,15 +178,14 @@ def test_failed_trial_backtracks(monkeypatch):
     assert rep.cost == pytest.approx(ref.cost, abs=1e-12)
 
 
-@pytest.mark.parametrize("method", ["pgd", "fbs"])
+@pytest.mark.parametrize("method", ["pgd", "newton"])
 def test_no_descent_raises_stall_error(method):
-    # gu, fu and the closed form with the wrong sign: every target lies uphill,
-    # so no relaxation down to RELAX_FLOOR lowers the cost, and the first
-    # iteration raises with the start's cost and stationarity
+    # gu and fu with the wrong sign: every target lies uphill, so no
+    # relaxation down to RELAX_FLOOR lowers the cost, and the first iteration
+    # raises with the start's cost and stationarity
     p = replace(linear_lq().problem,
                 gu=lambda t, x, u: -u,
-                fu=lambda t, x, u: -np.ones((t.size, 1, 1)),
-                stationary_control=lambda t, x, lam: -lam)
+                fu=lambda t, x, u: -np.ones((t.size, 1, 1)))
     part = make_uniform_partition(1.0, 8)
     start = minimize(p, None, part, 1, opts=OptimizeOptions(method=method, max_outer=0))
     with pytest.raises(StallError) as err:
@@ -263,10 +238,9 @@ def test_minimize_samples_on_its_own_grid(monkeypatch):
     assert report.converged and calls == []
     boxed = linear_lq().problem
     boxed.u_lo[:], boxed.u_hi[:] = -0.3, 0.0
-    part = make_uniform_partition(1.0, 8)
-    for method in ("fbs", "pgd"):
-        report = minimize(boxed, None, part, 1, opts=OptimizeOptions(method=method))
-        assert report.converged and calls == []
+    report = minimize(boxed, None, make_uniform_partition(1.0, 8), 1,
+                      opts=OptimizeOptions(method="pgd"))
+    assert report.converged and calls == []
 
 
 def test_minimize_rejects_a_start_of_another_width(rng):
@@ -315,11 +289,11 @@ def test_methods_agree():
         builtin = get_builtin(name)
         part = make_uniform_partition(builtin.problem.T, N)
         opts_pgd = OptimizeOptions(method="pgd", grad_tol=1e-8, max_outer=200)
-        opts_fbs = OptimizeOptions(method="fbs", grad_tol=1e-8, max_outer=200)
+        opts_newton = OptimizeOptions(method="newton", grad_tol=1e-8, max_outer=200)
         rep_pgd = minimize(builtin.problem, None, part, 2, opts=opts_pgd)
-        rep_fbs = minimize(builtin.problem, None, part, 2, opts=opts_fbs)
-        assert rep_pgd.converged and rep_fbs.converged
-        assert l2_error(rep_pgd.u_star, rep_fbs.u_star) <= 10 * 1e-8
+        rep_newton = minimize(builtin.problem, None, part, 2, opts=opts_newton)
+        assert rep_pgd.converged and rep_newton.converged
+        assert l2_error(rep_pgd.u_star, rep_newton.u_star) <= 10 * 1e-8
 
 
 def test_control_refinement_rate():
@@ -357,17 +331,17 @@ def test_nodal_superconvergence_linear_lq():
 
 
 @pytest.mark.parametrize("name", ["linear-lq", "nonlinear-quadratic"])
-def test_newton_reaches_the_fbs_optimum(name):
+def test_newton_reaches_the_pgd_optimum(name):
     builtin = get_builtin(name)
     part = make_uniform_partition(builtin.problem.T, 8)
     for r in range(4):
         reports = [minimize(builtin.problem, None, part, r,
                             opts=OptimizeOptions(method=method, grad_tol=1e-14))
-                   for method in ("fbs", "newton")]
+                   for method in ("pgd", "newton")]
         assert all(rep.converged for rep in reports)
-        fbs, newton = reports
-        assert np.max(np.abs(newton.u_star.coeffs - fbs.u_star.coeffs)) <= 1e-12
-        assert np.max(np.abs(newton.x_star.coeffs - fbs.x_star.coeffs)) <= 1e-12
+        pgd, newton = reports
+        assert np.max(np.abs(newton.u_star.coeffs - pgd.u_star.coeffs)) <= 1e-12
+        assert np.max(np.abs(newton.x_star.coeffs - pgd.x_star.coeffs)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["linear-lq", "nonlinear-quadratic"])
@@ -430,7 +404,7 @@ def test_newton_takes_the_full_step_after_a_backtrack(monkeypatch):
 
 def test_newton_rejects_unsupported_problems(monkeypatch):
     # typed errors before any solve: no box handling, and H v needs every
-    # second partial; FBS needs the closed-form stationary control
+    # second partial
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating")
 
@@ -445,10 +419,7 @@ def test_newton_rejects_unsupported_problems(monkeypatch):
         setattr(p, name, None)
         with pytest.raises(ValueError, match="second partials"):
             minimize(p, None, part, 1, opts=opts)
-    p = replace(_decoupled_problem(0.7, 0.0, 1.0), stationary_control=None)
-    with pytest.raises(ValueError, match="stationary_control"):
-        minimize(p, None, part, 1, opts=OptimizeOptions(method="fbs"))
-    with pytest.raises(ValueError, match="'fbs', 'pgd' or 'newton'"):
+    with pytest.raises(ValueError, match="'pgd' or 'newton'"):
         OptimizeOptions(method="Newton")
 
 
@@ -464,15 +435,47 @@ def test_truthful_convergence_flag():
 def test_options_validation():
     with pytest.raises(ValueError):
         OptimizeOptions(method="bfgs")
+    # an infinite tolerance would let the first iterate claim convergence, and
+    # a fractional cap would fail inside minimize instead of here
     for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-10}, {"grad_tol": float("nan")},
-                {"max_outer": -1}):
+                {"grad_tol": float("inf")}, {"max_outer": -1}, {"max_outer": 2.5}):
         with pytest.raises(ValueError):
             OptimizeOptions(**bad)
     assert OptimizeOptions(max_outer=0).max_outer == 0
+    assert OptimizeOptions(max_outer=np.int64(3)).max_outer == 3
     builtin = linear_lq()
     part = make_uniform_partition(1.0, 4)
     with pytest.raises(ValueError):
         minimize(builtin.problem, None, part, 1, r_control=2)
+
+
+def test_fbs_spelling_runs_pgd():
+    # the deleted forward-backward sweep ran the pgd iterates; its spelling
+    # is kept for the benchmark's box-starts ops only
+    assert OptimizeOptions(method="fbs").method == "pgd"
+    p = linear_lq().problem
+    p.u_lo[:], p.u_hi[:] = -0.3, 0.0
+    part = make_uniform_partition(1.0, 8)
+    vals = np.random.default_rng(1).uniform(-0.3, 0.0, size=(part.N, 2, 1))
+    u0 = modal_from_values(vals, part, 1, gauss_rule(2))
+    reports = [minimize(p, u0, part, 1, 1, OptimizeOptions(method=method, grad_tol=1e-8,
+                                                             max_outer=50))
+               for method in ("fbs", "pgd")]
+    assert all(rep.converged for rep in reports)
+    assert np.array_equal(reports[0].u_star.coeffs, reports[1].u_star.coeffs)
+
+
+@pytest.mark.parametrize("name", ["linear-lq", "nonlinear-quadratic"])
+@pytest.mark.parametrize("method", ["pgd", "newton"])
+@pytest.mark.parametrize("r_state, r_control", [(3, 1), (2, 0)])
+def test_control_degree_below_state_degree(name, method, r_state, r_control):
+    # the control nodes have fewer points than the adjoint has degrees of
+    # freedom: both methods stop on the discrete, projected condition there
+    p = get_builtin(name).problem
+    opts = OptimizeOptions(method=method, grad_tol=1e-10)
+    report = minimize(p, None, make_uniform_partition(p.T, 8), r_state, r_control, opts)
+    assert report.converged and report.u_star.degree == r_control
+    assert stationarity(p, report.u_star, r_state) <= opts.grad_tol
 
 
 def test_options_are_frozen():

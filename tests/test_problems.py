@@ -39,9 +39,6 @@ def test_linear_lq_problem_definition(rng):
     assert p.x0 == pytest.approx([1.0])
     check_derivatives(p, rng)
     assert p.has_second_partials
-    # registered pointwise stationarity solve returns the adjoint itself
-    lam = np.array([[0.3]])
-    assert p.stationary_control(np.zeros(1), np.ones((1, 1)), lam) == pytest.approx(lam)
 
 
 def test_nonlinear_quadratic_problem_definition(rng):
