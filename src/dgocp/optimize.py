@@ -41,11 +41,13 @@ RELAX_FLOOR = 2.0**-10
 # the resolution of the cost value itself
 COST_SLACK = 1e-13
 METHODS = ("pgd", "newton")
-# CG stops at the relative residual min(CG_FORCING, ||g||), a forcing term of
-# order ||g||: quadratic convergence near the optimum (Nocedal and Wright,
-# Numerical Optimization, section 7.1); it stops already at the absolute
-# residual CG_FORCING * grad_tol, below which the stop test cannot tell
-# iterates apart (Eisenstat and Walker, SIAM J. Sci. Comput. 17, 1996)
+# CG stops at the relative residual min(CG_FORCING, ||g||)^2, a forcing term of
+# order ||g||^2 (alpha = 2 in Eisenstat and Walker, SIAM J. Sci. Comput. 17,
+# 1996): quadratic convergence near the optimum (Nocedal and Wright, Numerical
+# Optimization, section 7.1), and fewer outer iterations, each a nonlinear
+# state solve, for longer CG runs, whose H v products are two affine solves
+# each on a factored system; it stops already at the absolute residual
+# CG_FORCING * grad_tol, below which the stop test cannot tell iterates apart
 CG_FORCING = 0.1
 
 
@@ -131,13 +133,13 @@ def _residual(p, u, x, lam, nodal_rule):
 def _newton_direction(hess, g, grad_tol):
     """Truncated (Steihaug) CG for H d = -g in the control L2 inner product.
 
-    It stops at the residual max(min(CG_FORCING, ||g||) ||g||,
+    It stops at the residual max(min(CG_FORCING, ||g||)^2 ||g||,
     CG_FORCING grad_tol), after as many steps as g has coefficients, or on a
     direction whose curvature is not positive: then it returns the iterate so
     far, or -g when that happens on the first step.
     """
     gnorm = g.l2_norm()
-    tol = max(min(CG_FORCING, gnorm) * gnorm, CG_FORCING * grad_tol)
+    tol = max(min(CG_FORCING, gnorm) ** 2 * gnorm, CG_FORCING * grad_tol)
     d, res = 0.0 * g, -1.0 * g
     direction, rr = res, gnorm**2
     for step in range(g.coeffs.size):

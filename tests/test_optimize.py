@@ -357,6 +357,18 @@ def test_newton_outer_iterations(name):
             assert report.converged and report.iterations <= 5, (r, h, report.iterations)
 
 
+@pytest.mark.parametrize("name, most", [("linear-lq", 3), ("nonlinear-quadratic", 4)])
+def test_newton_iterations_from_zero(name, most):
+    # CG solves each Newton system to a residual of order ||g||^2, so on the
+    # linear-quadratic problem one step from zero comes near the optimum
+    builtin = get_builtin(name)
+    opts = OptimizeOptions(method="newton", grad_tol=1e-12)
+    for N, r in ((64, 2), (256, 3)):
+        part = make_uniform_partition(builtin.problem.T, N)
+        report = minimize(builtin.problem, None, part, r, opts=opts)
+        assert report.converged and report.iterations <= most, (N, r, report.iterations)
+
+
 def test_newton_state_solves(monkeypatch):
     # the Hessian-vector products take affine solves only: one nonlinear state
     # solve at the start and one per accepted or rejected trial
@@ -510,7 +522,7 @@ def _cg_path(hess, g):
     """Plain CG for H d = -g in the control L2 inner product: the iterate, the
     residual norm and the curvature of the step's direction, for each step."""
     d, res = 0.0 * g, -1.0 * g
-    direction, rr = res, res.l2_norm_sq()
+    direction, rr = res, g.l2_norm() ** 2  # rounded as _newton_direction rounds it
     path = []
     for _ in range(g.coeffs.size):
         Hp = hess(direction)
@@ -523,20 +535,25 @@ def _cg_path(hess, g):
     return path
 
 
-def test_newton_direction_stops_at_the_cg_floor():
-    # H scales the modal coefficients by eigenvalues spread over [1, 100],
-    # which is self-adjoint in L2 (the Legendre modes are orthogonal); with
-    # ||g|| = 1e-3 the forcing term alone asks for a residual of 1e-6, the
-    # floor CG_FORCING * grad_tol for 1e-4
-    g = random_dg(np.random.default_rng(7), make_uniform_partition(1.0, 8), 2)
-    g = (1e-3 / g.l2_norm()) * g
+def _spd_hessian(g, products):
+    """H scaling the modal coefficients by eigenvalues spread over [1, 100],
+    which is self-adjoint in L2 (the Legendre modes are orthogonal); each
+    product appends to `products`."""
     eig = np.geomspace(1.0, 100.0, g.coeffs.size).reshape(g.coeffs.shape)
-    products = []
 
     def hess(v):
         products.append(1)
         return DGFunction(v.partition, v.degree, v.dim, eig * v.coeffs)
+    return hess
 
+
+def test_newton_direction_stops_at_the_cg_floor():
+    # with ||g|| = 1e-3 the forcing term alone asks for a residual of 1e-9,
+    # the floor CG_FORCING * grad_tol for 1e-4
+    g = random_dg(np.random.default_rng(7), make_uniform_partition(1.0, 8), 2)
+    g = (1e-3 / g.l2_norm()) * g
+    products = []
+    hess = _spd_hessian(g, products)
     grad_tol = 1e-3
     floor = dgocp.optimize.CG_FORCING * grad_tol
     path = _cg_path(hess, g)
@@ -545,6 +562,23 @@ def test_newton_direction_stops_at_the_cg_floor():
     products.clear()
     d = dgocp.optimize._newton_direction(hess, g, grad_tol)
     assert len(products) == stop + 1
+    assert np.max(np.abs(d.coeffs - path[stop][0].coeffs)) <= 1e-12 * np.max(np.abs(d.coeffs))
+
+
+def test_newton_direction_stops_at_the_forcing_term():
+    # with ||g|| = 1e-2 the forcing term min(CG_FORCING, ||g||)^2 ||g|| asks
+    # for a residual of 1e-6, far above the floor CG_FORCING * grad_tol = 1e-13;
+    # 96 coefficients, so the step cap does not end CG either
+    g = random_dg(np.random.default_rng(7), make_uniform_partition(1.0, 32), 2)
+    g = (1e-2 / g.l2_norm()) * g
+    products = []
+    hess = _spd_hessian(g, products)
+    path = _cg_path(hess, g)
+    stop = next(k for k, (_, res, _) in enumerate(path) if res <= 1e-6)
+    assert 1 <= stop < g.coeffs.size - 1
+    products.clear()
+    d = dgocp.optimize._newton_direction(hess, g, 1e-12)
+    assert len(products) == stop + 1  # the first residual <= 1e-6, not before
     assert np.max(np.abs(d.coeffs - path[stop][0].coeffs)) <= 1e-12 * np.max(np.abs(d.coeffs))
 
 
