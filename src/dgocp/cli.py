@@ -6,7 +6,8 @@ import sys
 
 import numpy as np
 
-from .convergence import ConvergenceReport, run_convergence
+from .convergence import (DEFAULT_LEVELS, DEFAULT_OPTS, DEFAULT_ORDERS, ConvergenceReport,
+                          run_convergence)
 from .ivp import SolverFailure
 from .mesh import l2_error, make_uniform_partition, save_dg
 from .ocp import adjoint_residual, solve_adjoint, solve_state
@@ -24,21 +25,19 @@ EXIT_NOT_CONVERGED = 3  # stall, the iteration cap reached, or a failed state so
 N_PLOT_SAMPLES = 401
 
 
+def _write_columns(path, ts, vals, names):
+    """CSV with a header row: the times ts, then one column of vals per name."""
+    np.savetxt(path, np.column_stack((ts, vals)), fmt=["%.12g"] + ["%.12e"] * len(names),
+               delimiter=",", header=",".join(["t"] + names), comments="")
+
+
 def _write_samples(F, path, names):
     ts = np.linspace(0.0, F.partition.T, N_PLOT_SAMPLES)
-    vals = F.eval_many(ts, side="left")
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for t, row in zip(ts, vals):
-            fh.write(f"{t:.12g}," + ",".join(f"{v:.12e}" for v in row) + "\n")
+    _write_columns(path, ts, F.eval_many(ts, side="left"), names)
 
 
 def _write_jumps(F, path, names):
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join("jump_" + n for n in names) + "\n")
-        for n in range(1, F.partition.N):
-            t = F.partition.nodes[n]
-            fh.write(f"{t:.12g}," + ",".join(f"{v:.12e}" for v in F.jump(n)) + "\n")
+    _write_columns(path, F.partition.nodes[1:-1], F.jumps(), ["jump_" + n for n in names])
 
 
 def _positive(kind):
@@ -193,24 +192,25 @@ def build_parser():
                                      description="DG time-stepping optimal control")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = OptimizeOptions()
     ps = sub.add_parser("solve", help="optimize one problem instance")
     ps.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
     ps.add_argument("--order", type=_nonnegative, default=1)
     mesh = ps.add_mutually_exclusive_group()
     mesh.add_argument("--intervals", type=_positive(int))
     mesh.add_argument("--h", type=_positive(float))
-    ps.add_argument("--method", choices=METHODS, default="pgd")
+    ps.add_argument("--method", choices=METHODS, default=defaults.method)
     ps.add_argument("--out", default="out")
-    ps.add_argument("--grad-tol", type=_positive(float), default=1e-10)
-    ps.add_argument("--max-iter", type=_nonnegative, default=10000)
+    ps.add_argument("--grad-tol", type=_positive(float), default=defaults.grad_tol)
+    ps.add_argument("--max-iter", type=_nonnegative, default=defaults.max_outer)
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("convergence", help="mesh-refinement error table")
     pc.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
-    pc.add_argument("--orders", type=_degrees, default="1,2,3")
-    pc.add_argument("--levels", type=_positive(int), default=6)
-    pc.add_argument("--method", choices=METHODS, default="newton")
-    pc.add_argument("--grad-tol", type=_positive(float), default=1e-14)
+    pc.add_argument("--orders", type=_degrees, default=DEFAULT_ORDERS)
+    pc.add_argument("--levels", type=_positive(int), default=DEFAULT_LEVELS)
+    pc.add_argument("--method", choices=METHODS, default=DEFAULT_OPTS.method)
+    pc.add_argument("--grad-tol", type=_positive(float), default=DEFAULT_OPTS.grad_tol)
     pc.add_argument("--out")
     pc.add_argument("--verbose", action="store_true")
     pc.set_defaults(func=cmd_convergence)

@@ -13,6 +13,11 @@ from .optimize import OptimizeOptions, StallError, minimize
 __all__ = ["ConvergenceRow", "ConvergenceReport", "run_convergence"]
 
 BASE_H = 0.1
+# the default table; its finest levels sit near round-off, so its options drive
+# the optimizer well below the default stationarity tolerance to resolve them
+DEFAULT_ORDERS = (1, 2, 3)
+DEFAULT_LEVELS = 6
+DEFAULT_OPTS = OptimizeOptions(method="newton", grad_tol=1e-14)
 
 
 @dataclass
@@ -43,7 +48,8 @@ class ConvergenceReport:
         return text
 
 
-def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=None):
+def run_convergence(builtin, orders=DEFAULT_ORDERS, levels=DEFAULT_LEVELS, opts=DEFAULT_OPTS,
+                    progress=None):
     """Optimize on h = BASE_H * 2^-k for k = 0..levels-1 and tabulate L2 errors.
 
     Errors are measured against the closed-form optimum when available,
@@ -68,9 +74,6 @@ def run_convergence(builtin, orders=(1, 2, 3), levels=6, opts=None, progress=Non
         raise ValueError(f"orders must be >= 0, got {orders}")
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    # the finest levels sit near round-off; the optimizer has to be driven
-    # well below the default stationarity tolerance to resolve them
-    opts = opts or OptimizeOptions(method="newton", grad_tol=1e-14)
     p = builtin.problem
 
     def solve(r, N, label, u0):

@@ -95,7 +95,7 @@ class SolverFailure(RuntimeError):
         self.residual = residual
         super().__init__(
             message
-            or f"Newton failed on interval {interval} (last residual {residual:.3e})"
+            or f"residual {residual:.3e} above its tolerance on interval {interval}"
         )
 
 

@@ -1,8 +1,9 @@
 """Time partitions and piecewise-polynomial (DG) function containers.
 
 A DGFunction stores modal Legendre coefficients per interval and is allowed to
-jump at the interior nodes.  One-sided traces, jumps, interval-wise L2
-projections/norms and total variation all live here.  sample_on_quad samples
+jump at the interior nodes.  One-sided values come from eval_many's `side`,
+and the jumps at all interior nodes from DGFunction.jumps; interval-wise L2
+projections/norms and total variation live here too.  sample_on_quad samples
 a DG function on its own partition only; project_l2 and l2_error also take
 callables and DG functions on other partitions.
 """
@@ -113,6 +114,8 @@ class DGFunction:
     coeffs: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if self.degree < 0 or self.dim < 1:
+            raise ValueError(f"need degree >= 0 and dim >= 1, got {self.degree} and {self.dim}")
         shape = (self.partition.N, self.degree + 1, self.dim)
         if self.coeffs is None:
             self.coeffs = np.zeros(shape)
@@ -143,22 +146,11 @@ class DGFunction:
         """Values at the mapped quadrature points of every interval, (N, q, d)."""
         return np.einsum("qk,nkd->nqd", rule_table(self.degree, rule), self.coeffs)
 
-    # -- traces and jumps ---------------------------------------------------
-
-    def trace_right(self, n):
-        """One-sided limit from the right at node n (0 <= n <= N-1)."""
+    def jumps(self):
+        """[phi]_n = phi_n^+ - phi_n^- at the interior nodes n = 1..N-1, (N-1, d):
+        the right trace sum_k (-1)^k c_{n,k} minus the left one sum_k c_{n-1,k}."""
         signs = (-1.0) ** np.arange(self.degree + 1)
-        return signs @ self.coeffs[n]
-
-    def trace_left(self, n):
-        """One-sided limit from the left at node n (1 <= n <= N)."""
-        return self.coeffs[n - 1].sum(axis=0)
-
-    def jump(self, n):
-        """[phi]_n = phi_n^+ - phi_n^- at an interior node."""
-        if not 1 <= n <= self.partition.N - 1:
-            raise ValueError("jumps are defined at interior nodes only")
-        return self.trace_right(n) - self.trace_left(n)
+        return signs @ self.coeffs[1:] - self.coeffs[:-1].sum(axis=1)
 
     # -- algebra ------------------------------------------------------------
 
@@ -325,9 +317,7 @@ def total_variation(u):
     if r >= 2:
         breaks = np.concatenate((breaks, _critical_points(c)), axis=1)
     vals = np.polynomial.legendre.legval(np.sort(breaks, axis=1), c.T[:, :, None], tensor=False)
-    signs = (-1.0) ** np.arange(r + 1)
-    jumps = signs @ u.coeffs[1:] - u.coeffs[:-1].sum(axis=1)   # right minus left traces
-    return float(np.sum(np.abs(np.diff(vals, axis=1))) + np.sum(np.abs(jumps)))
+    return float(np.sum(np.abs(np.diff(vals, axis=1))) + np.sum(np.abs(u.jumps())))
 
 
 def save_dg(F, path):

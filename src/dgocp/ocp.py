@@ -12,10 +12,10 @@ state degree from them; solve_state and hessian_form take the degree r of the
 state they solve for.  Inputs are sampled on the quadrature grid from their
 coefficients (mesh.sample_on_quad): one on another partition raises ValueError.
 
-A problem is its callables and its control box: no closed-form solution
-enters, and the optimizer reads only the reduced gradient and, for Newton,
-the six second partials.  All problem callables are vectorized over time
-batches:
+A problem is its callables, its control box and x0, whose size is the state
+dimension d: no closed-form solution enters, and the optimizer reads only
+the reduced gradient and, for Newton, the six second partials.  All problem
+callables are vectorized over time batches:
     t: (q,), x: (q, d), u: (q, m)
     f -> (q, d); g -> (q,)
     fx -> (q, d, d); fu -> (q, d, m); gx -> (q, d); gu -> (q, m)
@@ -47,9 +47,8 @@ __all__ = [
 
 @dataclass
 class OCProblem:
-    """Dynamics f, running cost g, their partials, and the control box."""
+    """Dynamics f, running cost g, their partials, x0 and the control box."""
 
-    d: int
     m: int
     T: float
     x0: np.ndarray
@@ -72,8 +71,8 @@ class OCProblem:
         if not 0.0 < self.T < np.inf:                   # NaN fails too
             raise ValueError("T must be positive and finite")
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        if self.x0.size != self.d or not np.all(np.isfinite(self.x0)):
-            raise ValueError("x0 must have d finite entries")
+        if self.x0.ndim != 1 or self.x0.size == 0 or not np.all(np.isfinite(self.x0)):
+            raise ValueError("x0 must be a 1-D, non-empty, finite vector")
         self.u_lo = self._bound(self.u_lo, -np.inf)
         self.u_hi = self._bound(self.u_hi, np.inf)
         if not np.all(self.u_lo <= self.u_hi):          # a NaN bound fails too
@@ -83,6 +82,10 @@ class OCProblem:
         if b is None:
             return np.full(self.m, fill)
         return np.broadcast_to(np.asarray(b, dtype=float), (self.m,)).copy()
+
+    @property
+    def d(self):
+        return self.x0.size
 
     @property
     def has_second_partials(self):
@@ -115,6 +118,8 @@ def solve_state(p, u, r):
     """
     if not isinstance(u, DGFunction):
         raise TypeError("the control must be a DGFunction")
+    if r < 0:
+        raise ValueError(f"the state degree must be >= 0, got {r}")
     U = sample_on_quad(u, u.partition, default_rule(r), p.m)
 
     def inputs(times):

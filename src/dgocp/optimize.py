@@ -68,7 +68,8 @@ class OptimizeOptions:
             raise ValueError("method must be 'pgd' or 'newton'")
         if not 0.0 < self.grad_tol < np.inf:        # NaN fails too
             raise ValueError("grad_tol must be positive and finite")
-        if not isinstance(self.max_outer, Integral) or self.max_outer < 0:
+        if (not isinstance(self.max_outer, Integral) or isinstance(self.max_outer, bool)
+                or self.max_outer < 0):
             raise ValueError("max_outer must be an integer >= 0")
 
 
@@ -163,12 +164,14 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     Returns an OptimizeReport.  Raises StallError when no relaxation down to
     RELAX_FLOOR is accepted before reaching stationarity, and SolverFailure
     when the state solve at the start control fails; a failed trial solve is
-    a rejected trial.  Raises ValueError, before any solve, for method
-    "newton" on a problem without all six second partials or with a finite
-    control bound.
+    a rejected trial.  Raises ValueError, before any solve, for a negative
+    degree, and for method "newton" on a problem without all six second
+    partials or with a finite control bound.
     """
     opts = opts or OptimizeOptions()
     r_control = r_state if r_control is None else r_control
+    if min(r_state, r_control) < 0:
+        raise ValueError(f"degrees must be >= 0, got r_state={r_state}, r_control={r_control}")
     if r_control > r_state:
         raise ValueError("r_control must not exceed r_state")
     newton = opts.method == "newton"

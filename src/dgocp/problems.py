@@ -27,7 +27,6 @@ _DENOM = SQRT2 * np.cosh(SQRT2) + np.sinh(SQRT2)
 
 @dataclass
 class BuiltinProblem:
-    name: str
     problem: OCProblem
     exact_state: Optional[Callable] = None
     exact_control: Optional[Callable] = None
@@ -42,7 +41,7 @@ def _tracking(T, x0, f, fx, fxx):
     zeros = lambda t, x, u: np.zeros((t.size, 1, 1))
     zeros4 = lambda t, x, u: np.zeros((t.size, 1, 1, 1))
     return OCProblem(
-        d=1, m=1, T=T, x0=[x0],
+        m=1, T=T, x0=[x0],
         f=lambda t, x, u: f(x) + u,
         g=lambda t, x, u: 0.5 * (x[:, 0] ** 2 + u[:, 0] ** 2),
         fx=lambda t, x, u: fx(x),
@@ -75,7 +74,6 @@ def linear_lq():
         return np.sinh(s) / _DENOM
 
     return BuiltinProblem(
-        name="linear-lq",
         problem=problem,
         exact_state=exact_state,
         exact_control=exact_control,
@@ -90,7 +88,6 @@ def nonlinear_quadratic():
         fxx=lambda x: np.full((x.shape[0], 1, 1, 1), 2.0),
     )
     return BuiltinProblem(
-        name="nonlinear-quadratic",
         problem=problem,
         reference_h=0.1 * 2.0**-9,
     )

@@ -1,5 +1,6 @@
 """Command-line interface: solve, convergence, verify."""
 
+import inspect
 import re
 
 import numpy as np
@@ -78,6 +79,28 @@ def test_solve_artifacts_and_table_entry(tmp_path):
         assert len(lines) == 402  # header + 401 uniform samples
     jump_lines = (out / "x_jumps.csv").read_text().splitlines()
     assert len(jump_lines) == 10  # header + 9 interior nodes
+
+
+def test_one_interval_writes_a_header_only_jump_file(tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "linear-lq", "--intervals", "1", "--out", str(out)]) == 0
+    assert (out / "x_jumps.csv").read_text() == "t,jump_x_1\n"
+    assert (out / "u_jumps.csv").read_text() == "t,jump_u_1\n"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    solve = build_parser().parse_args(["solve", "--problem", "linear-lq"])
+    opts = OptimizeOptions()
+    assert (solve.method, solve.grad_tol, solve.max_iter) == (
+        opts.method, opts.grad_tol, opts.max_outer)
+    conv = build_parser().parse_args(["convergence", "--problem", "linear-lq"])
+    defaults = inspect.signature(run_convergence).parameters
+    assert conv.orders == defaults["orders"].default == (1, 2, 3)
+    assert conv.levels == defaults["levels"].default == 6
+    table_opts = defaults["opts"].default
+    assert (conv.method, conv.grad_tol) == (table_opts.method, table_opts.grad_tol) == (
+        "newton", 1e-14)
+    assert table_opts.max_outer == opts.max_outer
 
 
 def test_solve_not_converged_exit_code(tmp_path):

@@ -54,7 +54,7 @@ def test_exponential_against_rk4():
     part = make_uniform_partition(1.0, 20)
     sol = solve_forward(rhs, np.array([1.0]), part, 2)
     ref = rk4_at(lambda t, x: x, [1.0], part.nodes[1:], dt=1e-5)
-    node_vals = np.array([sol.trace_left(n) for n in range(1, part.N + 1)])
+    node_vals = sol.eval_many(part.nodes[1:], side="left")
     assert np.max(np.abs(node_vals - ref)) < 1e-6
 
 
@@ -294,6 +294,27 @@ def test_transposed_solve_reverses_a_forward_solve(rng):
             for ref in (reverse_dg(solve_forward(reversed_rhs, xT, part.reversed(), r)).coeffs,
                         solve_backward(forward, xT, part, r).coeffs):
                 assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref)), (N, r)
+
+
+def test_an_affine_failure_reports_its_residual(monkeypatch):
+    # no Newton iteration runs on the affine route: the message says only that
+    # the residual stays above its tolerance, on the interval that exceeds it
+    part = make_uniform_partition(1.0, 4)
+    times = part.quad_times(default_rule(1))
+    system = ivp.AffineSystem(_rotating_A(times), part, 1)
+    b, x0 = np.stack((np.sin(times), times), -1), np.array([1.0, -0.5])
+    residual = ivp.AffineSystem._residual
+
+    def above(self, C, f, x0, transposed):
+        R, rnorm, tol = residual(self, C, f, x0, transposed)
+        return R, np.where(np.arange(rnorm.size) == 2, 1.0, rnorm), tol
+
+    monkeypatch.setattr(ivp.AffineSystem, "_residual", above)
+    message = r"^residual 1\.000e\+00 above its tolerance on interval 2$"
+    for solve in (system.solve, system.solve_transposed):
+        with pytest.raises(SolverFailure, match=message) as err:
+            solve(b, x0)
+        assert (err.value.interval, err.value.residual) == (2, 1.0)
 
 
 def test_a_residual_above_tolerance_is_corrected(monkeypatch):

@@ -139,9 +139,8 @@ def test_eval_sides_and_jump():
     F.coeffs[1, 0, 0] = 1.0
     assert F.eval(0.5, side="left")[0] == 0.0
     assert F.eval(0.5, side="right")[0] == 1.0
-    assert F.jump(1)[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        F.jump(0)
+    assert F.jumps().shape == (1, 1)
+    assert F.jumps()[0, 0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         F.eval(-0.1)
     with pytest.raises(ValueError, match="outside"):
@@ -149,12 +148,15 @@ def test_eval_sides_and_jump():
 
 
 def test_trace_consistency(rng):
-    part = make_uniform_partition(1.0, 6)
-    F = random_dg(rng, part, 3, dim=2)
-    for n in range(1, part.N):
-        t = part.nodes[n]
-        diff = F.eval(t, side="right") - F.eval(t, side="left")
-        assert np.max(np.abs(diff - F.jump(n))) < 1e-14
+    for N in (1, 6):      # one interval has no interior node: no jumps
+        part = make_uniform_partition(1.0, N)
+        F = random_dg(rng, part, 3, dim=2)
+        jumps = F.jumps()
+        assert jumps.shape == (N - 1, 2)
+        for n in range(1, N):
+            t = part.nodes[n]
+            diff = F.eval(t, side="right") - F.eval(t, side="left")
+            assert np.max(np.abs(diff - jumps[n - 1])) < 1e-14
 
 
 def test_sample_on_quad_matches_eval_many(rng):
@@ -199,6 +201,9 @@ def test_coefficient_shape_validation():
     part = make_uniform_partition(1.0, 3)
     with pytest.raises(ValueError):
         DGFunction(part, 1, 1, np.zeros((3, 3, 1)))
+    for degree, dim in ((-1, 1), (1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="need degree >= 0 and dim >= 1"):
+            DGFunction(part, degree, dim)
 
 
 # -- errors and norms ---------------------------------------------------------
@@ -339,9 +344,7 @@ def _total_variation_per_interval(u):
                            if abs(z.imag) < 1e-12 and -1.0 < z.real < 1.0]
             vals = np.polynomial.legendre.legval(np.sort(breaks), c)
             tv += float(np.sum(np.abs(np.diff(vals))))
-    for n in range(1, u.partition.N):
-        tv += float(np.sum(np.abs(u.jump(n))))
-    return tv
+    return tv + float(np.sum(np.abs(u.jumps())))
 
 
 @pytest.mark.parametrize("r", range(6))

@@ -53,7 +53,7 @@ def _exact_control(builtin, partition, r):
 
 def test_state_zero_dynamics():
     p = OCProblem(
-        d=1, m=1, T=1.0, x0=[4.0],
+        m=1, T=1.0, x0=[4.0],
         f=lambda t, x, u: np.zeros_like(x),
         g=lambda t, x, u: np.zeros(t.size),
         fx=lambda t, x, u: np.zeros((t.size, 1, 1)),
@@ -93,12 +93,19 @@ def test_state_callable_control_width():
         solve_state(p, lambda t: 0.3 * np.sin(5.0 * t), 2)
 
 
+def test_state_rejects_a_negative_degree():
+    p = nonlinear_quadratic().problem
+    part = make_uniform_partition(p.T, 4)
+    with pytest.raises(ValueError, match="state degree must be >= 0, got -1"):
+        solve_state(p, _zero_control(part), -1)
+
+
 # -- adjoint solves -----------------------------------------------------------
 
 
 def test_adjoint_zero_when_cost_ignores_state():
     p = OCProblem(
-        d=1, m=1, T=1.0, x0=[1.0],
+        m=1, T=1.0, x0=[1.0],
         f=lambda t, x, u: -x + u,
         g=lambda t, x, u: 0.5 * u[:, 0] ** 2,
         fx=lambda t, x, u: np.full((t.size, 1, 1), -1.0),
@@ -159,7 +166,7 @@ def test_adjoint_lipschitz_in_control(rng):
 
 def test_gradient_zero_when_cost_and_dynamics_ignore_control():
     p = OCProblem(
-        d=1, m=1, T=1.0, x0=[1.0],
+        m=1, T=1.0, x0=[1.0],
         f=lambda t, x, u: -x,
         g=lambda t, x, u: 0.5 * x[:, 0] ** 2,
         fx=lambda t, x, u: np.full((t.size, 1, 1), -1.0),
@@ -176,7 +183,7 @@ def test_gradient_zero_when_cost_and_dynamics_ignore_control():
 
 def test_cost_trivial_values():
     pc = OCProblem(
-        d=1, m=1, T=1.0, x0=[0.0],
+        m=1, T=1.0, x0=[0.0],
         f=lambda t, x, u: np.zeros_like(x),
         g=lambda t, x, u: np.ones(t.size),
         fx=lambda t, x, u: np.zeros((t.size, 1, 1)),
@@ -398,7 +405,7 @@ def test_hessian_closed_form_linear_quadratic(rng):
 
 def test_hessian_requires_second_partials():
     p = OCProblem(
-        d=1, m=1, T=1.0, x0=[1.0],
+        m=1, T=1.0, x0=[1.0],
         f=lambda t, x, u: -x + u,
         g=lambda t, x, u: 0.5 * u[:, 0] ** 2,
         fx=lambda t, x, u: np.full((t.size, 1, 1), -1.0),
@@ -428,7 +435,7 @@ def _coupled_problem():
         return out
 
     return OCProblem(
-        d=2, m=2, T=0.5, x0=[0.5, -0.3],
+        m=2, T=0.5, x0=[0.5, -0.3],
         f=lambda t, x, u: col(x[:, 0] * x[:, 1] + u[:, 0] * x[:, 0],
                               np.sin(x[:, 0]) + u[:, 0] * u[:, 1] + u[:, 0] * x[:, 1]),
         g=lambda t, x, u: 0.5 * (np.sum(x**2, axis=1) + np.sum(u**2, axis=1)) + x[:, 0] * u[:, 1],
@@ -587,11 +594,13 @@ def test_problem_validation():
         gx=lambda t, x, u: np.zeros((t.size, 1)),
         gu=lambda t, x, u: np.zeros((t.size, 1)),
     )
+    assert OCProblem(m=1, T=1.0, x0=[1.0, 2.0], **kwargs).d == 2
     with pytest.raises(ValueError):
-        OCProblem(d=2, m=1, T=1.0, x0=[1.0], **kwargs)
-    with pytest.raises(ValueError):
-        OCProblem(d=1, m=1, T=1.0, x0=[1.0], u_lo=1.0, u_hi=-1.0, **kwargs)
+        OCProblem(m=1, T=1.0, x0=[1.0], u_lo=1.0, u_hi=-1.0, **kwargs)
+    for x0 in ([], [[1.0]]):
+        with pytest.raises(ValueError, match="x0 must be a 1-D, non-empty, finite vector"):
+            OCProblem(m=1, T=1.0, x0=x0, **kwargs)
     for bad in (dict(T=np.nan), dict(T=0.0), dict(T=-1.0), dict(T=np.inf),
                 dict(x0=[np.nan]), dict(x0=[np.inf]), dict(u_lo=np.nan), dict(u_hi=np.nan)):
         with pytest.raises(ValueError):
-            OCProblem(**{"d": 1, "m": 1, "T": 1.0, "x0": [1.0], **bad}, **kwargs)
+            OCProblem(**{"m": 1, "T": 1.0, "x0": [1.0], **bad}, **kwargs)

@@ -33,7 +33,7 @@ def _decoupled_problem(c, lo=None, hi=None):
     z3 = lambda t: np.zeros((t.size, 1, 1))
     z4 = lambda t: np.zeros((t.size, 1, 1, 1))
     return OCProblem(
-        d=1, m=1, T=1.0, x0=[0.0],
+        m=1, T=1.0, x0=[0.0],
         f=lambda t, x, u: np.zeros_like(x),
         g=lambda t, x, u: 0.5 * (u[:, 0] - c) ** 2,
         fx=lambda t, x, u: z3(t),
@@ -447,10 +447,12 @@ def test_truthful_convergence_flag():
 def test_options_validation():
     with pytest.raises(ValueError):
         OptimizeOptions(method="bfgs")
-    # an infinite tolerance would let the first iterate claim convergence, and
-    # a fractional cap would fail inside minimize instead of here
+    # an infinite tolerance would let the first iterate claim convergence, a
+    # fractional cap would fail inside minimize instead of here, and a bool is
+    # an Integral that would run as a cap of 1 or 0
     for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-10}, {"grad_tol": float("nan")},
-                {"grad_tol": float("inf")}, {"max_outer": -1}, {"max_outer": 2.5}):
+                {"grad_tol": float("inf")}, {"max_outer": -1}, {"max_outer": 2.5},
+                {"max_outer": True}, {"max_outer": False}):
         with pytest.raises(ValueError):
             OptimizeOptions(**bad)
     assert OptimizeOptions(max_outer=0).max_outer == 0
@@ -459,6 +461,18 @@ def test_options_validation():
     part = make_uniform_partition(1.0, 4)
     with pytest.raises(ValueError):
         minimize(builtin.problem, None, part, 1, r_control=2)
+
+
+def test_negative_degree_is_rejected_before_any_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a state solve ran")
+
+    monkeypatch.setattr(dgocp.optimize, "solve_state", no_solve)
+    p = linear_lq().problem
+    part = make_uniform_partition(1.0, 4)
+    for degrees in ((-1,), (1, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="degrees must be >= 0, got r_state=.*-1"):
+            minimize(p, None, part, *degrees)
 
 
 def test_fbs_spelling_runs_pgd():
