@@ -15,7 +15,7 @@ from .optimize import METHODS, OptimizeOptions, StallError, minimize
 from .oracles import (gradient_discrepancy, hessian_discrepancy, hessian_vector_discrepancy,
                       random_dg, tangent_discrepancy, time_reversal_discrepancy,
                       worst_discrepancy)
-from .problems import get_builtin
+from .problems import BUILTINS, get_builtin
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -194,7 +194,7 @@ def build_parser():
 
     defaults = OptimizeOptions()
     ps = sub.add_parser("solve", help="optimize one problem instance")
-    ps.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
+    ps.add_argument("--problem", required=True, choices=sorted(BUILTINS))
     ps.add_argument("--order", type=_nonnegative, default=1)
     mesh = ps.add_mutually_exclusive_group()
     mesh.add_argument("--intervals", type=_positive(int))
@@ -206,7 +206,7 @@ def build_parser():
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("convergence", help="mesh-refinement error table")
-    pc.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
+    pc.add_argument("--problem", required=True, choices=sorted(BUILTINS))
     pc.add_argument("--orders", type=_degrees, default=DEFAULT_ORDERS)
     pc.add_argument("--levels", type=_positive(int), default=DEFAULT_LEVELS)
     pc.add_argument("--method", choices=METHODS, default=DEFAULT_OPTS.method)
@@ -216,7 +216,7 @@ def build_parser():
     pc.set_defaults(func=cmd_convergence)
 
     pv = sub.add_parser("verify", help="gradient/tangent/Hessian/adjoint oracles")
-    pv.add_argument("--problem", required=True, choices=["linear-lq", "nonlinear-quadratic"])
+    pv.add_argument("--problem", required=True, choices=sorted(BUILTINS))
     pv.add_argument("--order", type=_nonnegative, default=1)
     pv.add_argument("--intervals", type=_positive(int), default=8)
     pv.add_argument("--seed", type=int, default=0)

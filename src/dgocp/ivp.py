@@ -4,9 +4,10 @@ The weak DG equation couples intervals only through the upwind trace.  A
 system comes in one of two forms:
 
 * arrays: x' = A(t) x + b(t) with A and b sampled on the quadrature grid,
-  as the tangent and adjoint systems of ocp are.  An AffineSystem inverts
-  all N interval blocks at once and builds the doubling tables of the d x d
-  trace recurrence; a solve is then a few batched products, with the
+  as (N, q, ...) or flattened to (N*q, ...), the tangent and adjoint systems
+  of ocp in the latter.  An AffineSystem inverts all N interval blocks at
+  once and builds the doubling tables of the d x d trace recurrence; a
+  solve is then a few batched products, with the
   recurrence run as a scan of ceil(log2 N) steps.  The same factors solve the
   transposed system, lam' = -A^T lam + b with lam(T) = lamT: upwind DG in
   time is adjoint-consistent, so that is the discrete adjoint.  factored()
@@ -174,21 +175,19 @@ def solve_forward(rhs, x0, partition, r):
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sch = _scheme(r, x0.size)
     inputs = rhs.inputs(partition.quad_times(sch.rule))
-    flat, grid = _flat(inputs), (partition.N, sch.rule.q)
-    X = np.zeros((grid[0] * grid[1], x0.size))
+    flat = _flat(inputs)
+    X = np.zeros((partition.N * sch.rule.q, x0.size))
     with np.errstate(all="ignore"):             # probe states, not the solution
         A = np.asarray(rhs.dF_dx(flat, X))
         linear = np.array_equal(A, rhs.dF_dx(flat, X + PROBE_SHIFT))
     if linear:
-        b = np.asarray(rhs.F(flat, X))
         try:
-            C = factored(A.reshape(grid + A.shape[1:]), partition, r).solve(
-                b.reshape(grid + b.shape[1:]), x0)
+            C = factored(A, partition, r).solve(rhs.F(flat, X), x0)
             if _closure_residual_passes(rhs, flat, C, x0, partition, sch):
-                return DGFunction(partition, r, x0.size, C)
+                return DGFunction(partition, C)
         except SolverFailure:
             pass
-    return DGFunction(partition, r, x0.size, _solve_newton(rhs, inputs, x0, partition, sch))
+    return DGFunction(partition, _solve_newton(rhs, inputs, x0, partition, sch))
 
 
 def _flat(inputs):
@@ -263,7 +262,8 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
 class AffineSystem:
     """The DG system of x' = A x + b for a fixed A, factored once for any b.
 
-    A is sampled on the (N, q) quadrature grid of `partition`, as (N, q, d, d).
+    A is sampled on the (N, q) quadrature grid of `partition`, as (N, q, d, d)
+    or flattened to (N*q, d, d), and a forcing b as (N, q, d) or (N*q, d).
     Block n solves J_n C_n = (s (x) I) x_n + f_n, so C_n = G_n x_n + g_n with
     G_n = J_n^{-1} (s (x) I), and the outgoing trace is the recurrence
 
@@ -285,7 +285,7 @@ class AffineSystem:
         self.sch = sch = _scheme(r, d)
         self.shape = (N, r + 1, d)
         self.half_h = 0.5 * partition.widths[:, None, None]
-        self.J = sch.blocks(self.half_h, A)                     # (N, nd, nd)
+        self.J = sch.blocks(self.half_h, np.reshape(A, (N, sch.rule.q, d, d)))  # (N, nd, nd)
         try:
             self.Jinv = np.linalg.inv(self.J)
         except np.linalg.LinAlgError:
@@ -302,7 +302,7 @@ class AffineSystem:
             w *= 2
 
     def solve(self, b, x0):
-        """Coefficients (N, r+1, d) for the forcing b (N, q, d) and x(0) = x0.
+        """Coefficients (N, r+1, d) for the forcing b and x(0) = x0.
 
         A residual above its tolerance is corrected by the same factored
         solve applied to it; SolverFailure names the interval whose residual
@@ -323,7 +323,9 @@ class AffineSystem:
         return self._corrected(-self._forcing(b), lamT, True)
 
     def _forcing(self, b):
-        return (self.half_h * (self.sch.PtW @ b)).reshape(self.shape[0], -1)
+        N, d = self.shape[0], self.shape[2]
+        b = np.asarray(b).reshape(N, self.sch.rule.q, d)
+        return (self.half_h * (self.sch.PtW @ b)).reshape(N, -1)
 
     def _corrected(self, f, x0, transposed):
         C = self._sweep(f, x0, transposed)
@@ -397,7 +399,7 @@ def _reversed_coeffs(coeffs):
 
 def reverse_dg(F):
     """The time-reversed function t -> F(T - t) on the reversed partition."""
-    return DGFunction(F.partition.reversed(), F.degree, F.dim, _reversed_coeffs(F.coeffs))
+    return DGFunction(F.partition.reversed(), _reversed_coeffs(F.coeffs))
 
 
 def solve_backward(rhs, xT, partition, r):
@@ -417,4 +419,4 @@ def solve_backward(rhs, xT, partition, r):
     )
     W = solve_forward(rev, xT, partition.reversed(), r)
     # on `partition` itself: T - (T - t) would accumulate float error in the nodes
-    return DGFunction(partition, r, W.dim, _reversed_coeffs(W.coeffs))
+    return DGFunction(partition, _reversed_coeffs(W.coeffs))

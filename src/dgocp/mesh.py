@@ -1,6 +1,7 @@
 """Time partitions and piecewise-polynomial (DG) function containers.
 
-A DGFunction stores modal Legendre coefficients per interval and is allowed to
+A DGFunction is a partition and its modal Legendre coefficients, (N, r+1, d):
+the degree r and the width d are read from their shape.  It is allowed to
 jump at the interior nodes.  One-sided values come from eval_many's `side`,
 and the jumps at all interior nodes from DGFunction.jumps; interval-wise L2
 projections/norms and total variation live here too.  sample_on_quad samples
@@ -85,12 +86,14 @@ class Partition:
         return times
 
     def locate(self, ts, side="left"):
-        """Interval index for each time; `side` picks the interval at interior nodes."""
+        """Interval index for each time; `side`, "left" or "right", picks the
+        interval at interior nodes."""
         ts = np.asarray(ts, dtype=float)
         if not np.all((ts >= -1e-12) & (ts <= self.T * (1 + 1e-12) + 1e-12)):  # NaN fails too
             raise ValueError("time outside [0, T]")
-        mode = "left" if side == "left" else "right"
-        idx = np.searchsorted(self.nodes, ts, side=mode) - 1
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        idx = np.searchsorted(self.nodes, ts, side=side) - 1
         return np.clip(idx, 0, self.N - 1)
 
 
@@ -105,24 +108,26 @@ def make_uniform_partition(T, N):
 
 @dataclass(eq=False)
 class DGFunction:
-    """Piecewise polynomial of degree <= r, modal coefficients (N, r+1, d);
-    compared and hashed by identity."""
+    """Piecewise polynomial on a partition, from its modal coefficients
+    (N, r+1, d) with r >= 0 and d >= 1; compared and hashed by identity."""
 
     partition: Partition
-    degree: int
-    dim: int
-    coeffs: np.ndarray = field(default=None)
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.degree < 0 or self.dim < 1:
-            raise ValueError(f"need degree >= 0 and dim >= 1, got {self.degree} and {self.dim}")
-        shape = (self.partition.N, self.degree + 1, self.dim)
-        if self.coeffs is None:
-            self.coeffs = np.zeros(shape)
-        else:
-            self.coeffs = np.asarray(self.coeffs, dtype=float)
-            if self.coeffs.shape != shape:
-                raise ValueError(f"coefficient array must have shape {shape}")
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        shape = self.coeffs.shape
+        if len(shape) != 3 or shape[0] != self.partition.N or 0 in shape:
+            raise ValueError(f"coefficient array must have shape ({self.partition.N}, r+1, d) "
+                             f"with r >= 0 and d >= 1, got {shape}")
+
+    @property
+    def degree(self):
+        return self.coeffs.shape[1] - 1
+
+    @property
+    def dim(self):
+        return self.coeffs.shape[2]
 
     # -- evaluation ---------------------------------------------------------
 
@@ -155,7 +160,7 @@ class DGFunction:
     # -- algebra ------------------------------------------------------------
 
     def _compatible(self, other):
-        if self.degree != other.degree or self.dim != other.dim:
+        if self.coeffs.shape[1:] != other.coeffs.shape[1:]:
             raise ValueError("mismatched degree or dimension")
         if self.partition is not other.partition and not np.array_equal(
                 self.partition.nodes, other.partition.nodes):
@@ -163,14 +168,14 @@ class DGFunction:
 
     def __add__(self, other):
         self._compatible(other)
-        return DGFunction(self.partition, self.degree, self.dim, self.coeffs + other.coeffs)
+        return DGFunction(self.partition, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._compatible(other)
-        return DGFunction(self.partition, self.degree, self.dim, self.coeffs - other.coeffs)
+        return DGFunction(self.partition, self.coeffs - other.coeffs)
 
     def __mul__(self, a):
-        return DGFunction(self.partition, self.degree, self.dim, self.coeffs * float(a))
+        return DGFunction(self.partition, self.coeffs * float(a))
 
     __rmul__ = __mul__
 
@@ -193,13 +198,13 @@ class DGFunction:
 def modal_from_values(values, partition, r, rule):
     """Modal DGFunction whose interval-wise L2 projection matches quadrature data.
 
-    `values` has shape (N, q, d) at the rule's mapped points.
+    `values` holds d columns at the rule's mapped points, as (N*q, d), the
+    flattened grid that problem callables return, or as (N, q, d).
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float).reshape(partition.N, rule.q, -1)
     P = rule_table(r, rule)
     scale = (2.0 * np.arange(r + 1) + 1.0) / 2.0
-    coeffs = np.einsum("q,qk,nqd,k->nkd", rule.weights, P, values, scale)
-    return DGFunction(partition, r, values.shape[2], coeffs)
+    return DGFunction(partition, np.einsum("q,qk,nqd,k->nkd", rule.weights, P, values, scale))
 
 
 def sample_values(fn, ts, dim=None):
@@ -233,9 +238,7 @@ def project_l2(fn, partition, r, rule=None, dim=None):
     """Interval-wise L2 projection of a callable onto degree-r DG space."""
     rule = rule or default_rule(r)
     ts = partition.quad_times(rule)
-    flat = sample_values(fn, ts.ravel(), dim)
-    values = flat.reshape(partition.N, rule.q, flat.shape[1])
-    return modal_from_values(values, partition, r, rule)
+    return modal_from_values(sample_values(fn, ts.ravel(), dim), partition, r, rule)
 
 
 def l2_error(F, ref):
@@ -338,5 +341,4 @@ def load_dg(path):
         N, r, d = int(fields["N"]), int(fields["r"]), int(fields["d"])
         nodes = np.array([float(v) for v in fh.readline().split("=", 1)[1].split(",")])
         data = np.loadtxt(io.StringIO(fh.read()), delimiter=",", ndmin=2)
-    coeffs = data.reshape(N, r + 1, d)
-    return DGFunction(Partition(nodes), r, d, coeffs)
+    return DGFunction(Partition(nodes), data.reshape(N, r + 1, d))

@@ -15,7 +15,9 @@ coefficients (mesh.sample_on_quad): one on another partition raises ValueError.
 A problem is its callables, its control box and x0, whose size is the state
 dimension d: no closed-form solution enters, and the optimizer reads only
 the reduced gradient and, for Newton, the six second partials.  All problem
-callables are vectorized over time batches:
+callables are vectorized over time batches; the primitives call them once on
+the flattened (N*q) quadrature grid and pass their samples on in that layout,
+which the affine solves (ivp.AffineSystem) and mesh.modal_from_values read:
     t: (q,), x: (q, d), u: (q, m)
     f -> (q, d); g -> (q,)
     fx -> (q, d, d); fu -> (q, d, m); gx -> (q, d); gu -> (q, m)
@@ -24,6 +26,7 @@ callables are vectorized over time batches:
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,6 +73,8 @@ class OCProblem:
     def __post_init__(self):
         if not 0.0 < self.T < np.inf:                   # NaN fails too
             raise ValueError("T must be positive and finite")
+        if not isinstance(self.m, Integral) or isinstance(self.m, bool) or self.m < 1:
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if self.x0.ndim != 1 or self.x0.size == 0 or not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be a 1-D, non-empty, finite vector")
@@ -98,11 +103,6 @@ class OCProblem:
         return np.clip(u_vals, self.u_lo, self.u_hi)
 
 
-def _on_grid(grid, *values):
-    """Values sampled at the flattened (N, q) grid, each reshaped to (N, q, ...)."""
-    return tuple(v.reshape(grid + v.shape[1:]) for v in values)
-
-
 def _along(p, x_h, u, rule):
     """The flattened quadrature times of x_h's partition under the rule, and
     the state x_h (N*q, d) and control u (N*q, m) sampled there."""
@@ -123,7 +123,7 @@ def solve_state(p, u, r):
     U = sample_on_quad(u, u.partition, default_rule(r), p.m)
 
     def inputs(times):
-        return (times,) + _on_grid(times.shape, U)
+        return times, U.reshape(times.shape + (p.m,))
 
     rhs = IVPRight(F=lambda tu, X: p.f(tu[0], X, tu[1]),
                    dF_dx=lambda tu, X: p.fx(tu[0], X, tu[1]), inputs=inputs)
@@ -137,11 +137,9 @@ def solve_adjoint(p, u, x_h):
     once, on x_h's forward quadrature grid, and lam, of x_h's degree, solves
     the transpose of the DG system of fx (AffineSystem.solve_transposed).
     """
-    partition, rule = x_h.partition, default_rule(x_h.degree)
-    ts, X, U = _along(p, x_h, u, rule)
-    A, b = _on_grid((partition.N, rule.q), p.fx(ts, X, U), p.gx(ts, X, U))
-    coeffs = factored(A, partition, x_h.degree).solve_transposed(b, np.zeros(p.d))
-    return DGFunction(partition, x_h.degree, p.d, coeffs)
+    ts, X, U = _along(p, x_h, u, default_rule(x_h.degree))
+    system = factored(p.fx(ts, X, U), x_h.partition, x_h.degree)
+    return DGFunction(x_h.partition, system.solve_transposed(p.gx(ts, X, U), np.zeros(p.d)))
 
 
 def projected_gradient(p, u, x_h, lambda_h):
@@ -152,7 +150,7 @@ def projected_gradient(p, u, x_h, lambda_h):
     ts, X, U = _along(p, x_h, u, rule)
     L = sample_on_quad(lambda_h, part, rule, p.d)
     gvals = p.gu(ts, X, U) - np.einsum("qdm,qd->qm", p.fu(ts, X, U), L)
-    return modal_from_values(gvals.reshape(part.N, rule.q, p.m), part, u.degree, rule)
+    return modal_from_values(gvals, part, u.degree, rule)
 
 
 def _integrate(values, partition, rule):
@@ -177,8 +175,7 @@ def tangent_solve(p, u, x_h, v):
     rule = default_rule(r)
     ts, X, U = _along(p, x_h, u, rule)
     fu_v = np.einsum("qam,qm->qa", p.fu(ts, X, U), sample_on_quad(v, partition, rule, p.m))
-    A, b = _on_grid((partition.N, rule.q), p.fx(ts, X, U), fu_v)
-    return DGFunction(partition, r, p.d, factored(A, partition, r).solve(b, np.zeros(p.d)))
+    return DGFunction(partition, factored(p.fx(ts, X, U), partition, r).solve(fu_v, np.zeros(p.d)))
 
 
 def hessian_form(p, u, v, r):
@@ -234,25 +231,23 @@ def hessian_vector(p, u, x_h, lambda_h):
     if not p.has_second_partials:
         raise ValueError("hessian_vector requires all six second partials")
     partition, rule = x_h.partition, default_rule(x_h.degree)
-    grid = (partition.N, rule.q)
     ts, X, U = _along(p, x_h, u, rule)
     L = sample_on_quad(lambda_h, partition, rule, p.d)
     fx, fu = p.fx(ts, X, U), p.fu(ts, X, U)
     Lxx = p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U))
     Lxu = p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U))
     Luu = p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U))
-    system = factored(*_on_grid(grid, fx), partition, x_h.degree)
+    system = factored(fx, partition, x_h.degree)
     P, zeros = rule_table(x_h.degree, rule), np.zeros(p.d)
 
     def apply(v):
         V = sample_on_quad(v, partition, rule, p.m)
-        fu_v, = _on_grid(grid, np.einsum("qam,qm->qa", fu, V))
-        Y = (P @ system.solve(fu_v, zeros)).reshape(ts.size, p.d)
-        b, = _on_grid(grid, np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V))
+        Y = (P @ system.solve(np.einsum("qam,qm->qa", fu, V), zeros)).reshape(ts.size, p.d)
+        b = np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V)
         M = (P @ system.solve_transposed(b, zeros)).reshape(ts.size, p.d)
         hv = (np.einsum("qmn,qn->qm", Luu, V) + np.einsum("qam,qa->qm", Lxu, Y)
               - np.einsum("qam,qa->qm", fu, M))
-        return modal_from_values(hv.reshape(grid + (p.m,)), partition, u.degree, rule)
+        return modal_from_values(hv, partition, u.degree, rule)
 
     return apply
 

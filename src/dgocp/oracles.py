@@ -31,7 +31,7 @@ def random_dg(rng, partition, r, dim=1):
     """Random DG function with decaying mode amplitudes (tame derivatives)."""
     coeffs = rng.uniform(-0.5, 0.5, size=(partition.N, r + 1, dim))
     coeffs *= 1.0 / (1.0 + np.arange(r + 1))[None, :, None]
-    return DGFunction(partition, r, dim, coeffs)
+    return DGFunction(partition, coeffs)
 
 
 def worst_discrepancy(oracle, rng, p, partition, r, trials):
@@ -142,7 +142,7 @@ def time_reversal_discrepancy(rng, d, partition, r):
 
     fwd = solve_forward(closures(forward), x0, rev, r)
     A, b = forward(rev.quad_times(rule))
-    fwd_arrays = DGFunction(rev, r, d, AffineSystem(A, rev, r).solve(b, x0))
+    fwd_arrays = DGFunction(rev, AffineSystem(A, rev, r).solve(b, x0))
     back = solve_backward(closures(backward), x0, partition, r).coeffs
     A, b = backward(partition.quad_times(rule))
     back_arrays = AffineSystem(-np.swapaxes(A, -1, -2), partition, r).solve_transposed(b, x0)

@@ -1,5 +1,6 @@
 """Command-line interface: solve, convergence, verify."""
 
+import argparse
 import inspect
 import re
 
@@ -9,7 +10,7 @@ import pytest
 from dgocp import ConvergenceReport, OptimizeOptions, SolverFailure, load_dg, run_convergence
 from dgocp.cli import build_parser, main, run_verification
 from dgocp.optimize import StallError
-from dgocp.problems import linear_lq
+from dgocp.problems import BUILTINS, linear_lq
 
 from conftest import simpson
 
@@ -101,6 +102,13 @@ def test_parser_defaults_are_the_library_defaults():
     assert (conv.method, conv.grad_tol) == (table_opts.method, table_opts.grad_tol) == (
         "newton", 1e-14)
     assert table_opts.max_outer == opts.max_outer
+
+
+def test_problem_choices_are_the_builtins():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("solve", "convergence", "verify"):
+        problem = next(a for a in sub.choices[command]._actions if a.dest == "problem")
+        assert problem.choices == sorted(BUILTINS), command
 
 
 def test_solve_not_converged_exit_code(tmp_path):

@@ -273,6 +273,21 @@ def test_scan_matches_the_sequential_recurrence(rng, N):
         assert np.max(np.abs(C - _march(rhs, x0, part, r))) <= 1e-13 * np.max(np.abs(C))
 
 
+def test_affine_system_reads_either_grid_layout(rng):
+    # A and b as (N, q, ...) and flattened to (N*q, ...), as the problem
+    # callables return them: the same coefficients, bit for bit
+    part = Partition(np.linspace(0.0, 1.0, 8) ** 1.5)
+    r = 2
+    times = part.quad_times(default_rule(r))
+    A, b = _rotating_A(times), rng.standard_normal(times.shape + (2,))
+    flat_A, flat_b = A.reshape(-1, 2, 2), b.reshape(-1, 2)
+    systems = (ivp.AffineSystem(A, part, r), ivp.AffineSystem(flat_A, part, r))
+    x0 = rng.standard_normal(2)
+    for name in ("solve", "solve_transposed"):
+        runs = [getattr(s, name)(forcing, x0) for s in systems for forcing in (b, flat_b)]
+        assert all(np.array_equal(runs[0], C) for C in runs[1:]), name
+
+
 def test_transposed_solve_reverses_a_forward_solve(rng):
     # x' = A(t) x + b(t), x(T) = xT, d = 2, on graded partitions, by the
     # transposed solve of the AffineSystem of -A^T: the same coefficients as

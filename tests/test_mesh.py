@@ -95,23 +95,23 @@ def test_partitions_and_dg_functions_compare_by_identity():
     # equality on array fields would raise instead of returning a bool
     a, b = make_uniform_partition(1.0, 4), make_uniform_partition(1.0, 4)
     assert a == a and a != b and len({a, b, a}) == 2
-    f, g = DGFunction(a, 1, 1), DGFunction(a, 1, 1)
+    f, g = DGFunction(a, np.zeros((4, 2, 1))), DGFunction(a, np.zeros((4, 2, 1)))
     assert f == f and f != g and len({f, g, f}) == 2
 
 
 def test_algebra_needs_matching_partitions():
     part = make_uniform_partition(1.0, 4)
-    F = DGFunction(part, 1, 1, np.ones((4, 2, 1)))
+    F = DGFunction(part, np.ones((4, 2, 1)))
     assert np.array_equal((F + F).coeffs, 2.0 * F.coeffs)
-    same_nodes = DGFunction(Partition(part.nodes), 1, 1, np.ones((4, 2, 1)))
+    same_nodes = DGFunction(Partition(part.nodes), np.ones((4, 2, 1)))
     assert np.array_equal((F - same_nodes).coeffs, np.zeros((4, 2, 1)))
-    other = DGFunction(Partition(np.array([0.0, 0.2, 0.5, 0.7, 1.0])), 1, 1)
+    other = DGFunction(Partition(np.array([0.0, 0.2, 0.5, 0.7, 1.0])), np.zeros((4, 2, 1)))
     with pytest.raises(ValueError, match="mismatched partitions"):
         F + other
     with pytest.raises(ValueError, match="mismatched partitions"):
         F.inner(other)
     with pytest.raises(ValueError, match="mismatched degree"):
-        F + DGFunction(part, 2, 1)
+        F + DGFunction(part, np.zeros((4, 3, 1)))
 
 
 # -- evaluation, traces, jumps ------------------------------------------------
@@ -119,7 +119,7 @@ def test_algebra_needs_matching_partitions():
 
 def test_eval_constant():
     part = make_uniform_partition(1.0, 5)
-    F = DGFunction(part, 2, 1)
+    F = DGFunction(part, np.zeros((5, 3, 1)))
     F.coeffs[:, 0, 0] = 7.5
     for t in (0.0, 0.13, 0.6, 1.0):
         assert F.eval(t)[0] == pytest.approx(7.5, abs=1e-14)
@@ -132,9 +132,16 @@ def test_eval_reproduces_linear():
     assert F.eval(0.25, side="right")[0] == pytest.approx(0.25, abs=1e-14)
 
 
+@pytest.mark.parametrize("side", ["middle", None, "Left"])
+def test_eval_rejects_an_unknown_side(side):
+    F = project_callable(lambda t: t, make_uniform_partition(1.0, 4), 1)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        F.eval_many([0.25, 0.5], side=side)
+
+
 def test_eval_sides_and_jump():
     part = make_uniform_partition(1.0, 2)
-    F = DGFunction(part, 0, 1)
+    F = DGFunction(part, np.zeros((2, 1, 1)))
     F.coeffs[0, 0, 0] = 0.0
     F.coeffs[1, 0, 0] = 1.0
     assert F.eval(0.5, side="left")[0] == 0.0
@@ -198,12 +205,16 @@ def test_sample_on_quad_takes_only_dg_functions_on_its_partition(monkeypatch, rn
 
 
 def test_coefficient_shape_validation():
+    # the degree and the width are read from the coefficients, so they are
+    # ints and cannot be set
     part = make_uniform_partition(1.0, 3)
-    with pytest.raises(ValueError):
-        DGFunction(part, 1, 1, np.zeros((3, 3, 1)))
-    for degree, dim in ((-1, 1), (1, 0), (0, -2)):
-        with pytest.raises(ValueError, match="need degree >= 0 and dim >= 1"):
-            DGFunction(part, degree, dim)
+    F = DGFunction(part, np.zeros((3, 3, 2)))
+    assert (F.degree, F.dim) == (2, 2) and type(F.degree) is int
+    with pytest.raises(AttributeError):
+        F.degree = 1
+    for shape in ((3, 2), (4, 2, 1), (3, 0, 1), (3, 2, 0)):
+        with pytest.raises(ValueError, match="coefficient array must have shape"):
+            DGFunction(part, np.zeros(shape))
 
 
 # -- errors and norms ---------------------------------------------------------
@@ -218,7 +229,7 @@ def test_l2_error_exact_match(rng):
 def test_l2_error_unit_offset():
     # piecewise constants: the sampled norm equals the continuous L2 norm
     part = make_uniform_partition(1.0, 10)
-    F = DGFunction(part, 0, 1)
+    F = DGFunction(part, np.zeros((10, 1, 1)))
     assert l2_error(F, lambda t: np.ones_like(t)) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -230,9 +241,9 @@ def test_l2_error_reads_each_end_from_inside_its_interval(r):
     ref_part = make_uniform_partition(0.2, 1024)
     part = Partition(ref_part.nodes[::128])
     for n in range(1, part.N):
-        F = DGFunction(part, r, 1)
+        F = DGFunction(part, np.zeros((part.N, r + 1, 1)))
         F.coeffs[n:, 0, 0] = 1.0
-        ref = DGFunction(ref_part, 3, 1)
+        ref = DGFunction(ref_part, np.zeros((ref_part.N, 4, 1)))
         ref.coeffs[128 * n:, 0, 0] = 1.0
         assert l2_error(F, ref) == 0.0, f"step at t={part.nodes[n]}"
 
@@ -292,7 +303,7 @@ def test_project_l2_first_order_decay():
     for N in (10, 20, 40):
         part = make_uniform_partition(1.0, N)
         F = project_l2(exact_u, part, 0)
-        padded = DGFunction(part, 8, 1, np.pad(F.coeffs, ((0, 0), (0, 8), (0, 0))))
+        padded = DGFunction(part, np.pad(F.coeffs, ((0, 0), (0, 8), (0, 0))))
         errs.append((padded - project_l2(exact_u, part, 8)).l2_norm())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(rates - 1.0) < 0.05)
@@ -310,12 +321,12 @@ def test_projection_idempotence(rng):
 
 def test_total_variation_examples():
     part = make_uniform_partition(1.0, 4)
-    const = DGFunction(part, 1, 1)
+    const = DGFunction(part, np.zeros((4, 2, 1)))
     const.coeffs[:, 0, 0] = 3.0
     assert total_variation(const) == pytest.approx(0.0, abs=1e-14)
 
     part2 = make_uniform_partition(1.0, 2)
-    step = DGFunction(part2, 0, 1)
+    step = DGFunction(part2, np.zeros((2, 1, 1)))
     step.coeffs[1, 0, 0] = 1.0
     assert total_variation(step) == pytest.approx(1.0, abs=1e-14)
 
@@ -351,7 +362,7 @@ def _total_variation_per_interval(u):
 def test_total_variation_matches_per_interval_formula(rng, r):
     part = Partition(np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 0.9, 1.0]))
     for dim in (1, 2):
-        u = DGFunction(part, r, dim, rng.standard_normal((part.N, r + 1, dim)))
+        u = DGFunction(part, rng.standard_normal((part.N, r + 1, dim)))
         if r >= 2:
             u.coeffs[1, r, 0] = 0.0      # derivative with a zero leading coefficient
             u.coeffs[2, 2:, -1] = 0.0    # a linear piece among higher-degree ones

@@ -1,5 +1,6 @@
 """Reduced-space primitives: state, adjoint, gradient, tangent, Hessian."""
 
+import dataclasses
 import weakref
 
 import numpy as np
@@ -35,7 +36,7 @@ from conftest import simpson
 
 
 def _zero_control(partition, r=1, m=1):
-    return DGFunction(partition, r, m)
+    return DGFunction(partition, np.zeros((partition.N, r + 1, m)))
 
 
 def _exact_control(builtin, partition, r):
@@ -246,7 +247,7 @@ def test_primitives_reject_inputs_on_another_partition(rng, monkeypatch):
     u, v = random_dg(rng, part, 2), random_dg(rng, part, 2)
     x = solve_state(p, u, 2)
     lam = solve_adjoint(p, u, x)
-    same = DGFunction(Partition(part.nodes), 2, 1, u.coeffs)
+    same = DGFunction(Partition(part.nodes), u.coeffs)
     assert np.array_equal(solve_adjoint(p, same, x).coeffs, lam.coeffs)
     u2, v2, lam2 = (random_dg(rng, other, 2) for _ in range(3))
 
@@ -604,3 +605,10 @@ def test_problem_validation():
                 dict(x0=[np.nan]), dict(x0=[np.inf]), dict(u_lo=np.nan), dict(u_hi=np.nan)):
         with pytest.raises(ValueError):
             OCProblem(**{"m": 1, "T": 1.0, "x0": [1.0], **bad}, **kwargs)
+    # the control width is checked before the bounds are built from it
+    for m in (0, -1, 1.0, 2.5, True, None):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
+            OCProblem(m=m, T=1.0, x0=[1.0], **kwargs)
+    assert OCProblem(m=np.int64(2), T=1.0, x0=[1.0], **kwargs).u_lo.shape == (2,)
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        dataclasses.replace(linear_lq().problem, m=0)

@@ -557,7 +557,7 @@ def _spd_hessian(g, products):
 
     def hess(v):
         products.append(1)
-        return DGFunction(v.partition, v.degree, v.dim, eig * v.coeffs)
+        return DGFunction(v.partition, eig * v.coeffs)
     return hess
 
 
@@ -612,7 +612,7 @@ def test_newton_direction_stops_on_curvature():
 
     def hess(v):
         products.append(1)
-        return DGFunction(v.partition, v.degree, v.dim, eig * v.coeffs)
+        return DGFunction(v.partition, eig * v.coeffs)
 
     path = _cg_path(hess, g)
     stop = next(k for k, (_, _, curvature) in enumerate(path) if not curvature > 0.0)

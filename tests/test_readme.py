@@ -13,6 +13,14 @@ def test_readme_names_every_public_name():
     assert not missing, f"README.md does not name {missing}"
 
 
+def test_readme_python_blocks_run():
+    # the minimal run, against the API as it is
+    blocks = re.findall(r"^```python\n(.*?)^```", README, flags=re.S | re.M)
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_readme_names_no_removed_trace_api():
     # DGFunction.jumps() replaced the per-node traces and jump
     assert re.findall(r"trace_(?:right|left)|\.jump\(", README) == []
