@@ -2,7 +2,8 @@
 
 Everything downstream (DG containers, solvers, norms) works in modal Legendre
 coordinates, so this module is the single place where basis values, derivative
-inner products and quadrature rules are produced.
+inner products and quadrature rules are produced, and where a reference table
+is applied to the data of all intervals at once (apply_table).
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,8 @@ __all__ = [
     "gauss_rule",
     "default_rule",
     "rule_table",
+    "projection_table",
+    "apply_table",
     "deriv_inner_matrix",
     "mass_diagonal",
 ]
@@ -81,6 +84,28 @@ def rule_table(r, rule):
     P = legendre_table(r, rule.points)
     P.flags.writeable = False
     return P
+
+
+@lru_cache(maxsize=64)
+def projection_table(r, rule):
+    """(2k+1)/2 w_q P_k(xi_q), (r+1, q): maps values at the rule's points to the
+    modal coefficients of their L2 projection onto P_0..P_r.  Shared per
+    (r, rule): read-only."""
+    scale = (2.0 * np.arange(r + 1) + 1.0) / 2.0
+    Q = scale[:, None] * rule_table(r, rule).T * rule.weights
+    Q.flags.writeable = False
+    return Q
+
+
+def apply_table(T, A):
+    """T @ A_n for every n: the table T (a, b) applied to A (N, b, d), as (N, a, d).
+
+    One GEMM, (N*d, b) @ (b, a), in place of N small products; the result is
+    a view of it, contiguous when d = 1.
+    """
+    N, b, d = A.shape
+    out = np.swapaxes(A, 1, 2).reshape(N * d, b) @ T.T
+    return out.reshape(N, d, -1).swapaxes(1, 2)
 
 
 def deriv_inner_matrix(r):

@@ -7,7 +7,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .mesh import l2_error, make_uniform_partition
+from .mesh import check_int, l2_error, make_uniform_partition
 from .optimize import OptimizeOptions, StallError, minimize
 
 __all__ = ["ConvergenceRow", "ConvergenceReport", "run_convergence"]
@@ -63,17 +63,17 @@ def run_convergence(builtin, orders=DEFAULT_ORDERS, levels=DEFAULT_LEVELS, opts=
     there is one, is solved last, from the optimum of the finest level of its
     degree.  progress, when given, receives one line before each solve and
     one after it with its iterations and wall seconds.  Raises ValueError,
-    before any solve, on no orders, a negative order or levels < 1, and
-    StallError when a level or the reference is not solved to opts.grad_tol;
-    a reference that stalls does so only after every level was solved.
+    before any solve, on no orders, an order that is not an integer >= 0 or
+    levels that is not an integer >= 1, and StallError when a level or the
+    reference is not solved to opts.grad_tol; a reference that stalls does so
+    only after every level was solved.
     """
     orders = tuple(orders)
     if not orders:
         raise ValueError("orders must name at least one degree")
-    if min(orders) < 0:
-        raise ValueError(f"orders must be >= 0, got {orders}")
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
+    for i, r in enumerate(orders):
+        check_int(f"orders[{i}]", r, 0)
+    check_int("levels", levels, 1)
     p = builtin.problem
 
     def solve(r, N, label, u0):

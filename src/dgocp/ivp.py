@@ -8,7 +8,9 @@ system comes in one of two forms:
   of ocp in the latter.  An AffineSystem inverts all N interval blocks at
   once and builds the doubling tables of the d x d trace recurrence; a
   solve is then a few batched products, with the
-  recurrence run as a scan of ceil(log2 N) steps.  The same factors solve the
+  recurrence run as a scan of ceil(log2 N) steps; its forcing is one product
+  of the scheme's table with the samples of all intervals
+  (basis.apply_table).  The same factors solve the
   transposed system, lam' = -A^T lam + b with lam(T) = lamT: upwind DG in
   time is adjoint-consistent, so that is the discrete adjoint.  factored()
   keeps the last system it built, while its partition lives, and returns it
@@ -21,10 +23,13 @@ system comes in one of two forms:
   residual, with F evaluated at that result, passes on every interval.
   Otherwise (a nonlinear system, or a failed check) the solve marches
   interval by interval, and on each interval a damped Newton iteration
-  drives the (r+1)*d modal residual below tolerance.  A step assembles the
-  interval's block from dF_dx, solves it with np.linalg.solve and halves the
-  step until the residual falls.  The half widths, the input rows and the
-  scheme's tables are fetched once per solve.
+  drives the (r+1)*d modal residual below tolerance.  It starts from the
+  constant extension of the incoming trace x_in, read without a table
+  product: the state is x_in at every quadrature point (P_0 = 1), and the
+  trace terms cancel, so the first residual is the forcing term alone.  A
+  step assembles the interval's block from dF_dx, solves it with
+  np.linalg.solve and halves the step until the residual falls.  The half
+  widths, the input rows and the scheme's tables are fetched once per solve.
 
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
@@ -43,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import default_rule, deriv_inner_matrix, rule_table
+from .basis import apply_table, default_rule, deriv_inner_matrix, rule_table
 from .mesh import DGFunction
 
 __all__ = [
@@ -111,11 +116,12 @@ def _tolerance(scale):
 
 
 def _batched_residual(terms):
-    """Residual R = T0 - T1 - T2 of the (N, nd) terms (T0, T1, T2), its
-    max-norm and its tolerance, each per interval."""
+    """Residual R = T0 - T1 - T2 of the (N, r+1, d) terms (T0, T1, T2), its
+    max-norm and its tolerance, each per interval.  T1 may be (N, 1, d), the
+    same on every block row."""
     R = terms[0] - terms[1] - terms[2]
-    largest = np.max(np.abs(np.concatenate(terms, axis=1)), axis=1)
-    return R, np.max(np.abs(R), axis=1), _tolerance(largest)
+    largest = np.max(np.abs(np.concatenate(terms, axis=1)), axis=(1, 2))
+    return R, np.max(np.abs(R), axis=(1, 2)), _tolerance(largest)
 
 
 class _Scheme:
@@ -199,13 +205,12 @@ def _flat(inputs):
 def _closure_residual_passes(rhs, flat, C, x0, partition, sch):
     """Whether the closure residual of coefficients C (N, r+1, d), with F
     evaluated at C, passes on every interval."""
-    N = partition.N
-    X = sch.P @ C                                                  # (N, q, d)
+    X = apply_table(sch.P, C)                                      # (N, q, d)
     x_in = np.concatenate((x0[None], C[:-1].sum(axis=1)))
-    LC, trace = sch.lin @ C, sch.s[:, None] * x_in[:, None, :]
-    HF = 0.5 * partition.widths[:, None, None] * (
-        sch.PtW @ np.asarray(rhs.F(flat, X.reshape(-1, x0.size))).reshape(X.shape))
-    _, rnorm, tol = _batched_residual(tuple(t.reshape(N, -1) for t in (LC, trace, HF)))
+    LC, trace = apply_table(sch.lin, C), sch.s[:, None] * x_in[:, None, :]
+    FX = np.reshape(rhs.F(flat, X.reshape(-1, x0.size)), X.shape)
+    HF = 0.5 * partition.widths[:, None, None] * apply_table(sch.PtW, FX)
+    _, rnorm, tol = _batched_residual((LC, trace, HF))
     return bool(np.all(rnorm <= tol))
 
 
@@ -213,44 +218,47 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
     """Coefficients (N, r+1, d) by damped Newton, marching interval by interval;
     interval n gets row n of the whole-grid `inputs` and its half width h/2.
 
-    A Newton step solves the interval's block for delta, then halves a step
-    alpha from 1 until the residual's max-norm falls below the previous one or
-    alpha reaches DAMPING_FLOOR.
+    A Newton step solves the interval's block J delta = R, then tries
+    C - alpha delta for alpha = 1, 1/2, ... until the residual's max-norm falls
+    below the previous one or alpha reaches DAMPING_FLOOR.
     """
     F, dF_dx = rhs.F, rhs.dF_dx
     P, PtW, lin, J_base, WPP = sch.P, sch.PtW, sch.lin, sch.J_base, sch.WPP
-    s = sch.s[:, None]
-    coeffs = np.empty((partition.N, s.size, x0.size))
+    ones, s = P[:, :1], sch.s[:, None]                  # P_0 = 1 at every point
+    coeffs = np.zeros((partition.N, s.size, x0.size))
     nd = coeffs[0].size
+    absmax = np.maximum.reduce                          # with axis=None; NaN propagates
     rows = zip(*inputs) if isinstance(inputs, tuple) else inputs
     x_in = x0
     for n, (half, a) in enumerate(zip((0.5 * partition.widths).tolist(), rows)):
+        # start from the constant extension C = (x_in, 0, ..., 0) of the
+        # incoming trace: X is x_in at every point, and lin @ C equals the
+        # trace term, so R is the forcing term alone; x_in and R, the
+        # residual's terms, set the interval's tolerance
+        C = coeffs[n]
+        C[0] = x_in
+        X = ones * x_in
+        R = -(half * (PtW @ F(a, X)))
+        rnorm = absmax(np.abs(R), axis=None)
+        tol = max(NEWTON_TOL, ROUNDOFF * max(rnorm, absmax(np.abs(x_in), axis=None)))
         trace_in = s * x_in
-        C = np.zeros(trace_in.shape)
-        C[0] = x_in  # constant extension of the incoming trace
-        X = P @ C
-        R = lin @ C - trace_in - half * (PtW @ F(a, X))
-        rnorm = abs(R).max()
-        # at the constant extension lin @ C equals the trace term exactly, so
-        # the residual's terms are x_in and R: the interval's tolerance
-        tol = max(NEWTON_TOL, ROUNDOFF * max(rnorm, abs(x_in).max()))
         for _ in range(NEWTON_MAX_ITER):
             if rnorm <= tol or not math.isfinite(rnorm):
                 break
             J = J_base - half * (dF_dx(a, X).reshape(-1) @ WPP).reshape(nd, nd)
             try:
-                delta = np.linalg.solve(J, -R.reshape(nd)).reshape(C.shape)
+                delta = np.linalg.solve(J, R.reshape(nd)).reshape(C.shape)
             except np.linalg.LinAlgError:
                 raise _singular(n) from None
-            alpha, last = 1.0, rnorm
+            alpha, last, C_try = 1.0, rnorm, C - delta
             while True:
-                C_try = C + alpha * delta
                 X = P @ C_try
                 R = lin @ C_try - trace_in - half * (PtW @ F(a, X))
-                rnorm = abs(R).max()
+                rnorm = absmax(np.abs(R), axis=None)
                 if rnorm < last or alpha <= DAMPING_FLOOR:
                     break
                 alpha *= 0.5
+                C_try = C - alpha * delta
             C = C_try
         if not rnorm <= tol:
             raise SolverFailure(n, rnorm)
@@ -324,8 +332,7 @@ class AffineSystem:
 
     def _forcing(self, b):
         N, d = self.shape[0], self.shape[2]
-        b = np.asarray(b).reshape(N, self.sch.rule.q, d)
-        return (self.half_h * (self.sch.PtW @ b)).reshape(N, -1)
+        return self.half_h * apply_table(self.sch.PtW, np.reshape(b, (N, self.sch.rule.q, d)))
 
     def _corrected(self, f, x0, transposed):
         C = self._sweep(f, x0, transposed)
@@ -338,7 +345,7 @@ class AffineSystem:
         if not np.all(rnorm <= tol):
             n = int(np.argmax(rnorm - tol))
             raise SolverFailure(n, float(rnorm[n]))
-        return C.reshape(self.shape)
+        return C
 
     def _traces(self, m, x0, transposed=False):
         """Incoming traces x_n, (N, d, 1), for the forcing traces m (N, d) and
@@ -354,25 +361,27 @@ class AffineSystem:
         return xs
 
     def _sweep(self, f, x0, transposed):
-        """Coefficients (N, nd) for the block right-hand sides f (N, nd) and
-        x_0 = x0; transposed, of J_n^T L_n = E^T w_n + f_n with w_{N-1} = x0."""
+        """Coefficients (N, r+1, d) for the block right-hand sides f (N, r+1, d)
+        and x_0 = x0; transposed, of J_n^T L_n = E^T w_n + f_n with w_{N-1} = x0,
+        where E^T w_n puts w_n on every block row."""
+        N, nd = self.shape[0], self.J.shape[1]
         if not transposed:
-            g = self.Jinv @ f[:, :, None]
+            g = self.Jinv @ f.reshape(N, nd, 1)
             xs = self._traces(g.reshape(self.shape).sum(axis=1), x0)
-            return (self.G @ xs + g)[:, :, 0]
-        m = (self.G.swapaxes(1, 2) @ f[:, :, None])[::-1, :, 0]     # G_n^T f_n, n = N-1..0
-        ws = np.tile(self._traces(m, x0, True)[::-1], (1, self.shape[1], 1))
-        return (self.Jinv.swapaxes(1, 2) @ (ws + f[:, :, None]))[:, :, 0]
+            return (self.G @ xs + g).reshape(self.shape)
+        m = (self.G.swapaxes(1, 2) @ f.reshape(N, nd, 1))[::-1, :, 0]  # G_n^T f_n, n = N-1..0
+        ws = self._traces(m, x0, True)[::-1].swapaxes(1, 2)             # (N, 1, d)
+        return (self.Jinv.swapaxes(1, 2) @ (ws + f).reshape(N, nd, 1)).reshape(self.shape)
 
     def _residual(self, C, f, x0, transposed):
-        Cs = C.reshape(self.shape)
+        N, nd = self.shape[0], self.J.shape[1]
         if transposed:
-            ws = np.concatenate((self.sch.s @ Cs[1:], x0[None]))
-            terms = (self.J.swapaxes(1, 2) @ C[:, :, None], np.tile(ws, self.shape[1]), f)
+            ws = np.concatenate((self.sch.s @ C[1:], x0[None]))[:, None, :]
+            T0, T1 = self.J.swapaxes(1, 2) @ C.reshape(N, nd, 1), ws
         else:
-            xs = np.concatenate((x0[None], Cs.sum(axis=1)[:-1]))
-            terms = (self.J @ C[:, :, None], xs @ self.sch.S.T, f)
-        return _batched_residual((terms[0][:, :, 0],) + terms[1:])
+            xs = np.concatenate((x0[None], C.sum(axis=1)[:-1]))
+            T0, T1 = self.J @ C.reshape(N, nd, 1), (xs @ self.sch.S.T).reshape(self.shape)
+        return _batched_residual((T0.reshape(self.shape), T1, f))
 
 
 _memo = weakref.WeakKeyDictionary()  # at most one entry, partition -> (r, copy of A, system)

@@ -6,15 +6,19 @@ jump at the interior nodes.  One-sided values come from eval_many's `side`,
 and the jumps at all interior nodes from DGFunction.jumps; interval-wise L2
 projections/norms and total variation live here too.  sample_on_quad samples
 a DG function on its own partition only; project_l2 and l2_error also take
-callables and DG functions on other partitions.
+callables and DG functions on other partitions.  Sampling on a rule
+(values_on_quad) and projecting grid samples (modal_from_values) are each one
+product of a reference table with the data of all intervals (basis.apply_table).
 """
 
 import io
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .basis import default_rule, legendre_table, mass_diagonal, rule_table
+from .basis import (apply_table, default_rule, legendre_table, mass_diagonal, projection_table,
+                    rule_table)
 
 __all__ = [
     "Partition",
@@ -28,6 +32,15 @@ __all__ = [
     "save_dg",
     "load_dg",
 ]
+
+
+def check_int(name, value, minimum):
+    """ValueError naming the argument `name` unless value is an integer >= minimum.
+
+    numpy integers pass; bools and floats (1.0 too) do not.
+    """
+    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,8 +114,7 @@ def make_uniform_partition(T, N):
     """Uniform partition of [0, T] into N intervals."""
     if not 0.0 < T < np.inf:                        # NaN fails too
         raise ValueError("horizon must be positive and finite")
-    if N < 1:
-        raise ValueError("need at least one interval")
+    check_int("N", N, 1)
     return Partition(np.linspace(0.0, T, N + 1))
 
 
@@ -149,7 +161,7 @@ class DGFunction:
 
     def values_on_quad(self, rule):
         """Values at the mapped quadrature points of every interval, (N, q, d)."""
-        return np.einsum("qk,nkd->nqd", rule_table(self.degree, rule), self.coeffs)
+        return apply_table(rule_table(self.degree, rule), self.coeffs)
 
     def jumps(self):
         """[phi]_n = phi_n^+ - phi_n^- at the interior nodes n = 1..N-1, (N-1, d):
@@ -202,9 +214,7 @@ def modal_from_values(values, partition, r, rule):
     flattened grid that problem callables return, or as (N, q, d).
     """
     values = np.asarray(values, dtype=float).reshape(partition.N, rule.q, -1)
-    P = rule_table(r, rule)
-    scale = (2.0 * np.arange(r + 1) + 1.0) / 2.0
-    return DGFunction(partition, np.einsum("q,qk,nqd,k->nkd", rule.weights, P, values, scale))
+    return DGFunction(partition, apply_table(projection_table(r, rule), values))
 
 
 def sample_values(fn, ts, dim=None):
@@ -236,6 +246,7 @@ def sample_on_quad(F, partition, rule, dim):
 
 def project_l2(fn, partition, r, rule=None, dim=None):
     """Interval-wise L2 projection of a callable onto degree-r DG space."""
+    check_int("r", r, 0)
     rule = rule or default_rule(r)
     ts = partition.quad_times(rule)
     return modal_from_values(sample_values(fn, ts.ravel(), dim), partition, r, rule)
@@ -265,7 +276,7 @@ def l2_error(F, ref):
             rv[:, 0, :] = ref.eval_many(ts[:, 0], side="right")
     else:
         rv = sample_values(ref, ts.ravel(), F.dim).reshape(part.N, r + 1, F.dim)
-    diff = np.einsum("ij,njd->nid", legendre_table(r, xi), F.coeffs) - rv
+    diff = apply_table(legendre_table(r, xi), F.coeffs) - rv
     per = np.sum(diff**2, axis=(1, 2))
     return float(np.sqrt(np.sum(part.widths * per)))
 

@@ -26,14 +26,13 @@ which the affine solves (ivp.AffineSystem) and mesh.modal_from_values read:
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import default_rule, deriv_inner_matrix, rule_table
+from .basis import apply_table, default_rule, deriv_inner_matrix, rule_table
 from .ivp import IVPRight, factored, solve_forward
-from .mesh import DGFunction, modal_from_values, sample_on_quad
+from .mesh import DGFunction, check_int, modal_from_values, sample_on_quad
 
 __all__ = [
     "OCProblem",
@@ -73,8 +72,7 @@ class OCProblem:
     def __post_init__(self):
         if not 0.0 < self.T < np.inf:                   # NaN fails too
             raise ValueError("T must be positive and finite")
-        if not isinstance(self.m, Integral) or isinstance(self.m, bool) or self.m < 1:
-            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
+        check_int("m", self.m, 1)
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if self.x0.ndim != 1 or self.x0.size == 0 or not np.all(np.isfinite(self.x0)):
             raise ValueError("x0 must be a 1-D, non-empty, finite vector")
@@ -118,8 +116,7 @@ def solve_state(p, u, r):
     """
     if not isinstance(u, DGFunction):
         raise TypeError("the control must be a DGFunction")
-    if r < 0:
-        raise ValueError(f"the state degree must be >= 0, got {r}")
+    check_int("r", r, 0)
     U = sample_on_quad(u, u.partition, default_rule(r), p.m)
 
     def inputs(times):
@@ -186,6 +183,7 @@ def hessian_form(p, u, v, r):
     """
     if not p.has_second_partials:
         raise ValueError("hessian_form requires all six second partials")
+    check_int("r", r, 0)
     partition, rule = u.partition, default_rule(r)
     V = sample_on_quad(v, partition, rule, p.m)
     x_h = solve_state(p, u, r)
@@ -242,9 +240,10 @@ def hessian_vector(p, u, x_h, lambda_h):
 
     def apply(v):
         V = sample_on_quad(v, partition, rule, p.m)
-        Y = (P @ system.solve(np.einsum("qam,qm->qa", fu, V), zeros)).reshape(ts.size, p.d)
+        y = system.solve(np.einsum("qam,qm->qa", fu, V), zeros)
+        Y = apply_table(P, y).reshape(ts.size, p.d)
         b = np.einsum("qab,qb->qa", Lxx, Y) + np.einsum("qam,qm->qa", Lxu, V)
-        M = (P @ system.solve_transposed(b, zeros)).reshape(ts.size, p.d)
+        M = apply_table(P, system.solve_transposed(b, zeros)).reshape(ts.size, p.d)
         hv = (np.einsum("qmn,qn->qm", Luu, V) + np.einsum("qam,qa->qm", Lxu, Y)
               - np.einsum("qam,qa->qm", fu, M))
         return modal_from_values(hv, partition, u.degree, rule)

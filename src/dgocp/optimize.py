@@ -19,13 +19,13 @@ pgd keeps theta and only halves it; newton resets theta each iteration.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .basis import gauss_rule
 from .ivp import SolverFailure
-from .mesh import DGFunction, modal_from_values, project_l2, sample_values, total_variation
+from .mesh import (DGFunction, check_int, modal_from_values, project_l2, sample_values,
+                   total_variation)
 from .ocp import cost, hessian_vector, projected_gradient, solve_adjoint, solve_state
 
 __all__ = [
@@ -68,9 +68,7 @@ class OptimizeOptions:
             raise ValueError("method must be 'pgd' or 'newton'")
         if not 0.0 < self.grad_tol < np.inf:        # NaN fails too
             raise ValueError("grad_tol must be positive and finite")
-        if (not isinstance(self.max_outer, Integral) or isinstance(self.max_outer, bool)
-                or self.max_outer < 0):
-            raise ValueError("max_outer must be an integer >= 0")
+        check_int("max_outer", self.max_outer, 0)
 
 
 @dataclass
@@ -164,14 +162,14 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     Returns an OptimizeReport.  Raises StallError when no relaxation down to
     RELAX_FLOOR is accepted before reaching stationarity, and SolverFailure
     when the state solve at the start control fails; a failed trial solve is
-    a rejected trial.  Raises ValueError, before any solve, for a negative
-    degree, and for method "newton" on a problem without all six second
+    a rejected trial.  Raises ValueError, before any solve, for a degree that
+    is not an integer >= 0, and for method "newton" on a problem without all six second
     partials or with a finite control bound.
     """
     opts = opts or OptimizeOptions()
+    check_int("r_state", r_state, 0)
     r_control = r_state if r_control is None else r_control
-    if min(r_state, r_control) < 0:
-        raise ValueError(f"degrees must be >= 0, got r_state={r_state}, r_control={r_control}")
+    check_int("r_control", r_control, 0)
     if r_control > r_state:
         raise ValueError("r_control must not exceed r_state")
     newton = opts.method == "newton"

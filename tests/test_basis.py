@@ -10,7 +10,7 @@ from dgocp import (
     legendre_table,
     mass_diagonal,
 )
-from dgocp.basis import rule_table
+from dgocp.basis import apply_table, projection_table, rule_table
 
 
 def test_legendre_endpoint_values():
@@ -90,8 +90,27 @@ def test_rules_and_their_tables_are_shared_and_read_only():
     P = rule_table(2, rule)
     assert P is rule_table(2, rule)
     assert np.array_equal(P, legendre_table(2, rule.points))
-    for a in (rule.points, rule.weights, P):
+    Q = projection_table(2, rule)
+    assert Q is projection_table(2, rule) and Q is not projection_table(2, gauss_rule(4))
+    # (2k+1)/2 w_q P_k(xi_q): a left inverse of the table on degree-2 data
+    assert np.max(np.abs(Q - np.array([[0.5], [1.5], [2.5]]) * P.T * rule.weights)) <= 1e-15
+    assert np.max(np.abs(Q @ P - np.eye(3))) <= 1e-14
+    for a in (rule.points, rule.weights, P, Q):
         assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 33])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_apply_table_is_the_product_on_every_interval(rng, N, d):
+    # against the einsum it replaces, on a C-ordered and a non-contiguous input
+    T = rng.standard_normal((6, 4))
+    A = rng.standard_normal((N, 4, d))
+    strided = rng.standard_normal((2 * N, d, 7)).swapaxes(1, 2)[::2, 1:5]   # (N, 4, d)
+    for data in (A, strided):
+        out = apply_table(T, data)
+        ref = np.einsum("ab,nbd->nad", T, data)
+        assert out.shape == (N, 6, d)
+        assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_deriv_inner_matrix_against_quadrature():

@@ -15,7 +15,8 @@ from dgocp import (
     save_dg,
     total_variation,
 )
-from dgocp.mesh import sample_on_quad
+from dgocp.basis import rule_table
+from dgocp.mesh import modal_from_values, sample_on_quad
 from dgocp.oracles import random_dg
 from dgocp.problems import linear_lq
 
@@ -307,6 +308,22 @@ def test_project_l2_first_order_decay():
         errs.append((padded - project_l2(exact_u, part, 8)).l2_norm())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(rates - 1.0) < 0.05)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_modal_from_values_matches_the_projection_formula(rng, d):
+    # c_nk = (2k+1)/2 sum_q w_q P_k(xi_q) v_nq, from values in the flat
+    # (N*q, d) layout or the (N, q, d) layout
+    part = Partition(np.linspace(0.0, 1.0, 8) ** 1.5)
+    for r in range(4):
+        rule = gauss_rule(r + 3)
+        values = rng.standard_normal((part.N, rule.q, d))
+        scale = (2.0 * np.arange(r + 1) + 1.0) / 2.0
+        ref = np.einsum("q,qk,nqd,k->nkd", rule.weights, rule_table(r, rule), values, scale)
+        for layout in (values.reshape(-1, d), values):
+            F = modal_from_values(layout, part, r, rule)
+            assert F.coeffs.shape == (part.N, r + 1, d)
+            assert np.max(np.abs(F.coeffs - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_projection_idempotence(rng):

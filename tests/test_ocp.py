@@ -97,7 +97,7 @@ def test_state_callable_control_width():
 def test_state_rejects_a_negative_degree():
     p = nonlinear_quadratic().problem
     part = make_uniform_partition(p.T, 4)
-    with pytest.raises(ValueError, match="state degree must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="r must be an integer >= 0, got -1"):
         solve_state(p, _zero_control(part), -1)
 
 

@@ -1,12 +1,15 @@
 """Minimization: projected gradient and Newton-CG."""
 
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+import dgocp.convergence
 import dgocp.ivp
 import dgocp.mesh
+import dgocp.ocp
 import dgocp.optimize
 from dgocp import (
     DGFunction,
@@ -19,6 +22,8 @@ from dgocp import (
     make_uniform_partition,
     minimize,
     modal_from_values,
+    project_l2,
+    run_convergence,
     solve_adjoint,
     solve_state,
     stationarity,
@@ -471,8 +476,52 @@ def test_negative_degree_is_rejected_before_any_solve(monkeypatch):
     p = linear_lq().problem
     part = make_uniform_partition(1.0, 4)
     for degrees in ((-1,), (1, -1), (-1, -1)):
-        with pytest.raises(ValueError, match="degrees must be >= 0, got r_state=.*-1"):
+        with pytest.raises(ValueError, match="r_(state|control) must be an integer >= 0, got -1"):
             minimize(p, None, part, *degrees)
+
+
+# entry point -> (call with the bad value, the argument's name, its minimum)
+_INTEGER_ARGUMENTS = {
+    "minimize-r_state": (lambda p, u, bad: minimize(p, None, u.partition, bad), "r_state", 0),
+    "minimize-r_control": (lambda p, u, bad: minimize(p, None, u.partition, 1, bad),
+                           "r_control", 0),
+    "run_convergence-orders": (lambda p, u, bad: run_convergence(linear_lq(), orders=(1, bad)),
+                               "orders[1]", 0),
+    "run_convergence-levels": (lambda p, u, bad: run_convergence(linear_lq(), levels=bad),
+                               "levels", 1),
+    "solve_state": (lambda p, u, bad: solve_state(p, u, bad), "r", 0),
+    "project_l2": (lambda p, u, bad: project_l2(np.sin, u.partition, bad), "r", 0),
+    "make_uniform_partition": (lambda p, u, bad: make_uniform_partition(1.0, bad), "N", 1),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, -1])
+@pytest.mark.parametrize("entry", sorted(_INTEGER_ARGUMENTS))
+def test_degrees_and_counts_must_be_integers(monkeypatch, entry, bad):
+    # a float, even 1.0, and a bool are rejected as a negative value is, with a
+    # ValueError naming the argument, before any sampling or solve
+    def no_call(*args, **kwargs):
+        raise AssertionError("called before the arguments were checked")
+
+    for owner, name in ((dgocp.ocp, "solve_forward"), (dgocp.ivp.AffineSystem, "__init__"),
+                        (dgocp.convergence, "minimize"), (dgocp.mesh, "sample_values")):
+        monkeypatch.setattr(owner, name, no_call)
+    call, name, minimum = _INTEGER_ARGUMENTS[entry]
+    p, part = linear_lq().problem, make_uniform_partition(1.0, 4)
+    u = DGFunction(part, np.zeros((4, 2, 1)))
+    message = f"^{re.escape(name)} must be an integer >= {minimum}, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        call(p, u, bad)
+
+
+def test_numpy_integers_pass_as_degrees_and_counts():
+    part = make_uniform_partition(1.0, np.int64(4))
+    assert part.N == 4
+    assert project_l2(np.sin, part, np.int64(2)).degree == 2
+    p = linear_lq().problem
+    report = minimize(p, None, part, np.int64(1), np.int64(0),
+                      OptimizeOptions(method="pgd", max_outer=2))
+    assert (report.x_star.degree, report.u_star.degree) == (1, 0)
 
 
 def test_fbs_spelling_runs_pgd():
