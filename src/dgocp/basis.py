@@ -8,6 +8,7 @@ is applied to the data of all intervals at once (apply_table).
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -27,6 +28,17 @@ __all__ = [
 DEFAULT_EXTRA_POINTS = 3
 
 
+def check_int(name, value, minimum):
+    """ValueError naming the argument `name` unless value is an integer >= minimum.
+
+    numpy integers pass; bools and floats (1.0 too) do not.  A plain int
+    skips the (slower) abstract-class check.
+    """
+    if (type(value) is not int and (not isinstance(value, Integral) or isinstance(value, bool))
+            or value < minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_domain(xi):
     if np.any(xi < -1.0 - 1e-12) or np.any(xi > 1.0 + 1e-12):
         raise ValueError("evaluation point outside the reference interval [-1, 1]")
@@ -34,6 +46,7 @@ def _check_domain(xi):
 
 def legendre_table(r, xi):
     """Values of P_0..P_r at the points xi, shape (len(xi), r+1)."""
+    check_int("r", r, 0)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     _check_domain(xi)
     out = np.empty((xi.size, r + 1))
@@ -59,14 +72,18 @@ class QuadratureRule:
         return self.points.size
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def gauss_rule(q):
     """q-point Gauss-Legendre rule; exact for polynomials of degree <= 2q-1.
 
     Shared per q (building one is an eigenvalue solve): its arrays are read-only.
+    q must be an integer >= 1.  It is checked on a cache miss only; the cache
+    is typed, so that True and 1.0 miss the entry of 1, and a numpy integer
+    gets the rule of the equal int.
     """
-    if q < 1:
-        raise ValueError("quadrature rule needs at least one point")
+    check_int("q", q, 1)
+    if type(q) is not int:
+        return gauss_rule(int(q))
     pts, wts = np.polynomial.legendre.leggauss(q)
     pts.flags.writeable = False
     wts.flags.writeable = False
@@ -75,6 +92,7 @@ def gauss_rule(q):
 
 def default_rule(r):
     """Module-wide default rule for degree-r DG computations (q = r + 3)."""
+    check_int("r", r, 0)
     return gauss_rule(r + DEFAULT_EXTRA_POINTS)
 
 

@@ -260,7 +260,7 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
                 alpha *= 0.5
                 C_try = C - alpha * delta
             C = C_try
-        if not rnorm <= tol:
+        if not (rnorm <= tol and math.isfinite(rnorm)):  # tol is inf when rnorm is
             raise SolverFailure(n, rnorm)
         coeffs[n] = C
         x_in = C.sum(axis=0)                       # left trace at t_n

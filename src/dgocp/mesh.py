@@ -13,12 +13,12 @@ product of a reference table with the data of all intervals (basis.apply_table).
 
 import io
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .basis import (apply_table, default_rule, legendre_table, mass_diagonal, projection_table,
-                    rule_table)
+# check_int is also read from here by the layers above
+from .basis import (apply_table, check_int, default_rule, legendre_table, mass_diagonal,
+                    projection_table, rule_table)
 
 __all__ = [
     "Partition",
@@ -32,15 +32,6 @@ __all__ = [
     "save_dg",
     "load_dg",
 ]
-
-
-def check_int(name, value, minimum):
-    """ValueError naming the argument `name` unless value is an integer >= minimum.
-
-    numpy integers pass; bools and floats (1.0 too) do not.
-    """
-    if not isinstance(value, Integral) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -80,6 +80,19 @@ def test_domain_and_argument_errors():
         gauss_rule(0)
 
 
+def test_degrees_and_point_counts_must_be_integers():
+    gauss_rule(1)                       # True must not hit the cache entry of 1
+    for call in (lambda: gauss_rule(2.5), lambda: gauss_rule(True), lambda: gauss_rule(2.0),
+                 lambda: default_rule(1.5), lambda: default_rule(-1),
+                 lambda: legendre_table(1.5, [0.0]), lambda: legendre_table(-1, [0.0])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    # numpy integers pass, and share the rule of the equal int
+    assert gauss_rule(np.int64(3)) is gauss_rule(3)
+    assert default_rule(np.int32(2)) is default_rule(2)
+    assert np.array_equal(legendre_table(np.int64(2), [0.5]), legendre_table(2, [0.5]))
+
+
 def test_default_rule_order():
     assert default_rule(2).q == 5
 

@@ -9,8 +9,7 @@ import pytest
 import dgocp.convergence
 import dgocp.ivp
 import dgocp.optimize
-from dgocp import (OptimizeOptions, SolverFailure, make_uniform_partition, minimize,
-                   run_convergence)
+from dgocp import SolverFailure, run_convergence
 from dgocp.problems import get_builtin, linear_lq
 
 
@@ -58,12 +57,18 @@ def recorded_table(request):
     return (request.param, *record_table(get_builtin(request.param)))
 
 
+def _reference_size(builtin, orders):
+    """(r, N) of the reference run_convergence solves for builtin at these orders."""
+    return max(orders) + 2, round(builtin.problem.T / builtin.reference_h)
+
+
 def test_each_solve_starts_from_the_previous_optimum(recorded_table):
     name, calls, _ = recorded_table
     # the levels r-major, k-minor, then the reference (nonlinear-quadratic only)
-    T = get_builtin(name).problem.T
+    builtin = get_builtin(name)
+    T = builtin.problem.T
     expected = [(r, round(T / (0.1 * 2.0**-k))) for r in (1, 2, 3) for k in range(6)]
-    expected += [(3, 1024)] if name == "nonlinear-quadratic" else []
+    expected += [_reference_size(builtin, (1, 2, 3))] if name == "nonlinear-quadratic" else []
     assert [(r, N) for r, N, _, _ in calls] == expected
     levels = calls[:18]
     assert levels[0][2] is None
@@ -74,10 +79,12 @@ def test_each_solve_starts_from_the_previous_optimum(recorded_table):
         assert calls[-1][2] is levels[-1][3].u_star
 
 
-def test_reference_starts_from_the_finest_level_of_its_degree():
-    # orders not ascending: the reference (r=2) is not solved after an r=2 level
-    calls, _ = record_table(get_builtin("nonlinear-quadratic"), orders=(2, 1), levels=1)
-    assert [(r, N) for r, N, _, _ in calls] == [(2, 2), (1, 2), (2, 1024)]
+def test_reference_starts_from_the_finest_level_of_the_highest_degree():
+    # orders not ascending: the reference (r=4) starts from the finest r=2
+    # level, which is not the last one solved
+    builtin = get_builtin("nonlinear-quadratic")
+    calls, _ = record_table(builtin, orders=(2, 1), levels=1)
+    assert [(r, N) for r, N, _, _ in calls] == [(2, 2), (1, 2), _reference_size(builtin, (2, 1))]
     assert calls[0][2] is None and calls[1][2] is calls[0][3].u_star
     assert calls[2][2] is calls[0][3].u_star
 
@@ -98,8 +105,10 @@ def test_work_per_table(recorded_table):
     assert counts["state"] <= most[0] and counts["products"] <= most[1], counts
     assert counts["factorizations"] <= most[2], counts
     if name == "nonlinear-quadratic":
-        # the reference, started from the finest r=3 level, takes 4 iterations cold
-        assert calls[-1][1] == 1024 and calls[-1][3].iterations <= 2
+        # the reference, started from the finest r=3 level, takes 4 iterations
+        # cold (r=3 on N=1024 and r=5 on N=128 alike)
+        assert calls[-1][:2] == _reference_size(get_builtin(name), (1, 2, 3))
+        assert calls[-1][3].iterations <= 2
 
 
 def test_progress_lines_before_and_after_each_level():
@@ -112,9 +121,10 @@ def test_progress_lines_before_and_after_each_level():
 
 def test_progress_lines_put_the_reference_last():
     lines = []
-    run_convergence(get_builtin("nonlinear-quadratic"), orders=(1,), levels=1,
-                    progress=lines.append)
-    assert lines[0::2] == ["r=1, k=0, N=2", "reference solve: r=1, N=1024"]
+    builtin = get_builtin("nonlinear-quadratic")
+    run_convergence(builtin, orders=(1,), levels=1, progress=lines.append)
+    r_ref, N_ref = _reference_size(builtin, (1,))
+    assert lines[0::2] == ["r=1, k=0, N=2", f"reference solve: r={r_ref}, N={N_ref}"]
     for before, after in zip(lines[0::2], lines[1::2]):
         assert re.fullmatch(re.escape(before) + r": \d+ iterations, \d+\.\d{3} s", after), after
 
@@ -183,17 +193,20 @@ def _pontryagin_shooting(T, x0, steps):
 
 
 def test_nonlinear_reference_matches_pontryagin_shooting():
-    # the self-computed reference (r=3 on the reference_h mesh) against an
+    # the reference the default table solves (its last solve) against an
     # independent RK4 solve of the continuous optimality system, at the RK4
-    # times inside the mesh intervals (every third RK4 time is a mesh node)
+    # times inside the mesh intervals.  The step count is fixed so that RK4's
+    # own error stays below the bounds: 3 steps per interval at N = 128 miss
+    # the u bound by RK4's error alone (1.3e-12)
     builtin = get_builtin("nonlinear-quadratic")
     p = builtin.problem
-    N = int(round(p.T / builtin.reference_h))
-    ts, xs, us, miss = _pontryagin_shooting(p.T, p.x0[0], 3 * N)
-    assert abs(miss) <= 1e-14
-    report = minimize(p, None, make_uniform_partition(p.T, N), 3,
-                      opts=OptimizeOptions(method="newton", grad_tol=1e-14))
+    calls, _ = record_table(builtin)
+    _, N, _, report = calls[-1]
     assert report.converged
-    inner = np.arange(ts.size) % 3 != 0
+    steps = 3072
+    assert steps % N == 0
+    ts, xs, us, miss = _pontryagin_shooting(p.T, p.x0[0], steps)
+    assert abs(miss) <= 1e-14
+    inner = np.arange(ts.size) % (steps // N) != 0
     assert np.max(np.abs(report.x_star.eval_many(ts[inner])[:, 0] - xs[inner])) <= 1e-12
     assert np.max(np.abs(report.u_star.eval_many(ts[inner])[:, 0] - us[inner])) <= 1e-12

@@ -212,6 +212,18 @@ def test_non_finite_data_names_its_interval(affine):
         assert err.value.interval == 3 and np.isnan(err.value.residual)
 
 
+def test_an_infinite_first_residual_fails():
+    # at r = 0 the first residual on interval 1 is the forcing term alone, inf,
+    # and so is the tolerance scaled from it: the march must not keep the
+    # constant extension
+    rhs = IVPRight(F=lambda ts, X: np.where(((ts > 0.25) & (ts < 0.5))[:, None], np.inf,
+                                            np.sin(X)),
+                   dF_dx=lambda ts, X: np.cos(X)[:, :, None])
+    with pytest.raises(SolverFailure) as err:
+        solve_forward(rhs, np.array([0.3]), make_uniform_partition(1.0, 4), 0)
+    assert err.value.interval == 1 and err.value.residual == np.inf
+
+
 @pytest.mark.parametrize("affine", [False, True])
 def test_non_finite_residual_stops_at_once(monkeypatch, affine):
     # the NaN residual of interval 3 ends the solve: one factorization and no
@@ -523,7 +535,7 @@ def _reference_march(rhs, inputs, x0, partition, sch, backtracks):
             C = C + alpha * delta
             R, X, rnorm = Rn, Xn, rn
             converged = rnorm <= tol
-        if not converged:
+        if not (converged and math.isfinite(rnorm)):
             raise SolverFailure(n, rnorm)
         coeffs[n] = C
         x_in = C.sum(axis=0)
