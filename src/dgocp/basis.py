@@ -122,7 +122,7 @@ def apply_table(T, A):
     a view of it, contiguous when d = 1.
     """
     N, b, d = A.shape
-    out = np.swapaxes(A, 1, 2).reshape(N * d, b) @ T.T
+    out = A.swapaxes(1, 2).reshape(N * d, b) @ T.T
     return out.reshape(N, d, -1).swapaxes(1, 2)
 
 
@@ -136,6 +136,10 @@ def deriv_inner_matrix(r):
     return D
 
 
+@lru_cache(maxsize=64)
 def mass_diagonal(r):
-    """Diagonal of the reference mass matrix: integral of P_k^2 = 2/(2k+1)."""
-    return 2.0 / (2.0 * np.arange(r + 1) + 1.0)
+    """Diagonal of the reference mass matrix: integral of P_k^2 = 2/(2k+1).
+    Shared per r: read-only."""
+    M = 2.0 / (2.0 * np.arange(r + 1) + 1.0)
+    M.flags.writeable = False
+    return M

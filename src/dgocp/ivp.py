@@ -27,9 +27,18 @@ system comes in one of two forms:
   constant extension of the incoming trace x_in, read without a table
   product: the state is x_in at every quadrature point (P_0 = 1), and the
   trace terms cancel, so the first residual is the forcing term alone.  A
-  step assembles the interval's block from dF_dx, solves it with
-  np.linalg.solve and halves the step until the residual falls.  The half
-  widths, the input rows and the scheme's tables are fetched once per solve.
+  step assembles the interval's block from dF_dx, solves it and halves the
+  step until the residual falls.  The half widths, the input rows and the
+  scheme's tables are fetched once per solve.
+
+The block solve of a Newton step and the block inverses of an AffineSystem
+call the LAPACK gufuncs solve1 and inv of numpy.linalg._umath_linalg, the
+ones np.linalg.solve and np.linalg.inv wrap: on blocks of a few rows the
+wrappers cost several times the call.  The module is private to numpy, but
+numpy.linalg loads it anyway, and the march is tested bit for bit against
+np.linalg.solve.  Each call runs under its own errstate, as np.linalg sets
+it: a singular block raises FloatingPointError, which becomes SolverFailure,
+and nothing else in the call warns.  The user's F and dF_dx run outside it.
 
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
@@ -47,6 +56,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .basis import apply_table, default_rule, deriv_inner_matrix, rule_table
 from .mesh import DGFunction
@@ -109,10 +119,28 @@ def _singular(n):
     return SolverFailure(n, np.inf, f"singular DG block on interval {n}")
 
 
+def _lapack_errstate():
+    """The errstate of one LAPACK gufunc call, as np.linalg sets it: a
+    singular matrix raises FloatingPointError, and nothing else warns.  numpy
+    does not re-enter an errstate object, so every call gets a new one."""
+    return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+
+
 def _tolerance(scale):
     """Residual tolerance for residual terms whose largest entry is `scale`:
     NEWTON_TOL, or the round-off floor ROUNDOFF * scale when that is larger."""
     return np.maximum(NEWTON_TOL, ROUNDOFF * scale)
+
+
+def _row_max(A):
+    """Largest entry of each row of A (N, k); NaN propagates.  One np.maximum
+    per column: np.max over a short trailing axis runs an inner loop per row,
+    about four times slower than this on (320, 4)."""
+    cols = A.T
+    out = np.maximum(cols[0], cols[-1])
+    for c in cols[1:-1]:
+        np.maximum(out, c, out=out)
+    return out
 
 
 def _batched_residual(terms):
@@ -120,8 +148,9 @@ def _batched_residual(terms):
     max-norm and its tolerance, each per interval.  T1 may be (N, 1, d), the
     same on every block row."""
     R = terms[0] - terms[1] - terms[2]
-    largest = np.max(np.abs(np.concatenate(terms, axis=1)), axis=(1, 2))
-    return R, np.max(np.abs(R), axis=(1, 2)), _tolerance(largest)
+    N = len(R)
+    largest = _row_max(np.abs(np.concatenate(terms, axis=1)).reshape(N, -1))
+    return R, _row_max(np.abs(R).reshape(N, -1)), _tolerance(largest)
 
 
 class _Scheme:
@@ -247,8 +276,9 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
                 break
             J = J_base - half * (dF_dx(a, X).reshape(-1) @ WPP).reshape(nd, nd)
             try:
-                delta = np.linalg.solve(J, R.reshape(nd)).reshape(C.shape)
-            except np.linalg.LinAlgError:
+                with _lapack_errstate():
+                    delta = _umath_linalg.solve1(J, R.reshape(nd)).reshape(C.shape)
+            except FloatingPointError:
                 raise _singular(n) from None
             alpha, last, C_try = 1.0, rnorm, C - delta
             while True:
@@ -295,8 +325,9 @@ class AffineSystem:
         self.half_h = 0.5 * partition.widths[:, None, None]
         self.J = sch.blocks(self.half_h, np.reshape(A, (N, sch.rule.q, d, d)))  # (N, nd, nd)
         try:
-            self.Jinv = np.linalg.inv(self.J)
-        except np.linalg.LinAlgError:
+            with _lapack_errstate():
+                self.Jinv = _umath_linalg.inv(self.J)
+        except FloatingPointError:
             raise _singular(int(np.argmin(np.abs(np.linalg.det(self.J))))) from None
         self.G = self.Jinv @ sch.S                              # (N, nd, d)
         M = self.G.reshape(N, r + 1, d, d).sum(axis=1)
@@ -337,12 +368,14 @@ class AffineSystem:
     def _corrected(self, f, x0, transposed):
         C = self._sweep(f, x0, transposed)
         R, rnorm, tol = self._residual(C, f, x0, transposed)
+        passed = rnorm <= tol
         for _ in range(NEWTON_MAX_ITER):
-            if np.all(rnorm <= tol) or not np.all(np.isfinite(rnorm)):
+            if passed.all() or not np.isfinite(rnorm).all():
                 break
             C = C + self._sweep(-R, np.zeros_like(x0), transposed)
             R, rnorm, tol = self._residual(C, f, x0, transposed)
-        if not np.all(rnorm <= tol):
+            passed = rnorm <= tol
+        if not passed.all():
             n = int(np.argmax(rnorm - tol))
             raise SolverFailure(n, float(rnorm[n]))
         return C

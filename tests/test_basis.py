@@ -108,7 +108,9 @@ def test_rules_and_their_tables_are_shared_and_read_only():
     # (2k+1)/2 w_q P_k(xi_q): a left inverse of the table on degree-2 data
     assert np.max(np.abs(Q - np.array([[0.5], [1.5], [2.5]]) * P.T * rule.weights)) <= 1e-15
     assert np.max(np.abs(Q @ P - np.eye(3))) <= 1e-14
-    for a in (rule.points, rule.weights, P, Q):
+    M = mass_diagonal(2)
+    assert M is mass_diagonal(2) and M is not mass_diagonal(3)
+    for a in (rule.points, rule.weights, P, Q, M):
         assert not a.flags.writeable
 
 

@@ -190,6 +190,7 @@ def _scalar_solve(a, affine, part, r, F=None):
     return solve_forward(IVPRight(F=F, dF_dx=lambda ts, X: a(ts)[:, None, None]), x0, part, r)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("affine", [False, True])
 def test_singular_block_names_its_interval(affine):
     # r = 0: the block of x' = 10 x on interval n is 1 - 10 h_n, which rounds to
@@ -200,6 +201,7 @@ def test_singular_block_names_its_interval(affine):
     assert err.value.interval == 2 and err.value.residual == np.inf
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("affine", [False, True])
 def test_non_finite_data_names_its_interval(affine):
     # NaN data on interval 3 of 8 leaves a NaN residual there and on every later
@@ -210,6 +212,24 @@ def test_non_finite_data_names_its_interval(affine):
         with pytest.raises(SolverFailure) as err:
             _scalar_solve(a, affine, part, r)
         assert err.value.interval == 3 and np.isnan(err.value.residual)
+
+
+def test_march_closures_keep_their_own_warnings():
+    # the errstate of the LAPACK call covers that call only: a closure that
+    # divides by zero warns on every call, also next to a Newton step
+    calls = [0]
+
+    def warning(value):
+        calls[0] += 1
+        np.log(np.zeros(1))
+        return value
+
+    rhs = IVPRight(F=lambda ts, X: warning(np.sin(X)),
+                   dF_dx=lambda ts, X: warning(np.cos(X)[:, :, None]))
+    with pytest.warns(RuntimeWarning, match="divide by zero") as record:
+        solve_forward(rhs, np.array([0.3]), make_uniform_partition(1.0, 4), 2)
+    # the two probe samples of dF_dx run with every warning ignored
+    assert calls[0] > 6 and len(record) == calls[0] - 2
 
 
 def test_an_infinite_first_residual_fails():
@@ -253,6 +273,29 @@ def test_non_finite_residual_stops_at_once(monkeypatch, affine):
         assert counts["factor"] == 2 and counts["sweep"] == 2
     else:
         assert counts["factor"] == 0 and counts["F_failing"] == 2 and counts["F_later"] == 0
+
+
+@pytest.mark.parametrize("N", [1, 7, 320])
+def test_residual_norms_equal_the_whole_block_reduction(rng, N):
+    # bit for bit against np.max over the trailing axes of the residual and of
+    # the concatenated terms; the trace term T1 is (N, 1, d), and the scales
+    # put the tolerance on either side of NEWTON_TOL
+    for r in range(6):
+        for d in (1, 2, 3):
+            scale = 10.0 ** rng.integers(-3, 15, (N, 1, 1))
+            terms = (scale * rng.standard_normal((N, r + 1, d)),
+                     scale * rng.standard_normal((N, 1, d)),
+                     scale * rng.standard_normal((N, r + 1, d)))
+            R, rnorm, tol = ivp._batched_residual(terms)
+            largest = np.max(np.abs(np.concatenate(terms, axis=1)), axis=(1, 2))
+            assert np.array_equal(R, terms[0] - terms[1] - terms[2])
+            assert np.array_equal(rnorm, np.max(np.abs(R), axis=(1, 2)))
+            assert np.array_equal(tol, ivp._tolerance(largest))
+    # one NaN entry: a NaN norm and tolerance on its interval only
+    terms[2][N // 2, r, d - 1] = np.nan
+    _, rnorm, tol = ivp._batched_residual(terms)
+    nan = np.arange(N) == N // 2
+    assert np.array_equal(np.isnan(rnorm), nan) and np.array_equal(np.isnan(tol), nan)
 
 
 def _rotating_A(times):
