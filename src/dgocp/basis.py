@@ -40,7 +40,7 @@ def check_int(name, value, minimum):
 
 
 def _check_domain(xi):
-    if np.any(xi < -1.0 - 1e-12) or np.any(xi > 1.0 + 1e-12):
+    if not np.all(np.abs(xi) <= 1.0 + 1e-12):      # NaN fails too
         raise ValueError("evaluation point outside the reference interval [-1, 1]")
 
 
@@ -128,6 +128,7 @@ def apply_table(T, A):
 
 def deriv_inner_matrix(r):
     """D[j, k] = integral of P_k' P_j over [-1, 1]: 2 when k > j with k+j odd."""
+    check_int("r", r, 0)
     D = np.zeros((r + 1, r + 1))
     for j in range(r + 1):
         for k in range(j + 1, r + 1):
@@ -136,10 +137,13 @@ def deriv_inner_matrix(r):
     return D
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def mass_diagonal(r):
     """Diagonal of the reference mass matrix: integral of P_k^2 = 2/(2k+1).
-    Shared per r: read-only."""
+    Shared per r: read-only.  r is checked as gauss_rule checks q."""
+    check_int("r", r, 0)
+    if type(r) is not int:
+        return mass_diagonal(int(r))
     M = 2.0 / (2.0 * np.arange(r + 1) + 1.0)
     M.flags.writeable = False
     return M

@@ -36,9 +36,11 @@ call the LAPACK gufuncs solve1 and inv of numpy.linalg._umath_linalg, the
 ones np.linalg.solve and np.linalg.inv wrap: on blocks of a few rows the
 wrappers cost several times the call.  The module is private to numpy, but
 numpy.linalg loads it anyway, and the march is tested bit for bit against
-np.linalg.solve.  Each call runs under its own errstate, as np.linalg sets
-it: a singular block raises FloatingPointError, which becomes SolverFailure,
-and nothing else in the call warns.  The user's F and dF_dx run outside it.
+np.linalg.solve.  Both are wrapped once, at import, in np.errstate's
+decorator form with the state np.linalg sets, so each call runs under it
+without building an errstate object: a singular block raises
+FloatingPointError, which becomes SolverFailure, and nothing else in the
+call warns.  The user's F and dF_dx run outside it, under the caller's state.
 
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
@@ -119,11 +121,12 @@ def _singular(n):
     return SolverFailure(n, np.inf, f"singular DG block on interval {n}")
 
 
-def _lapack_errstate():
-    """The errstate of one LAPACK gufunc call, as np.linalg sets it: a
-    singular matrix raises FloatingPointError, and nothing else warns.  numpy
-    does not re-enter an errstate object, so every call gets a new one."""
-    return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+# the LAPACK gufuncs under the errstate np.linalg sets: a singular matrix
+# raises FloatingPointError, and nothing else warns.  The decorator form sets
+# that state for each call without building an errstate object per call
+_solve1, _inv = (
+    np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")(gufunc)
+    for gufunc in (_umath_linalg.solve1, _umath_linalg.inv))
 
 
 def _tolerance(scale):
@@ -276,8 +279,7 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
                 break
             J = J_base - half * (dF_dx(a, X).reshape(-1) @ WPP).reshape(nd, nd)
             try:
-                with _lapack_errstate():
-                    delta = _umath_linalg.solve1(J, R.reshape(nd)).reshape(C.shape)
+                delta = _solve1(J, R.reshape(nd)).reshape(C.shape)
             except FloatingPointError:
                 raise _singular(n) from None
             alpha, last, C_try = 1.0, rnorm, C - delta
@@ -325,8 +327,7 @@ class AffineSystem:
         self.half_h = 0.5 * partition.widths[:, None, None]
         self.J = sch.blocks(self.half_h, np.reshape(A, (N, sch.rule.q, d, d)))  # (N, nd, nd)
         try:
-            with _lapack_errstate():
-                self.Jinv = _umath_linalg.inv(self.J)
+            self.Jinv = _inv(self.J)
         except FloatingPointError:
             raise _singular(int(np.argmin(np.abs(np.linalg.det(self.J))))) from None
         self.G = self.Jinv @ sch.S                              # (N, nd, d)

@@ -10,7 +10,7 @@ linear-lq:  T = 1, x0 = 1, f(x) = -x.  Closed-form optimal pair (and the
 
 nonlinear-quadratic:  T = 0.2, x0 = 2, f(x) = x^2.  No closed form;
             convergence studies use a self-computed reference, two degrees
-            above the table's highest on N = 128 intervals.
+            above the table's highest on N = 64 intervals.
 """
 
 from dataclasses import dataclass
@@ -91,10 +91,11 @@ def nonlinear_quadratic():
     )
     return BuiltinProblem(
         problem=problem,
-        # N = 128: at degree max(orders) + 2 = 5 this matches an RK4 shooting
-        # solve as closely as degree 3 on N = 1024 does, at a seventh of the
-        # cost (p- against h-refinement)
-        reference_h=0.1 * 2.0**-6,
+        # N = 64: at degree max(orders) + 2 = 5 this matches an RK4 shooting
+        # solve as closely as degree 3 on N = 1024 does (p- against
+        # h-refinement); fewer intervals stop gaining from the degree (see
+        # run_convergence)
+        reference_h=0.1 * 2.0**-5,
     )
 
 

@@ -78,19 +78,31 @@ def test_domain_and_argument_errors():
         legendre_table(1, [0.0, -1.0001])
     with pytest.raises(ValueError):
         gauss_rule(0)
+    for xi in ([np.nan], [0.0, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="outside the reference interval"):
+            legendre_table(2, xi)
 
 
 def test_degrees_and_point_counts_must_be_integers():
     gauss_rule(1)                       # True must not hit the cache entry of 1
+    mass_diagonal(1), mass_diagonal(2)  # nor True and 2.0 those of 1 and 2
     for call in (lambda: gauss_rule(2.5), lambda: gauss_rule(True), lambda: gauss_rule(2.0),
                  lambda: default_rule(1.5), lambda: default_rule(-1),
-                 lambda: legendre_table(1.5, [0.0]), lambda: legendre_table(-1, [0.0])):
+                 lambda: legendre_table(1.5, [0.0]), lambda: legendre_table(-1, [0.0]),
+                 lambda: mass_diagonal(2.5), lambda: mass_diagonal(-1),
+                 lambda: mass_diagonal(True), lambda: mass_diagonal(2.0),
+                 lambda: deriv_inner_matrix(1.5), lambda: deriv_inner_matrix(-1)):
         with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    for call in (lambda: mass_diagonal(2.5), lambda: deriv_inner_matrix(-1)):
+        with pytest.raises(ValueError, match="^r must"):
             call()
     # numpy integers pass, and share the rule of the equal int
     assert gauss_rule(np.int64(3)) is gauss_rule(3)
     assert default_rule(np.int32(2)) is default_rule(2)
     assert np.array_equal(legendre_table(np.int64(2), [0.5]), legendre_table(2, [0.5]))
+    assert mass_diagonal(np.int64(2)) is mass_diagonal(2)
+    assert np.array_equal(deriv_inner_matrix(np.int32(3)), deriv_inner_matrix(3))
 
 
 def test_default_rule_order():

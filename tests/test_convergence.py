@@ -1,7 +1,10 @@
 """Convergence tables: nested-iteration warm starts, work per table, call
-order, arguments."""
+order, arguments, and the rows the benchmark records."""
 
+import importlib.util
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from dgocp.problems import get_builtin, linear_lq
 def record_table(builtin, **kwargs):
     """run_convergence(builtin, **kwargs) with every minimize call, state solve,
     H v product and AffineSystem factorization recorded; returns (calls as
-    (r, N, u0, report), counts)."""
+    (r, N, u0, report), counts, table)."""
     calls, counts = [], {"state": 0, "products": 0, "factorizations": 0}
     minimize, solve_state = dgocp.convergence.minimize, dgocp.optimize.solve_state
     hessian_vector, factor = dgocp.optimize.hessian_vector, dgocp.ivp.AffineSystem.__init__
@@ -47,13 +50,13 @@ def record_table(builtin, **kwargs):
         mp.setattr(dgocp.optimize, "solve_state", counting_state)
         mp.setattr(dgocp.optimize, "hessian_vector", counting_hessian)
         mp.setattr(dgocp.ivp.AffineSystem, "__init__", counting_factor)
-        run_convergence(builtin, **kwargs)
-    return calls, counts
+        table = run_convergence(builtin, **kwargs)
+    return calls, counts, table
 
 
 @pytest.fixture(scope="module", params=["linear-lq", "nonlinear-quadratic"])
 def recorded_table(request):
-    """One default table, recorded; returns (name, calls, counts)."""
+    """One default table, recorded; returns (name, calls, counts, table)."""
     return (request.param, *record_table(get_builtin(request.param)))
 
 
@@ -63,7 +66,7 @@ def _reference_size(builtin, orders):
 
 
 def test_each_solve_starts_from_the_previous_optimum(recorded_table):
-    name, calls, _ = recorded_table
+    name, calls, _, _ = recorded_table
     # the levels r-major, k-minor, then the reference (nonlinear-quadratic only)
     builtin = get_builtin(name)
     T = builtin.problem.T
@@ -83,7 +86,7 @@ def test_reference_starts_from_the_finest_level_of_the_highest_degree():
     # orders not ascending: the reference (r=4) starts from the finest r=2
     # level, which is not the last one solved
     builtin = get_builtin("nonlinear-quadratic")
-    calls, _ = record_table(builtin, orders=(2, 1), levels=1)
+    calls, _, _ = record_table(builtin, orders=(2, 1), levels=1)
     assert [(r, N) for r, N, _, _ in calls] == [(2, 2), (1, 2), _reference_size(builtin, (2, 1))]
     assert calls[0][2] is None and calls[1][2] is calls[0][3].u_star
     assert calls[2][2] is calls[0][3].u_star
@@ -100,15 +103,32 @@ def test_work_per_table(recorded_table):
     # forced to a residual of order ||g||^2 instead of ||g||, 39 state solves
     # and 69 products (linear-lq), 45, 71 and 45 factorizations
     # (nonlinear-quadratic).
-    name, calls, counts = recorded_table
+    name, calls, counts, _ = recorded_table
     most = {"linear-lq": (39, 69, 18), "nonlinear-quadratic": (45, 71, 45)}[name]
     assert counts["state"] <= most[0] and counts["products"] <= most[1], counts
     assert counts["factorizations"] <= most[2], counts
     if name == "nonlinear-quadratic":
         # the reference, started from the finest r=3 level, takes 4 iterations
-        # cold (r=3 on N=1024 and r=5 on N=128 alike)
+        # cold (r=3 on N=1024, r=5 on N=128 and r=5 on N=64 alike)
         assert calls[-1][:2] == _reference_size(get_builtin(name), (1, 2, 3))
         assert calls[-1][3].iterations <= 2
+
+
+def test_tables_match_the_benchmark_rows(recorded_table):
+    # the benchmark fails a table whose rows leave perfbench/seed_tables.json
+    # by more than its TABLE_ATOL; a change that moves a row that far fails here
+    name, _, _, table = recorded_table
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    seed = json.loads((perfbench / "seed_tables.json").read_text())[name]
+    recorded = {(row["r"], round(row["h"], 12)): row for row in seed}
+    assert sorted((row.r, round(row.h, 12)) for row in table.rows) == sorted(recorded)
+    for row in table.rows:
+        want = recorded[(row.r, round(row.h, 12))]
+        for col in ("err_x", "err_u"):
+            assert abs(getattr(row, col) - want[col]) <= workloads.TABLE_ATOL, (row.r, row.h, col)
 
 
 def test_progress_lines_before_and_after_each_level():
@@ -197,10 +217,11 @@ def test_nonlinear_reference_matches_pontryagin_shooting():
     # independent RK4 solve of the continuous optimality system, at the RK4
     # times inside the mesh intervals.  The step count is fixed so that RK4's
     # own error stays below the bounds: 3 steps per interval at N = 128 miss
-    # the u bound by RK4's error alone (1.3e-12)
+    # the u bound by RK4's error alone (1.3e-12).  The reference at r=5 on
+    # N=64 misses it by 1.5e-14 in x and 7.2e-15 in u
     builtin = get_builtin("nonlinear-quadratic")
     p = builtin.problem
-    calls, _ = record_table(builtin)
+    calls, _, _ = record_table(builtin)
     _, N, _, report = calls[-1]
     assert report.converged
     steps = 3072

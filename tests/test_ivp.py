@@ -214,6 +214,25 @@ def test_non_finite_data_names_its_interval(affine):
         assert err.value.interval == 3 and np.isnan(err.value.residual)
 
 
+@pytest.mark.parametrize("affine", [False, True])
+def test_solves_leave_the_callers_errstate_alone(affine):
+    # the LAPACK calls raise on a singular block under their own errstate;
+    # the caller's (here not numpy's default) is the same after a solve, and
+    # after a singular block on the march and on the affine route
+    part = Partition(np.array([0.0, 0.3, 0.5, 0.6, 0.8, 1.0]))
+    with np.errstate(all="ignore"):
+        state = np.geterr()
+        if affine:
+            _scalar_solve(lambda t: -np.ones_like(t), True, part, 2)
+        else:
+            rhs = IVPRight(F=lambda ts, X: np.sin(X), dF_dx=lambda ts, X: np.cos(X)[:, :, None])
+            solve_forward(rhs, np.array([0.3]), part, 2)       # nonlinear: marched
+        assert np.geterr() == state
+        with pytest.raises(SolverFailure, match="singular"):
+            _scalar_solve(lambda t: np.full_like(t, 10.0), affine, part, 0)
+        assert np.geterr() == state
+
+
 def test_march_closures_keep_their_own_warnings():
     # the errstate of the LAPACK call covers that call only: a closure that
     # divides by zero warns on every call, also next to a Newton step

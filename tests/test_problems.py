@@ -49,7 +49,7 @@ def test_nonlinear_quadratic_problem_definition(rng):
     check_derivatives(p, rng)
     assert p.has_second_partials
     assert builtin.exact_state is None
-    assert builtin.reference_h == pytest.approx(0.1 * 2.0**-6)
+    assert builtin.reference_h == pytest.approx(0.1 * 2.0**-5)
 
 
 def test_builtin_instances_are_independent():
