@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dgocp import gauss_rule, make_uniform_partition, project_l2
+from dgocp import OCProblem, gauss_rule, make_uniform_partition, project_l2
 
 # collected by the acceptance tests; emitted after the run so every
 # criterion's pass/fail line is visible regardless of output capture
@@ -55,6 +55,42 @@ def simpson(fn, a, b, n=1_000_000):
 def project_callable(fn, partition, r, dim=1):
     """Nodal projection of a callable onto degree-r DG space (exact in degree)."""
     return project_l2(fn, partition, r, gauss_rule(r + 1), dim)
+
+
+def coupled_problem():
+    """d = m = 2, every second partial nonzero and none symmetric across its
+    index pairs, so a transposed contraction in H v shows:
+
+        f = (x0 x1 + u0 x0, sin x0 + u0 u1 + u0 x1),
+        g = (|x|^2 + |u|^2) / 2 + x0 u1.
+    """
+    def col(*cols):
+        return np.stack(cols, axis=-1)
+
+    def table(t, entries):
+        out = np.zeros((t.size, 2, 2, 2))
+        for index, value in entries.items():
+            out[(slice(None),) + index] = value
+        return out
+
+    return OCProblem(
+        m=2, T=0.5, x0=[0.5, -0.3],
+        f=lambda t, x, u: col(x[:, 0] * x[:, 1] + u[:, 0] * x[:, 0],
+                              np.sin(x[:, 0]) + u[:, 0] * u[:, 1] + u[:, 0] * x[:, 1]),
+        g=lambda t, x, u: 0.5 * (np.sum(x**2, axis=1) + np.sum(u**2, axis=1)) + x[:, 0] * u[:, 1],
+        fx=lambda t, x, u: np.stack((col(x[:, 1] + u[:, 0], x[:, 0]),
+                                     col(np.cos(x[:, 0]), u[:, 0])), axis=1),
+        fu=lambda t, x, u: np.stack((col(x[:, 0], 0.0 * x[:, 0]),
+                                     col(u[:, 1] + x[:, 1], u[:, 0])), axis=1),
+        gx=lambda t, x, u: col(x[:, 0] + u[:, 1], x[:, 1]),
+        gu=lambda t, x, u: col(u[:, 0], u[:, 1] + x[:, 0]),
+        fxx=lambda t, x, u: table(t, {(0, 0, 1): 1.0, (0, 1, 0): 1.0, (1, 0, 0): -np.sin(x[:, 0])}),
+        fxu=lambda t, x, u: table(t, {(0, 0, 0): 1.0, (1, 1, 0): 1.0}),
+        fuu=lambda t, x, u: table(t, {(1, 0, 1): 1.0, (1, 1, 0): 1.0}),
+        gxx=lambda t, x, u: np.broadcast_to(np.eye(2), (t.size, 2, 2)).copy(),
+        gxu=lambda t, x, u: np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (t.size, 2, 2)).copy(),
+        guu=lambda t, x, u: np.broadcast_to(np.eye(2), (t.size, 2, 2)).copy(),
+    )
 
 
 @pytest.fixture

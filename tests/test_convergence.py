@@ -13,7 +13,9 @@ import dgocp.convergence
 import dgocp.ivp
 import dgocp.optimize
 from dgocp import SolverFailure, run_convergence
-from dgocp.problems import get_builtin, linear_lq
+from dgocp.problems import BuiltinProblem, get_builtin, linear_lq
+
+from conftest import coupled_problem
 
 
 def record_table(builtin, **kwargs):
@@ -231,3 +233,15 @@ def test_nonlinear_reference_matches_pontryagin_shooting():
     inner = np.arange(ts.size) % (steps // N) != 0
     assert np.max(np.abs(report.x_star.eval_many(ts[inner])[:, 0] - xs[inner])) <= 1e-12
     assert np.max(np.abs(report.u_star.eval_many(ts[inner])[:, 0] - us[inner])) <= 1e-12
+
+
+def test_coupled_table_rates():
+    # d = m = 2 at r = 0..3: the self-referenced table (reference r=5 on
+    # N=80) converges at h^(r+1) in both x and u at the finest level
+    orders = (0, 1, 2, 3)
+    builtin = BuiltinProblem(problem=coupled_problem(), reference_h=0.1 * 2**-4)
+    rows = run_convergence(builtin, orders=orders, levels=5).rows
+    for r in orders:
+        finest = [row for row in rows if row.r == r][-1]
+        assert abs(finest.rate_x - (r + 1)) < 0.05
+        assert abs(finest.rate_u - (r + 1)) < 0.05

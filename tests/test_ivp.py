@@ -112,13 +112,16 @@ def test_convergence_order():
         dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0),
     )
     sample_xi = np.linspace(0.05, 0.95, 7)
+    # the sample times depend on N only, so one RK4 reference serves every r
+    refs = {}
+    for N in (16, 32, 64):
+        part = make_uniform_partition(1.0, N)
+        ts = (part.nodes[:-1, None] + part.widths[:, None] * sample_xi).ravel()
+        refs[N] = part, ts, rk4_at(F, [1.0], ts, dt=1e-4)
     for r in (1, 2):
         errs = []
-        for N in (16, 32, 64):
-            part = make_uniform_partition(1.0, N)
+        for part, ts, ref in refs.values():
             sol = solve_forward(rhs, np.array([1.0]), part, r)
-            ts = (part.nodes[:-1, None] + part.widths[:, None] * sample_xi).ravel()
-            ref = rk4_at(F, [1.0], ts, dt=1e-4)
             errs.append(np.max(np.abs(sol.eval_many(ts) - ref)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(rates - (r + 1)) < 0.1)

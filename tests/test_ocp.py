@@ -32,7 +32,7 @@ from dgocp.oracles import (check_derivatives, gradient_discrepancy, hessian_vect
                           random_dg)
 from dgocp.problems import get_builtin, linear_lq, nonlinear_quadratic
 
-from conftest import simpson
+from conftest import coupled_problem, simpson
 
 
 def _zero_control(partition, r=1, m=1):
@@ -419,47 +419,11 @@ def test_hessian_requires_second_partials():
         hessian_form(p, _zero_control(part), _zero_control(part), 1)
 
 
-def _coupled_problem():
-    """d = m = 2, every second partial nonzero and none symmetric across its
-    index pairs, so a transposed contraction in H v shows:
-
-        f = (x0 x1 + u0 x0, sin x0 + u0 u1 + u0 x1),
-        g = (|x|^2 + |u|^2) / 2 + x0 u1.
-    """
-    def col(*cols):
-        return np.stack(cols, axis=-1)
-
-    def table(t, entries):
-        out = np.zeros((t.size, 2, 2, 2))
-        for index, value in entries.items():
-            out[(slice(None),) + index] = value
-        return out
-
-    return OCProblem(
-        m=2, T=0.5, x0=[0.5, -0.3],
-        f=lambda t, x, u: col(x[:, 0] * x[:, 1] + u[:, 0] * x[:, 0],
-                              np.sin(x[:, 0]) + u[:, 0] * u[:, 1] + u[:, 0] * x[:, 1]),
-        g=lambda t, x, u: 0.5 * (np.sum(x**2, axis=1) + np.sum(u**2, axis=1)) + x[:, 0] * u[:, 1],
-        fx=lambda t, x, u: np.stack((col(x[:, 1] + u[:, 0], x[:, 0]),
-                                     col(np.cos(x[:, 0]), u[:, 0])), axis=1),
-        fu=lambda t, x, u: np.stack((col(x[:, 0], 0.0 * x[:, 0]),
-                                     col(u[:, 1] + x[:, 1], u[:, 0])), axis=1),
-        gx=lambda t, x, u: col(x[:, 0] + u[:, 1], x[:, 1]),
-        gu=lambda t, x, u: col(u[:, 0], u[:, 1] + x[:, 0]),
-        fxx=lambda t, x, u: table(t, {(0, 0, 1): 1.0, (0, 1, 0): 1.0, (1, 0, 0): -np.sin(x[:, 0])}),
-        fxu=lambda t, x, u: table(t, {(0, 0, 0): 1.0, (1, 1, 0): 1.0}),
-        fuu=lambda t, x, u: table(t, {(1, 0, 1): 1.0, (1, 1, 0): 1.0}),
-        gxx=lambda t, x, u: np.broadcast_to(np.eye(2), (t.size, 2, 2)).copy(),
-        gxu=lambda t, x, u: np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (t.size, 2, 2)).copy(),
-        guu=lambda t, x, u: np.broadcast_to(np.eye(2), (t.size, 2, 2)).copy(),
-    )
-
-
 @pytest.mark.parametrize("name", ["linear-lq", "nonlinear-quadratic", "coupled"])
 def test_hessian_vector_oracle_on_graded_partition(rng, name):
     # H v against central differences of the projected gradient, by symmetry
     # and against hessian_form, for r = 0..3
-    p = _coupled_problem() if name == "coupled" else get_builtin(name).problem
+    p = coupled_problem() if name == "coupled" else get_builtin(name).problem
     part = Partition(p.T * np.array([0.0, 0.04, 0.1, 0.25, 0.3, 0.55, 0.8, 1.0]))
     check_derivatives(p, rng)
     for r in range(4):
@@ -518,7 +482,7 @@ def _hessian_vector_by_solves(p, u, x, lam, v):
 def test_hessian_vector_matches_the_solves(rng):
     # the factored tangent and second-order adjoint systems against a
     # solve_forward and a solve_backward per product
-    p = _coupled_problem()
+    p = coupled_problem()
     part = Partition(p.T * np.array([0.0, 0.04, 0.1, 0.25, 0.3, 0.55, 0.8, 1.0]))
     for r in range(4):
         u = random_dg(rng, part, r, p.m)

@@ -33,36 +33,57 @@ from dgocp.problems import get_builtin, linear_lq
 from dgocp.oracles import random_dg
 
 
-def _decoupled_problem(c, lo=None, hi=None):
-    """f ignores u; g = (u - c)^2 / 2, so the optimum is u == c pointwise."""
+def _decoupled_problem(c, lo=None, hi=None, weight=1.0):
+    """f ignores u; g = weight (u - c)^2 / 2, so for a positive weight the
+    optimum is u == c pointwise, and the control curvature is the weight."""
     z3 = lambda t: np.zeros((t.size, 1, 1))
     z4 = lambda t: np.zeros((t.size, 1, 1, 1))
     return OCProblem(
         m=1, T=1.0, x0=[0.0],
         f=lambda t, x, u: np.zeros_like(x),
-        g=lambda t, x, u: 0.5 * (u[:, 0] - c) ** 2,
+        g=lambda t, x, u: 0.5 * weight * (u[:, 0] - c) ** 2,
         fx=lambda t, x, u: z3(t),
         fu=lambda t, x, u: z3(t),
         gx=lambda t, x, u: np.zeros((t.size, 1)),
-        gu=lambda t, x, u: u - c,
+        gu=lambda t, x, u: weight * (u - c),
         fxx=lambda t, x, u: z4(t),
         fxu=lambda t, x, u: z4(t),
         fuu=lambda t, x, u: z4(t),
         gxx=lambda t, x, u: z3(t),
         gxu=lambda t, x, u: z3(t),
-        guu=lambda t, x, u: np.ones((t.size, 1, 1)),
+        guu=lambda t, x, u: np.full((t.size, 1, 1), weight),
         u_lo=lo, u_hi=hi,
     )
 
 
 def test_decoupled_quadratic_pgd_one_step():
-    p = _decoupled_problem(0.7, lo=0.0, hi=1.0)
+    # the first step is the unit step; the second takes sigma = 1 / weight
+    # from its secant, the exact curvature, and lands on the optimum.  The
+    # unit step alone needs about 75 iterations at weight 1/4 and spins at
+    # weight 4, where theta = 1/2 maps u - c to c - u at equal cost
     part = make_uniform_partition(1.0, 4)
-    report = minimize(p, None, part, 1, opts=OptimizeOptions(method="pgd"))
-    assert report.converged
-    assert report.iterations <= 3
-    assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - 0.7)) < 1e-12
-    assert np.max(np.abs(report.u_star.coeffs[:, 1:, :])) < 1e-12
+    for weight in (1.0, 0.25, 4.0):
+        p = _decoupled_problem(0.7, lo=0.0, hi=1.0, weight=weight)
+        report = minimize(p, None, part, 1, opts=OptimizeOptions(method="pgd", max_outer=50))
+        assert report.converged, weight
+        assert report.iterations <= 3, weight
+        assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - 0.7)) < 1e-12
+        assert np.max(np.abs(report.u_star.coeffs[:, 1:, :])) < 1e-12
+
+
+def test_concave_pgd_keeps_the_unit_step():
+    # g = -(u - c)^2 / 2 on [0, 1]: every secant has <s, y> < 0, so each step
+    # is the unit step clip(u - g'(u)) = clip(2u - c), from 0.5 to 0.6, 0.8
+    # and the bound 1; the secant step sigma = -1 would go uphill and stall
+    c = 0.4
+    p = _decoupled_problem(c, lo=0.0, hi=1.0, weight=-1.0)
+    part = make_uniform_partition(1.0, 4)
+    report = minimize(p, lambda t: np.full(np.size(t), 0.5), part, 1,
+                      opts=OptimizeOptions(method="pgd", max_outer=50))
+    assert report.converged and report.iterations == 4
+    expected = [-0.5 * (u - c) ** 2 for u in (0.5, 0.6, 0.8, 1.0)]
+    assert report.cost_history == pytest.approx(expected, abs=1e-14)
+    assert np.max(np.abs(report.u_star.coeffs[:, 0, 0] - 1.0)) < 1e-14
 
 
 def test_linear_lq_table_entry():
@@ -139,7 +160,7 @@ def test_box_optimum_converges():
     p.u_hi[:] = 0.0
     opts = OptimizeOptions(method="pgd", grad_tol=1e-8, max_outer=50)
     report = minimize(p, None, part, 1, opts=opts)
-    assert report.converged and report.iterations <= 15
+    assert report.converged and report.iterations <= 10
     nodal = np.polynomial.legendre.legvander(gauss_rule(2).points, 1)
     assert np.min(nodal @ report.u_star.coeffs[..., 0].T) == pytest.approx(-0.3, abs=1e-12)
 
@@ -207,7 +228,7 @@ def test_pgd_reaches_default_tolerance(box):
         p.u_lo[:], p.u_hi[:] = box
     part = make_uniform_partition(1.0, 8)
     report = minimize(p, None, part, 1, opts=OptimizeOptions(method="pgd", max_outer=100))
-    assert report.converged and report.iterations <= 30
+    assert report.converged and report.iterations <= 10
 
 
 def test_one_adjoint_solve_per_measured_iterate(monkeypatch):
