@@ -16,7 +16,9 @@ system comes in one of two forms:
   keeps the last system it built, while its partition lives, and returns it
   while its data repeat, so the state, adjoint, tangent and second-order
   adjoint solves of one linearization share one factorization;
-* closures F(ts, X) and dF_dx(ts, X), an IVPRight, solved by solve_forward.
+* closures F(t, X, *D) and dF_dx(t, X, *D), an IVPRight whose data D are DG
+  functions on the solve's partition, sampled once on the quadrature grid
+  (OCProblem's f(t, x, u) convention), solved by solve_forward.
   dF_dx is sampled on the whole grid at two states, x = 0 and
   x = PROBE_SHIFT.  When the samples are identical, A = dF_dx and b = F at
   x = 0 go to factored(), and the result is kept when the closure's own
@@ -28,7 +30,7 @@ system comes in one of two forms:
   product: the state is x_in at every quadrature point (P_0 = 1), and the
   trace terms cancel, so the first residual is the forcing term alone.  A
   step assembles the interval's block from dF_dx, solves it and halves the
-  step until the residual falls.  The half widths, the input rows and the
+  step until the residual falls.  The half widths, the data rows and the
   scheme's tables are fetched once per solve.
 
 The block solve of a Newton step and the block inverses of an AffineSystem
@@ -48,7 +50,7 @@ larger: a large solution has a round-off floor above any absolute tolerance.
 Both solvers stop at the first residual that is not finite.  The closure
 backward (terminal-value) solve, solve_backward, is a forward solve of the
 time-reversed system on the reversed partition, followed by a
-coefficient-level reversal.
+coefficient-level reversal; its data are reversed with reverse_dg.
 """
 
 import math
@@ -61,7 +63,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .basis import apply_table, default_rule, deriv_inner_matrix, rule_table
-from .mesh import DGFunction
+from .mesh import DGFunction, sample_on_quad
 
 __all__ = [
     "AffineSystem",
@@ -80,28 +82,22 @@ ROUNDOFF = 16.0 * np.finfo(float).eps
 PROBE_SHIFT = 1.0
 
 
-def _times(times):
-    return times
-
-
 @dataclass
 class IVPRight:
-    """Right-hand side F(t, x) of an IVP, as closures.
+    """Right-hand side F(t, x, *data) of an IVP, as closures.
 
-    F(ts, X) maps (q,), (q, d) -> (q, d); dF_dx maps to (q, d, d), both
-    vectorized over time batches.  The first argument of F and dF_dx comes
-    from `inputs(times)`, where `times` holds the (N, q) quadrature times of
-    the partition: it returns an array, or a tuple of arrays, with leading
-    axes (N, q).  The default returns the times, so F sees (ts, X).  A
-    right-hand side built on time-dependent data (a control, a state) can
-    sample that data once on the whole grid.  The batched route passes the
-    grid flattened to (N*q, ...); the march passes interval n its row n.
+    F(ts, X, *D) maps (q,), (q, d) -> (q, d); dF_dx maps to (q, d, d), both
+    vectorized over time batches.  `data` is a tuple of DGFunctions on the
+    solve's partition, such as the control of a state solve; each is
+    sampled once on the quadrature grid, and D holds the samples at the
+    times ts, (q, dim) each.  The batched route passes the whole grid
+    flattened, ts (N*q,); the march passes one interval's rows, ts (q,).
     An affine system already sampled on the grid goes to an AffineSystem.
     """
 
     F: Callable
     dF_dx: Callable
-    inputs: Callable = _times
+    data: tuple = ()
 
 
 class SolverFailure(RuntimeError):
@@ -201,54 +197,51 @@ def _scheme(r, d):
 
 
 def solve_forward(rhs, x0, partition, r):
-    """DG approximation of x' = F(t, x), x(0) = x0, in X_h^r, for closures rhs.
+    """DG approximation of x' = F(t, x, *data), x(0) = x0, in X_h^r, for closures rhs.
 
-    Closures of a linear system (dF_dx the same at two probe states, and the
-    closure's own residual passing at the result) are solved by the
-    AffineSystem of factored(); others by damped Newton, interval by
-    interval.  Either raises SolverFailure naming an interval when its
-    residual stays above its tolerance or is not finite, or its block is
-    singular.
+    Each datum is sampled on the solve's grid first: one on another partition
+    raises ValueError before any call of F or dF_dx.  Closures of a linear
+    system (dF_dx the same at two probe states, and the closure's own
+    residual passing at the result) are solved by the AffineSystem of
+    factored(); others by damped Newton, interval by interval.  Either
+    raises SolverFailure naming an interval when its residual stays above
+    its tolerance or is not finite, or its block is singular.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sch = _scheme(r, x0.size)
-    inputs = rhs.inputs(partition.quad_times(sch.rule))
-    flat = _flat(inputs)
-    X = np.zeros((partition.N * sch.rule.q, x0.size))
+    times = partition.quad_times(sch.rule)
+    ts, D = times.ravel(), [sample_on_quad(a, partition, sch.rule, a.dim) for a in rhs.data]
+    X = np.zeros((ts.size, x0.size))
     with np.errstate(all="ignore"):             # probe states, not the solution
-        A = np.asarray(rhs.dF_dx(flat, X))
-        linear = np.array_equal(A, rhs.dF_dx(flat, X + PROBE_SHIFT))
+        A = np.asarray(rhs.dF_dx(ts, X, *D))
+        linear = np.array_equal(A, rhs.dF_dx(ts, X + PROBE_SHIFT, *D))
     if linear:
         try:
-            C = factored(A, partition, r).solve(rhs.F(flat, X), x0)
-            if _closure_residual_passes(rhs, flat, C, x0, partition, sch):
+            C = factored(A, partition, r).solve(rhs.F(ts, X, *D), x0)
+            if _closure_residual_passes(rhs, ts, D, C, x0, partition, sch):
                 return DGFunction(partition, C)
         except SolverFailure:
             pass
-    return DGFunction(partition, _solve_newton(rhs, inputs, x0, partition, sch))
+    grid = (times, *(a.reshape(times.shape + a.shape[1:]) for a in D))
+    return DGFunction(partition, _solve_newton(rhs, grid, x0, partition, sch))
 
 
-def _flat(inputs):
-    if isinstance(inputs, tuple):
-        return tuple(_flat(a) for a in inputs)
-    return inputs.reshape((-1,) + inputs.shape[2:])
-
-
-def _closure_residual_passes(rhs, flat, C, x0, partition, sch):
+def _closure_residual_passes(rhs, ts, D, C, x0, partition, sch):
     """Whether the closure residual of coefficients C (N, r+1, d), with F
     evaluated at C, passes on every interval."""
     X = apply_table(sch.P, C)                                      # (N, q, d)
     x_in = np.concatenate((x0[None], C[:-1].sum(axis=1)))
     LC, trace = apply_table(sch.lin, C), sch.s[:, None] * x_in[:, None, :]
-    FX = np.reshape(rhs.F(flat, X.reshape(-1, x0.size)), X.shape)
+    FX = np.reshape(rhs.F(ts, X.reshape(-1, x0.size), *D), X.shape)
     HF = 0.5 * partition.widths[:, None, None] * apply_table(sch.PtW, FX)
     _, rnorm, tol = _batched_residual((LC, trace, HF))
     return bool(np.all(rnorm <= tol))
 
 
-def _solve_newton(rhs, inputs, x0, partition, sch):
+def _solve_newton(rhs, grid, x0, partition, sch):
     """Coefficients (N, r+1, d) by damped Newton, marching interval by interval;
-    interval n gets row n of the whole-grid `inputs` and its half width h/2.
+    `grid` holds the (N, q) quadrature times and the data samples (N, q, dim),
+    and interval n gets their rows n and its half width h/2.
 
     A Newton step solves the interval's block J delta = R, then tries
     C - alpha delta for alpha = 1, 1/2, ... until the residual's max-norm falls
@@ -260,9 +253,8 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
     coeffs = np.zeros((partition.N, s.size, x0.size))
     nd = coeffs[0].size
     absmax = np.maximum.reduce                          # with axis=None; NaN propagates
-    rows = zip(*inputs) if isinstance(inputs, tuple) else inputs
     x_in = x0
-    for n, (half, a) in enumerate(zip((0.5 * partition.widths).tolist(), rows)):
+    for n, (half, (t, *a)) in enumerate(zip((0.5 * partition.widths).tolist(), zip(*grid))):
         # start from the constant extension C = (x_in, 0, ..., 0) of the
         # incoming trace: X is x_in at every point, and lin @ C equals the
         # trace term, so R is the forcing term alone; x_in and R, the
@@ -270,14 +262,14 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
         C = coeffs[n]
         C[0] = x_in
         X = ones * x_in
-        R = -(half * (PtW @ F(a, X)))
+        R = -(half * (PtW @ F(t, X, *a)))
         rnorm = absmax(np.abs(R), axis=None)
         tol = max(NEWTON_TOL, ROUNDOFF * max(rnorm, absmax(np.abs(x_in), axis=None)))
         trace_in = s * x_in
         for _ in range(NEWTON_MAX_ITER):
             if rnorm <= tol or not math.isfinite(rnorm):
                 break
-            J = J_base - half * (dF_dx(a, X).reshape(-1) @ WPP).reshape(nd, nd)
+            J = J_base - half * (dF_dx(t, X, *a).reshape(-1) @ WPP).reshape(nd, nd)
             try:
                 delta = _solve1(J, R.reshape(nd)).reshape(C.shape)
             except FloatingPointError:
@@ -285,7 +277,7 @@ def _solve_newton(rhs, inputs, x0, partition, sch):
             alpha, last, C_try = 1.0, rnorm, C - delta
             while True:
                 X = P @ C_try
-                R = lin @ C_try - trace_in - half * (PtW @ F(a, X))
+                R = lin @ C_try - trace_in - half * (PtW @ F(t, X, *a))
                 rnorm = absmax(np.abs(R), axis=None)
                 if rnorm < last or alpha <= DAMPING_FLOOR:
                     break
@@ -446,20 +438,20 @@ def reverse_dg(F):
 
 
 def solve_backward(rhs, xT, partition, r):
-    """DG solve of the terminal-value problem x' = F(t, x), x(T) = xT, for closures rhs.
+    """DG solve of the terminal-value problem x' = F(t, x, *data), x(T) = xT,
+    for closures rhs.
 
-    Realized as a forward solve of W'(s) = -F(T - s, W), W(0) = xT on the
-    reversed partition, then reversed back; the result is the discrete
+    Realized as a forward solve of W'(s) = -F(T - s, W, *data(T - s)),
+    W(0) = xT on the reversed partition, with each datum reversed by
+    reverse_dg, then reversed back; the result is the discrete
     upwind-adjoint solution tested against X_h^r.  For an affine system
     sampled on the grid, AffineSystem.solve_transposed gives the same
     coefficients from the forward factors.
     """
     T = partition.T
-    rev = IVPRight(
-        F=lambda a, X: -rhs.F(a, X),
-        dF_dx=lambda a, X: -rhs.dF_dx(a, X),
-        inputs=lambda times: rhs.inputs(T - times),
-    )
+    rev = IVPRight(F=lambda s, W, *D: -rhs.F(T - s, W, *D),
+                   dF_dx=lambda s, W, *D: -rhs.dF_dx(T - s, W, *D),
+                   data=tuple(map(reverse_dg, rhs.data)))
     W = solve_forward(rev, xT, partition.reversed(), r)
     # on `partition` itself: T - (T - t) would accumulate float error in the nodes
     return DGFunction(partition, _reversed_coeffs(W.coeffs))

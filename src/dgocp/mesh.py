@@ -211,12 +211,14 @@ def modal_from_values(values, partition, r, rule):
 def sample_values(fn, ts, dim=None):
     """Values of a DGFunction or a callable at times ts, shape (len(ts), dim).
 
-    A one-dimensional result is read as a single column; a width other than
-    `dim` raises ValueError.
+    A one-dimensional result is read as a single column; a result without one
+    row per time, or of a width other than `dim`, raises ValueError.
     """
-    vals = np.asarray(fn(ts), dtype=float)
-    if vals.ndim == 1:
-        vals = vals[:, None]
+    raw = np.asarray(fn(ts), dtype=float)
+    vals = raw[:, None] if raw.ndim == 1 else raw
+    if vals.ndim != 2 or len(vals) != len(ts):
+        raise ValueError(f"callable returned shape {raw.shape}, "
+                         f"expected ({len(ts)}, {dim or 'dim'})")
     if dim is not None and vals.shape[1] != dim:
         raise ValueError(f"callable returned {vals.shape[1]} columns, expected {dim}")
     return vals

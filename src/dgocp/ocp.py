@@ -112,19 +112,15 @@ def _along(p, x_h, u, rule):
 def solve_state(p, u, r):
     """x_h = G_h(u): forward DG solve of degree r of x' = f(t, x, u(t)) on u's partition.
 
-    The control is sampled once, at all quadrature times of the solve.
+    f and fx go to the solver as they are, with u as its datum: the solver
+    samples u once, at all quadrature times of the solve.
     """
     if not isinstance(u, DGFunction):
         raise TypeError("the control must be a DGFunction")
     check_int("r", r, 0)
-    U = sample_on_quad(u, u.partition, default_rule(r), p.m)
-
-    def inputs(times):
-        return times, U.reshape(times.shape + (p.m,))
-
-    rhs = IVPRight(F=lambda tu, X: p.f(tu[0], X, tu[1]),
-                   dF_dx=lambda tu, X: p.fx(tu[0], X, tu[1]), inputs=inputs)
-    return solve_forward(rhs, p.x0, u.partition, r)
+    if u.dim != p.m:
+        raise ValueError(f"the control has {u.dim} columns, expected {p.m}")
+    return solve_forward(IVPRight(F=p.f, dF_dx=p.fx, data=(u,)), p.x0, u.partition, r)
 
 
 def solve_adjoint(p, u, x_h):

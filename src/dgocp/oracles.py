@@ -17,7 +17,7 @@ from .ocp import (cost, hessian_form, hessian_vector, projected_gradient, solve_
 __all__ = [
     "random_dg", "worst_discrepancy", "gradient_discrepancy", "tangent_discrepancy",
     "hessian_discrepancy", "hessian_vector_discrepancy", "time_reversal_discrepancy",
-    "check_jacobian", "check_derivatives",
+    "check_derivatives",
 ]
 
 FD_EPS = 1e-5        # central first differences of j_h and G_h
@@ -161,14 +161,6 @@ def _check_columns(name, deriv, fn, z):
         col = (np.asarray(fn(z + dz))[0] - np.asarray(fn(z - dz))[0]) / (2 * POINT_EPS)
         if np.max(np.abs(col - deriv[..., j])) > POINT_TOL * scale:
             raise ValueError(f"{name} disagrees with finite differences")
-
-
-def check_jacobian(rhs, rng, d):
-    """Central-difference check of an IVPRight's dF_dx at random (t, x) in [0, 1) x R^d."""
-    for _ in range(POINT_PROBES):
-        ts = rng.uniform(0.0, 1.0, size=1)
-        x = rng.standard_normal((1, d))
-        _check_columns("dF_dx", rhs.dF_dx(ts, x)[0], lambda z: rhs.F(ts, z), x)
 
 
 def check_derivatives(p, rng):

@@ -19,7 +19,7 @@ from dgocp import (
     solve_backward,
     solve_forward,
 )
-from dgocp.oracles import check_jacobian, random_dg, time_reversal_discrepancy
+from dgocp.oracles import random_dg, time_reversal_discrepancy
 from dgocp.problems import linear_lq
 
 from conftest import project_callable, rk4_at
@@ -49,13 +49,12 @@ def test_controlled_state_table_entry():
     assert err == pytest.approx(1.2240e-04, rel=5e-3)
 
 
-def test_exponential_against_rk4():
+def test_exponential_at_the_nodes():
     rhs = IVPRight(F=lambda ts, X: X, dF_dx=lambda ts, X: np.ones((ts.size, 1, 1)))
     part = make_uniform_partition(1.0, 20)
     sol = solve_forward(rhs, np.array([1.0]), part, 2)
-    ref = rk4_at(lambda t, x: x, [1.0], part.nodes[1:], dt=1e-5)
     node_vals = sol.eval_many(part.nodes[1:], side="left")
-    assert np.max(np.abs(node_vals - ref)) < 1e-6
+    assert np.max(np.abs(node_vals[:, 0] - np.exp(part.nodes[1:]))) < 1e-6
 
 
 def test_backward_constant():
@@ -79,6 +78,40 @@ def test_backward_adjoint_table_entry():
     # decoupled adjoint solve only matches it to a couple of percent
     err = l2_error(lam, lambda t: -builtin.exact_control(t))
     assert err == pytest.approx(1.3269e-05, rel=5e-2)
+
+
+def test_a_datum_on_another_partition_raises_before_any_call(rng):
+    part = make_uniform_partition(1.0, 4)
+
+    def no_call(*args):
+        raise AssertionError("a callback ran")
+
+    for other in (make_uniform_partition(1.0, 3), Partition(np.linspace(0.0, 1.0, 5) ** 2)):
+        rhs = IVPRight(F=no_call, dF_dx=no_call, data=(random_dg(rng, other, 1),))
+        for solve in (solve_forward, solve_backward):
+            with pytest.raises(ValueError, match="another partition"):
+                solve(rhs, [1.0], part, 2)
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_backward_datum_matches_the_closure_form(rng, linear):
+    # solve_backward reverses a DG datum with reverse_dg; the closure form
+    # reads the datum with eval_many at the times T - s it is given
+    part = Partition(np.linspace(0.0, 1.0, 9) ** 1.5)
+    w = random_dg(rng, part, 3)
+    if linear:
+        F = lambda t, X, w: -X * w + t[:, None]
+        dF_dx = lambda t, X, w: -w[:, :, None]
+    else:
+        F = lambda t, X, w: np.sin(X) * w + t[:, None]
+        dF_dx = lambda t, X, w: (np.cos(X) * w)[:, :, None]
+    data = IVPRight(F=F, dF_dx=dF_dx, data=(w,))
+    closure = IVPRight(F=lambda t, X: F(t, X, w.eval_many(t)),
+                       dF_dx=lambda t, X: dF_dx(t, X, w.eval_many(t)))
+    for r in range(4):
+        a = solve_backward(data, [0.4], part, r).coeffs
+        b = solve_backward(closure, [0.4], part, r).coeffs
+        assert np.max(np.abs(a - b)) <= 1e-13
 
 
 def test_reverse_dg_involution(rng):
@@ -509,25 +542,26 @@ def _count_routes(monkeypatch):
     return calls
 
 
+def _grid(rhs, part, sch):
+    """The march's grid: the (N, q) quadrature times and the rows of each datum."""
+    return (part.quad_times(sch.rule), *(a.values_on_quad(sch.rule) for a in rhs.data))
+
+
 def _march(rhs, x0, part, r):
     """The marching route alone, as the reference for the batched one."""
     sch = ivp._scheme(r, len(x0))
-    return ivp._solve_newton(rhs, rhs.inputs(part.quad_times(sch.rule)),
-                             np.asarray(x0, dtype=float), part, sch)
+    return ivp._solve_newton(rhs, _grid(rhs, part, sch), np.asarray(x0, dtype=float), part, sch)
 
 
 def test_linear_closures_take_the_batched_route(monkeypatch):
-    # x' = A(t) x + b(t), d = 2, with A and b sampled once through `inputs`
+    # x' = A(t) x + b(t), d = 2, with b a DG datum
     part = Partition(np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 0.9, 1.0]))
     A0 = np.array([[-1.0, 2.0], [-0.5, 0.3]])
-
-    def inputs(times):
-        return times, np.cos(3.0 * times)[..., None] * np.sin(times)[..., None]
-
+    b = project_callable(lambda t: np.cos(3.0 * t) * np.sin(t), part, 3)
     rhs = IVPRight(
-        F=lambda tb, X: (1.0 + tb[0])[:, None] * X @ A0.T + tb[1],
-        dF_dx=lambda tb, X: (1.0 + tb[0])[:, None, None] * A0,
-        inputs=inputs,
+        F=lambda t, X, b: (1.0 + t)[:, None] * X @ A0.T + b,
+        dF_dx=lambda t, X, b: (1.0 + t)[:, None, None] * A0,
+        data=(b,),
     )
     x0 = [1.0, -0.5]
     calls = _count_routes(monkeypatch)
@@ -553,7 +587,7 @@ def test_nonlinear_closure_with_matching_probes_falls_back(monkeypatch):
     assert calls == {"batched": 4, "march": 8}
 
 
-def _reference_march(rhs, inputs, x0, partition, sch, backtracks):
+def _reference_march(rhs, grid, x0, partition, sch, backtracks):
     """The march in its plain form (a residual closure per interval, numpy
     reductions, the scheme's block helper): the reference that
     ivp._solve_newton must repeat bit for bit.  backtracks[0] counts the
@@ -567,14 +601,14 @@ def _reference_march(rhs, inputs, x0, partition, sch, backtracks):
 
     for n in range(partition.N):
         h = widths[n]
-        a = tuple(v[n] for v in inputs) if isinstance(inputs, tuple) else inputs[n]
+        t, *a = (v[n] for v in grid)
         C = np.zeros((r1, d))
         C[0] = x_in
         trace_in = np.outer(sch.s, x_in)
 
         def residual(C):
             X = P @ C
-            Fv = rhs.F(a, X)
+            Fv = rhs.F(t, X, *a)
             return lin @ C - trace_in - 0.5 * h * (PtW @ Fv), X
 
         R, X = residual(C)
@@ -584,7 +618,7 @@ def _reference_march(rhs, inputs, x0, partition, sch, backtracks):
         for _ in range(ivp.NEWTON_MAX_ITER):
             if converged or not math.isfinite(rnorm):
                 break
-            J = sch.blocks(0.5 * h, rhs.dF_dx(a, X))
+            J = sch.blocks(0.5 * h, rhs.dF_dx(t, X, *a))
             try:
                 delta = np.linalg.solve(J, -R.reshape(nd)).reshape(r1, d)
             except np.linalg.LinAlgError:
@@ -612,13 +646,13 @@ def _counted(rhs):
     """rhs with F and dF_dx counting their calls in [F calls, dF_dx calls]."""
     counts = [0, 0]
 
-    def F(a, X):
+    def F(t, X, *a):
         counts[0] += 1
-        return rhs.F(a, X)
+        return rhs.F(t, X, *a)
 
-    def dF_dx(a, X):
+    def dF_dx(t, X, *a):
         counts[1] += 1
-        return rhs.dF_dx(a, X)
+        return rhs.dF_dx(t, X, *a)
 
     return dataclasses.replace(rhs, F=F, dF_dx=dF_dx), counts
 
@@ -629,29 +663,30 @@ def _march_against_reference(rhs, x0, part, r):
     reference's backtracks."""
     x0 = np.asarray(x0, dtype=float)
     sch = ivp._scheme(r, x0.size)
-    inputs = rhs.inputs(part.quad_times(sch.rule))
+    grid = _grid(rhs, part, sch)
     (fast, fast_counts), (ref, ref_counts) = _counted(rhs), _counted(rhs)
     backtracks = [0]
     try:
-        C_ref = _reference_march(ref, inputs, x0, part, sch, backtracks)
+        C_ref = _reference_march(ref, grid, x0, part, sch, backtracks)
     except SolverFailure as failure:
         with pytest.raises(SolverFailure) as err:
-            ivp._solve_newton(fast, inputs, x0, part, sch)
+            ivp._solve_newton(fast, grid, x0, part, sch)
         assert err.value.interval == failure.interval
         assert np.array_equal(err.value.residual, failure.residual, equal_nan=True)
     else:
-        assert np.array_equal(ivp._solve_newton(fast, inputs, x0, part, sch), C_ref)
+        assert np.array_equal(ivp._solve_newton(fast, grid, x0, part, sch), C_ref)
     assert fast_counts == ref_counts and ref_counts[1] > 0
     return backtracks[0]
 
 
 def test_march_repeats_the_reference_iterates():
-    # a scalar right-hand side with a time input row, r = 0..3 on a graded partition
+    # a scalar right-hand side with a DG weight w, r = 0..3 on a graded partition
     part = Partition(np.linspace(0.0, 1.0, 13) ** 1.7)
+    weight = project_callable(lambda t: 1.0 + 0.5 * np.cos(5.0 * t), part, 3)
     scalar = IVPRight(
-        F=lambda tu, X: np.sin(3.0 * X) * tu[1] + tu[0][:, None],
-        dF_dx=lambda tu, X: (3.0 * np.cos(3.0 * X) * tu[1])[:, :, None],
-        inputs=lambda times: (times, 1.0 + 0.5 * np.cos(5.0 * times)[..., None]),
+        F=lambda t, X, w: np.sin(3.0 * X) * w + t[:, None],
+        dF_dx=lambda t, X, w: (3.0 * np.cos(3.0 * X) * w)[:, :, None],
+        data=(weight,),
     )
     for r in range(4):
         _march_against_reference(scalar, [0.7], part, r)
@@ -715,17 +750,3 @@ def test_scheme_tables_are_shared_and_read_only():
     with pytest.raises(ValueError):
         sch.J_base[0, 0] = 1.0
     assert not sch.S.flags.writeable and sch.S.shape == (9, 3)
-
-
-def test_jacobian_check(rng):
-    good = IVPRight(
-        F=lambda ts, X: np.sin(X),
-        dF_dx=lambda ts, X: np.cos(X)[:, :, None],
-    )
-    check_jacobian(good, rng, d=1)
-    bad = IVPRight(
-        F=lambda ts, X: np.sin(X),
-        dF_dx=lambda ts, X: 1.1 * np.cos(X)[:, :, None],
-    )
-    with pytest.raises(ValueError):
-        check_jacobian(bad, rng, d=1)

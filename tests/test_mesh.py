@@ -205,6 +205,21 @@ def test_sample_on_quad_takes_only_dg_functions_on_its_partition(monkeypatch, rn
     assert calls == []
 
 
+def test_a_callable_needs_one_value_per_time(rng):
+    # a scalar (or any result without one row per time) raises ValueError
+    # naming the expected shape
+    part = make_uniform_partition(1.0, 4)
+    F = random_dg(rng, part, 2)
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(12, 1\)"):
+        l2_error(F, lambda t: 0.0)
+    with pytest.raises(ValueError, match=r"shape \(3,\), expected \(12, 1\)"):
+        l2_error(F, lambda t: np.ones(3))
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(16, dim\)"):
+        project_l2(lambda t: 1.0, part, 1)
+    with pytest.raises(ValueError, match=r"shape \(2, 16\), expected \(16, 2\)"):
+        project_l2(lambda t: np.ones((2, t.size)), part, 1, dim=2)
+
+
 def test_coefficient_shape_validation():
     # the degree and the width are read from the coefficients, so they are
     # ints and cannot be set

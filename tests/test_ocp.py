@@ -94,6 +94,45 @@ def test_state_callable_control_width():
         solve_state(p, lambda t: 0.3 * np.sin(5.0 * t), 2)
 
 
+@pytest.mark.parametrize("builtin, route", [(linear_lq, "batched"),
+                                            (nonlinear_quadratic, "march")])
+def test_state_solve_calls_the_problem_with_the_control_on_the_grid(monkeypatch, rng,
+                                                                    builtin, route):
+    # solve_state hands f and fx to the solver as they are, with u as its
+    # datum: every call gets times of the solver's quadrature grid and u's
+    # values there, the whole flattened grid on the batched route and one
+    # interval's rows on the march
+    import dgocp.ocp as ocp
+
+    base, calls, rhss = builtin().problem, [], []
+
+    def recorded(fn):
+        def wrapper(t, x, u):
+            calls.append((t, u))
+            return fn(t, x, u)
+        return wrapper
+
+    def spy(rhs, *args):
+        rhss.append(rhs)
+        return solve_forward(rhs, *args)
+
+    monkeypatch.setattr(ocp, "solve_forward", spy)
+    p = dataclasses.replace(base, f=recorded(base.f), fx=recorded(base.fx))
+    part, r = Partition(p.T * np.linspace(0.0, 1.0, 7) ** 1.5), 2
+    u = random_dg(rng, part, 2)
+    solve_state(p, u, r)
+    (rhs,) = rhss
+    assert rhs.F is p.f and rhs.dF_dx is p.fx and rhs.data == (u,)
+    rule = default_rule(r)
+    ts = part.quad_times(rule).ravel()
+    U = u.values_on_quad(rule).reshape(-1, 1)
+    for t, u_t in calls:
+        at = np.searchsorted(ts, t)
+        assert np.array_equal(ts[at], t) and np.array_equal(u_t, U[at])
+    sizes = {t.size for t, _ in calls}
+    assert sizes == ({ts.size} if route == "batched" else {ts.size, rule.q})
+
+
 def test_state_rejects_a_negative_degree():
     p = nonlinear_quadratic().problem
     part = make_uniform_partition(p.T, 4)

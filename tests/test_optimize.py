@@ -277,6 +277,17 @@ def test_minimize_rejects_a_start_of_another_width(rng):
             minimize(p, u0, part, 1)
 
 
+def test_minimize_rejects_a_scalar_start(monkeypatch):
+    # a callable start gives one value per time, checked before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(dgocp.optimize, "solve_state", no_solve)
+    p, part = linear_lq().problem, make_uniform_partition(1.0, 4)
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(8, 1\)"):
+        minimize(p, lambda t: 0.0, part, 1)
+
+
 @pytest.mark.parametrize("name, route", [("linear-lq", "batched"),
                                          ("nonlinear-quadratic", "march")])
 def test_state_solve_route(monkeypatch, name, route):
