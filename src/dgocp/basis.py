@@ -3,11 +3,12 @@
 Everything downstream (DG containers, solvers, norms) works in modal Legendre
 coordinates, so this module is the single place where basis values, derivative
 inner products and quadrature rules are produced, and where a reference table
-is applied to the data of all intervals at once (apply_table).
+is applied to the data of all intervals at once (apply_table).  Every table of
+a degree, a point count or a rule is built once and shared read-only (shared).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from numbers import Integral
 
 import numpy as np
@@ -37,6 +38,22 @@ def check_int(name, value, minimum):
     if (type(value) is not int and (not isinstance(value, Integral) or isinstance(value, bool))
             or value < minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def shared(fn):
+    """fn memoized per argument tuple, the argument types part of the key, with
+    its result shared read-only: every ndarray it returns or holds as an
+    attribute is made read-only.  1.0 and True miss the entry of 1, so they
+    reach fn's own checks.  The reference tables below and ivp's schemes use it.
+    """
+    def build(*args):
+        out = fn(*args)
+        for a in (out, *getattr(out, "__dict__", {}).values()):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        return out
+
+    return lru_cache(maxsize=64, typed=True)(wraps(fn)(build))
 
 
 def _check_domain(xi):
@@ -72,22 +89,14 @@ class QuadratureRule:
         return self.points.size
 
 
-@lru_cache(maxsize=32, typed=True)
+@shared
 def gauss_rule(q):
-    """q-point Gauss-Legendre rule; exact for polynomials of degree <= 2q-1.
-
-    Shared per q (building one is an eigenvalue solve): its arrays are read-only.
-    q must be an integer >= 1.  It is checked on a cache miss only; the cache
-    is typed, so that True and 1.0 miss the entry of 1, and a numpy integer
-    gets the rule of the equal int.
-    """
+    """q-point Gauss-Legendre rule, q an integer >= 1; exact for polynomials of
+    degree <= 2q-1.  A numpy integer gets the rule of the equal int."""
     check_int("q", q, 1)
     if type(q) is not int:
         return gauss_rule(int(q))
-    pts, wts = np.polynomial.legendre.leggauss(q)
-    pts.flags.writeable = False
-    wts.flags.writeable = False
-    return QuadratureRule(points=pts, weights=wts)
+    return QuadratureRule(*np.polynomial.legendre.leggauss(q))
 
 
 def default_rule(r):
@@ -96,23 +105,18 @@ def default_rule(r):
     return gauss_rule(r + DEFAULT_EXTRA_POINTS)
 
 
-@lru_cache(maxsize=64)
+@shared
 def rule_table(r, rule):
-    """legendre_table(r, rule.points), shared per (r, rule): read-only."""
-    P = legendre_table(r, rule.points)
-    P.flags.writeable = False
-    return P
+    """legendre_table(r, rule.points)."""
+    return legendre_table(r, rule.points)
 
 
-@lru_cache(maxsize=64)
+@shared
 def projection_table(r, rule):
     """(2k+1)/2 w_q P_k(xi_q), (r+1, q): maps values at the rule's points to the
-    modal coefficients of their L2 projection onto P_0..P_r.  Shared per
-    (r, rule): read-only."""
+    modal coefficients of their L2 projection onto P_0..P_r."""
     scale = (2.0 * np.arange(r + 1) + 1.0) / 2.0
-    Q = scale[:, None] * rule_table(r, rule).T * rule.weights
-    Q.flags.writeable = False
-    return Q
+    return scale[:, None] * rule_table(r, rule).T * rule.weights
 
 
 def apply_table(T, A):
@@ -137,13 +141,11 @@ def deriv_inner_matrix(r):
     return D
 
 
-@lru_cache(maxsize=64, typed=True)
+@shared
 def mass_diagonal(r):
     """Diagonal of the reference mass matrix: integral of P_k^2 = 2/(2k+1).
-    Shared per r: read-only.  r is checked as gauss_rule checks q."""
+    r is checked as gauss_rule checks q."""
     check_int("r", r, 0)
     if type(r) is not int:
         return mass_diagonal(int(r))
-    M = 2.0 / (2.0 * np.arange(r + 1) + 1.0)
-    M.flags.writeable = False
-    return M
+    return 2.0 / (2.0 * np.arange(r + 1) + 1.0)

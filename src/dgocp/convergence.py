@@ -7,7 +7,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .mesh import check_int, l2_error, make_uniform_partition
+from .mesh import check_int, check_positive, l2_error, make_uniform_partition
 from .optimize import OptimizeOptions, StallError, minimize
 
 __all__ = ["ConvergenceRow", "ConvergenceReport", "run_convergence"]
@@ -64,7 +64,9 @@ def run_convergence(builtin, orders=DEFAULT_ORDERS, levels=DEFAULT_LEVELS, opts=
     degree max(orders).  progress, when given, receives one line before each
     solve and one after it with its iterations and wall seconds.  Raises
     ValueError, before any solve, on no orders, an order that is not an
-    integer >= 0 or levels that is not an integer >= 1, and StallError when a
+    integer >= 0, levels that is not an integer >= 1, or a builtin with
+    neither both closed-form callables (exact_state and exact_control) nor a
+    positive, finite reference_h, and StallError when a
     level or the reference is not solved to opts.grad_tol; a reference that
     stalls does so only after every level was solved.
     """
@@ -74,6 +76,10 @@ def run_convergence(builtin, orders=DEFAULT_ORDERS, levels=DEFAULT_LEVELS, opts=
     for i, r in enumerate(orders):
         check_int(f"orders[{i}]", r, 0)
     check_int("levels", levels, 1)
+    closed_form = callable(builtin.exact_state) and callable(builtin.exact_control)
+    if not closed_form:
+        check_positive("reference_h of a builtin without exact_state and exact_control",
+                       builtin.reference_h)
     p = builtin.problem
 
     def solve(r, N, label, u0):
@@ -100,7 +106,7 @@ def run_convergence(builtin, orders=DEFAULT_ORDERS, levels=DEFAULT_LEVELS, opts=
             solved.append((r, k, h, res))
             u0 = res.u_star
 
-    if builtin.exact_state is not None:
+    if closed_form:
         ref_x, ref_u = builtin.exact_state, builtin.exact_control
     else:
         # DG of degree r converges at h^(r+1), so on a smooth optimum two

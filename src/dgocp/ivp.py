@@ -33,6 +33,12 @@ system comes in one of two forms:
   step until the residual falls.  The half widths, the data rows and the
   scheme's tables are fetched once per solve.
 
+The tables of the scheme of degree r for a system of size d are built once
+and shared read-only (basis.shared), as are the rule and Legendre tables they
+come from.  Its key is typed: a degree 1.0 or True misses the entry of 1, and
+the degree check of basis.default_rule rejects it, at every entry point
+(solve_forward, solve_backward, AffineSystem, factored).
+
 The block solve of a Newton step and the block inverses of an AffineSystem
 call the LAPACK gufuncs solve1 and inv of numpy.linalg._umath_linalg, the
 ones np.linalg.solve and np.linalg.inv wrap: on blocks of a few rows the
@@ -56,13 +62,12 @@ coefficient-level reversal; its data are reversed with reverse_dg.
 import math
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .basis import apply_table, default_rule, deriv_inner_matrix, rule_table
+from .basis import apply_table, default_rule, deriv_inner_matrix, rule_table, shared
 from .mesh import DGFunction, sample_on_quad
 
 __all__ = [
@@ -186,14 +191,9 @@ class _Scheme:
         return self.J_base - half_h * K
 
 
-@lru_cache(maxsize=32)
+@shared
 def _scheme(r, d):
-    """The _Scheme of degree r and size d, shared per (r, d): its arrays are read-only."""
-    sch = _Scheme(r, d)
-    for value in vars(sch).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return sch
+    return _Scheme(r, d)
 
 
 def solve_forward(rhs, x0, partition, r):
@@ -415,11 +415,13 @@ _memo = weakref.WeakKeyDictionary()  # at most one entry, partition -> (r, copy 
 
 def factored(A, partition, r):
     """AffineSystem(A, partition, r), or the last system built here while the
-    partition object, r and A equal those it was built from.  A is compared
-    with a copy, so an array changed in place builds a new system; a failed
-    factorization raises and keeps the previous one."""
+    partition object, r and A equal those it was built from.  r is compared
+    by type too, as basis.shared compares its keys, so 1.0 and True reach the
+    degree check; A is compared with a copy, so an array changed in place
+    builds a new system.  A failed factorization raises and keeps the
+    previous one."""
     r0, A0, system = _memo.get(partition, (None, None, None))
-    if r0 == r and np.array_equal(A0, A):
+    if r0 == r and type(r0) is type(r) and np.array_equal(A0, A):
         return system
     system = AffineSystem(A, partition, r)
     _memo.clear()

@@ -13,10 +13,11 @@ product of a reference table with the data of all intervals (basis.apply_table).
 
 import io
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-# check_int is also read from here by the layers above
+# check_int, and check_positive below, are also read from here by the layers above
 from .basis import (apply_table, check_int, default_rule, legendre_table, mass_diagonal,
                     projection_table, rule_table)
 
@@ -101,10 +102,18 @@ class Partition:
         return np.clip(idx, 0, self.N - 1)
 
 
+def check_positive(name, value):
+    """float(value), or ValueError naming the argument `name` unless value is a
+    positive, finite real number: NaN and bools (numpy's too) fail, as
+    check_int fails a bool."""
+    if not isinstance(value, Real) or isinstance(value, bool) or not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def make_uniform_partition(T, N):
     """Uniform partition of [0, T] into N intervals."""
-    if not 0.0 < T < np.inf:                        # NaN fails too
-        raise ValueError("horizon must be positive and finite")
+    check_positive("horizon", T)
     check_int("N", N, 1)
     return Partition(np.linspace(0.0, T, N + 1))
 

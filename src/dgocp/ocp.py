@@ -32,7 +32,7 @@ import numpy as np
 
 from .basis import apply_table, default_rule, deriv_inner_matrix, rule_table
 from .ivp import IVPRight, factored, solve_forward
-from .mesh import DGFunction, check_int, modal_from_values, sample_on_quad
+from .mesh import DGFunction, check_int, check_positive, modal_from_values, sample_on_quad
 
 __all__ = [
     "OCProblem",
@@ -70,8 +70,7 @@ class OCProblem:
     u_hi: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 < self.T < np.inf:                   # NaN fails too
-            raise ValueError("T must be positive and finite")
+        self.T = check_positive("T", self.T)
         check_int("m", self.m, 1)
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
         if self.x0.ndim != 1 or self.x0.size == 0 or not np.all(np.isfinite(self.x0)):
@@ -100,6 +99,12 @@ class OCProblem:
     def clip_box(self, u_vals):
         return np.clip(u_vals, self.u_lo, self.u_hi)
 
+    def check_horizon(self, partition):
+        """ValueError unless the partition ends at T, up to the relative 1e-12
+        slack that Partition.locate allows."""
+        if not abs(partition.T - self.T) <= 1e-12 * self.T:
+            raise ValueError(f"the partition ends at {partition.T!r}, not at T = {self.T!r}")
+
 
 def _along(p, x_h, u, rule):
     """The flattened quadrature times of x_h's partition under the rule, and
@@ -113,13 +118,15 @@ def solve_state(p, u, r):
     """x_h = G_h(u): forward DG solve of degree r of x' = f(t, x, u(t)) on u's partition.
 
     f and fx go to the solver as they are, with u as its datum: the solver
-    samples u once, at all quadrature times of the solve.
+    samples u once, at all quadrature times of the solve.  Raises ValueError
+    when u's partition does not end at p.T (OCProblem.check_horizon).
     """
     if not isinstance(u, DGFunction):
         raise TypeError("the control must be a DGFunction")
     check_int("r", r, 0)
     if u.dim != p.m:
         raise ValueError(f"the control has {u.dim} columns, expected {p.m}")
+    p.check_horizon(u.partition)
     return solve_forward(IVPRight(F=p.f, dF_dx=p.fx, data=(u,)), p.x0, u.partition, r)
 
 

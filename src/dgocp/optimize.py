@@ -29,8 +29,8 @@ import numpy as np
 
 from .basis import gauss_rule
 from .ivp import SolverFailure
-from .mesh import (DGFunction, check_int, modal_from_values, project_l2, sample_values,
-                   total_variation)
+from .mesh import (DGFunction, check_int, check_positive, modal_from_values, project_l2,
+                   sample_values, total_variation)
 from .ocp import cost, hessian_vector, projected_gradient, solve_adjoint, solve_state
 
 __all__ = [
@@ -71,8 +71,7 @@ class OptimizeOptions:
             object.__setattr__(self, "method", "pgd")
         if self.method not in METHODS:
             raise ValueError("method must be 'pgd' or 'newton'")
-        if not 0.0 < self.grad_tol < np.inf:        # NaN fails too
-            raise ValueError("grad_tol must be positive and finite")
+        check_positive("grad_tol", self.grad_tol)
         check_int("max_outer", self.max_outer, 0)
 
 
@@ -168,8 +167,9 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     RELAX_FLOOR is accepted before reaching stationarity, and SolverFailure
     when the state solve at the start control fails; a failed trial solve is
     a rejected trial.  Raises ValueError, before any solve, for a degree that
-    is not an integer >= 0, and for method "newton" on a problem without all six second
-    partials or with a finite control bound.
+    is not an integer >= 0, for a partition that does not end at p.T, and for
+    method "newton" on a problem without all six second partials or with a
+    finite control bound.
     """
     opts = opts or OptimizeOptions()
     check_int("r_state", r_state, 0)
@@ -177,6 +177,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     check_int("r_control", r_control, 0)
     if r_control > r_state:
         raise ValueError("r_control must not exceed r_state")
+    p.check_horizon(partition)
     newton = opts.method == "newton"
     if newton and not p.has_second_partials:
         raise ValueError("method 'newton' requires all six second partials")

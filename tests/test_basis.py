@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from dgocp import (
+    IVPRight,
     deriv_inner_matrix,
     default_rule,
     gauss_rule,
     legendre_table,
+    make_uniform_partition,
     mass_diagonal,
+    solve_backward,
+    solve_forward,
 )
 from dgocp.basis import apply_table, projection_table, rule_table
+from dgocp.ivp import AffineSystem, _scheme, factored
 
 
 def test_legendre_endpoint_values():
@@ -103,6 +108,19 @@ def test_degrees_and_point_counts_must_be_integers():
     assert np.array_equal(legendre_table(np.int64(2), [0.5]), legendre_table(2, [0.5]))
     assert mass_diagonal(np.int64(2)) is mass_diagonal(2)
     assert np.array_equal(deriv_inner_matrix(np.int32(3)), deriv_inner_matrix(3))
+    # the entry points on the shared tables: once the entry of r = 1 is
+    # cached, 1.0 and True miss it and are rejected as on an empty cache
+    part, rule = make_uniform_partition(1.0, 4), default_rule(1)
+    A = np.full((4 * rule.q, 1, 1), -1.0)
+    decay = IVPRight(F=lambda t, x: -x, dF_dx=lambda t, x: np.full((t.size, 1, 1), -1.0))
+    for call in (lambda r: rule_table(r, rule), lambda r: projection_table(r, rule),
+                 lambda r: solve_forward(decay, [1.0], part, r),
+                 lambda r: solve_backward(decay, [1.0], part, r),
+                 lambda r: AffineSystem(A, part, r), lambda r: factored(A, part, r)):
+        call(1)
+        for r in (1.0, True):
+            with pytest.raises(ValueError, match=f"^r must be an integer >= 0, got {r!r}$"):
+                call(r)
 
 
 def test_default_rule_order():
@@ -122,8 +140,10 @@ def test_rules_and_their_tables_are_shared_and_read_only():
     assert np.max(np.abs(Q @ P - np.eye(3))) <= 1e-14
     M = mass_diagonal(2)
     assert M is mass_diagonal(2) and M is not mass_diagonal(3)
-    for a in (rule.points, rule.weights, P, Q, M):
-        assert not a.flags.writeable
+    sch = _scheme(2, 1)
+    scheme_arrays = [a for a in vars(sch).values() if isinstance(a, np.ndarray)]
+    assert len(scheme_arrays) == 7
+    assert not any(a.flags.writeable for a in [rule.points, rule.weights, P, Q, M, *scheme_arrays])
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 33])

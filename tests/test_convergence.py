@@ -182,6 +182,25 @@ def test_bad_arguments_raise_before_any_solve(monkeypatch, kwargs, match):
             run_convergence(get_builtin(name), **kwargs)
 
 
+@pytest.mark.parametrize("fields", [
+    {}, {"exact_state": np.cos}, {"exact_control": np.cos},
+    {"reference_h": 0.0}, {"reference_h": -0.1}, {"reference_h": np.inf},
+    {"reference_h": np.nan}, {"reference_h": True}, {"exact_state": np.cos, "reference_h": 0.0},
+], ids=lambda fields: "-".join(k if callable(v) else f"{k}={v!r}" for k, v in fields.items())
+   or "none")
+def test_a_builtin_without_a_reference_raises_before_any_solve(monkeypatch, fields):
+    # neither both closed-form callables nor a positive, finite reference_h:
+    # the errors could not be measured after the levels were solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the reference was checked")
+
+    monkeypatch.setattr(dgocp.convergence, "minimize", no_solve)
+    builtin = BuiltinProblem(problem=get_builtin("nonlinear-quadratic").problem, **fields)
+    with pytest.raises(ValueError, match="^reference_h of a builtin without exact_state and "
+                                         "exact_control must be positive and finite"):
+        run_convergence(builtin, orders=(1,), levels=1)
+
+
 def _pontryagin_shooting(T, x0, steps):
     """nonlinear-quadratic's Pontryagin system x' = x^2 - p, p' = -x - 2xp,
     x(0) = x0, p(T) = 0 by RK4 on `steps` uniform steps and secant shooting on

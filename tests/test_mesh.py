@@ -39,7 +39,7 @@ def test_make_uniform_partition_examples():
 def test_partition_validation():
     with pytest.raises(ValueError):
         make_uniform_partition(0.0, 4)
-    for T in (np.nan, np.inf):
+    for T in (np.nan, np.inf, True, np.True_):     # a bool would build [0, 1]
         with pytest.raises(ValueError, match="horizon must be positive and finite"):
             make_uniform_partition(T, 4)
     for nodes in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):

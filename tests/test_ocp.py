@@ -604,8 +604,9 @@ def test_problem_validation():
     for x0 in ([], [[1.0]]):
         with pytest.raises(ValueError, match="x0 must be a 1-D, non-empty, finite vector"):
             OCProblem(m=1, T=1.0, x0=x0, **kwargs)
-    for bad in (dict(T=np.nan), dict(T=0.0), dict(T=-1.0), dict(T=np.inf),
-                dict(x0=[np.nan]), dict(x0=[np.inf]), dict(u_lo=np.nan), dict(u_hi=np.nan)):
+    for bad in (dict(T=np.nan), dict(T=0.0), dict(T=-1.0), dict(T=np.inf), dict(T=True),
+                dict(T=np.True_), dict(x0=[np.nan]), dict(x0=[np.inf]), dict(u_lo=np.nan),
+                dict(u_hi=np.nan)):
         with pytest.raises(ValueError):
             OCProblem(**{"m": 1, "T": 1.0, "x0": [1.0], **bad}, **kwargs)
     # the control width is checked before the bounds are built from it
@@ -613,5 +614,7 @@ def test_problem_validation():
         with pytest.raises(ValueError, match="m must be an integer >= 1"):
             OCProblem(m=m, T=1.0, x0=[1.0], **kwargs)
     assert OCProblem(m=np.int64(2), T=1.0, x0=[1.0], **kwargs).u_lo.shape == (2,)
+    for T in (1, np.int64(1), np.float32(0.5)):
+        assert type(OCProblem(m=1, T=T, x0=[1.0], **kwargs).T) is float
     with pytest.raises(ValueError, match="m must be an integer >= 1"):
         dataclasses.replace(linear_lq().problem, m=0)

@@ -15,6 +15,7 @@ from dgocp import (
     DGFunction,
     OCProblem,
     OptimizeOptions,
+    Partition,
     SolverFailure,
     StallError,
     gauss_rule,
@@ -288,6 +289,27 @@ def test_minimize_rejects_a_scalar_start(monkeypatch):
         minimize(p, lambda t: 0.0, part, 1)
 
 
+def test_a_partition_on_another_horizon_is_rejected_before_any_solve(monkeypatch):
+    # on [0, 2] linear-lq would be optimized on another horizon and reported
+    # converged (cost 0.2061 against 0.1929 on [0, 1])
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(dgocp.optimize, "solve_state", no_solve)
+    monkeypatch.setattr(dgocp.ocp, "solve_forward", no_solve)
+    p = linear_lq().problem
+    for T in (2.0, 0.5, 1.0 + 1e-9):
+        part = make_uniform_partition(T, 8)
+        for call in (lambda: minimize(p, None, part, 1),
+                     lambda: solve_state(p, DGFunction(part, np.zeros((8, 2, 1))), 1)):
+            with pytest.raises(ValueError, match=f"ends at {T!r}, not at T = 1.0"):
+                call()
+    # within the relative 1e-12 slack of Partition.locate the run proceeds
+    monkeypatch.undo()
+    part = Partition(np.linspace(0.0, 1.0 + 1e-13, 9))
+    assert minimize(p, None, part, 1, opts=OptimizeOptions(max_outer=1)).iterations == 1
+
+
 @pytest.mark.parametrize("name, route", [("linear-lq", "batched"),
                                          ("nonlinear-quadratic", "march")])
 def test_state_solve_route(monkeypatch, name, route):
@@ -486,10 +508,11 @@ def test_options_validation():
         OptimizeOptions(method="bfgs")
     # an infinite tolerance would let the first iterate claim convergence, a
     # fractional cap would fail inside minimize instead of here, and a bool is
-    # an Integral that would run as a cap of 1 or 0
+    # an Integral that would run as a cap of 1 or 0, and a real that would run
+    # as a tolerance of 1
     for bad in ({"grad_tol": 0.0}, {"grad_tol": -1e-10}, {"grad_tol": float("nan")},
-                {"grad_tol": float("inf")}, {"max_outer": -1}, {"max_outer": 2.5},
-                {"max_outer": True}, {"max_outer": False}):
+                {"grad_tol": float("inf")}, {"grad_tol": True}, {"grad_tol": np.True_},
+                {"max_outer": -1}, {"max_outer": 2.5}, {"max_outer": True}, {"max_outer": False}):
         with pytest.raises(ValueError):
             OptimizeOptions(**bad)
     assert OptimizeOptions(max_outer=0).max_outer == 0
