@@ -5,16 +5,21 @@ reduced gradient g_u - f_u^T lambda_h, tangent solve y_h = G_h'(u) v, the
 Hessian quadratic form j_h''(u)(v, v), and the Hessian-vector product H v
 from a tangent and a second-order adjoint system.  The adjoint systems are
 the transposes of the linearized state system, and every affine solve at one
-(u, x_h) shares one factorization of fx (ivp.factored).
+(u, x_h) shares one factorization of fx (ivp.factored).  Both Hessians read
+the second partials of the Lagrangian L = g - lambda_h . f from one helper,
+_lagrangian_hessian.
 
 Every primitive takes DG functions only and reads the partition and the
 state degree from them; solve_state and hessian_form take the degree r of the
 state they solve for.  Inputs are sampled on the quadrature grid from their
-coefficients (mesh.sample_on_quad): one on another partition raises ValueError.
+coefficients (mesh.sample_on_quad), the state, the control and the width-d
+functions lambda_h and y_h by one sampler, _along: one on another partition
+raises ValueError.
 
 A problem is its callables, its control box and x0, whose size is the state
 dimension d: no closed-form solution enters, and the optimizer reads only
-the reduced gradient and, for Newton, the six second partials.  All problem
+the reduced gradient and, for Newton, the six second partials, whose
+absence OCProblem.require_second_partials reports.  All problem
 callables are vectorized over time batches; the primitives call them once on
 the flattened (N*q) quadrature grid and pass their samples on in that layout,
 which the affine solves (ivp.AffineSystem) and mesh.modal_from_values read:
@@ -89,12 +94,10 @@ class OCProblem:
     def d(self):
         return self.x0.size
 
-    @property
-    def has_second_partials(self):
-        return all(
-            fn is not None
-            for fn in (self.fxx, self.fxu, self.fuu, self.gxx, self.gxu, self.guu)
-        )
+    def require_second_partials(self, caller):
+        """ValueError naming the caller unless all six second partials are given."""
+        if any(fn is None for fn in (self.fxx, self.fxu, self.fuu, self.gxx, self.gxu, self.guu)):
+            raise ValueError(f"{caller} requires all six second partials")
 
     def clip_box(self, u_vals):
         return np.clip(u_vals, self.u_lo, self.u_hi)
@@ -106,12 +109,22 @@ class OCProblem:
             raise ValueError(f"the partition ends at {partition.T!r}, not at T = {self.T!r}")
 
 
-def _along(p, x_h, u, rule):
+def _along(p, x_h, u, rule, *extra):
     """The flattened quadrature times of x_h's partition under the rule, and
-    the state x_h (N*q, d) and control u (N*q, m) sampled there."""
+    the state x_h (N*q, d), the control u (N*q, m) and each width-d DG
+    function in extra (lambda_h, y_h) as (N*q, d), sampled there."""
     part = x_h.partition
     ts = part.quad_times(rule).ravel()
-    return ts, sample_on_quad(x_h, part, rule, p.d), sample_on_quad(u, part, rule, p.m)
+    return (ts, sample_on_quad(x_h, part, rule, p.d), sample_on_quad(u, part, rule, p.m),
+            *(sample_on_quad(fn, part, rule, p.d) for fn in extra))
+
+
+def _lagrangian_hessian(p, ts, X, U, L):
+    """The second partials (Lxx, Lxu, Luu) of the Lagrangian L = g - lambda_h . f
+    at the samples, with lambda_h sampled as L."""
+    return (p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U)),
+            p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U)),
+            p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U)))
 
 
 def solve_state(p, u, r):
@@ -147,8 +160,7 @@ def projected_gradient(p, u, x_h, lambda_h):
     sampled once on the state's default rule, L2-projected onto u's DG space.
     Its L2 inner product with any direction of that degree is j_h'(u) there."""
     part, rule = u.partition, default_rule(x_h.degree)
-    ts, X, U = _along(p, x_h, u, rule)
-    L = sample_on_quad(lambda_h, part, rule, p.d)
+    ts, X, U, L = _along(p, x_h, u, rule, lambda_h)
     gvals = p.gu(ts, X, U) - np.einsum("qdm,qd->qm", p.fu(ts, X, U), L)
     return modal_from_values(gvals, part, u.degree, rule)
 
@@ -181,11 +193,10 @@ def tangent_solve(p, u, x_h, v):
 def hessian_form(p, u, v, r):
     """j_h''(u)(v, v) assembled from x_h, lambda_h, y_h and the second partials.
 
-    The two-integral formula: the g-second-derivative quadratic form in
-    (y_h, v) minus lambda_h paired with the f-second-derivative form.
+    The integral of the Lagrangian's second derivative form in (y_h, v),
+    Y.Lxx Y + 2 Y.Lxu V + V.Luu V, with y_h the tangent G_h'(u) v.
     """
-    if not p.has_second_partials:
-        raise ValueError("hessian_form requires all six second partials")
+    p.require_second_partials("hessian_form")
     check_int("r", r, 0)
     partition, rule = u.partition, default_rule(r)
     V = sample_on_quad(v, partition, rule, p.m)
@@ -193,20 +204,11 @@ def hessian_form(p, u, v, r):
     lam = solve_adjoint(p, u, x_h)
     y_h = tangent_solve(p, u, x_h, v)
 
-    ts, X, U = _along(p, x_h, u, rule)
-    L, Y = (sample_on_quad(fn, partition, rule, p.d) for fn in (lam, y_h))
-
-    g_form = (
-        np.einsum("qab,qa,qb->q", p.gxx(ts, X, U), Y, Y)
-        + 2.0 * np.einsum("qam,qa,qm->q", p.gxu(ts, X, U), Y, V)
-        + np.einsum("qmn,qm,qn->q", p.guu(ts, X, U), V, V)
-    )
-    f_form = (
-        np.einsum("qiab,qa,qb->qi", p.fxx(ts, X, U), Y, Y)
-        + 2.0 * np.einsum("qiam,qa,qm->qi", p.fxu(ts, X, U), Y, V)
-        + np.einsum("qimn,qm,qn->qi", p.fuu(ts, X, U), V, V)
-    )
-    return _integrate(g_form - np.einsum("qi,qi->q", f_form, L), partition, rule)
+    ts, X, U, L, Y = _along(p, x_h, u, rule, lam, y_h)
+    Lxx, Lxu, Luu = _lagrangian_hessian(p, ts, X, U, L)
+    form = (np.einsum("qab,qa,qb->q", Lxx, Y, Y) + 2.0 * np.einsum("qam,qa,qm->q", Lxu, Y, V)
+            + np.einsum("qmn,qm,qn->q", Luu, V, V))
+    return _integrate(form, partition, rule)
 
 
 def hessian_vector(p, u, x_h, lambda_h):
@@ -229,15 +231,11 @@ def hessian_vector(p, u, x_h, lambda_h):
     of fx, which solve_adjoint at the same (u, x_h) has already built; a
     product samples v on the grid and makes no further factorization.
     """
-    if not p.has_second_partials:
-        raise ValueError("hessian_vector requires all six second partials")
+    p.require_second_partials("hessian_vector")
     partition, rule = x_h.partition, default_rule(x_h.degree)
-    ts, X, U = _along(p, x_h, u, rule)
-    L = sample_on_quad(lambda_h, partition, rule, p.d)
+    ts, X, U, L = _along(p, x_h, u, rule, lambda_h)
     fx, fu = p.fx(ts, X, U), p.fu(ts, X, U)
-    Lxx = p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U))
-    Lxu = p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U))
-    Luu = p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U))
+    Lxx, Lxu, Luu = _lagrangian_hessian(p, ts, X, U, L)
     system = factored(fx, partition, x_h.degree)
     P, zeros = rule_table(x_h.degree, rule), np.zeros(p.d)
 
@@ -268,8 +266,7 @@ def adjoint_residual(p, u, x_h, lambda_h):
     part = x_h.partition
     N = part.N
 
-    ts, X, U = _along(p, x_h, u, rule)
-    L = sample_on_quad(lambda_h, part, rule, p.d)
+    ts, X, U, L = _along(p, x_h, u, rule, lambda_h)
     rhs = np.einsum("qab,qa->qb", p.fx(ts, X, U), L) - p.gx(ts, X, U)
     rhs = rhs.reshape(N, rule.q, p.d)
 

@@ -66,7 +66,7 @@ class OptimizeOptions:
         # the deleted forward-backward sweep "fbs" ran the pgd iterates on every
         # builtin; its only caller is perfbench's box-starts workload, and this
         # line goes with the benchmark change that drops those ops (ROADMAP
-        # items 1 and 10)
+        # item 1b, "box-starts' fbs ops", and item 3)
         if self.method == "fbs":
             object.__setattr__(self, "method", "pgd")
         if self.method not in METHODS:
@@ -179,8 +179,8 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
         raise ValueError("r_control must not exceed r_state")
     p.check_horizon(partition)
     newton = opts.method == "newton"
-    if newton and not p.has_second_partials:
-        raise ValueError("method 'newton' requires all six second partials")
+    if newton:
+        p.require_second_partials("method 'newton'")
     if newton and np.any(np.isfinite(np.concatenate((p.u_lo, p.u_hi)))):
         raise ValueError("method 'newton' does not handle a control box")
 

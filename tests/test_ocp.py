@@ -443,7 +443,9 @@ def test_hessian_closed_form_linear_quadratic(rng):
         assert quad >= v.l2_norm() ** 2 - 1e-8
 
 
-def test_hessian_requires_second_partials():
+@pytest.mark.parametrize("caller", ["hessian_form", "hessian_vector"])
+def test_hessian_requires_second_partials(caller):
+    # both Hessians refuse a problem without the six second partials, and say which
     p = OCProblem(
         m=1, T=1.0, x0=[1.0],
         f=lambda t, x, u: -x + u,
@@ -454,14 +456,19 @@ def test_hessian_requires_second_partials():
         gu=lambda t, x, u: u.copy(),
     )
     part = make_uniform_partition(1.0, 4)
-    with pytest.raises(ValueError):
-        hessian_form(p, _zero_control(part), _zero_control(part), 1)
+    u = _zero_control(part)
+    x = solve_state(p, u, 1)
+    call = {"hessian_form": lambda: hessian_form(p, u, u, 1),
+            "hessian_vector": lambda: hessian_vector(p, u, x, solve_adjoint(p, u, x))}[caller]
+    with pytest.raises(ValueError, match=f"^{caller} requires all six second partials$"):
+        call()
 
 
 @pytest.mark.parametrize("name", ["linear-lq", "nonlinear-quadratic", "coupled"])
 def test_hessian_vector_oracle_on_graded_partition(rng, name):
     # H v against central differences of the projected gradient, by symmetry
-    # and against hessian_form, for r = 0..3
+    # and against hessian_form, for r = 0..3; <v, H v> and hessian_form(v, v)
+    # read one Lagrangian Hessian, so they agree to round-off
     p = coupled_problem() if name == "coupled" else get_builtin(name).problem
     part = Partition(p.T * np.array([0.0, 0.04, 0.1, 0.25, 0.3, 0.55, 0.8, 1.0]))
     check_derivatives(p, rng)
@@ -469,6 +476,9 @@ def test_hessian_vector_oracle_on_graded_partition(rng, name):
         for _ in range(2):
             u, v = random_dg(rng, part, r, p.m), random_dg(rng, part, r, p.m)
             assert hessian_vector_discrepancy(p, u, v, r) < 1e-7
+            x = solve_state(p, u, r)
+            vHv = v.inner(hessian_vector(p, u, x, solve_adjoint(p, u, x))(v))
+            assert abs(vHv - hessian_form(p, u, v, r)) <= 1e-13 * abs(vHv)
 
 
 def test_hessian_vector_is_linear_and_projected(rng):

@@ -38,7 +38,7 @@ def test_linear_lq_problem_definition(rng):
     assert (p.d, p.m, p.T) == (1, 1, 1.0)
     assert p.x0 == pytest.approx([1.0])
     check_derivatives(p, rng)
-    assert p.has_second_partials
+    p.require_second_partials("the builtin")
 
 
 def test_nonlinear_quadratic_problem_definition(rng):
@@ -47,7 +47,7 @@ def test_nonlinear_quadratic_problem_definition(rng):
     assert (p.d, p.m, p.T) == (1, 1, 0.2)
     assert p.x0 == pytest.approx([2.0])
     check_derivatives(p, rng)
-    assert p.has_second_partials
+    p.require_second_partials("the builtin")
     assert builtin.exact_state is None
     assert builtin.reference_h == pytest.approx(0.1 * 2.0**-5)
 
