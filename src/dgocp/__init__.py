@@ -9,7 +9,7 @@ from .basis import (
     mass_diagonal,
 )
 from .convergence import ConvergenceReport, ConvergenceRow, run_convergence
-from .ivp import IVPRight, SolverFailure, reverse_dg, solve_backward, solve_forward
+from .ivp import SolverFailure, reverse_dg, solve_backward, solve_forward
 from .mesh import (
     DGFunction,
     Partition,
@@ -39,8 +39,7 @@ __all__ = [
     "QuadratureRule", "default_rule", "deriv_inner_matrix", "gauss_rule",
     "legendre_table", "mass_diagonal",
     "ConvergenceReport", "ConvergenceRow", "run_convergence",
-    "IVPRight", "SolverFailure", "reverse_dg",
-    "solve_backward", "solve_forward",
+    "SolverFailure", "reverse_dg", "solve_backward", "solve_forward",
     "DGFunction", "Partition", "l2_error", "load_dg",
     "make_uniform_partition", "modal_from_values", "project_l2", "save_dg",
     "total_variation",

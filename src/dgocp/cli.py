@@ -76,11 +76,12 @@ def cmd_solve(args):
     builtin = get_builtin(args.problem)
     p = builtin.problem
     N = args.intervals or (int(round(p.T / args.h)) if args.h else 10)
-    if N < 1:
-        print(f"dgocp solve: error: --h {args.h} leaves no interval on [0, {p.T}]",
+    try:
+        part = make_uniform_partition(p.T, N)
+    except (ValueError, MemoryError) as err:    # N < 1, or more nodes than numpy holds
+        print(f"dgocp solve: error: no mesh of {N:.3g} intervals on [0, {p.T}]: {err}",
               file=sys.stderr)
         return EXIT_USAGE
-    part = make_uniform_partition(p.T, N)
     opts = OptimizeOptions(
         method=args.method,
         grad_tol=args.grad_tol,

@@ -16,22 +16,23 @@ system comes in one of two forms:
   keeps the last system it built, while its partition lives, and returns it
   while its data repeat, so the state, adjoint, tangent and second-order
   adjoint solves of one linearization share one factorization;
-* closures F(t, X, *D) and dF_dx(t, X, *D), an IVPRight whose data D are DG
-  functions on the solve's partition, sampled once on the quadrature grid
-  (OCProblem's f(t, x, u) convention), solved by solve_forward.
+* closures F(t, X, *D) and dF_dx(t, X, *D), passed to solve_forward as
+  they are, with data D, a tuple of DG functions on the solve's partition
+  sampled once on the quadrature grid (OCProblem's f(t, x, u) convention).
   dF_dx is sampled on the whole grid at two states, x = 0 and
   x = PROBE_SHIFT.  When the samples are identical, A = dF_dx and b = F at
   x = 0 go to factored(), and the result is kept when the closure's own
-  residual, with F evaluated at that result, passes on every interval.
-  Otherwise (a nonlinear system, or a failed check) the solve marches
-  interval by interval, and on each interval a damped Newton iteration
-  drives the (r+1)*d modal residual below tolerance.  It starts from the
-  constant extension of the incoming trace x_in, read without a table
-  product: the state is x_in at every quadrature point (P_0 = 1), and the
-  trace terms cancel, so the first residual is the forcing term alone.  A
-  step assembles the interval's block from dF_dx, solves it and halves the
-  step until the residual falls.  The half widths, the data rows and the
-  scheme's tables are fetched once per solve.
+  residual, with F evaluated at that result, passes on every interval; a
+  failure of that solve is raised as it is.  Otherwise (a nonlinear system,
+  or a failed check) the solve marches interval by interval, and on each
+  interval a damped Newton iteration drives the (r+1)*d modal residual
+  below tolerance.  It starts from the constant extension of the incoming
+  trace x_in, read without a table product: the state is x_in at every
+  quadrature point (P_0 = 1), and the trace terms cancel, so the first
+  residual is the forcing term alone.  A step assembles the interval's
+  block from dF_dx, solves it and halves the step until the residual falls.
+  The half widths, the data rows and the scheme's tables are fetched once
+  per solve.
 
 The tables of the scheme of degree r for a system of size d are built once
 and shared read-only (basis.shared), as are the rule and Legendre tables they
@@ -53,7 +54,9 @@ call warns.  The user's F and dF_dx run outside it, under the caller's state.
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
 larger: a large solution has a round-off floor above any absolute tolerance.
-Both solvers stop at the first residual that is not finite.  The closure
+Both solvers stop at the first residual that is not finite, and both fail
+by one rule: SolverFailure names the first interval, in the order of the
+solve, whose residual is not finite or stays above its tolerance.  The closure
 backward (terminal-value) solve, solve_backward, is a forward solve of the
 time-reversed system on the reversed partition, followed by a
 coefficient-level reversal; its data are reversed with reverse_dg.
@@ -61,8 +64,6 @@ coefficient-level reversal; its data are reversed with reverse_dg.
 
 import math
 import weakref
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -72,7 +73,6 @@ from .mesh import DGFunction, sample_on_quad
 
 __all__ = [
     "AffineSystem",
-    "IVPRight",
     "SolverFailure",
     "factored",
     "solve_forward",
@@ -85,24 +85,6 @@ NEWTON_MAX_ITER = 50
 DAMPING_FLOOR = 2.0**-10
 ROUNDOFF = 16.0 * np.finfo(float).eps
 PROBE_SHIFT = 1.0
-
-
-@dataclass
-class IVPRight:
-    """Right-hand side F(t, x, *data) of an IVP, as closures.
-
-    F(ts, X, *D) maps (q,), (q, d) -> (q, d); dF_dx maps to (q, d, d), both
-    vectorized over time batches.  `data` is a tuple of DGFunctions on the
-    solve's partition, such as the control of a state solve; each is
-    sampled once on the quadrature grid, and D holds the samples at the
-    times ts, (q, dim) each.  The batched route passes the whole grid
-    flattened, ts (N*q,); the march passes one interval's rows, ts (q,).
-    An affine system already sampled on the grid goes to an AffineSystem.
-    """
-
-    F: Callable
-    dF_dx: Callable
-    data: tuple = ()
 
 
 class SolverFailure(RuntimeError):
@@ -196,49 +178,49 @@ def _scheme(r, d):
     return _Scheme(r, d)
 
 
-def solve_forward(rhs, x0, partition, r):
-    """DG approximation of x' = F(t, x, *data), x(0) = x0, in X_h^r, for closures rhs.
+def solve_forward(F, dF_dx, x0, partition, r, data=()):
+    """DG approximation of x' = F(t, x, *data), x(0) = x0, in X_h^r, for
+    closures F(ts, X, *D) -> (q, d) and dF_dx(ts, X, *D) -> (q, d, d).
 
-    Each datum is sampled on the solve's grid first: one on another partition
-    raises ValueError before any call of F or dF_dx.  Closures of a linear
-    system (dF_dx the same at two probe states, and the closure's own
-    residual passing at the result) are solved by the AffineSystem of
-    factored(); others by damped Newton, interval by interval.  Either
-    raises SolverFailure naming an interval when its residual stays above
-    its tolerance or is not finite, or its block is singular.
+    Each datum, a DGFunction on the solve's partition, is sampled once on the
+    solve's grid, and D holds its samples at the times ts, (q, dim) each: one
+    on another partition raises ValueError before any call of F or dF_dx.
+    Closures of a linear system (dF_dx the same at two probe states) are
+    solved by the AffineSystem of factored(), and the result is kept when
+    the closure's own residual passes at it; others by damped Newton,
+    interval by interval.  Either raises SolverFailure naming the first
+    interval whose residual stays above its tolerance or is not finite, or
+    whose block is singular.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sch = _scheme(r, x0.size)
     times = partition.quad_times(sch.rule)
-    ts, D = times.ravel(), [sample_on_quad(a, partition, sch.rule, a.dim) for a in rhs.data]
+    ts, D = times.ravel(), [sample_on_quad(a, partition, sch.rule, a.dim) for a in data]
     X = np.zeros((ts.size, x0.size))
     with np.errstate(all="ignore"):             # probe states, not the solution
-        A = np.asarray(rhs.dF_dx(ts, X, *D))
-        linear = np.array_equal(A, rhs.dF_dx(ts, X + PROBE_SHIFT, *D))
+        A = np.asarray(dF_dx(ts, X, *D))
+        linear = np.array_equal(A, dF_dx(ts, X + PROBE_SHIFT, *D))
     if linear:
-        try:
-            C = factored(A, partition, r).solve(rhs.F(ts, X, *D), x0)
-            if _closure_residual_passes(rhs, ts, D, C, x0, partition, sch):
-                return DGFunction(partition, C)
-        except SolverFailure:
-            pass
+        C = factored(A, partition, r).solve(F(ts, X, *D), x0)
+        if _closure_residual_passes(F, ts, D, C, x0, partition, sch):
+            return DGFunction(partition, C)
     grid = (times, *(a.reshape(times.shape + a.shape[1:]) for a in D))
-    return DGFunction(partition, _solve_newton(rhs, grid, x0, partition, sch))
+    return DGFunction(partition, _solve_newton(F, dF_dx, grid, x0, partition, sch))
 
 
-def _closure_residual_passes(rhs, ts, D, C, x0, partition, sch):
+def _closure_residual_passes(F, ts, D, C, x0, partition, sch):
     """Whether the closure residual of coefficients C (N, r+1, d), with F
     evaluated at C, passes on every interval."""
     X = apply_table(sch.P, C)                                      # (N, q, d)
     x_in = np.concatenate((x0[None], C[:-1].sum(axis=1)))
     LC, trace = apply_table(sch.lin, C), sch.s[:, None] * x_in[:, None, :]
-    FX = np.reshape(rhs.F(ts, X.reshape(-1, x0.size), *D), X.shape)
+    FX = np.reshape(F(ts, X.reshape(-1, x0.size), *D), X.shape)
     HF = 0.5 * partition.widths[:, None, None] * apply_table(sch.PtW, FX)
     _, rnorm, tol = _batched_residual((LC, trace, HF))
     return bool(np.all(rnorm <= tol))
 
 
-def _solve_newton(rhs, grid, x0, partition, sch):
+def _solve_newton(F, dF_dx, grid, x0, partition, sch):
     """Coefficients (N, r+1, d) by damped Newton, marching interval by interval;
     `grid` holds the (N, q) quadrature times and the data samples (N, q, dim),
     and interval n gets their rows n and its half width h/2.
@@ -247,7 +229,6 @@ def _solve_newton(rhs, grid, x0, partition, sch):
     C - alpha delta for alpha = 1, 1/2, ... until the residual's max-norm falls
     below the previous one or alpha reaches DAMPING_FLOOR.
     """
-    F, dF_dx = rhs.F, rhs.dF_dx
     P, PtW, lin, J_base, WPP = sch.P, sch.PtW, sch.lin, sch.J_base, sch.WPP
     ones, s = P[:, :1], sch.s[:, None]                  # P_0 = 1 at every point
     coeffs = np.zeros((partition.N, s.size, x0.size))
@@ -337,8 +318,9 @@ class AffineSystem:
         """Coefficients (N, r+1, d) for the forcing b and x(0) = x0.
 
         A residual above its tolerance is corrected by the same factored
-        solve applied to it; SolverFailure names the interval whose residual
-        exceeds it most, at once when a residual is not finite.
+        solve applied to it, and a residual that is not finite stops the
+        corrections at once; SolverFailure names the first interval whose
+        residual is not finite or stays above its tolerance, as the march does.
         """
         return self._corrected(self._forcing(b), x0, False)
 
@@ -349,8 +331,8 @@ class AffineSystem:
             J_n^T L_n = E^T w_n - f_n,   w_{N-1} = lamT,   w_{n-1} = (s (x) I)^T L_n,
 
         with E = 1^T (x) I, so w_{n-1} = M_n^T w_n - G_n^T f_n.  It is checked
-        and corrected as solve is, and its SolverFailure names the forward
-        interval.
+        and corrected as solve is; its SolverFailure names the forward index
+        of the first failing interval in the order of this solve, from T back.
         """
         return self._corrected(-self._forcing(b), lamT, True)
 
@@ -368,8 +350,10 @@ class AffineSystem:
             C = C + self._sweep(-R, np.zeros_like(x0), transposed)
             R, rnorm, tol = self._residual(C, f, x0, transposed)
             passed = rnorm <= tol
+        passed &= np.isfinite(rnorm)                    # tol is inf when rnorm is
         if not passed.all():
-            n = int(np.argmax(rnorm - tol))
+            failed = np.flatnonzero(~passed)
+            n = int(failed[-1] if transposed else failed[0])    # the first in the solve's order
             raise SolverFailure(n, float(rnorm[n]))
         return C
 
@@ -439,9 +423,9 @@ def reverse_dg(F):
     return DGFunction(F.partition.reversed(), _reversed_coeffs(F.coeffs))
 
 
-def solve_backward(rhs, xT, partition, r):
+def solve_backward(F, dF_dx, xT, partition, r, data=()):
     """DG solve of the terminal-value problem x' = F(t, x, *data), x(T) = xT,
-    for closures rhs.
+    for closures F and dF_dx as solve_forward takes them.
 
     Realized as a forward solve of W'(s) = -F(T - s, W, *data(T - s)),
     W(0) = xT on the reversed partition, with each datum reversed by
@@ -451,9 +435,7 @@ def solve_backward(rhs, xT, partition, r):
     coefficients from the forward factors.
     """
     T = partition.T
-    rev = IVPRight(F=lambda s, W, *D: -rhs.F(T - s, W, *D),
-                   dF_dx=lambda s, W, *D: -rhs.dF_dx(T - s, W, *D),
-                   data=tuple(map(reverse_dg, rhs.data)))
-    W = solve_forward(rev, xT, partition.reversed(), r)
+    W = solve_forward(lambda s, W, *D: -F(T - s, W, *D), lambda s, W, *D: -dF_dx(T - s, W, *D),
+                      xT, partition.reversed(), r, tuple(map(reverse_dg, data)))
     # on `partition` itself: T - (T - t) would accumulate float error in the nodes
     return DGFunction(partition, _reversed_coeffs(W.coeffs))

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .basis import apply_table, default_rule, deriv_inner_matrix, rule_table
-from .ivp import IVPRight, factored, solve_forward
+from .ivp import factored, solve_forward
 from .mesh import DGFunction, check_int, check_positive, modal_from_values, sample_on_quad
 
 __all__ = [
@@ -140,7 +140,7 @@ def solve_state(p, u, r):
     if u.dim != p.m:
         raise ValueError(f"the control has {u.dim} columns, expected {p.m}")
     p.check_horizon(u.partition)
-    return solve_forward(IVPRight(F=p.f, dF_dx=p.fx, data=(u,)), p.x0, u.partition, r)
+    return solve_forward(p.f, p.fx, p.x0, u.partition, r, (u,))
 
 
 def solve_adjoint(p, u, x_h):

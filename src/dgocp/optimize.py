@@ -100,7 +100,8 @@ class OptimizeReport:
 
 class StallError(RuntimeError):
     """The optimizer ended short of stationarity: no descent after relaxing to
-    RELAX_FLOOR, or (raised by callers that need an optimum) the iteration cap."""
+    RELAX_FLOOR, a start control whose cost is not finite (iteration 0), or
+    (raised by callers that need an optimum) the iteration cap."""
 
     def __init__(self, iteration, cost, stationarity, message=None):
         self.iteration = iteration
@@ -164,12 +165,14 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     """Minimize j_h over box-feasible DG controls of degree r_control.
 
     Returns an OptimizeReport.  Raises StallError when no relaxation down to
-    RELAX_FLOOR is accepted before reaching stationarity, and SolverFailure
-    when the state solve at the start control fails; a failed trial solve is
-    a rejected trial.  Raises ValueError, before any solve, for a degree that
-    is not an integer >= 0, for a partition that does not end at p.T, and for
-    method "newton" on a problem without all six second partials or with a
-    finite control bound.
+    RELAX_FLOOR is accepted before reaching stationarity, or before the first
+    iteration when the cost at the start control is not finite (every trial
+    would pass the accept bound), and SolverFailure when the state solve at
+    the start control fails; a failed trial solve is a rejected trial.
+    Raises ValueError, before any solve, for a degree that is not an integer
+    >= 0, for a partition that does not end at p.T, and for method "newton"
+    on a problem without all six second partials or with a finite control
+    bound.
     """
     opts = opts or OptimizeOptions()
     check_int("r_state", r_state, 0)
@@ -189,6 +192,8 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     u = _control_to_dg(p, u0, partition, r_control)
     x = solve_state(p, u, r_state)
     c = cost(p, u, x)
+    if not np.isfinite(c):
+        raise StallError(0, c, np.nan, f"cost {c} at the start control is not finite")
 
     cost_hist, stat_hist = [], []
     u_prev = g_prev = None

@@ -9,7 +9,7 @@ the package namespace does not import them.
 import numpy as np
 
 from .basis import default_rule
-from .ivp import AffineSystem, IVPRight, reverse_dg, solve_backward, solve_forward
+from .ivp import AffineSystem, reverse_dg, solve_backward, solve_forward
 from .mesh import DGFunction
 from .ocp import (cost, hessian_form, hessian_vector, projected_gradient, solve_adjoint,
                   solve_state, tangent_solve)
@@ -137,13 +137,13 @@ def time_reversal_discrepancy(rng, d, partition, r):
         return tuple(-a for a in forward(T - ts))
 
     def closures(data):
-        return IVPRight(F=lambda ts, X: np.einsum("qab,qb->qa", data(ts)[0], X) + data(ts)[1],
-                        dF_dx=lambda ts, X: data(ts)[0])
+        return (lambda ts, X: np.einsum("qab,qb->qa", data(ts)[0], X) + data(ts)[1],
+                lambda ts, X: data(ts)[0])
 
-    fwd = solve_forward(closures(forward), x0, rev, r)
+    fwd = solve_forward(*closures(forward), x0, rev, r)
     A, b = forward(rev.quad_times(rule))
     fwd_arrays = DGFunction(rev, AffineSystem(A, rev, r).solve(b, x0))
-    back = solve_backward(closures(backward), x0, partition, r).coeffs
+    back = solve_backward(*closures(backward), x0, partition, r).coeffs
     A, b = backward(partition.quad_times(rule))
     back_arrays = AffineSystem(-np.swapaxes(A, -1, -2), partition, r).solve_transposed(b, x0)
     gaps = (back - reverse_dg(fwd).coeffs, back_arrays - reverse_dg(fwd_arrays).coeffs,

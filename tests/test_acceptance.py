@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dgocp import (
-    IVPRight,
     adjoint_residual,
     hessian_form,
     make_uniform_partition,
@@ -232,11 +231,8 @@ def test_criterion_9_property_suite():
 
     # polynomial reproduction: cubic exact solution, degree-3 DG
     part = make_uniform_partition(1.0, 4)
-    rhs = IVPRight(
-        F=lambda ts, X: (3.0 * ts**2 - 1.0)[:, None],
-        dF_dx=lambda ts, X: np.zeros((ts.size, 1, 1)),
-    )
-    sol = solve_forward(rhs, np.array([2.0]), part, 3)
+    sol = solve_forward(lambda ts, X: (3.0 * ts**2 - 1.0)[:, None],
+                        lambda ts, X: np.zeros((ts.size, 1, 1)), np.array([2.0]), part, 3)
     ts = np.linspace(0.0, 1.0, 101)
     dev = np.max(np.abs(sol.eval_many(ts)[:, 0] - (ts**3 - ts + 2.0)))
     ok = ok and dev < 1e-12
@@ -276,11 +272,9 @@ def test_criterion_9_property_suite():
                 lambda t: np.sum(am[:, None] * np.sin(np.outer(fr, t)), axis=0),
                 part_n, 1,
             )
-            rhs_n = IVPRight(
-                F=lambda ts, X: u_dg.eval_many(ts) - X,
-                dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0),
-            )
-            sol_n = solve_forward(rhs_n, np.array([0.0]), part_n, 1)
+            sol_n = solve_forward(lambda ts, X: u_dg.eval_many(ts) - X,
+                                  lambda ts, X: np.full((ts.size, 1, 1), -1.0),
+                                  np.array([0.0]), part_n, 1)
             sup = np.max(np.abs(sol_n.eval_many(np.linspace(0.0, 1.0, 201))))
             if u_dg.l2_norm() > 1e-12:
                 worst = max(worst, sup / u_dg.l2_norm())

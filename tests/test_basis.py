@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dgocp import (
-    IVPRight,
     deriv_inner_matrix,
     default_rule,
     gauss_rule,
@@ -112,10 +111,10 @@ def test_degrees_and_point_counts_must_be_integers():
     # cached, 1.0 and True miss it and are rejected as on an empty cache
     part, rule = make_uniform_partition(1.0, 4), default_rule(1)
     A = np.full((4 * rule.q, 1, 1), -1.0)
-    decay = IVPRight(F=lambda t, x: -x, dF_dx=lambda t, x: np.full((t.size, 1, 1), -1.0))
+    decay = (lambda t, x: -x, lambda t, x: np.full((t.size, 1, 1), -1.0))
     for call in (lambda r: rule_table(r, rule), lambda r: projection_table(r, rule),
-                 lambda r: solve_forward(decay, [1.0], part, r),
-                 lambda r: solve_backward(decay, [1.0], part, r),
+                 lambda r: solve_forward(*decay, [1.0], part, r),
+                 lambda r: solve_backward(*decay, [1.0], part, r),
                  lambda r: AffineSystem(A, part, r), lambda r: factored(A, part, r)):
         call(1)
         for r in (1.0, True):

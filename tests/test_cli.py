@@ -9,7 +9,7 @@ import pytest
 
 from dgocp import ConvergenceReport, OptimizeOptions, SolverFailure, load_dg, run_convergence
 from dgocp.cli import build_parser, main, run_verification
-from dgocp.optimize import StallError
+from dgocp.optimize import StallError, minimize
 from dgocp.problems import BUILTINS, linear_lq
 
 from conftest import simpson
@@ -55,6 +55,16 @@ def test_missing_subcommand_and_problem(tmp_path):
                 ["--method", "fbs"]):
         assert _exit_code(["convergence", "--problem", "linear-lq"] + bad + table) == 2, bad
     assert not (tmp_path / "run").exists()
+
+
+def test_a_step_too_small_for_any_mesh_is_a_usage_error(tmp_path, capsys):
+    # --h 1e-300 rounds to N = 1e300 intervals, more nodes than numpy can
+    # hold: a usage error on one stderr line, before any solve or file
+    out = tmp_path / "run"
+    assert main(["solve", "--problem", "linear-lq", "--h", "1e-300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dgocp solve: error: no mesh of 1e+300 intervals on [0, 1.0]: ")
+    assert err.count("\n") == 1 and not out.exists()
 
 
 def test_solve_artifacts_and_table_entry(tmp_path):
@@ -225,6 +235,24 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["convergence", "--problem", "linear-lq", "--out", str(path)]) == 3
     assert path.read_text() == ConvergenceReport().to_csv()
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_an_infinite_start_cost_exits_3(tmp_path, monkeypatch, capsys):
+    # a start control of 1e200 on linear-lq: the cost overflows, and the
+    # StallError raised before the first iteration is a run that did not
+    # converge, reported on one stderr line with no files written
+    import dgocp.cli as cli
+
+    def far_start(p, u0, *args):
+        return minimize(p, lambda t: np.full(np.size(t), 1e200), *args)
+
+    monkeypatch.setattr(cli, "minimize", far_start)
+    out = tmp_path / "run"
+    with np.errstate(over="ignore"):
+        code = main(["solve", "--problem", "linear-lq", "--intervals", "4", "--out", str(out)])
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert err == "solver stalled: cost inf at the start control is not finite\n"
 
 
 def test_unconverged_level_raises():

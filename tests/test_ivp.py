@@ -1,6 +1,5 @@
 """Forward/backward DG initial value solves."""
 
-import dataclasses
 import math
 import weakref
 
@@ -9,7 +8,7 @@ import pytest
 
 import dgocp.ivp as ivp
 from dgocp import (
-    IVPRight,
+    DGFunction,
     Partition,
     SolverFailure,
     default_rule,
@@ -27,9 +26,9 @@ from conftest import project_callable, rk4_at
 
 def test_zero_rhs_constant():
     part = make_uniform_partition(1.0, 7)
-    rhs = IVPRight(F=lambda ts, X: np.zeros_like(X), dF_dx=lambda ts, X: np.zeros((ts.size, 1, 1)))
+    F, dF_dx = lambda ts, X: np.zeros_like(X), lambda ts, X: np.zeros((ts.size, 1, 1))
     for r in range(4):
-        sol = solve_forward(rhs, np.array([5.0]), part, r)
+        sol = solve_forward(F, dF_dx, np.array([5.0]), part, r)
         assert np.max(np.abs(sol.coeffs[:, 0, 0] - 5.0)) < 1e-14
         if r > 0:
             assert np.max(np.abs(sol.coeffs[:, 1:, :])) < 1e-14
@@ -39,28 +38,26 @@ def test_controlled_state_table_entry():
     # x' = -x + u with the benchmark's optimal control: r = 1, h = 0.1 / 4
     builtin = linear_lq()
     u = builtin.exact_control
-    rhs = IVPRight(
-        F=lambda ts, X: u(ts)[:, None] - X,
-        dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0),
-    )
+    F = lambda ts, X: u(ts)[:, None] - X
+    dF_dx = lambda ts, X: np.full((ts.size, 1, 1), -1.0)
     part = make_uniform_partition(1.0, 40)
-    sol = solve_forward(rhs, np.array([1.0]), part, 1)
+    sol = solve_forward(F, dF_dx, np.array([1.0]), part, 1)
     err = l2_error(sol, builtin.exact_state)
     assert err == pytest.approx(1.2240e-04, rel=5e-3)
 
 
 def test_exponential_at_the_nodes():
-    rhs = IVPRight(F=lambda ts, X: X, dF_dx=lambda ts, X: np.ones((ts.size, 1, 1)))
+    F, dF_dx = lambda ts, X: X, lambda ts, X: np.ones((ts.size, 1, 1))
     part = make_uniform_partition(1.0, 20)
-    sol = solve_forward(rhs, np.array([1.0]), part, 2)
+    sol = solve_forward(F, dF_dx, np.array([1.0]), part, 2)
     node_vals = sol.eval_many(part.nodes[1:], side="left")
     assert np.max(np.abs(node_vals[:, 0] - np.exp(part.nodes[1:]))) < 1e-6
 
 
 def test_backward_constant():
     part = make_uniform_partition(1.0, 4)
-    rhs = IVPRight(F=lambda ts, X: np.zeros_like(X), dF_dx=lambda ts, X: np.zeros((ts.size, 1, 1)))
-    lam = solve_backward(rhs, np.array([3.0]), part, 2)
+    F, dF_dx = lambda ts, X: np.zeros_like(X), lambda ts, X: np.zeros((ts.size, 1, 1))
+    lam = solve_backward(F, dF_dx, np.array([3.0]), part, 2)
     assert np.max(np.abs(lam.coeffs[:, 0, 0] - 3.0)) < 1e-14
 
 
@@ -68,12 +65,10 @@ def test_backward_adjoint_table_entry():
     # lam' = lam - x_bar(t), lam(1) = 0: matches the benchmark control column
     builtin = linear_lq()
     xbar = builtin.exact_state
-    rhs = IVPRight(
-        F=lambda ts, X: X - xbar(ts)[:, None],
-        dF_dx=lambda ts, X: np.ones((ts.size, 1, 1)),
-    )
+    F = lambda ts, X: X - xbar(ts)[:, None]
+    dF_dx = lambda ts, X: np.ones((ts.size, 1, 1))
     part = make_uniform_partition(1.0, 10)
-    lam = solve_backward(rhs, np.array([0.0]), part, 2)
+    lam = solve_backward(F, dF_dx, np.array([0.0]), part, 2)
     # the benchmark column reports the error of the coupled optimum, so the
     # decoupled adjoint solve only matches it to a couple of percent
     err = l2_error(lam, lambda t: -builtin.exact_control(t))
@@ -87,10 +82,10 @@ def test_a_datum_on_another_partition_raises_before_any_call(rng):
         raise AssertionError("a callback ran")
 
     for other in (make_uniform_partition(1.0, 3), Partition(np.linspace(0.0, 1.0, 5) ** 2)):
-        rhs = IVPRight(F=no_call, dF_dx=no_call, data=(random_dg(rng, other, 1),))
+        data = (random_dg(rng, other, 1),)
         for solve in (solve_forward, solve_backward):
             with pytest.raises(ValueError, match="another partition"):
-                solve(rhs, [1.0], part, 2)
+                solve(no_call, no_call, [1.0], part, 2, data)
 
 
 @pytest.mark.parametrize("linear", [True, False])
@@ -105,12 +100,10 @@ def test_backward_datum_matches_the_closure_form(rng, linear):
     else:
         F = lambda t, X, w: np.sin(X) * w + t[:, None]
         dF_dx = lambda t, X, w: (np.cos(X) * w)[:, :, None]
-    data = IVPRight(F=F, dF_dx=dF_dx, data=(w,))
-    closure = IVPRight(F=lambda t, X: F(t, X, w.eval_many(t)),
-                       dF_dx=lambda t, X: dF_dx(t, X, w.eval_many(t)))
+    closure = (lambda t, X: F(t, X, w.eval_many(t)), lambda t, X: dF_dx(t, X, w.eval_many(t)))
     for r in range(4):
-        a = solve_backward(data, [0.4], part, r).coeffs
-        b = solve_backward(closure, [0.4], part, r).coeffs
+        a = solve_backward(F, dF_dx, [0.4], part, r, (w,)).coeffs
+        b = solve_backward(*closure, [0.4], part, r).coeffs
         assert np.max(np.abs(a - b)) <= 1e-13
 
 
@@ -128,11 +121,9 @@ def test_reverse_dg_involution(rng):
 def test_polynomial_reproduction():
     # exact solution t^3 - t + 2 with state-independent polynomial rhs
     part = make_uniform_partition(1.0, 3)
-    rhs = IVPRight(
-        F=lambda ts, X: (3.0 * ts**2 - 1.0)[:, None],
-        dF_dx=lambda ts, X: np.zeros((ts.size, 1, 1)),
-    )
-    sol = solve_forward(rhs, np.array([2.0]), part, 3)
+    F = lambda ts, X: (3.0 * ts**2 - 1.0)[:, None]
+    dF_dx = lambda ts, X: np.zeros((ts.size, 1, 1))
+    sol = solve_forward(F, dF_dx, np.array([2.0]), part, 3)
     ts = np.linspace(0.0, 1.0, 101)
     exact = ts**3 - ts + 2.0
     assert np.max(np.abs(sol.eval_many(ts)[:, 0] - exact)) < 1e-12
@@ -140,10 +131,8 @@ def test_polynomial_reproduction():
 
 def test_convergence_order():
     F = lambda t, x: -x + np.cos(3.0 * t)
-    rhs = IVPRight(
-        F=lambda ts, X: -X + np.cos(3.0 * ts)[:, None],
-        dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0),
-    )
+    rhs = (lambda ts, X: -X + np.cos(3.0 * ts)[:, None],
+           lambda ts, X: np.full((ts.size, 1, 1), -1.0))
     sample_xi = np.linspace(0.05, 0.95, 7)
     # the sample times depend on N only, so one RK4 reference serves every r
     refs = {}
@@ -154,7 +143,7 @@ def test_convergence_order():
     for r in (1, 2):
         errs = []
         for part, ts, ref in refs.values():
-            sol = solve_forward(rhs, np.array([1.0]), part, r)
+            sol = solve_forward(*rhs, np.array([1.0]), part, r)
             errs.append(np.max(np.abs(sol.eval_many(ts) - ref)))
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(np.abs(rates - (r + 1)) < 0.1)
@@ -163,17 +152,12 @@ def test_convergence_order():
 def test_sequential_causality(rng):
     # perturbing the rhs on later intervals leaves earlier coefficients alone
     part = make_uniform_partition(1.0, 8)
-    base = IVPRight(
-        F=lambda ts, X: np.sin(X) + ts[:, None],
-        dF_dx=lambda ts, X: np.cos(X)[:, :, None],
-    )
-    bump = IVPRight(
-        F=lambda ts, X: np.sin(X) + ts[:, None] + 5.0 * (ts > 0.5)[:, None],
-        dF_dx=lambda ts, X: np.cos(X)[:, :, None],
-    )
+    base = lambda ts, X: np.sin(X) + ts[:, None]
+    bump = lambda ts, X: np.sin(X) + ts[:, None] + 5.0 * (ts > 0.5)[:, None]
+    dF_dx = lambda ts, X: np.cos(X)[:, :, None]
     x0 = np.array([0.3])
-    a = solve_forward(base, x0, part, 2)
-    b = solve_forward(bump, x0, part, 2)
+    a = solve_forward(base, dF_dx, x0, part, 2)
+    b = solve_forward(bump, dF_dx, x0, part, 2)
     assert np.array_equal(a.coeffs[:4], b.coeffs[:4])
     assert not np.allclose(a.coeffs[4:], b.coeffs[4:])
 
@@ -189,11 +173,9 @@ def test_discrete_stability(rng):
         for fr, am in zip(freqs, amps):
             u = lambda t: np.sum(am[:, None] * np.sin(np.outer(fr, t)), axis=0)
             u_dg = project_callable(u, part, 1)
-            rhs = IVPRight(
-                F=lambda ts, X: u_dg.eval_many(ts) - X,
-                dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0),
-            )
-            sol = solve_forward(rhs, np.array([0.0]), part, 1)
+            F = lambda ts, X: u_dg.eval_many(ts) - X
+            dF_dx = lambda ts, X: np.full((ts.size, 1, 1), -1.0)
+            sol = solve_forward(F, dF_dx, np.array([0.0]), part, 1)
             ts = np.linspace(0.0, 1.0, 201)
             sup = np.max(np.abs(sol.eval_many(ts)))
             norm = u_dg.l2_norm()
@@ -207,33 +189,37 @@ def test_discrete_stability(rng):
 def test_solver_failure_blowup():
     # x' = x^2 from x0 = 2 blows up at t = 0.5, inside the single interval
     part = make_uniform_partition(1.0, 1)
-    rhs = IVPRight(F=lambda ts, X: X**2, dF_dx=lambda ts, X: 2.0 * X[:, :, None])
+    F, dF_dx = lambda ts, X: X**2, lambda ts, X: 2.0 * X[:, :, None]
     with pytest.raises(SolverFailure) as err:
-        solve_forward(rhs, np.array([2.0]), part, 2)
+        solve_forward(F, dF_dx, np.array([2.0]), part, 2)
     assert err.value.interval == 0
 
 
-def _scalar_solve(a, affine, part, r, F=None):
+def _scalar_solve(a, route, part, r, F=None):
     """Solve x' = a(t) x, x(0) = 1 (d = 1): with an AffineSystem on a(t) sampled
-    on the quadrature grid, or by solve_forward of closures (F, when given,
-    in place of a(t) x)."""
+    on the quadrature grid (route "affine"), or from closures (F, when given,
+    in place of a(t) x) by solve_forward ("closures") or by the march alone
+    ("march")."""
     x0 = np.array([1.0])
-    if affine:
+    if route == "affine":
         times = part.quad_times(default_rule(r))
         return ivp.AffineSystem(a(times)[..., None, None], part, r).solve(
             np.zeros(times.shape + (1,)), x0)
     F = F or (lambda ts, X: a(ts)[:, None] * X)
-    return solve_forward(IVPRight(F=F, dF_dx=lambda ts, X: a(ts)[:, None, None]), x0, part, r)
+    solve = solve_forward if route == "closures" else _march
+    return solve(F, lambda ts, X: a(ts)[:, None, None], x0, part, r)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("affine", [False, True])
 def test_singular_block_names_its_interval(affine):
     # r = 0: the block of x' = 10 x on interval n is 1 - 10 h_n, which rounds to
-    # exactly 0 on the width-0.1 interval 2 of this graded partition only
+    # exactly 0 on the width-0.1 interval 2 of this graded partition only; the
+    # closures of this linear system take the affine route, so the march is
+    # run on its own
     part = Partition(np.array([0.0, 0.3, 0.5, 0.6, 0.8, 1.0]))
     with pytest.raises(SolverFailure) as err:
-        _scalar_solve(lambda t: np.full_like(t, 10.0), affine, part, 0)
+        _scalar_solve(lambda t: np.full_like(t, 10.0), "affine" if affine else "march", part, 0)
     assert err.value.interval == 2 and err.value.residual == np.inf
 
 
@@ -241,12 +227,13 @@ def test_singular_block_names_its_interval(affine):
 @pytest.mark.parametrize("affine", [False, True])
 def test_non_finite_data_names_its_interval(affine):
     # NaN data on interval 3 of 8 leaves a NaN residual there and on every later
-    # interval; the failure names the first of them
+    # interval; the failure names the first of them.  The closures' dF_dx has
+    # NaN samples, so the probes differ and they are marched
     part = make_uniform_partition(1.0, 8)
     a = lambda t: np.where((t > 0.375) & (t < 0.5), np.nan, -1.0)
     for r in (0, 2):
         with pytest.raises(SolverFailure) as err:
-            _scalar_solve(a, affine, part, r)
+            _scalar_solve(a, "affine" if affine else "closures", part, r)
         assert err.value.interval == 3 and np.isnan(err.value.residual)
 
 
@@ -259,13 +246,14 @@ def test_solves_leave_the_callers_errstate_alone(affine):
     with np.errstate(all="ignore"):
         state = np.geterr()
         if affine:
-            _scalar_solve(lambda t: -np.ones_like(t), True, part, 2)
+            _scalar_solve(lambda t: -np.ones_like(t), "affine", part, 2)
         else:
-            rhs = IVPRight(F=lambda ts, X: np.sin(X), dF_dx=lambda ts, X: np.cos(X)[:, :, None])
-            solve_forward(rhs, np.array([0.3]), part, 2)       # nonlinear: marched
+            solve_forward(lambda ts, X: np.sin(X), lambda ts, X: np.cos(X)[:, :, None],
+                          np.array([0.3]), part, 2)             # nonlinear: marched
         assert np.geterr() == state
         with pytest.raises(SolverFailure, match="singular"):
-            _scalar_solve(lambda t: np.full_like(t, 10.0), affine, part, 0)
+            _scalar_solve(lambda t: np.full_like(t, 10.0), "affine" if affine else "march",
+                          part, 0)
         assert np.geterr() == state
 
 
@@ -279,10 +267,10 @@ def test_march_closures_keep_their_own_warnings():
         np.log(np.zeros(1))
         return value
 
-    rhs = IVPRight(F=lambda ts, X: warning(np.sin(X)),
-                   dF_dx=lambda ts, X: warning(np.cos(X)[:, :, None]))
     with pytest.warns(RuntimeWarning, match="divide by zero") as record:
-        solve_forward(rhs, np.array([0.3]), make_uniform_partition(1.0, 4), 2)
+        solve_forward(lambda ts, X: warning(np.sin(X)),
+                      lambda ts, X: warning(np.cos(X)[:, :, None]),
+                      np.array([0.3]), make_uniform_partition(1.0, 4), 2)
     # the two probe samples of dF_dx run with every warning ignored
     assert calls[0] > 6 and len(record) == calls[0] - 2
 
@@ -291,11 +279,10 @@ def test_an_infinite_first_residual_fails():
     # at r = 0 the first residual on interval 1 is the forcing term alone, inf,
     # and so is the tolerance scaled from it: the march must not keep the
     # constant extension
-    rhs = IVPRight(F=lambda ts, X: np.where(((ts > 0.25) & (ts < 0.5))[:, None], np.inf,
-                                            np.sin(X)),
-                   dF_dx=lambda ts, X: np.cos(X)[:, :, None])
+    F = lambda ts, X: np.where(((ts > 0.25) & (ts < 0.5))[:, None], np.inf, np.sin(X))
     with pytest.raises(SolverFailure) as err:
-        solve_forward(rhs, np.array([0.3]), make_uniform_partition(1.0, 4), 0)
+        solve_forward(F, lambda ts, X: np.cos(X)[:, :, None], np.array([0.3]),
+                      make_uniform_partition(1.0, 4), 0)
     assert err.value.interval == 1 and err.value.residual == np.inf
 
 
@@ -322,7 +309,7 @@ def test_non_finite_residual_stops_at_once(monkeypatch, affine):
     monkeypatch.setattr(ivp.AffineSystem, "_sweep", counted("sweep", ivp.AffineSystem._sweep))
     for r in (0, 2):
         with pytest.raises(SolverFailure) as err:
-            _scalar_solve(a, affine, part, r, F)
+            _scalar_solve(a, "affine" if affine else "closures", part, r, F)
         assert err.value.interval == 3 and np.isnan(err.value.residual)
     if affine:
         assert counts["factor"] == 2 and counts["sweep"] == 2
@@ -377,10 +364,10 @@ def test_scan_matches_the_sequential_recurrence(rng, N):
         assert np.max(np.abs(xs - ref)) <= 1e-13 * np.max(np.abs(ref))
         # the whole solve against the march on the same system as closures
         b = lambda ts: np.stack((np.sin(ts), ts), -1)
-        rhs = IVPRight(F=lambda ts, X: (_rotating_A(ts) @ X[:, :, None])[:, :, 0] + b(ts),
-                       dF_dx=lambda ts, X: _rotating_A(ts))
+        rhs = (lambda ts, X: (_rotating_A(ts) @ X[:, :, None])[:, :, 0] + b(ts),
+               lambda ts, X: _rotating_A(ts))
         C = system.solve(b(part.quad_times(sch.rule)), x0)
-        assert np.max(np.abs(C - _march(rhs, x0, part, r))) <= 1e-13 * np.max(np.abs(C))
+        assert np.max(np.abs(C - _march(*rhs, x0, part, r))) <= 1e-13 * np.max(np.abs(C))
 
 
 def test_affine_system_reads_either_grid_layout(rng):
@@ -405,10 +392,9 @@ def test_transposed_solve_reverses_a_forward_solve(rng):
     # on the reversed partition, and as solve_backward, both from closures
     # evaluated at the times they are given.  N = 1 has no scan step.
     b = lambda ts: np.stack((np.sin(ts), ts), -1)
-    forward = IVPRight(F=lambda ts, X: (_rotating_A(ts) @ X[:, :, None])[:, :, 0] + b(ts),
-                       dF_dx=lambda ts, X: _rotating_A(ts))
-    reversed_rhs = IVPRight(F=lambda ts, W: -forward.F(1.0 - ts, W),
-                            dF_dx=lambda ts, W: -_rotating_A(1.0 - ts))
+    forward = (lambda ts, X: (_rotating_A(ts) @ X[:, :, None])[:, :, 0] + b(ts),
+               lambda ts, X: _rotating_A(ts))
+    reversed_rhs = (lambda ts, W: -forward[0](1.0 - ts, W), lambda ts, W: -_rotating_A(1.0 - ts))
     for N in (1, 2, 3, 7, 8, 11, 33):
         part = Partition(np.linspace(0.0, 1.0, N + 1) ** 1.5)
         for r in range(4):
@@ -416,8 +402,8 @@ def test_transposed_solve_reverses_a_forward_solve(rng):
             times = part.quad_times(default_rule(r))
             system = ivp.AffineSystem(-np.swapaxes(_rotating_A(times), -1, -2), part, r)
             C = system.solve_transposed(b(times), xT)
-            for ref in (reverse_dg(solve_forward(reversed_rhs, xT, part.reversed(), r)).coeffs,
-                        solve_backward(forward, xT, part, r).coeffs):
+            for ref in (reverse_dg(solve_forward(*reversed_rhs, xT, part.reversed(), r)).coeffs,
+                        solve_backward(*forward, xT, part, r).coeffs):
                 assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref)), (N, r)
 
 
@@ -440,6 +426,67 @@ def test_an_affine_failure_reports_its_residual(monkeypatch):
         with pytest.raises(SolverFailure, match=message) as err:
             solve(b, x0)
         assert (err.value.interval, err.value.residual) == (2, 1.0)
+
+
+def test_an_affine_failure_names_the_first_interval_in_solve_order(monkeypatch):
+    # intervals 1 and 2 stay above their tolerance, interval 2 by more: the
+    # forward solve names interval 1, the transposed one, which runs from T
+    # back, interval 2
+    part = make_uniform_partition(1.0, 4)
+    times = part.quad_times(default_rule(1))
+    system = ivp.AffineSystem(_rotating_A(times), part, 1)
+    b, x0 = np.stack((np.sin(times), times), -1), np.array([1.0, -0.5])
+    residual = ivp.AffineSystem._residual
+
+    def above(self, C, f, x0, transposed):
+        R, rnorm, tol = residual(self, C, f, x0, transposed)
+        n = np.arange(rnorm.size)
+        return R, np.where((n == 1) | (n == 2), n, rnorm), tol
+
+    monkeypatch.setattr(ivp.AffineSystem, "_residual", above)
+    for solve, first in ((system.solve, 1), (system.solve_transposed, 2)):
+        with pytest.raises(SolverFailure) as err:
+            solve(b, x0)
+        assert (err.value.interval, err.value.residual) == (first, first)
+    # NaN forcing on interval 3 of 8 leaves NaN residuals on intervals 0..3 of
+    # the transposed solve: the first from T back is 3
+    monkeypatch.undo()
+    part = make_uniform_partition(1.0, 8)
+    times = part.quad_times(default_rule(2))
+    b = np.where(((times > 0.375) & (times < 0.5))[..., None], np.nan, 1.0)
+    system = ivp.AffineSystem(np.full(times.shape + (1, 1), -1.0), part, 2)
+    with pytest.raises(SolverFailure) as err:
+        system.solve_transposed(b, np.array([1.0]))
+    assert err.value.interval == 3 and np.isnan(err.value.residual)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["singular", "nan"])
+def test_a_linear_closure_fails_as_the_march_does(monkeypatch, case):
+    # one failure rule: the affine route of a linear closure names the same
+    # first interval as the march on that closure, and its failure is raised
+    # as it is, with no march after it
+    if case == "singular":
+        # the r = 0 block of x' = 10 x is singular on interval 2 only (see above)
+        part, r, data = Partition(np.array([0.0, 0.3, 0.5, 0.6, 0.8, 1.0])), 0, ()
+        F, dF_dx = lambda ts, X: 10.0 * X, lambda ts, X: np.full((ts.size, 1, 1), 10.0)
+        first = 2
+    else:
+        # x' = b - x with a DG datum b that is NaN on interval 3 of 8: dF_dx is
+        # finite, so the probes agree, and the residual is NaN from interval 3 on
+        part, r, first = make_uniform_partition(1.0, 8), 2, 3
+        coeffs = np.ones((8, 3, 1))
+        coeffs[first] = np.nan
+        data = (DGFunction(part, coeffs),)
+        F, dF_dx = lambda ts, X, b: b - X, lambda ts, X, b: np.full((ts.size, 1, 1), -1.0)
+    with pytest.raises(SolverFailure) as marched:
+        _march(F, dF_dx, [1.0], part, r, data)
+    calls = _count_routes(monkeypatch)
+    with pytest.raises(SolverFailure) as err:
+        solve_forward(F, dF_dx, [1.0], part, r, data)
+    assert calls == {"batched": int(case == "nan"), "march": 0}
+    assert err.value.interval == marched.value.interval == first
+    assert np.array_equal(err.value.residual, marched.value.residual, equal_nan=True)
 
 
 def test_a_residual_above_tolerance_is_corrected(monkeypatch):
@@ -542,15 +589,16 @@ def _count_routes(monkeypatch):
     return calls
 
 
-def _grid(rhs, part, sch):
+def _grid(data, part, sch):
     """The march's grid: the (N, q) quadrature times and the rows of each datum."""
-    return (part.quad_times(sch.rule), *(a.values_on_quad(sch.rule) for a in rhs.data))
+    return (part.quad_times(sch.rule), *(a.values_on_quad(sch.rule) for a in data))
 
 
-def _march(rhs, x0, part, r):
+def _march(F, dF_dx, x0, part, r, data=()):
     """The marching route alone, as the reference for the batched one."""
     sch = ivp._scheme(r, len(x0))
-    return ivp._solve_newton(rhs, _grid(rhs, part, sch), np.asarray(x0, dtype=float), part, sch)
+    return ivp._solve_newton(F, dF_dx, _grid(data, part, sch), np.asarray(x0, dtype=float),
+                             part, sch)
 
 
 def test_linear_closures_take_the_batched_route(monkeypatch):
@@ -558,16 +606,13 @@ def test_linear_closures_take_the_batched_route(monkeypatch):
     part = Partition(np.array([0.0, 0.05, 0.2, 0.3, 0.55, 0.6, 0.9, 1.0]))
     A0 = np.array([[-1.0, 2.0], [-0.5, 0.3]])
     b = project_callable(lambda t: np.cos(3.0 * t) * np.sin(t), part, 3)
-    rhs = IVPRight(
-        F=lambda t, X, b: (1.0 + t)[:, None] * X @ A0.T + b,
-        dF_dx=lambda t, X, b: (1.0 + t)[:, None, None] * A0,
-        data=(b,),
-    )
+    rhs = (lambda t, X, b: (1.0 + t)[:, None] * X @ A0.T + b,
+           lambda t, X, b: (1.0 + t)[:, None, None] * A0)
     x0 = [1.0, -0.5]
     calls = _count_routes(monkeypatch)
     for r in range(4):
-        sol = solve_forward(rhs, x0, part, r)
-        assert np.max(np.abs(sol.coeffs - _march(rhs, x0, part, r))) <= 1e-13
+        sol = solve_forward(*rhs, x0, part, r, (b,))
+        assert np.max(np.abs(sol.coeffs - _march(*rhs, x0, part, r, (b,)))) <= 1e-13
     assert calls == {"batched": 4, "march": 4}   # the march runs only as the reference
 
 
@@ -575,19 +620,17 @@ def test_nonlinear_closure_with_matching_probes_falls_back(monkeypatch):
     # dF/dx = 0.6 pi cos(2 pi x) is identical at the probe states 0 and PROBE_SHIFT,
     # but F is not affine: the batched result fails the closure residual
     k = 2.0 * np.pi / ivp.PROBE_SHIFT
-    rhs = IVPRight(
-        F=lambda ts, X: 0.3 * np.sin(k * X) + ts[:, None],
-        dF_dx=lambda ts, X: (0.3 * k * np.cos(k * X))[:, :, None],
-    )
+    rhs = (lambda ts, X: 0.3 * np.sin(k * X) + ts[:, None],
+           lambda ts, X: (0.3 * k * np.cos(k * X))[:, :, None])
     part = make_uniform_partition(1.0, 6)
     calls = _count_routes(monkeypatch)
     for r in range(4):
-        sol = solve_forward(rhs, [0.3], part, r)
-        assert np.array_equal(sol.coeffs, _march(rhs, [0.3], part, r))
+        sol = solve_forward(*rhs, [0.3], part, r)
+        assert np.array_equal(sol.coeffs, _march(*rhs, [0.3], part, r))
     assert calls == {"batched": 4, "march": 8}
 
 
-def _reference_march(rhs, grid, x0, partition, sch, backtracks):
+def _reference_march(F, dF_dx, grid, x0, partition, sch, backtracks):
     """The march in its plain form (a residual closure per interval, numpy
     reductions, the scheme's block helper): the reference that
     ivp._solve_newton must repeat bit for bit.  backtracks[0] counts the
@@ -608,7 +651,7 @@ def _reference_march(rhs, grid, x0, partition, sch, backtracks):
 
         def residual(C):
             X = P @ C
-            Fv = rhs.F(t, X, *a)
+            Fv = F(t, X, *a)
             return lin @ C - trace_in - 0.5 * h * (PtW @ Fv), X
 
         R, X = residual(C)
@@ -618,7 +661,7 @@ def _reference_march(rhs, grid, x0, partition, sch, backtracks):
         for _ in range(ivp.NEWTON_MAX_ITER):
             if converged or not math.isfinite(rnorm):
                 break
-            J = sch.blocks(0.5 * h, rhs.dF_dx(t, X, *a))
+            J = sch.blocks(0.5 * h, dF_dx(t, X, *a))
             try:
                 delta = np.linalg.solve(J, -R.reshape(nd)).reshape(r1, d)
             except np.linalg.LinAlgError:
@@ -642,39 +685,40 @@ def _reference_march(rhs, grid, x0, partition, sch, backtracks):
     return coeffs
 
 
-def _counted(rhs):
-    """rhs with F and dF_dx counting their calls in [F calls, dF_dx calls]."""
+def _counted(F, dF_dx):
+    """F and dF_dx counting their calls in [F calls, dF_dx calls], and that list."""
     counts = [0, 0]
 
-    def F(t, X, *a):
+    def counted_F(t, X, *a):
         counts[0] += 1
-        return rhs.F(t, X, *a)
+        return F(t, X, *a)
 
-    def dF_dx(t, X, *a):
+    def counted_dF_dx(t, X, *a):
         counts[1] += 1
-        return rhs.dF_dx(t, X, *a)
+        return dF_dx(t, X, *a)
 
-    return dataclasses.replace(rhs, F=F, dF_dx=dF_dx), counts
+    return counted_F, counted_dF_dx, counts
 
 
-def _march_against_reference(rhs, x0, part, r):
+def _march_against_reference(F, dF_dx, x0, part, r, data=()):
     """Run the march and the reference on the same data: equal coefficients
     (or the same failure) and equal F and dF_dx counts.  Returns the
     reference's backtracks."""
     x0 = np.asarray(x0, dtype=float)
     sch = ivp._scheme(r, x0.size)
-    grid = _grid(rhs, part, sch)
-    (fast, fast_counts), (ref, ref_counts) = _counted(rhs), _counted(rhs)
+    grid = _grid(data, part, sch)
+    *fast, fast_counts = _counted(F, dF_dx)
+    *ref, ref_counts = _counted(F, dF_dx)
     backtracks = [0]
     try:
-        C_ref = _reference_march(ref, grid, x0, part, sch, backtracks)
+        C_ref = _reference_march(*ref, grid, x0, part, sch, backtracks)
     except SolverFailure as failure:
         with pytest.raises(SolverFailure) as err:
-            ivp._solve_newton(fast, grid, x0, part, sch)
+            ivp._solve_newton(*fast, grid, x0, part, sch)
         assert err.value.interval == failure.interval
         assert np.array_equal(err.value.residual, failure.residual, equal_nan=True)
     else:
-        assert np.array_equal(ivp._solve_newton(fast, grid, x0, part, sch), C_ref)
+        assert np.array_equal(ivp._solve_newton(*fast, grid, x0, part, sch), C_ref)
     assert fast_counts == ref_counts and ref_counts[1] > 0
     return backtracks[0]
 
@@ -683,33 +727,30 @@ def test_march_repeats_the_reference_iterates():
     # a scalar right-hand side with a DG weight w, r = 0..3 on a graded partition
     part = Partition(np.linspace(0.0, 1.0, 13) ** 1.7)
     weight = project_callable(lambda t: 1.0 + 0.5 * np.cos(5.0 * t), part, 3)
-    scalar = IVPRight(
-        F=lambda t, X, w: np.sin(3.0 * X) * w + t[:, None],
-        dF_dx=lambda t, X, w: (3.0 * np.cos(3.0 * X) * w)[:, :, None],
-        data=(weight,),
-    )
+    scalar = (lambda t, X, w: np.sin(3.0 * X) * w + t[:, None],
+              lambda t, X, w: (3.0 * np.cos(3.0 * X) * w)[:, :, None])
     for r in range(4):
-        _march_against_reference(scalar, [0.7], part, r)
+        _march_against_reference(*scalar, [0.7], part, r, (weight,))
     # a coupled d = 2 system: x1' = -x2 + x1 x2, x2' = x1 - x2^3
-    coupled = IVPRight(
-        F=lambda ts, X: np.stack((-X[:, 1] + X[:, 0] * X[:, 1], X[:, 0] - X[:, 1] ** 3), -1),
-        dF_dx=lambda ts, X: np.stack((np.stack((X[:, 1], X[:, 0] - 1.0), -1),
-                                      np.stack((np.ones(ts.size), -3.0 * X[:, 1] ** 2), -1)), -2),
+    coupled = (
+        lambda ts, X: np.stack((-X[:, 1] + X[:, 0] * X[:, 1], X[:, 0] - X[:, 1] ** 3), -1),
+        lambda ts, X: np.stack((np.stack((X[:, 1], X[:, 0] - 1.0), -1),
+                                np.stack((np.ones(ts.size), -3.0 * X[:, 1] ** 2), -1)), -2),
     )
-    _march_against_reference(coupled, [0.5, -1.2], part, 2)
+    _march_against_reference(*coupled, [0.5, -1.2], part, 2)
 
 
 def test_march_repeats_the_reference_backtracking():
     # x' = -8 atan(4 x) on two wide intervals: the full Newton step overshoots,
     # and the damped steps are taken as the reference takes them
-    rhs = IVPRight(F=lambda ts, X: -8.0 * np.arctan(4.0 * X),
-                   dF_dx=lambda ts, X: (-32.0 / (1.0 + 16.0 * X**2))[:, :, None])
+    rhs = (lambda ts, X: -8.0 * np.arctan(4.0 * X),
+           lambda ts, X: (-32.0 / (1.0 + 16.0 * X**2))[:, :, None])
     part = make_uniform_partition(1.0, 2)
-    backtracks = [_march_against_reference(rhs, [1.0], part, r) for r in range(4)]
+    backtracks = [_march_against_reference(*rhs, [1.0], part, r) for r in range(4)]
     assert all(b > 0 for b in backtracks)
     # x' = x^2 from 2 blows up: the damping floor is reached, then the same failure
-    blowup = IVPRight(F=lambda ts, X: X**2, dF_dx=lambda ts, X: 2.0 * X[:, :, None])
-    assert _march_against_reference(blowup, [2.0], make_uniform_partition(1.0, 1), 2) > 0
+    blowup = (lambda ts, X: X**2, lambda ts, X: 2.0 * X[:, :, None])
+    assert _march_against_reference(*blowup, [2.0], make_uniform_partition(1.0, 1), 2) > 0
 
 
 def _decay_solve(route, x0, part, r):
@@ -721,11 +762,10 @@ def _decay_solve(route, x0, part, r):
         return ivp.AffineSystem(np.full(times.shape + (1, 1), -1.0), part, r).solve(
             np.zeros(times.shape + (1,)), np.array([x0]))
     if route == "closures":
-        rhs = IVPRight(F=lambda ts, X: -X, dF_dx=lambda ts, X: np.full((ts.size, 1, 1), -1.0))
+        rhs = (lambda ts, X: -X, lambda ts, X: np.full((ts.size, 1, 1), -1.0))
     else:
-        rhs = IVPRight(F=lambda ts, X: np.sin(X) - X,
-                       dF_dx=lambda ts, X: (np.cos(X) - 1.0)[:, :, None])
-    return solve_forward(rhs, [x0], part, r).coeffs
+        rhs = (lambda ts, X: np.sin(X) - X, lambda ts, X: (np.cos(X) - 1.0)[:, :, None])
+    return solve_forward(*rhs, [x0], part, r).coeffs
 
 
 @pytest.mark.parametrize("route", ["affine", "closures", "march"])

@@ -8,7 +8,6 @@ import pytest
 
 from dgocp import (
     DGFunction,
-    IVPRight,
     OCProblem,
     Partition,
     adjoint_residual,
@@ -104,7 +103,7 @@ def test_state_solve_calls_the_problem_with_the_control_on_the_grid(monkeypatch,
     # interval's rows on the march
     import dgocp.ocp as ocp
 
-    base, calls, rhss = builtin().problem, [], []
+    base, calls, solves = builtin().problem, [], []
 
     def recorded(fn):
         def wrapper(t, x, u):
@@ -112,17 +111,17 @@ def test_state_solve_calls_the_problem_with_the_control_on_the_grid(monkeypatch,
             return fn(t, x, u)
         return wrapper
 
-    def spy(rhs, *args):
-        rhss.append(rhs)
-        return solve_forward(rhs, *args)
+    def spy(F, dF_dx, x0, partition, r, data):
+        solves.append((F, dF_dx, data))
+        return solve_forward(F, dF_dx, x0, partition, r, data)
 
     monkeypatch.setattr(ocp, "solve_forward", spy)
     p = dataclasses.replace(base, f=recorded(base.f), fx=recorded(base.fx))
     part, r = Partition(p.T * np.linspace(0.0, 1.0, 7) ** 1.5), 2
     u = random_dg(rng, part, 2)
     solve_state(p, u, r)
-    (rhs,) = rhss
-    assert rhs.F is p.f and rhs.dF_dx is p.fx and rhs.data == (u,)
+    ((F, dF_dx, data),) = solves
+    assert F is p.f and dF_dx is p.fx and data == (u,)
     rule = default_rule(r)
     ts = part.quad_times(rule).ravel()
     U = u.values_on_quad(rule).reshape(-1, 1)
@@ -307,13 +306,8 @@ def test_primitives_reject_inputs_on_another_partition(rng, monkeypatch):
 def _closure_solves(p, u, v, partition, r):
     """State, adjoint and tangent through plain F(ts, X) closures that evaluate
     the control and the state at the given times on every call."""
-    x = solve_forward(
-        IVPRight(
-            F=lambda ts, X: p.f(ts, X, u(ts)),
-            dF_dx=lambda ts, X: p.fx(ts, X, u(ts)),
-        ),
-        p.x0, partition, r,
-    )
+    x = solve_forward(lambda ts, X: p.f(ts, X, u(ts)), lambda ts, X: p.fx(ts, X, u(ts)),
+                      p.x0, partition, r)
 
     def adj_F(ts, L):
         X, U = x.eval_many(ts), u(ts)
@@ -322,7 +316,7 @@ def _closure_solves(p, u, v, partition, r):
     def adj_dF(ts, L):
         return -np.transpose(p.fx(ts, x.eval_many(ts), u(ts)), (0, 2, 1))
 
-    lam = solve_backward(IVPRight(F=adj_F, dF_dx=adj_dF), np.zeros(p.d), partition, r)
+    lam = solve_backward(adj_F, adj_dF, np.zeros(p.d), partition, r)
 
     def tan_F(ts, Y):
         X, U = x.eval_many(ts), u(ts)
@@ -333,7 +327,7 @@ def _closure_solves(p, u, v, partition, r):
     def tan_dF(ts, Y):
         return p.fx(ts, x.eval_many(ts), u(ts))
 
-    y = solve_forward(IVPRight(F=tan_F, dF_dx=tan_dF), np.zeros(p.d), partition, r)
+    y = solve_forward(tan_F, tan_dF, np.zeros(p.d), partition, r)
     return x, lam, y
 
 
@@ -377,7 +371,7 @@ def test_adjoint_reverses_the_forward_grid_data(rng):
             def dF_dx(ts, L):
                 return -np.transpose(p.fx(ts, x.eval_many(ts), u.eval_many(ts)), (0, 2, 1))
 
-            ref = solve_backward(IVPRight(F=F, dF_dx=dF_dx), np.zeros(p.d), part, r)
+            ref = solve_backward(F, dF_dx, np.zeros(p.d), part, r)
             lam = solve_adjoint(p, u, x)
             assert np.max(np.abs(lam.coeffs - ref.coeffs)) <= 1e-14
 
@@ -518,7 +512,7 @@ def _hessian_vector_by_solves(p, u, x, lam, v):
     def dF_dx(ts, M):
         return -np.transpose(p.fx(ts, x.eval_many(ts), u.eval_many(ts)), (0, 2, 1))
 
-    mu = solve_backward(IVPRight(F=F, dF_dx=dF_dx), np.zeros(p.d), partition, r)
+    mu = solve_backward(F, dF_dx, np.zeros(p.d), partition, r)
     rule = default_rule(r)
     ts = partition.quad_times(rule).ravel()
     X, U, _, Lxu, Luu = second(ts)

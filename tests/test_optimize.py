@@ -222,6 +222,31 @@ def test_no_descent_raises_stall_error(method):
     assert err.value.stationarity == start.stationarity > 0.4
 
 
+@pytest.mark.parametrize("method", ["pgd", "newton"])
+def test_an_infinite_start_cost_raises_before_the_first_iteration(monkeypatch, method):
+    # x' = u, g = (x^2 + u^2) / 2 from u0 = 1e200: the start cost overflows to
+    # inf, and the accept bound inf would take every trial, so pgd would spin
+    # to max_outer and newton fail inside CG; the run ends before any
+    # iteration, with no adjoint solve
+    one = lambda t, x, u: np.ones((t.size, 1, 1))
+    zero3 = lambda t, x, u: np.zeros((t.size, 1, 1))
+    zero4 = lambda t, x, u: np.zeros((t.size, 1, 1, 1))
+    p = OCProblem(m=1, T=1.0, x0=[0.0], f=lambda t, x, u: u,
+                  g=lambda t, x, u: 0.5 * (x[:, 0] ** 2 + u[:, 0] ** 2),
+                  fx=zero3, fu=one, gx=lambda t, x, u: x, gu=lambda t, x, u: u,
+                  fxx=zero4, fxu=zero4, fuu=zero4, gxx=one, gxu=zero3, guu=one)
+
+    def no_iteration(*args):
+        raise AssertionError("an iteration ran")
+
+    monkeypatch.setattr(dgocp.optimize, "solve_adjoint", no_iteration)
+    part, u0 = make_uniform_partition(1.0, 4), lambda t: np.full(np.size(t), 1e200)
+    with np.errstate(over="ignore"), pytest.raises(StallError) as err:
+        minimize(p, u0, part, 1, opts=OptimizeOptions(method=method))
+    assert str(err.value) == "cost inf at the start control is not finite"
+    assert err.value.iteration == 0 and err.value.cost == np.inf
+
+
 @pytest.mark.parametrize("box", [None, (-0.3, 0.0)])
 def test_pgd_reaches_default_tolerance(box):
     p = linear_lq().problem
