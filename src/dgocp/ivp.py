@@ -54,12 +54,19 @@ call warns.  The user's F and dF_dx run outside it, under the caller's state.
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
 larger: a large solution has a round-off floor above any absolute tolerance.
-Both solvers stop at the first residual that is not finite, and both fail
-by one rule: SolverFailure names the first interval, in the order of the
-solve, whose residual is not finite or stays above its tolerance.  The closure
-backward (terminal-value) solve, solve_backward, is a forward solve of the
+So a residual with no entry above NEWTON_TOL passes on every interval, and
+is finite: the batched checks (the AffineSystem's and a linear closure's)
+decide that with one reduction over all intervals, and build the
+per-interval norms and tolerances only when it does not hold (NaN data, a
+solution large enough for the round-off floor, a failure).  Both solvers
+stop at the first residual that is not finite, and both fail by one rule:
+SolverFailure names the first interval, in the order of the solve, whose
+residual is not finite or stays above its tolerance.  The closure backward
+(terminal-value) solve, solve_backward, is a forward solve of the
 time-reversed system on the reversed partition, followed by a
-coefficient-level reversal; its data are reversed with reverse_dg.
+coefficient-level reversal; its data are reversed with reverse_dg, and its
+SolverFailure names the forward index of the interval, as solve_transposed
+does.
 """
 
 import math
@@ -89,19 +96,18 @@ PROBE_SHIFT = 1.0
 
 class SolverFailure(RuntimeError):
     """A solve failed on some interval: its residual stayed above its
-    tolerance, or its block was singular (residual inf)."""
+    tolerance, or its block was singular (residual inf).  The message says
+    `what` failed and names the interval."""
 
-    def __init__(self, interval, residual, message=None):
+    def __init__(self, interval, residual, what=None):
         self.interval = interval
         self.residual = residual
-        super().__init__(
-            message
-            or f"residual {residual:.3e} above its tolerance on interval {interval}"
-        )
+        self.what = what or f"residual {residual:.3e} above its tolerance"
+        super().__init__(f"{self.what} on interval {interval}")
 
 
 def _singular(n):
-    return SolverFailure(n, np.inf, f"singular DG block on interval {n}")
+    return SolverFailure(n, np.inf, "singular DG block")
 
 
 # the LAPACK gufuncs under the errstate np.linalg sets: a singular matrix
@@ -129,14 +135,29 @@ def _row_max(A):
     return out
 
 
-def _batched_residual(terms):
-    """Residual R = T0 - T1 - T2 of the (N, r+1, d) terms (T0, T1, T2), its
-    max-norm and its tolerance, each per interval.  T1 may be (N, 1, d), the
-    same on every block row."""
-    R = terms[0] - terms[1] - terms[2]
+def _interval_norms(R, terms):
+    """Max-norm of the residual R = T0 - T1 - T2 (N, r+1, d) of the terms
+    (T0, T1, T2) and its tolerance, each per interval.  T1 may be (N, 1, d),
+    the same on every block row."""
     N = len(R)
     largest = _row_max(np.abs(np.concatenate(terms, axis=1)).reshape(N, -1))
-    return R, _row_max(np.abs(R).reshape(N, -1)), _tolerance(largest)
+    return _row_max(np.abs(R).reshape(N, -1)), _tolerance(largest)
+
+
+def _failures(R, terms):
+    """None when the residual R of the terms passes on every interval;
+    otherwise its max-norm per interval and the indices of the intervals
+    where it fails: not finite, or above its tolerance.
+
+    Every tolerance is at least NEWTON_TOL, so a residual with no entry above
+    NEWTON_TOL passes on every interval and is finite (NaN fails the
+    comparison): one reduction decides it, and the per-interval norms are
+    built only when it does not hold."""
+    if np.maximum.reduce(np.abs(R), axis=None) <= NEWTON_TOL:
+        return None
+    rnorm, tol = _interval_norms(R, terms)
+    failed = np.flatnonzero(~((rnorm <= tol) & np.isfinite(rnorm)))  # tol is inf when rnorm is
+    return (rnorm, failed) if failed.size else None
 
 
 class _Scheme:
@@ -216,8 +237,7 @@ def _closure_residual_passes(F, ts, D, C, x0, partition, sch):
     LC, trace = apply_table(sch.lin, C), sch.s[:, None] * x_in[:, None, :]
     FX = np.reshape(F(ts, X.reshape(-1, x0.size), *D), X.shape)
     HF = 0.5 * partition.widths[:, None, None] * apply_table(sch.PtW, FX)
-    _, rnorm, tol = _batched_residual((LC, trace, HF))
-    return bool(np.all(rnorm <= tol))
+    return _failures(LC - trace - HF, (LC, trace, HF)) is None
 
 
 def _solve_newton(F, dF_dx, grid, x0, partition, sch):
@@ -342,20 +362,19 @@ class AffineSystem:
 
     def _corrected(self, f, x0, transposed):
         C = self._sweep(f, x0, transposed)
-        R, rnorm, tol = self._residual(C, f, x0, transposed)
-        passed = rnorm <= tol
+        R, terms = self._residual(C, f, x0, transposed)
+        failures = _failures(R, terms)
         for _ in range(NEWTON_MAX_ITER):
-            if passed.all() or not np.isfinite(rnorm).all():
+            if failures is None or not np.isfinite(failures[0]).all():
                 break
             C = C + self._sweep(-R, np.zeros_like(x0), transposed)
-            R, rnorm, tol = self._residual(C, f, x0, transposed)
-            passed = rnorm <= tol
-        passed &= np.isfinite(rnorm)                    # tol is inf when rnorm is
-        if not passed.all():
-            failed = np.flatnonzero(~passed)
-            n = int(failed[-1] if transposed else failed[0])    # the first in the solve's order
-            raise SolverFailure(n, float(rnorm[n]))
-        return C
+            R, terms = self._residual(C, f, x0, transposed)
+            failures = _failures(R, terms)
+        if failures is None:
+            return C
+        rnorm, failed = failures
+        n = int(failed[-1] if transposed else failed[0])    # the first in the solve's order
+        raise SolverFailure(n, float(rnorm[n]))
 
     def _traces(self, m, x0, transposed=False):
         """Incoming traces x_n, (N, d, 1), for the forcing traces m (N, d) and
@@ -384,6 +403,7 @@ class AffineSystem:
         return (self.Jinv.swapaxes(1, 2) @ (ws + f).reshape(N, nd, 1)).reshape(self.shape)
 
     def _residual(self, C, f, x0, transposed):
+        """The residual R = T0 - T1 - f of the coefficients C and its terms."""
         N, nd = self.shape[0], self.J.shape[1]
         if transposed:
             ws = np.concatenate((self.sch.s @ C[1:], x0[None]))[:, None, :]
@@ -391,7 +411,8 @@ class AffineSystem:
         else:
             xs = np.concatenate((x0[None], C.sum(axis=1)[:-1]))
             T0, T1 = self.J @ C.reshape(N, nd, 1), (xs @ self.sch.S.T).reshape(self.shape)
-        return _batched_residual((T0.reshape(self.shape), T1, f))
+        T0 = T0.reshape(self.shape)
+        return T0 - T1 - f, (T0, T1, f)
 
 
 _memo = weakref.WeakKeyDictionary()  # at most one entry, partition -> (r, copy of A, system)
@@ -432,10 +453,17 @@ def solve_backward(F, dF_dx, xT, partition, r, data=()):
     reverse_dg, then reversed back; the result is the discrete
     upwind-adjoint solution tested against X_h^r.  For an affine system
     sampled on the grid, AffineSystem.solve_transposed gives the same
-    coefficients from the forward factors.
+    coefficients from the forward factors.  A SolverFailure names the
+    forward index of the first failing interval in the order of the solve,
+    from T back, as solve_transposed does.
     """
     T = partition.T
-    W = solve_forward(lambda s, W, *D: -F(T - s, W, *D), lambda s, W, *D: -dF_dx(T - s, W, *D),
-                      xT, partition.reversed(), r, tuple(map(reverse_dg, data)))
+    try:
+        W = solve_forward(lambda s, W, *D: -F(T - s, W, *D),
+                          lambda s, W, *D: -dF_dx(T - s, W, *D),
+                          xT, partition.reversed(), r, tuple(map(reverse_dg, data)))
+    except SolverFailure as failure:    # named on the reversed partition
+        raise SolverFailure(partition.N - 1 - failure.interval, failure.residual,
+                            failure.what) from None
     # on `partition` itself: T - (T - t) would accumulate float error in the nodes
     return DGFunction(partition, _reversed_coeffs(W.coeffs))

@@ -18,6 +18,7 @@ from dgocp import (
     solve_backward,
     solve_forward,
 )
+from dgocp.ocp import hessian_vector, solve_adjoint, solve_state
 from dgocp.oracles import random_dg, time_reversal_discrepancy
 from dgocp.problems import linear_lq
 
@@ -321,23 +322,32 @@ def test_non_finite_residual_stops_at_once(monkeypatch, affine):
 def test_residual_norms_equal_the_whole_block_reduction(rng, N):
     # bit for bit against np.max over the trailing axes of the residual and of
     # the concatenated terms; the trace term T1 is (N, 1, d), and the scales
-    # put the tolerance on either side of NEWTON_TOL
+    # put the tolerance on either side of NEWTON_TOL.  The check's verdict is
+    # the per-interval one
     for r in range(6):
         for d in (1, 2, 3):
             scale = 10.0 ** rng.integers(-3, 15, (N, 1, 1))
             terms = (scale * rng.standard_normal((N, r + 1, d)),
                      scale * rng.standard_normal((N, 1, d)),
                      scale * rng.standard_normal((N, r + 1, d)))
-            R, rnorm, tol = ivp._batched_residual(terms)
+            R = terms[0] - terms[1] - terms[2]
+            rnorm, tol = ivp._interval_norms(R, terms)
             largest = np.max(np.abs(np.concatenate(terms, axis=1)), axis=(1, 2))
-            assert np.array_equal(R, terms[0] - terms[1] - terms[2])
             assert np.array_equal(rnorm, np.max(np.abs(R), axis=(1, 2)))
             assert np.array_equal(tol, ivp._tolerance(largest))
-    # one NaN entry: a NaN norm and tolerance on its interval only
+            failures = ivp._failures(R, terms)
+            if np.all(rnorm <= tol):
+                assert failures is None
+            else:
+                assert np.array_equal(failures[0], rnorm)
+                assert np.array_equal(failures[1], np.flatnonzero(rnorm > tol))
+    # one NaN entry: a NaN norm and tolerance on its interval only, which fails
     terms[2][N // 2, r, d - 1] = np.nan
-    _, rnorm, tol = ivp._batched_residual(terms)
+    R = terms[0] - terms[1] - terms[2]
+    rnorm, tol = ivp._interval_norms(R, terms)
     nan = np.arange(N) == N // 2
     assert np.array_equal(np.isnan(rnorm), nan) and np.array_equal(np.isnan(tol), nan)
+    assert N // 2 in ivp._failures(R, terms)[1]
 
 
 def _rotating_A(times):
@@ -407,6 +417,56 @@ def test_transposed_solve_reverses_a_forward_solve(rng):
                 assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref)), (N, r)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["singular", "nan"])
+def test_a_backward_failure_names_the_forward_interval(case):
+    # solve_backward solves on the reversed partition, where forward interval
+    # n is N-1-n; its failure names n, as solve_transposed of the same system
+    # does, on both closure routes (linear: affine; nonlinear: the march), with
+    # the message of its kind
+    if case == "singular":
+        # r = 0, x' = -10 x: the reversed block 1 - 10 h rounds to exactly 0
+        # on the width-0.1 forward interval 1 (reversed index 2) only
+        part, r, n, a, data = Partition(np.array([0.0, 0.5, 0.6, 0.8, 1.0])), 0, 1, -10.0, ()
+        closures = [(lambda ts, X: a * X, lambda ts, X: np.full((ts.size, 1, 1), a))]
+        message, forcing = r"^singular DG block on interval 1$", None
+    else:
+        # a DG datum b that is NaN on forward interval 5 of 8 (reversed index 2)
+        part, r, n, a = make_uniform_partition(1.0, 8), 1, 5, -1.0
+        coeffs = np.ones((8, 2, 1))
+        coeffs[n] = np.nan
+        data = (DGFunction(part, coeffs),)
+        closures = [(lambda ts, X, b: a * X + b, lambda ts, X, b: np.full((ts.size, 1, 1), a)),
+                    (lambda ts, X, b: np.sin(X) + b, lambda ts, X, b: np.cos(X)[:, :, None])]
+        message, forcing = r"^residual nan above its tolerance on interval 5$", data[0]
+    for F, dF_dx in closures:
+        with pytest.raises(SolverFailure, match=message) as err:
+            solve_backward(F, dF_dx, [1.0], part, r, data)
+        assert err.value.interval == n
+    rule = default_rule(r)
+    times = part.quad_times(rule)
+    b = np.zeros(times.shape + (1,)) if forcing is None else forcing.values_on_quad(rule)
+    with pytest.raises(SolverFailure, match=message) as err:
+        ivp.AffineSystem(np.full(times.shape + (1, 1), -a), part, r).solve_transposed(
+            b, np.array([1.0]))
+    assert err.value.interval == n
+
+
+def _injected(monkeypatch, entries):
+    """Make AffineSystem._residual return its residual with entry (0, 0) of
+    interval n set to entries[n], in every solve and correction."""
+    residual = ivp.AffineSystem._residual
+
+    def above(self, C, f, x0, transposed):
+        R, terms = residual(self, C, f, x0, transposed)
+        R = R.copy()
+        for n, value in entries.items():
+            R[n, 0, 0] = value
+        return R, terms
+
+    monkeypatch.setattr(ivp.AffineSystem, "_residual", above)
+
+
 def test_an_affine_failure_reports_its_residual(monkeypatch):
     # no Newton iteration runs on the affine route: the message says only that
     # the residual stays above its tolerance, on the interval that exceeds it
@@ -414,13 +474,7 @@ def test_an_affine_failure_reports_its_residual(monkeypatch):
     times = part.quad_times(default_rule(1))
     system = ivp.AffineSystem(_rotating_A(times), part, 1)
     b, x0 = np.stack((np.sin(times), times), -1), np.array([1.0, -0.5])
-    residual = ivp.AffineSystem._residual
-
-    def above(self, C, f, x0, transposed):
-        R, rnorm, tol = residual(self, C, f, x0, transposed)
-        return R, np.where(np.arange(rnorm.size) == 2, 1.0, rnorm), tol
-
-    monkeypatch.setattr(ivp.AffineSystem, "_residual", above)
+    _injected(monkeypatch, {2: 1.0})
     message = r"^residual 1\.000e\+00 above its tolerance on interval 2$"
     for solve in (system.solve, system.solve_transposed):
         with pytest.raises(SolverFailure, match=message) as err:
@@ -436,14 +490,7 @@ def test_an_affine_failure_names_the_first_interval_in_solve_order(monkeypatch):
     times = part.quad_times(default_rule(1))
     system = ivp.AffineSystem(_rotating_A(times), part, 1)
     b, x0 = np.stack((np.sin(times), times), -1), np.array([1.0, -0.5])
-    residual = ivp.AffineSystem._residual
-
-    def above(self, C, f, x0, transposed):
-        R, rnorm, tol = residual(self, C, f, x0, transposed)
-        n = np.arange(rnorm.size)
-        return R, np.where((n == 1) | (n == 2), n, rnorm), tol
-
-    monkeypatch.setattr(ivp.AffineSystem, "_residual", above)
+    _injected(monkeypatch, {1: 1.0, 2: 2.0})
     for solve, first in ((system.solve, 1), (system.solve_transposed, 2)):
         with pytest.raises(SolverFailure) as err:
             solve(b, x0)
@@ -587,6 +634,51 @@ def _count_routes(monkeypatch):
     monkeypatch.setattr(ivp.AffineSystem, "solve", counted("batched", ivp.AffineSystem.solve))
     monkeypatch.setattr(ivp, "_solve_newton", counted("march", ivp._solve_newton))
     return calls
+
+
+def _count_interval_norms(monkeypatch):
+    """Count the calls of ivp._interval_norms, the residual check's
+    per-interval path; returns a one-element list."""
+    calls, norms = [0], ivp._interval_norms
+
+    def counted(*args):
+        calls[0] += 1
+        return norms(*args)
+
+    monkeypatch.setattr(ivp, "_interval_norms", counted)
+    return calls
+
+
+def test_a_passing_check_takes_one_reduction(monkeypatch, rng):
+    # linear-lq at r = 3 on 320 intervals: the checks of a state solve (the
+    # affine solve and the closure's own residual), an adjoint and both solves
+    # of an H v product pass on one reduction each, with no per-interval norm
+    p, r = linear_lq().problem, 3
+    part = make_uniform_partition(p.T, 320)
+    u, v = random_dg(rng, part, r), random_dg(rng, part, r)
+    checks, failures = [0], ivp._failures
+
+    def counted(*args):
+        checks[0] += 1
+        return failures(*args)
+
+    monkeypatch.setattr(ivp, "_failures", counted)
+    norms = _count_interval_norms(monkeypatch)
+    x = solve_state(p, u, r)
+    lam = solve_adjoint(p, u, x)
+    hessian_vector(p, u, x, lam)(v)
+    assert checks[0] == 5 and norms[0] == 0
+    # a NaN datum fails both affine directions through the per-interval path,
+    # each naming its interval: the control in the state solve, the state in
+    # the adjoint (fx = -1 stays finite)
+    n, u_nan, x_nan = 100, u.coeffs.copy(), x.coeffs.copy()
+    u_nan[n] = x_nan[n] = np.nan
+    for solve in (lambda: solve_state(p, DGFunction(part, u_nan), r),
+                  lambda: solve_adjoint(p, u, DGFunction(part, x_nan))):
+        with pytest.raises(SolverFailure, match="^residual nan above its tolerance") as err:
+            solve()
+        assert err.value.interval == n and np.isnan(err.value.residual)
+    assert norms[0] == 2
 
 
 def _grid(data, part, sch):
@@ -771,15 +863,20 @@ def _decay_solve(route, x0, part, r):
 @pytest.mark.parametrize("route", ["affine", "closures", "march"])
 def test_large_solutions_pass_the_roundoff_floor(monkeypatch, route):
     # an absolute 1e-12 is below the round-off of a residual whose terms are
-    # ~1e4 or more; every route solves these, and the linear ones scale with x0
+    # ~1e4 or more; every route solves these, and the linear ones scale with x0.
+    # At x0 = 1e6 the affine residuals have entries above NEWTON_TOL, so they
+    # pass on the per-interval round-off floors
     part = make_uniform_partition(1.0, 8)
-    calls = _count_routes(monkeypatch)
+    calls, norms = _count_routes(monkeypatch), _count_interval_norms(monkeypatch)
     for r in range(4):
         unit = _decay_solve(route, 1.0, part, r)
         for x0 in (1e3, 1e4, 1e5, 1e6):
+            before = norms[0]
             coeffs = _decay_solve(route, x0, part, r)
             if route != "march":
                 assert np.max(np.abs(coeffs / x0 - unit)) <= 1e-13
+            if x0 == 1e6:
+                assert (norms[0] > before) == (route != "march"), r
     assert calls["march" if route == "march" else "batched"] == 20
     assert calls["batched" if route == "march" else "march"] == 0
 
