@@ -22,17 +22,18 @@ system comes in one of two forms:
   dF_dx is sampled on the whole grid at two states, x = 0 and
   x = PROBE_SHIFT.  When the samples are identical, A = dF_dx and b = F at
   x = 0 go to factored(), and the result is kept when the closure's own
-  residual, with F evaluated at that result, passes on every interval; a
-  failure of that solve is raised as it is.  Otherwise (a nonlinear system,
-  or a failed check) the solve marches interval by interval, and on each
-  interval a damped Newton iteration drives the (r+1)*d modal residual
-  below tolerance.  It starts from the constant extension of the incoming
-  trace x_in, read without a table product: the state is x_in at every
-  quadrature point (P_0 = 1), and the trace terms cancel, so the first
-  residual is the forcing term alone.  A step assembles the interval's
-  block from dF_dx, solves it and halves the step until the residual falls.
-  The half widths, the data rows and the scheme's tables are fetched once
-  per solve.
+  residual, with F evaluated at that result, passes on every interval
+  (AffineSystem._closure_passes, which forms the forcing and the trace term
+  as the system's own residual does); a failure of that solve is raised as
+  it is.  Otherwise (a nonlinear system, or a failed check) the solve
+  marches interval by interval, and on each interval a damped Newton
+  iteration drives the (r+1)*d modal residual below tolerance.  It starts
+  from the constant extension of the incoming trace x_in, read without a
+  table product: the state is x_in at every quadrature point (P_0 = 1), and
+  the trace terms cancel, so the first residual is the forcing term alone.
+  A step assembles the interval's block from dF_dx, solves it and halves
+  the step until the residual falls.  The half widths, the data rows and
+  the scheme's tables are fetched once per solve.
 
 The tables of the scheme of degree r for a system of size d are built once
 and shared read-only (basis.shared), as are the rule and Legendre tables they
@@ -40,16 +41,22 @@ come from.  Its key is typed: a degree 1.0 or True misses the entry of 1, and
 the degree check of basis.default_rule rejects it, at every entry point
 (solve_forward, solve_backward, AffineSystem, factored).
 
-The block solve of a Newton step and the block inverses of an AffineSystem
-call the LAPACK gufuncs solve1 and inv of numpy.linalg._umath_linalg, the
-ones np.linalg.solve and np.linalg.inv wrap: on blocks of a few rows the
-wrappers cost several times the call.  The module is private to numpy, but
-numpy.linalg loads it anyway, and the march is tested bit for bit against
-np.linalg.solve.  Both are wrapped once, at import, in np.errstate's
-decorator form with the state np.linalg sets, so each call runs under it
-without building an errstate object: a singular block raises
-FloatingPointError, which becomes SolverFailure, and nothing else in the
-call warns.  The user's F and dF_dx run outside it, under the caller's state.
+The block solve of a Newton step, made once per step of the march, calls the
+LAPACK gufunc solve1 of numpy.linalg._umath_linalg, the one np.linalg.solve
+wraps: on a block of a few rows the wrapper costs several times the call.
+The module is private to numpy, but numpy.linalg loads it anyway, and the
+march is tested bit for bit against np.linalg.solve.  It is wrapped once, at
+import, in np.errstate's decorator form with the state np.linalg sets, so
+each call runs under it without building an errstate object: a singular
+block raises FloatingPointError, which becomes SolverFailure, and nothing
+else in the call warns.  The user's F and dF_dx run outside it, under the
+caller's state.  An AffineSystem inverts its blocks with np.linalg.inv, once
+per factorization.  A block is singular when LAPACK says so, or, at
+factorization, when its inverse amplifies the round-off of its own assembly
+past 1/ROUNDOFF (max|J_n^-1| (max|J_base| + max|J_n - J_base|) ROUNDOFF > 1):
+a block that is zero up to round-off inverts to entries near 1/eps without
+a LAPACK error.  Either raises SolverFailure(n, inf) for the first such
+block; the Newton blocks of the march get the LAPACK test only.
 
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
@@ -110,12 +117,11 @@ def _singular(n):
     return SolverFailure(n, np.inf, "singular DG block")
 
 
-# the LAPACK gufuncs under the errstate np.linalg sets: a singular matrix
-# raises FloatingPointError, and nothing else warns.  The decorator form sets
-# that state for each call without building an errstate object per call
-_solve1, _inv = (
-    np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")(gufunc)
-    for gufunc in (_umath_linalg.solve1, _umath_linalg.inv))
+# the LAPACK gufunc solve1 under the errstate np.linalg sets: a singular
+# matrix raises FloatingPointError, and nothing else warns.  The decorator
+# form sets that state for each call without building an errstate object
+_solve1 = np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")(
+    _umath_linalg.solve1)
 
 
 def _tolerance(scale):
@@ -158,6 +164,28 @@ def _failures(R, terms):
     rnorm, tol = _interval_norms(R, terms)
     failed = np.flatnonzero(~((rnorm <= tol) & np.isfinite(rnorm)))  # tol is inf when rnorm is
     return (rnorm, failed) if failed.size else None
+
+
+def _check_amplification(J, Jinv, J_base):
+    """Raise SolverFailure(n, inf) for the first block J_n (N, nd, nd) whose
+    inverse amplifies the round-off of its own assembly past 1/ROUNDOFF:
+
+        max|J_n^-1| (max|J_base| + max|J_n - J_base|) ROUNDOFF > 1.
+
+    A block singular up to round-off inverts without a LAPACK error, to
+    entries near 1/eps.  One reduction over all blocks decides that none
+    fails; the per-block test runs only when it does not hold.  A NaN block
+    is left to the residual check."""
+    absmax = np.maximum.reduce                          # with axis=None; NaN propagates
+    inv, dev = np.abs(Jinv), np.abs(J - J_base)
+    base = absmax(np.abs(J_base), axis=None)
+    if absmax(inv, axis=None) * (base + absmax(dev, axis=None)) * ROUNDOFF <= 1:
+        return
+    N = len(J)
+    amplification = _row_max(inv.reshape(N, -1)) * (base + _row_max(dev.reshape(N, -1)))
+    failed = np.flatnonzero(amplification * ROUNDOFF > 1)
+    if failed.size:
+        raise _singular(int(failed[0]))
 
 
 class _Scheme:
@@ -222,22 +250,12 @@ def solve_forward(F, dF_dx, x0, partition, r, data=()):
         A = np.asarray(dF_dx(ts, X, *D))
         linear = np.array_equal(A, dF_dx(ts, X + PROBE_SHIFT, *D))
     if linear:
-        C = factored(A, partition, r).solve(F(ts, X, *D), x0)
-        if _closure_residual_passes(F, ts, D, C, x0, partition, sch):
+        system = factored(A, partition, r)
+        C = system.solve(F(ts, X, *D), x0)
+        if system._closure_passes(F, ts, D, C, x0):
             return DGFunction(partition, C)
     grid = (times, *(a.reshape(times.shape + a.shape[1:]) for a in D))
     return DGFunction(partition, _solve_newton(F, dF_dx, grid, x0, partition, sch))
-
-
-def _closure_residual_passes(F, ts, D, C, x0, partition, sch):
-    """Whether the closure residual of coefficients C (N, r+1, d), with F
-    evaluated at C, passes on every interval."""
-    X = apply_table(sch.P, C)                                      # (N, q, d)
-    x_in = np.concatenate((x0[None], C[:-1].sum(axis=1)))
-    LC, trace = apply_table(sch.lin, C), sch.s[:, None] * x_in[:, None, :]
-    FX = np.reshape(F(ts, X.reshape(-1, x0.size), *D), X.shape)
-    HF = 0.5 * partition.widths[:, None, None] * apply_table(sch.PtW, FX)
-    return _failures(LC - trace - HF, (LC, trace, HF)) is None
 
 
 def _solve_newton(F, dF_dx, grid, x0, partition, sch):
@@ -310,7 +328,8 @@ class AffineSystem:
     solve(b, x0) is then one batched product for the forcing response, one
     scan step per table, C = G x + g, and one batched residual check;
     solve_transposed runs the transposed recurrence on the same tables.  A
-    singular block raises SolverFailure(n, inf).
+    block that is singular, or singular up to round-off (see the module
+    docstring), raises SolverFailure(n, inf) at factorization.
     """
 
     def __init__(self, A, partition, r):
@@ -320,9 +339,10 @@ class AffineSystem:
         self.half_h = 0.5 * partition.widths[:, None, None]
         self.J = sch.blocks(self.half_h, np.reshape(A, (N, sch.rule.q, d, d)))  # (N, nd, nd)
         try:
-            self.Jinv = _inv(self.J)
-        except FloatingPointError:
+            self.Jinv = np.linalg.inv(self.J)
+        except np.linalg.LinAlgError:
             raise _singular(int(np.argmin(np.abs(np.linalg.det(self.J))))) from None
+        _check_amplification(self.J, self.Jinv, sch.J_base)
         self.G = self.Jinv @ sch.S                              # (N, nd, d)
         M = self.G.reshape(N, r + 1, d, d).sum(axis=1)
         # entry i of the table of window w is M_{i+w-1} ... M_i, i = 0..N-w;
@@ -356,9 +376,24 @@ class AffineSystem:
         """
         return self._corrected(-self._forcing(b), lamT, True)
 
+    def _closure_passes(self, F, ts, D, C, x0):
+        """Whether the residual of the closure F (solve_forward's, with data
+        samples D at the times ts), evaluated at the coefficients C this
+        system solved for x(0) = x0, passes on every interval."""
+        X = apply_table(self.sch.P, C)                                 # (N, q, d)
+        LC, trace = apply_table(self.sch.lin, C), self._trace_term(C, x0)
+        HF = self._forcing(F(ts, X.reshape(-1, x0.size), *D))
+        return _failures(LC - trace - HF, (LC, trace, HF)) is None
+
     def _forcing(self, b):
         N, d = self.shape[0], self.shape[2]
         return self.half_h * apply_table(self.sch.PtW, np.reshape(b, (N, self.sch.rule.q, d)))
+
+    def _trace_term(self, C, x0):
+        """The incoming-trace term s x_n^T (N, r+1, d) of the coefficients C,
+        with x_0 = x0 and x_n the left trace sum_j C_{n-1,j} for n > 0."""
+        xs = np.concatenate((x0[None], C[:-1].sum(axis=1)))
+        return self.sch.s[:, None] * xs[:, None, :]
 
     def _corrected(self, f, x0, transposed):
         C = self._sweep(f, x0, transposed)
@@ -409,8 +444,7 @@ class AffineSystem:
             ws = np.concatenate((self.sch.s @ C[1:], x0[None]))[:, None, :]
             T0, T1 = self.J.swapaxes(1, 2) @ C.reshape(N, nd, 1), ws
         else:
-            xs = np.concatenate((x0[None], C.sum(axis=1)[:-1]))
-            T0, T1 = self.J @ C.reshape(N, nd, 1), (xs @ self.sch.S.T).reshape(self.shape)
+            T0, T1 = self.J @ C.reshape(N, nd, 1), self._trace_term(C, x0)
         T0 = T0.reshape(self.shape)
         return T0 - T1 - f, (T0, T1, f)
 

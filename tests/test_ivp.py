@@ -611,6 +611,43 @@ def test_factored_keeps_its_entry_when_a_block_is_singular(monkeypatch):
     assert ivp.factored(np.full(shape, -1.0), part, 0) is stable
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_block_singular_up_to_roundoff_fails(monkeypatch):
+    # r = 0: the block of x' = 10 x on the width-0.1 interval 0 of these nodes
+    # is 1 - 10 h = -2.2e-16, not 0, so LAPACK inverts it to about -4.5e15;
+    # every affine route fails at factorization naming interval 0, and
+    # factored keeps its previous entry
+    monkeypatch.setattr(ivp, "_memo", weakref.WeakKeyDictionary())
+    part = Partition(np.array([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]))
+    times = part.quad_times(default_rule(0))
+    A, b, x0 = np.full(times.shape + (1, 1), 10.0), np.zeros(times.shape + (1,)), np.array([1.0])
+    stable = ivp.factored(-A, part, 0)
+    routes = (lambda: ivp.AffineSystem(A, part, 0).solve(b, x0),
+              lambda: ivp.AffineSystem(A, part, 0).solve_transposed(b, x0),
+              lambda: ivp.factored(A, part, 0),
+              lambda: solve_forward(lambda ts, X: 10.0 * X,
+                                    lambda ts, X: np.full((ts.size, 1, 1), 10.0), x0, part, 0))
+    for route in routes:
+        with pytest.raises(SolverFailure, match=r"^singular DG block on interval 0$") as err:
+            route()
+        assert err.value.interval == 0 and err.value.residual == np.inf
+    assert ivp.factored(-A, part, 0) is stable
+
+
+def test_a_stiff_regular_block_still_solves():
+    # x' = -1000 x on h = 0.1: |J^-1| is at most 0.07 at r <= 3, far from the
+    # round-off singular rule; the affine route solves as the march does (to
+    # the march's absolute tolerance, which keeps x_in once x is about 1e-14),
+    # and at r = 0 gives the DG recurrence x_{n+1} = x_n / 101
+    part = make_uniform_partition(1.0, 10)
+    stiff = lambda t: np.full_like(t, -1000.0)
+    for r in range(4):
+        C = _scalar_solve(stiff, "affine", part, r)
+        assert np.max(np.abs(C - _scalar_solve(stiff, "march", part, r))) <= 1e-13
+    C = _scalar_solve(stiff, "affine", part, 0)
+    assert np.allclose(C[:, 0, 0], 101.0 ** -np.arange(1.0, 11.0), rtol=1e-13, atol=0.0)
+
+
 def test_time_reversal_oracle_on_graded_partition():
     # the oracle's two sides live on the same mesh when the partition is not
     # symmetric about T/2, and its time-dependent data show a wrong grid reversal
