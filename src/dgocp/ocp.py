@@ -6,8 +6,8 @@ Hessian quadratic form j_h''(u)(v, v), and the Hessian-vector product H v
 from a tangent and a second-order adjoint system.  The adjoint systems are
 the transposes of the linearized state system, and every affine solve at one
 (u, x_h) shares one factorization of fx (ivp.factored).  Both Hessians read
-the second partials of the Lagrangian L = g - lambda_h . f from one helper,
-_lagrangian_hessian.
+the second partials of the Lagrangian L = g - lambda_h . f from the problem's
+one callback, OCProblem.hessian.
 
 Every primitive takes DG functions only and reads the partition and the
 state degree from them; solve_state and hessian_form take the degree r of the
@@ -18,16 +18,17 @@ raises ValueError.
 
 A problem is its callables, its control box and x0, whose size is the state
 dimension d: no closed-form solution enters, and the optimizer reads only
-the reduced gradient and, for Newton, the six second partials, whose
-absence OCProblem.require_second_partials reports.  All problem
+the reduced gradient and, for Newton, the Lagrangian's Hessian, whose
+absence OCProblem.require_hessian reports.  All problem
 callables are vectorized over time batches; the primitives call them once on
 the flattened (N*q) quadrature grid and pass their samples on in that layout,
 which the affine solves (ivp.AffineSystem) and mesh.modal_from_values read:
-    t: (q,), x: (q, d), u: (q, m)
+    t: (q,), x: (q, d), u: (q, m), lam: (q, d)
     f -> (q, d); g -> (q,)
     fx -> (q, d, d); fu -> (q, d, m); gx -> (q, d); gu -> (q, m)
-    fxx -> (q, d, d, d); fxu -> (q, d, d, m); fuu -> (q, d, m, m)
-    gxx -> (q, d, d); gxu -> (q, d, m); guu -> (q, m, m)
+    hessian(t, x, u, lam) -> (Lxx (q, d, d), Lxu (q, d, m), Luu (q, m, m))
+hessian's three arrays are the second partials of L = g - lam . f, with lam
+the adjoint in solve_adjoint's convention, lam' = -fx^T lam + gx.
 """
 
 from dataclasses import dataclass
@@ -54,7 +55,8 @@ __all__ = [
 
 @dataclass
 class OCProblem:
-    """Dynamics f, running cost g, their partials, x0 and the control box."""
+    """Dynamics f, running cost g, their first partials, the Hessian of the
+    Lagrangian g - lam . f, x0 and the control box."""
 
     m: int
     T: float
@@ -65,12 +67,7 @@ class OCProblem:
     fu: Callable
     gx: Callable
     gu: Callable
-    fxx: Optional[Callable] = None
-    fxu: Optional[Callable] = None
-    fuu: Optional[Callable] = None
-    gxx: Optional[Callable] = None
-    gxu: Optional[Callable] = None
-    guu: Optional[Callable] = None
+    hessian: Optional[Callable] = None
     u_lo: Optional[np.ndarray] = None
     u_hi: Optional[np.ndarray] = None
 
@@ -94,10 +91,10 @@ class OCProblem:
     def d(self):
         return self.x0.size
 
-    def require_second_partials(self, caller):
-        """ValueError naming the caller unless all six second partials are given."""
-        if any(fn is None for fn in (self.fxx, self.fxu, self.fuu, self.gxx, self.gxu, self.guu)):
-            raise ValueError(f"{caller} requires all six second partials")
+    def require_hessian(self, caller):
+        """ValueError naming the caller unless the problem has its hessian."""
+        if self.hessian is None:
+            raise ValueError(f"{caller} requires OCProblem.hessian")
 
     def clip_box(self, u_vals):
         return np.clip(u_vals, self.u_lo, self.u_hi)
@@ -117,14 +114,6 @@ def _along(p, x_h, u, rule, *extra):
     ts = part.quad_times(rule).ravel()
     return (ts, sample_on_quad(x_h, part, rule, p.d), sample_on_quad(u, part, rule, p.m),
             *(sample_on_quad(fn, part, rule, p.d) for fn in extra))
-
-
-def _lagrangian_hessian(p, ts, X, U, L):
-    """The second partials (Lxx, Lxu, Luu) of the Lagrangian L = g - lambda_h . f
-    at the samples, with lambda_h sampled as L."""
-    return (p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U)),
-            p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U)),
-            p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U)))
 
 
 def solve_state(p, u, r):
@@ -191,12 +180,12 @@ def tangent_solve(p, u, x_h, v):
 
 
 def hessian_form(p, u, v, r):
-    """j_h''(u)(v, v) assembled from x_h, lambda_h, y_h and the second partials.
+    """j_h''(u)(v, v) assembled from x_h, lambda_h, y_h and the Lagrangian's Hessian.
 
     The integral of the Lagrangian's second derivative form in (y_h, v),
     Y.Lxx Y + 2 Y.Lxu V + V.Luu V, with y_h the tangent G_h'(u) v.
     """
-    p.require_second_partials("hessian_form")
+    p.require_hessian("hessian_form")
     check_int("r", r, 0)
     partition, rule = u.partition, default_rule(r)
     V = sample_on_quad(v, partition, rule, p.m)
@@ -205,7 +194,7 @@ def hessian_form(p, u, v, r):
     y_h = tangent_solve(p, u, x_h, v)
 
     ts, X, U, L, Y = _along(p, x_h, u, rule, lam, y_h)
-    Lxx, Lxu, Luu = _lagrangian_hessian(p, ts, X, U, L)
+    Lxx, Lxu, Luu = p.hessian(ts, X, U, L)
     form = (np.einsum("qab,qa,qb->q", Lxx, Y, Y) + 2.0 * np.einsum("qam,qa,qm->q", Lxu, Y, V)
             + np.einsum("qmn,qm,qn->q", Luu, V, V))
     return _integrate(form, partition, rule)
@@ -218,7 +207,7 @@ def hessian_vector(p, u, x_h, lambda_h):
     inner product with any w of that degree is j_h''(u)(v, w): the L2
     projection of the integrand below, as projected_gradient projects the
     gradient.  x_h and lambda_h are the state and the adjoint at u.  The data
-    along (t, x_h, u, lambda_h) and the second partials are sampled once, on
+    along (t, x_h, u, lambda_h) and the Lagrangian's Hessian are sampled once, on
     the state's quadrature grid.  A product solves two affine systems, the
     tangent y = G_h'(u) v and the second-order adjoint mu,
 
@@ -226,16 +215,17 @@ def hessian_vector(p, u, x_h, lambda_h):
         mu' = -fx^T mu + Lxx y + Lxu v,      mu(T) = 0,
         H v = Luu v + Lxu^T y - fu^T mu,
 
-    with L = g - lambda_h . f, so Lxx = gxx - lambda_h . fxx, and so on.  The
+    with (Lxx, Lxu, Luu) = p.hessian(t, x_h, u, lambda_h), the second partials
+    of L = g - lambda_h . f.  The
     second is the transpose of the first, so both use the one factorization
     of fx, which solve_adjoint at the same (u, x_h) has already built; a
     product samples v on the grid and makes no further factorization.
     """
-    p.require_second_partials("hessian_vector")
+    p.require_hessian("hessian_vector")
     partition, rule = x_h.partition, default_rule(x_h.degree)
     ts, X, U, L = _along(p, x_h, u, rule, lambda_h)
     fx, fu = p.fx(ts, X, U), p.fu(ts, X, U)
-    Lxx, Lxu, Luu = _lagrangian_hessian(p, ts, X, U, L)
+    Lxx, Lxu, Luu = p.hessian(ts, X, U, L)
     system = factored(fx, partition, x_h.degree)
     P, zeros = rule_table(x_h.degree, rule), np.zeros(p.d)
 

@@ -171,8 +171,8 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     the start control fails; a failed trial solve is a rejected trial.
     Raises ValueError, before any solve, for a degree that is not an integer
     >= 0, for a partition that does not end at p.T, and for method "newton"
-    on a problem without all six second partials or with a finite control
-    bound.
+    on a problem without a hessian (OCProblem.require_hessian) or with a
+    finite control bound.
     """
     opts = opts or OptimizeOptions()
     check_int("r_state", r_state, 0)
@@ -183,7 +183,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
     p.check_horizon(partition)
     newton = opts.method == "newton"
     if newton:
-        p.require_second_partials("method 'newton'")
+        p.require_hessian("method 'newton'")
     if newton and np.any(np.isfinite(np.concatenate((p.u_lo, p.u_hi)))):
         raise ValueError("method 'newton' does not handle a control box")
 

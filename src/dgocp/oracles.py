@@ -165,19 +165,26 @@ def _check_columns(name, deriv, fn, z):
 
 def check_derivatives(p, rng):
     """Central-difference check at random probes of an OCProblem's fx, fu, gx
-    and gu against f and g, and of each second partial it has against the
-    first partial it differentiates: fxx and fxu against fx, fuu against fu,
-    and so for g."""
+    and gu against f and g, and, when the problem has one, of its hessian at a
+    random lam: Lxx and Lxu against gx - fx^T lam in x and in u, and Luu
+    against gu - fu^T lam in u."""
     for _ in range(POINT_PROBES):
         t = rng.uniform(0.0, p.T, size=1)
         x = rng.standard_normal((1, p.d))
         u = rng.standard_normal((1, p.m))
         u = np.clip(u, np.maximum(p.u_lo, -2.0), np.minimum(p.u_hi, 2.0))
-        for name in ("fx", "fu", "gx", "gu", "fxx", "fxu", "fuu", "gxx", "gxu", "guu"):
+        for name in ("fx", "fu", "gx", "gu"):
             deriv, base = getattr(p, name), getattr(p, name[:-1])
-            if deriv is None:
-                continue
             if name.endswith("x"):
                 _check_columns(name, np.asarray(deriv(t, x, u))[0], lambda z: base(t, z, u), x)
             else:
                 _check_columns(name, np.asarray(deriv(t, x, u))[0], lambda z: base(t, x, z), u)
+        if p.hessian is None:
+            continue
+        lam = rng.standard_normal((1, p.d))
+        Lx = lambda xs, us: p.gx(t, xs, us) - np.einsum("qab,qa->qb", p.fx(t, xs, us), lam)
+        Lu = lambda xs, us: p.gu(t, xs, us) - np.einsum("qam,qa->qm", p.fu(t, xs, us), lam)
+        Lxx, Lxu, Luu = (np.asarray(block)[0] for block in p.hessian(t, x, u, lam))
+        _check_columns("hessian", Lxx, lambda z: Lx(z, u), x)
+        _check_columns("hessian", Lxu, lambda z: Lx(x, z), u)
+        _check_columns("hessian", Luu, lambda z: Lu(x, z), u)

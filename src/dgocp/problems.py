@@ -38,10 +38,9 @@ class BuiltinProblem:
 
 def _tracking(T, x0, f, fx, fxx):
     """The builtin family with x' = f(x) + u; f, fx and fxx map a state batch
-    (q, 1) to (q, 1), (q, 1, 1) and (q, 1, 1, 1)."""
+    (q, 1) to (q, 1), (q, 1, 1) and (q, 1, 1).  The Lagrangian's Hessian is
+    (1 - lam fxx(x), 0, 1)."""
     ones = lambda t, x, u: np.ones((t.size, 1, 1))
-    zeros = lambda t, x, u: np.zeros((t.size, 1, 1))
-    zeros4 = lambda t, x, u: np.zeros((t.size, 1, 1, 1))
     return OCProblem(
         m=1, T=T, x0=[x0],
         f=lambda t, x, u: f(x) + u,
@@ -50,12 +49,8 @@ def _tracking(T, x0, f, fx, fxx):
         fu=ones,
         gx=lambda t, x, u: x.copy(),
         gu=lambda t, x, u: u.copy(),
-        fxx=lambda t, x, u: fxx(x),
-        fxu=zeros4,
-        fuu=zeros4,
-        gxx=ones,
-        gxu=zeros,
-        guu=ones,
+        hessian=lambda t, x, u, lam: (1.0 - lam[:, :, None] * fxx(x),
+                                      np.zeros((t.size, 1, 1)), ones(t, x, u)),
     )
 
 
@@ -64,7 +59,7 @@ def linear_lq():
         T=1.0, x0=1.0,
         f=lambda x: -x,
         fx=lambda x: np.full((x.shape[0], 1, 1), -1.0),
-        fxx=lambda x: np.zeros((x.shape[0], 1, 1, 1)),
+        fxx=lambda x: np.zeros((x.shape[0], 1, 1)),
     )
 
     def exact_state(t):
@@ -87,7 +82,7 @@ def nonlinear_quadratic():
         T=0.2, x0=2.0,
         f=lambda x: x**2,
         fx=lambda x: (2.0 * x)[:, :, None],
-        fxx=lambda x: np.full((x.shape[0], 1, 1, 1), 2.0),
+        fxx=lambda x: np.full((x.shape[0], 1, 1), 2.0),
     )
     return BuiltinProblem(
         problem=problem,

@@ -58,11 +58,14 @@ def project_callable(fn, partition, r, dim=1):
 
 
 def coupled_problem():
-    """d = m = 2, every second partial nonzero and none symmetric across its
-    index pairs, so a transposed contraction in H v shows:
+    """d = m = 2, with every block of the Lagrangian's Hessian depending on lam:
 
         f = (x0 x1 + u0 x0, sin x0 + u0 u1 + u0 x1),
         g = (|x|^2 + |u|^2) / 2 + x0 u1.
+
+    The hessian contracts lam with the tables of f's second partials, as
+    L = g - lam . f.  Lxu = [[-lam0, 1], [-lam1, 0]] is not symmetric, so a
+    transposed Lxu, or a transposed contraction in H v, shows.
     """
     def col(*cols):
         return np.stack(cols, axis=-1)
@@ -72,6 +75,16 @@ def coupled_problem():
         for index, value in entries.items():
             out[(slice(None),) + index] = value
         return out
+
+    def hessian(t, x, u, lam):
+        fxx = table(t, {(0, 0, 1): 1.0, (0, 1, 0): 1.0, (1, 0, 0): -np.sin(x[:, 0])})
+        fxu = table(t, {(0, 0, 0): 1.0, (1, 1, 0): 1.0})
+        fuu = table(t, {(1, 0, 1): 1.0, (1, 1, 0): 1.0})
+        eye = np.broadcast_to(np.eye(2), (t.size, 2, 2))
+        gxu = np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (t.size, 2, 2))
+        return (eye - np.einsum("qi,qiab->qab", lam, fxx),
+                gxu - np.einsum("qi,qiam->qam", lam, fxu),
+                eye - np.einsum("qi,qimn->qmn", lam, fuu))
 
     return OCProblem(
         m=2, T=0.5, x0=[0.5, -0.3],
@@ -84,12 +97,7 @@ def coupled_problem():
                                      col(u[:, 1] + x[:, 1], u[:, 0])), axis=1),
         gx=lambda t, x, u: col(x[:, 0] + u[:, 1], x[:, 1]),
         gu=lambda t, x, u: col(u[:, 0], u[:, 1] + x[:, 0]),
-        fxx=lambda t, x, u: table(t, {(0, 0, 1): 1.0, (0, 1, 0): 1.0, (1, 0, 0): -np.sin(x[:, 0])}),
-        fxu=lambda t, x, u: table(t, {(0, 0, 0): 1.0, (1, 1, 0): 1.0}),
-        fuu=lambda t, x, u: table(t, {(1, 0, 1): 1.0, (1, 1, 0): 1.0}),
-        gxx=lambda t, x, u: np.broadcast_to(np.eye(2), (t.size, 2, 2)).copy(),
-        gxu=lambda t, x, u: np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (t.size, 2, 2)).copy(),
-        guu=lambda t, x, u: np.broadcast_to(np.eye(2), (t.size, 2, 2)).copy(),
+        hessian=hessian,
     )
 
 

@@ -439,7 +439,7 @@ def test_hessian_closed_form_linear_quadratic(rng):
 
 @pytest.mark.parametrize("caller", ["hessian_form", "hessian_vector"])
 def test_hessian_requires_second_partials(caller):
-    # both Hessians refuse a problem without the six second partials, and say which
+    # both Hessians refuse a problem without a hessian, and say which
     p = OCProblem(
         m=1, T=1.0, x0=[1.0],
         f=lambda t, x, u: -x + u,
@@ -454,7 +454,7 @@ def test_hessian_requires_second_partials(caller):
     x = solve_state(p, u, 1)
     call = {"hessian_form": lambda: hessian_form(p, u, u, 1),
             "hessian_vector": lambda: hessian_vector(p, u, x, solve_adjoint(p, u, x))}[caller]
-    with pytest.raises(ValueError, match=f"^{caller} requires all six second partials$"):
+    with pytest.raises(ValueError, match=f"^{caller} requires OCProblem.hessian$"):
         call()
 
 
@@ -487,7 +487,7 @@ def test_hessian_vector_is_linear_and_projected(rng):
     assert Hv.degree == 1 and Hv.dim == 1
     assert np.max(np.abs(Hsum.coeffs - (2.5 * Hv + Hw).coeffs)) < 1e-13
     with pytest.raises(ValueError):
-        p.fxu = None
+        p.hessian = None
         hessian_vector(p, u, x, solve_adjoint(p, u, x))
 
 
@@ -495,10 +495,8 @@ def _hessian_vector_by_solves(p, u, x, lam, v):
     """H v from a tangent_solve and a solve_backward for the second-order
     adjoint, each sampling its own data at the times it is given."""
     def second(ts):
-        X, U, L = x.eval_many(ts), u.eval_many(ts), lam.eval_many(ts)
-        return (X, U, p.gxx(ts, X, U) - np.einsum("qi,qiab->qab", L, p.fxx(ts, X, U)),
-                p.gxu(ts, X, U) - np.einsum("qi,qiam->qam", L, p.fxu(ts, X, U)),
-                p.guu(ts, X, U) - np.einsum("qi,qimn->qmn", L, p.fuu(ts, X, U)))
+        X, U = x.eval_many(ts), u.eval_many(ts)
+        return (X, U, *p.hessian(ts, X, U, lam.eval_many(ts)))
 
     partition, r = x.partition, x.degree
     y = tangent_solve(p, u, x, v)
@@ -580,17 +578,40 @@ def test_hessian_vector_factors_one_system_per_call(rng, monkeypatch):
 
 
 def test_check_derivatives_catches_corruption(rng):
+    # a first partial, and each block of the hessian in turn: Lxx as if the
+    # builtin's fxx were 2.002, Lxu shifted by 1e-3 and Luu scaled by 0.99
     check_derivatives(nonlinear_quadratic().problem, rng)
-    corrupt = {
-        "fu": lambda t, x, u: 1.01 * np.ones((t.size, 1, 1)),
-        "fxx": lambda t, x, u: np.full((t.size, 1, 1, 1), 2.002),
-        "guu": lambda t, x, u: np.full((t.size, 1, 1), 0.99),
-    }
-    for name, fn in corrupt.items():
+    p = nonlinear_quadratic().problem
+    p.fu = lambda t, x, u: 1.01 * np.ones((t.size, 1, 1))
+    with pytest.raises(ValueError, match="fu disagrees"):
+        check_derivatives(p, rng)
+    corrupt = (lambda Lxx, Lxu, Luu, lam: (Lxx - 0.002 * lam[:, :, None], Lxu, Luu),
+               lambda Lxx, Lxu, Luu, lam: (Lxx, Lxu + 1e-3, Luu),
+               lambda Lxx, Lxu, Luu, lam: (Lxx, Lxu, 0.99 * Luu))
+    for shift in corrupt:
         p = nonlinear_quadratic().problem
-        setattr(p, name, fn)
-        with pytest.raises(ValueError, match=f"{name} disagrees"):
+        p.hessian = lambda t, x, u, lam, exact=p.hessian, shift=shift: shift(*exact(t, x, u, lam), lam)
+        with pytest.raises(ValueError, match="hessian disagrees"):
             check_derivatives(p, rng)
+
+
+def test_a_transposed_lxu_is_caught(rng):
+    # on the coupled problem Lxu (2 x 2) is not symmetric, so a hessian that
+    # returns its transpose fails the pointwise check and the H v oracle
+    p = coupled_problem()
+    check_derivatives(p, rng)
+    exact = p.hessian
+
+    def transposed(t, x, u, lam):
+        Lxx, Lxu, Luu = exact(t, x, u, lam)
+        return Lxx, np.swapaxes(Lxu, 1, 2), Luu
+
+    p.hessian = transposed
+    with pytest.raises(ValueError, match="hessian disagrees"):
+        check_derivatives(p, rng)
+    part = make_uniform_partition(p.T, 6)
+    u, v = random_dg(rng, part, 1, p.m), random_dg(rng, part, 1, p.m)
+    assert hessian_vector_discrepancy(p, u, v, 1) > 1e-3
 
 
 def test_problem_validation():

@@ -38,7 +38,6 @@ def _decoupled_problem(c, lo=None, hi=None, weight=1.0):
     """f ignores u; g = weight (u - c)^2 / 2, so for a positive weight the
     optimum is u == c pointwise, and the control curvature is the weight."""
     z3 = lambda t: np.zeros((t.size, 1, 1))
-    z4 = lambda t: np.zeros((t.size, 1, 1, 1))
     return OCProblem(
         m=1, T=1.0, x0=[0.0],
         f=lambda t, x, u: np.zeros_like(x),
@@ -47,12 +46,7 @@ def _decoupled_problem(c, lo=None, hi=None, weight=1.0):
         fu=lambda t, x, u: z3(t),
         gx=lambda t, x, u: np.zeros((t.size, 1)),
         gu=lambda t, x, u: weight * (u - c),
-        fxx=lambda t, x, u: z4(t),
-        fxu=lambda t, x, u: z4(t),
-        fuu=lambda t, x, u: z4(t),
-        gxx=lambda t, x, u: z3(t),
-        gxu=lambda t, x, u: z3(t),
-        guu=lambda t, x, u: np.full((t.size, 1, 1), weight),
+        hessian=lambda t, x, u, lam: (z3(t), z3(t), np.full((t.size, 1, 1), weight)),
         u_lo=lo, u_hi=hi,
     )
 
@@ -229,12 +223,11 @@ def test_an_infinite_start_cost_raises_before_the_first_iteration(monkeypatch, m
     # to max_outer and newton fail inside CG; the run ends before any
     # iteration, with no adjoint solve
     one = lambda t, x, u: np.ones((t.size, 1, 1))
-    zero3 = lambda t, x, u: np.zeros((t.size, 1, 1))
-    zero4 = lambda t, x, u: np.zeros((t.size, 1, 1, 1))
+    zero = lambda t, x, u: np.zeros((t.size, 1, 1))
     p = OCProblem(m=1, T=1.0, x0=[0.0], f=lambda t, x, u: u,
                   g=lambda t, x, u: 0.5 * (x[:, 0] ** 2 + u[:, 0] ** 2),
-                  fx=zero3, fu=one, gx=lambda t, x, u: x, gu=lambda t, x, u: u,
-                  fxx=zero4, fxu=zero4, fuu=zero4, gxx=one, gxu=zero3, guu=one)
+                  fx=zero, fu=one, gx=lambda t, x, u: x, gu=lambda t, x, u: u,
+                  hessian=lambda t, x, u, lam: (one(t, x, u), zero(t, x, u), one(t, x, u)))
 
     def no_iteration(*args):
         raise AssertionError("an iteration ran")
@@ -482,7 +475,8 @@ def test_newton_takes_the_full_step_after_a_backtrack(monkeypatch):
     p = replace(_decoupled_problem(c),
                 g=lambda t, x, u: np.sqrt(1.0 + (u[:, 0] - c) ** 2),
                 gu=lambda t, x, u: (u - c) / np.sqrt(1.0 + (u - c) ** 2),
-                guu=lambda t, x, u: (1.0 + (u - c) ** 2)[:, :, None] ** -1.5)
+                hessian=lambda t, x, u, lam: (np.zeros((t.size, 1, 1)), np.zeros((t.size, 1, 1)),
+                                              (1.0 + (u - c) ** 2)[:, :, None] ** -1.5))
     calls = []
 
     def counting(*args, **kwargs):
@@ -499,8 +493,8 @@ def test_newton_takes_the_full_step_after_a_backtrack(monkeypatch):
 
 
 def test_newton_rejects_unsupported_problems(monkeypatch):
-    # typed errors before any solve: no box handling, and H v needs every
-    # second partial
+    # typed errors before any solve: no box handling, and H v needs the
+    # problem's hessian
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before validating")
 
@@ -510,11 +504,9 @@ def test_newton_rejects_unsupported_problems(monkeypatch):
     for box in ((0.0, None), (None, 1.0), (-1.0, 1.0)):
         with pytest.raises(ValueError, match="box"):
             minimize(_decoupled_problem(0.7, *box), None, part, 1, opts=opts)
-    for name in ("fxx", "fxu", "fuu", "gxx", "gxu", "guu"):
-        p = _decoupled_problem(0.7)
-        setattr(p, name, None)
-        with pytest.raises(ValueError, match="second partials"):
-            minimize(p, None, part, 1, opts=opts)
+    p = replace(_decoupled_problem(0.7), hessian=None)
+    with pytest.raises(ValueError, match="^method 'newton' requires OCProblem.hessian$"):
+        minimize(p, None, part, 1, opts=opts)
     with pytest.raises(ValueError, match="'pgd' or 'newton'"):
         OptimizeOptions(method="Newton")
 

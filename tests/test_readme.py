@@ -1,5 +1,6 @@
 """README.md against the public API."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -11,6 +12,12 @@ README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 def test_readme_names_every_public_name():
     missing = [name for name in dgocp.__all__ if f"`{name}" not in README]
     assert not missing, f"README.md does not name {missing}"
+
+
+def test_readme_names_every_problem_field():
+    # a renamed OCProblem field cannot leave the README's field list stale
+    missing = [f.name for f in dataclasses.fields(dgocp.OCProblem) if f"`{f.name}`" not in README]
+    assert not missing, f"README.md does not name the OCProblem fields {missing}"
 
 
 def test_readme_python_blocks_run():
