@@ -31,15 +31,20 @@ system comes in one of two forms:
   from the constant extension of the incoming trace x_in, read without a
   table product: the state is x_in at every quadrature point (P_0 = 1), and
   the trace terms cancel, so the first residual is the forcing term alone.
-  A step assembles the interval's block from dF_dx, solves it and halves
-  the step until the residual falls.  The half widths, the data rows and
-  the scheme's tables are fetched once per solve.
+  A step assembles the interval's block from dF_dx with _Scheme.blocks,
+  the assembly AffineSystem uses, solves it and halves the step until the
+  residual falls.  The half widths, the data rows, the scheme's tables and
+  its blocks method are fetched once per solve.
 
 The tables of the scheme of degree r for a system of size d are built once
 and shared read-only (basis.shared), as are the rule and Legendre tables they
 come from.  Its key is typed: a degree 1.0 or True misses the entry of 1, and
 the degree check of basis.default_rule rejects it, at every entry point
-(solve_forward, solve_backward, AffineSystem, factored).
+(solve_forward, solve_backward, AffineSystem, factored).  The scheme's blocks
+method is the one block assembly, for the march and AffineSystem alike: a block
+costs O(q (r+1)^2 d^2) work, from the ((r+1)^2, q) table W of weighted
+Legendre products, and the only tables that grow with d, J_base and S, are
+no larger than a block.
 
 The block solve of a Newton step, made once per step of the march, calls the
 LAPACK gufunc solve1 of numpy.linalg._umath_linalg, the one np.linalg.solve
@@ -196,11 +201,11 @@ class _Scheme:
         lin @ C - s x_in^T = (h/2) PtW @ F(t_q, P @ C),   lin = D + s s^T,
 
     with s_j = P_j(-1) = (-1)^j: the weak DG equation tested against the local
-    Legendre basis, on the default_rule(r) quadrature.
+    Legendre basis, on the default_rule(r) quadrature.  blocks assembles the
+    interval blocks in O(q (r+1)^2 d^2) each, from the ((r+1)^2, q) table W.
     """
 
     def __init__(self, r, d):
-        self.r = r
         self.rule = default_rule(r)
         self.P = rule_table(r, self.rule)                  # (q, r+1)
         self.PtW = self.P.T * self.rule.weights            # (r+1, q)
@@ -208,18 +213,18 @@ class _Scheme:
         self.S = np.kron(self.s[:, None], np.eye(d))       # (nd, d): takes x_in into a block
         self.lin = deriv_inner_matrix(r) + np.outer(self.s, self.s)
         self.J_base = np.kron(self.lin, np.eye(d))         # state-independent block part
-        # WPP[(q, a', b'), (j, a, k, b)] = w_q P_qj P_qk [a = a'] [b = b']: a block's
-        # A-dependent part is the flattened A = dF/dx at the quadrature points times WPP
-        eye = np.eye(d)
-        self.WPP = np.einsum("jq,kq,ac,bd->qcdjakb", self.PtW, self.P.T, eye, eye).reshape(
-            self.rule.q * d * d, self.J_base.size)
+        # W[(j, k), q] = w_q P_qj P_qk, ((r+1)^2, q): the same for every d
+        self.W = (self.PtW[:, None] * self.P.T).reshape(-1, self.rule.q)
 
     def blocks(self, half_h, A):
         """Blocks lin (x) I - (h/2) sum_q w_q P_qj P_qk A_q: A (..., q, d, d) ->
-        (..., nd, nd), nd = (r+1) d; half_h = h/2 broadcasts against the blocks."""
-        lead, nd = A.shape[:-3], self.J_base.shape[0]
-        K = (A.reshape(lead + (-1,)) @ self.WPP).reshape(lead + (nd, nd))
-        return self.J_base - half_h * K
+        (..., nd, nd), nd = (r+1) d, rows (j, a) and columns (k, b); half_h =
+        h/2 broadcasts against the blocks.  One product with W gives the
+        (j, k) entries of every (a, b), and one swapaxes puts a beside j:
+        O(q (r+1)^2 d^2) work per block."""
+        lead, r1, d = A.shape[:-3], self.s.size, A.shape[-1]
+        K = (self.W @ A.reshape(lead + (-1, d * d))).reshape(lead + (r1, r1, d, d))
+        return self.J_base - half_h * K.swapaxes(-3, -2).reshape(lead + self.J_base.shape)
 
 
 @shared
@@ -267,7 +272,7 @@ def _solve_newton(F, dF_dx, grid, x0, partition, sch):
     C - alpha delta for alpha = 1, 1/2, ... until the residual's max-norm falls
     below the previous one or alpha reaches DAMPING_FLOOR.
     """
-    P, PtW, lin, J_base, WPP = sch.P, sch.PtW, sch.lin, sch.J_base, sch.WPP
+    P, PtW, lin, blocks = sch.P, sch.PtW, sch.lin, sch.blocks
     ones, s = P[:, :1], sch.s[:, None]                  # P_0 = 1 at every point
     coeffs = np.zeros((partition.N, s.size, x0.size))
     nd = coeffs[0].size
@@ -288,7 +293,7 @@ def _solve_newton(F, dF_dx, grid, x0, partition, sch):
         for _ in range(NEWTON_MAX_ITER):
             if rnorm <= tol or not math.isfinite(rnorm):
                 break
-            J = J_base - half * (dF_dx(t, X, *a).reshape(-1) @ WPP).reshape(nd, nd)
+            J = blocks(half, dF_dx(t, X, *a))
             try:
                 delta = _solve1(J, R.reshape(nd)).reshape(C.shape)
             except FloatingPointError:

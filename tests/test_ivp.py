@@ -924,3 +924,56 @@ def test_scheme_tables_are_shared_and_read_only():
     with pytest.raises(ValueError):
         sch.J_base[0, 0] = 1.0
     assert not sch.S.flags.writeable and sch.S.shape == (9, 3)
+
+
+@pytest.mark.parametrize("r", range(4))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocks_match_their_definition(rng, r, d):
+    # kron(lin, I) - (h/2) sum_q w_q P_qj P_qk A_q, rows (j, a) and columns
+    # (k, b), for a stack of blocks with their own half widths and for one block
+    sch, N, nd = ivp._scheme(r, d), 5, (r + 1) * d
+    A = rng.standard_normal((N, sch.rule.q, d, d))
+    half_h = rng.uniform(0.01, 1.0, N)
+    K = np.einsum("q,qj,qk,nqab->njakb", sch.rule.weights, sch.P, sch.P, A)
+    ref = np.kron(sch.lin, np.eye(d)) - half_h[:, None, None] * K.reshape(N, nd, nd)
+    scale = np.max(np.abs(ref))
+    J = sch.blocks(half_h[:, None, None], A)
+    assert J.shape == (N, nd, nd) and np.max(np.abs(J - ref)) <= 1e-15 * scale
+    for n in range(N):
+        J = sch.blocks(half_h[n], A[n])
+        assert J.shape == (nd, nd) and np.max(np.abs(J - ref[n])) <= 1e-15 * scale
+
+
+def test_scheme_tables_do_not_grow_as_d4():
+    # a table of q (r+1)^2 d^4 floats would be 50 MB here
+    r, d = 3, 16
+    arrays = [a for a in vars(ivp._scheme(r, d)).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) < 1e6
+    assert max(a.size for a in arrays) <= (r + 1) ** 2 * d**2
+
+
+def test_stiff_method_of_lines_system_at_d64(monkeypatch):
+    # x' = L x, L the second-difference Laplacian on (0, 1) times (d+1)^2, whose
+    # eigenvalues reach 4 (d+1)^2 in magnitude; x0 = sin(pi x) is the eigenvector
+    # of the slowest mode.  Blocks of (r+1) d = 256 rows, N = 16, T = 0.5
+    d, r, T = 64, 3, 0.5
+    off = np.ones(d - 1)
+    L = (d + 1) ** 2 * (np.diag(off, -1) - 2.0 * np.eye(d) + np.diag(off, 1))
+    x0 = np.sin(np.pi * np.arange(1, d + 1) / (d + 1))
+    part = make_uniform_partition(T, 16)
+    forward = (lambda ts, X: X @ L.T, lambda ts, X: np.broadcast_to(L, (ts.size, d, d)))
+    calls = _count_routes(monkeypatch)
+    C = solve_forward(*forward, x0, part, r).coeffs
+    assert calls == {"batched": 1, "march": 0}
+    ref = _march(*forward, x0, part, r)
+    assert np.max(np.abs(C - ref)) <= 1e-13 * np.max(np.abs(ref))
+    mu = 4.0 * (d + 1) ** 2 * np.sin(np.pi / (2 * (d + 1))) ** 2
+    assert np.max(np.abs(C[-1].sum(axis=0) - np.exp(-mu * T) * x0)) <= 1e-10
+    # the discrete adjoint lam' = -L^T lam, lam(T) = x0, and solve_backward of
+    # the same system, stable from T back
+    times = part.quad_times(default_rule(r))
+    system = ivp.AffineSystem(np.broadcast_to(L, times.shape + (d, d)), part, r)
+    lam = system.solve_transposed(np.zeros(times.shape + (d,)), x0)
+    backward = (lambda ts, X: -X @ L, lambda ts, X: np.broadcast_to(-L.T, (ts.size, d, d)))
+    ref = solve_backward(*backward, x0, part, r).coeffs
+    assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(np.abs(ref))
