@@ -21,11 +21,15 @@ system comes in one of two forms:
   sampled once on the quadrature grid (OCProblem's f(t, x, u) convention).
   dF_dx is sampled on the whole grid at two states, x = 0 and
   x = PROBE_SHIFT.  When the samples are identical, A = dF_dx and b = F at
-  x = 0 go to factored(), and the result is kept when the closure's own
-  residual, with F evaluated at that result, passes on every interval
-  (AffineSystem._closure_passes, which forms the forcing and the trace term
-  as the system's own residual does); a failure of that solve is raised as
-  it is.  Otherwise (a nonlinear system, or a failed check) the solve
+  x = 0 go to factored(), one sweep of that system gives the result, and
+  one check decides it: the closure's own residual, with F evaluated at
+  that result (AffineSystem._closure_passes, which forms the forcing and
+  the trace term as the system's own residual does).  For an affine F that
+  is the system's own residual, so the system does not check it again.  A
+  pass keeps the result, a residual that is not finite raises
+  SolverFailure for the first failing interval, and a singular block
+  raises at factorization.  Otherwise (a nonlinear system, or a check that
+  fails with a finite residual) the solve
   marches interval by interval, and on each interval a damped Newton
   iteration drives the (r+1)*d modal residual below tolerance.  It starts
   from the constant extension of the incoming trace x_in, read without a
@@ -67,7 +71,7 @@ An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
 larger: a large solution has a round-off floor above any absolute tolerance.
 So a residual with no entry above NEWTON_TOL passes on every interval, and
-is finite: the batched checks (the AffineSystem's and a linear closure's)
+is finite: the batched checks (an AffineSystem solve's and a linear closure's)
 decide that with one reduction over all intervals, and build the
 per-interval norms and tolerances only when it does not hold (NaN data, a
 solution large enough for the round-off floor, a failure).  Both solvers
@@ -171,6 +175,13 @@ def _failures(R, terms):
     return (rnorm, failed) if failed.size else None
 
 
+def _first_failure(rnorm, failed, transposed):
+    """SolverFailure for the first of the failed intervals in the order of
+    the solve, the last one when it is transposed, with its residual norm."""
+    n = int(failed[-1] if transposed else failed[0])
+    return SolverFailure(n, float(rnorm[n]))
+
+
 def _check_amplification(J, Jinv, J_base):
     """Raise SolverFailure(n, inf) for the first block J_n (N, nd, nd) whose
     inverse amplifies the round-off of its own assembly past 1/ROUNDOFF:
@@ -240,11 +251,12 @@ def solve_forward(F, dF_dx, x0, partition, r, data=()):
     solve's grid, and D holds its samples at the times ts, (q, dim) each: one
     on another partition raises ValueError before any call of F or dF_dx.
     Closures of a linear system (dF_dx the same at two probe states) are
-    solved by the AffineSystem of factored(), and the result is kept when
-    the closure's own residual passes at it; others by damped Newton,
-    interval by interval.  Either raises SolverFailure naming the first
-    interval whose residual stays above its tolerance or is not finite, or
-    whose block is singular.
+    solved by one sweep of the AffineSystem of factored(), and the result is
+    kept when the closure's own residual, its one check, passes at it;
+    others, and a linear closure whose check fails with a finite residual,
+    by damped Newton, interval by interval.  Either raises SolverFailure
+    naming the first interval whose residual stays above its tolerance or
+    is not finite, or whose block is singular.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     sch = _scheme(r, x0.size)
@@ -256,7 +268,7 @@ def solve_forward(F, dF_dx, x0, partition, r, data=()):
         linear = np.array_equal(A, dF_dx(ts, X + PROBE_SHIFT, *D))
     if linear:
         system = factored(A, partition, r)
-        C = system.solve(F(ts, X, *D), x0)
+        C = system._sweep(system._forcing(F(ts, X, *D)), x0, False)
         if system._closure_passes(F, ts, D, C, x0):
             return DGFunction(partition, C)
     grid = (times, *(a.reshape(times.shape + a.shape[1:]) for a in D))
@@ -384,11 +396,16 @@ class AffineSystem:
     def _closure_passes(self, F, ts, D, C, x0):
         """Whether the residual of the closure F (solve_forward's, with data
         samples D at the times ts), evaluated at the coefficients C this
-        system solved for x(0) = x0, passes on every interval."""
+        system swept for x(0) = x0, passes on every interval.  A residual
+        that is not finite raises SolverFailure for the first failing
+        interval, as _corrected does."""
         X = apply_table(self.sch.P, C)                                 # (N, q, d)
         LC, trace = apply_table(self.sch.lin, C), self._trace_term(C, x0)
         HF = self._forcing(F(ts, X.reshape(-1, x0.size), *D))
-        return _failures(LC - trace - HF, (LC, trace, HF)) is None
+        failures = _failures(LC - trace - HF, (LC, trace, HF))
+        if failures is not None and not np.isfinite(failures[0]).all():
+            raise _first_failure(*failures, False)
+        return failures is None
 
     def _forcing(self, b):
         N, d = self.shape[0], self.shape[2]
@@ -412,9 +429,7 @@ class AffineSystem:
             failures = _failures(R, terms)
         if failures is None:
             return C
-        rnorm, failed = failures
-        n = int(failed[-1] if transposed else failed[0])    # the first in the solve's order
-        raise SolverFailure(n, float(rnorm[n]))
+        raise _first_failure(*failures, transposed)
 
     def _traces(self, m, x0, transposed=False):
         """Incoming traces x_n, (N, d, 1), for the forcing traces m (N, d) and

@@ -193,11 +193,9 @@ class DGFunction:
 
     def inner(self, other):
         """Exact L2(0,T) inner product with a compatible DGFunction, from the
-        modal coefficients (weights h/2 times the reference mass diagonal)."""
+        modal coefficients (l2_inner)."""
         self._compatible(other)
-        mass = mass_diagonal(self.degree)
-        per = np.einsum("nkd,k->n", self.coeffs * other.coeffs, mass)
-        return float(np.sum(0.5 * self.partition.widths * per))
+        return float(l2_inner(self.partition, self.degree)(self.coeffs, other.coeffs))
 
     def l2_norm_sq(self):
         """Exact squared L2(0,T) norm from the modal coefficients."""
@@ -205,6 +203,15 @@ class DGFunction:
 
     def l2_norm(self):
         return float(np.sqrt(self.l2_norm_sq()))
+
+
+def l2_inner(partition, r):
+    """The exact L2(0,T) inner product of the coefficient arrays (N, r+1, d)
+    of two degree-r DG functions on the partition, (a, b) -> np.vdot(w * a, b)
+    with the weights w_nk = (h_n/2) 2/(2k+1), h_n/2 times the reference mass
+    diagonal."""
+    w = (0.5 * partition.widths)[:, None, None] * mass_diagonal(r)[:, None]
+    return lambda a, b: np.vdot(w * a, b)
 
 
 def modal_from_values(values, partition, r, rule):

@@ -20,7 +20,9 @@ only in the target:
   discrete reduced Hessian, H d = -g, in the control L2 inner product.  The
   tangent and second-order adjoint systems are the factored system of the
   step's adjoint solve and its transpose, and each Hessian-vector product
-  applies them, so a step costs one nonlinear state solve.
+  applies them, so a step costs one nonlinear state solve.  CG runs on the
+  coefficient arrays, with DGFunction.inner's arithmetic (mesh.l2_inner),
+  and wraps only the direction it passes to H v in a DGFunction.
 """
 
 from dataclasses import dataclass
@@ -29,8 +31,8 @@ import numpy as np
 
 from .basis import gauss_rule
 from .ivp import SolverFailure
-from .mesh import (DGFunction, check_int, check_positive, modal_from_values, project_l2,
-                   sample_values, total_variation)
+from .mesh import (DGFunction, check_int, check_positive, l2_inner, modal_from_values,
+                   project_l2, sample_values, total_variation)
 from .ocp import cost, hessian_vector, projected_gradient, solve_adjoint, solve_state
 
 __all__ = [
@@ -77,6 +79,10 @@ class OptimizeOptions:
 
 @dataclass
 class OptimizeReport:
+    """The result of minimize.  iterations is the number of measured
+    iterates, len(stationarity_history): the start and each accepted step,
+    so a run's count does not depend on a max_outer that it did not reach."""
+
     u_star: DGFunction
     x_star: DGFunction
     lambda_star: DGFunction
@@ -140,25 +146,29 @@ def _newton_direction(hess, g, grad_tol):
     It stops at the residual max(min(CG_FORCING, ||g||)^2 ||g||,
     CG_FORCING grad_tol), after as many steps as g has coefficients, or on a
     direction whose curvature is not positive: then it returns the iterate so
-    far, or -g when that happens on the first step.
+    far, or -g when that happens on the first step.  The iterate, the
+    residual and the direction are coefficient arrays, and only the direction
+    is wrapped in a DGFunction for hess; the inner products are
+    DGFunction.inner's (mesh.l2_inner).
     """
+    part, inner = g.partition, l2_inner(g.partition, g.degree)
     gnorm = g.l2_norm()
     tol = max(min(CG_FORCING, gnorm) ** 2 * gnorm, CG_FORCING * grad_tol)
-    d, res = 0.0 * g, -1.0 * g
+    d, res = np.zeros_like(g.coeffs), -g.coeffs
     direction, rr = res, gnorm**2
     for step in range(g.coeffs.size):
-        Hp = hess(direction)
-        curvature = direction.inner(Hp)
+        Hp = hess(DGFunction(part, direction)).coeffs
+        curvature = inner(direction, Hp)
         if not curvature > 0.0:  # a NaN curvature stops too
-            return res if step == 0 else d
+            return DGFunction(part, res if step == 0 else d)
         alpha = rr / curvature
         d = d + alpha * direction
         res = res - alpha * Hp
-        rr, rr_old = res.l2_norm_sq(), rr
+        rr, rr_old = inner(res, res), rr
         if np.sqrt(rr) <= tol:
             break
         direction = res + (rr / rr_old) * direction
-    return d
+    return DGFunction(part, d)
 
 
 def minimize(p, u0, partition, r_state, r_control=None, opts=None):
@@ -241,7 +251,7 @@ def minimize(p, u0, partition, r_state, r_control=None, opts=None):
         lambda_star=lam,
         cost_history=cost_hist,
         stationarity_history=stat_hist,
-        iterations=min(it, opts.max_outer),
+        iterations=len(stat_hist),
         converged=stat <= opts.grad_tol,
     )
 

@@ -64,3 +64,29 @@ def test_a_workload_section_from_fixed_runs():
     metric = sec["metrics"]["table_ref_s"]
     assert metric["parent"]["median"] == metric["change"]["median"] == 2.5
     assert metric["change_better_pairs"] == 1 and metric["within_bound"]
+
+
+def test_a_gain_is_claimable_on_nine_of_ten_wins_beyond_the_parent_iqr():
+    parent = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.0, 10.1, 10.2]   # IQR 0.175
+    change = [9.0, 9.1, 9.2, 9.0, 10.5, 9.1, 9.0, 9.3, 9.2, 9.1]          # pair 5 lost
+    entry = bench_pairs.compare(parent, change, "lower", 0.25)
+    assert entry["change_better_pairs"] == 9 and entry["gain_claimable"]
+    # eight wins are not enough, however large the gap
+    eight = bench_pairs.compare(parent, change[:4] + [10.5, 10.5] + change[6:], "lower", 0.25)
+    assert eight["change_better_pairs"] == 8 and not eight["gain_claimable"]
+    # ten wins by less than the parent's IQR are not enough either
+    close = bench_pairs.compare(parent, [p - 0.05 for p in parent], "lower", 0.25)
+    assert close["change_better_pairs"] == 10 and not close["gain_claimable"]
+    # a higher-is-better metric gains when it rises; a worse change never claims
+    assert bench_pairs.compare(change, parent, "higher", 0.1)["gain_claimable"]
+    assert not bench_pairs.compare(change, parent, "lower", 0.25)["gain_claimable"]
+
+
+def test_ten_pairs_by_default(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(bench_pairs, "run_pairs",
+                        lambda checkouts, workload, pairs, seconds: seen.append(pairs) or [])
+    monkeypatch.setattr(bench_pairs, "section", lambda pairs, end_to_end: {"all_correct": True})
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 30, "end_to_end": []}')
+    assert bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "lq-table"]) == 0
+    assert seen == [10]

@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -569,6 +570,23 @@ def test_a_residual_above_tolerance_is_corrected(monkeypatch):
         assert len(calls) == 1 + ivp.NEWTON_MAX_ITER and err.value.residual > ivp.NEWTON_TOL
 
 
+def test_a_linear_closure_above_tolerance_is_marched(monkeypatch):
+    # a sweep off by 1e-9 leaves the closure's residual finite and above its
+    # tolerance: the linear closure is not corrected but marched, and its
+    # result is the march's, bit for bit
+    part = Partition(np.linspace(0.0, 1.0, 9) ** 1.5)
+    A0 = np.array([[-1.0, 2.0], [-0.5, 0.3]])
+    rhs = (lambda ts, X: (1.0 + ts)[:, None] * X @ A0.T + np.sin(ts)[:, None],
+           lambda ts, X: (1.0 + ts)[:, None, None] * A0)
+    sweep = ivp.AffineSystem._sweep
+    monkeypatch.setattr(ivp.AffineSystem, "_sweep", lambda *args: sweep(*args) + 1e-9)
+    calls = _count_routes(monkeypatch)
+    for r in range(4):
+        sol = solve_forward(*rhs, [1.0, -0.5], part, r)
+        assert np.array_equal(sol.coeffs, _march(*rhs, [1.0, -0.5], part, r))
+    assert calls == {"batched": 4, "march": 8}   # the march's second call is the reference
+
+
 def test_factored_returns_the_last_system_while_its_data_repeat(monkeypatch):
     # one entry: equal r, nodes and A return it; A changed in place after it
     # was factored, or the same N and A on other nodes, build a new system
@@ -659,7 +677,8 @@ def test_time_reversal_oracle_on_graded_partition():
 
 
 def _count_routes(monkeypatch):
-    """Count the calls of AffineSystem.solve (the batched route) and of the march."""
+    """Count the sweeps of AffineSystem (a linear closure's batched route makes
+    one) and the calls of the march."""
     calls = {"batched": 0, "march": 0}
 
     def counted(route, fn):
@@ -668,7 +687,7 @@ def _count_routes(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(ivp.AffineSystem, "solve", counted("batched", ivp.AffineSystem.solve))
+    monkeypatch.setattr(ivp.AffineSystem, "_sweep", counted("batched", ivp.AffineSystem._sweep))
     monkeypatch.setattr(ivp, "_solve_newton", counted("march", ivp._solve_newton))
     return calls
 
@@ -688,8 +707,9 @@ def _count_interval_norms(monkeypatch):
 
 def test_a_passing_check_takes_one_reduction(monkeypatch, rng):
     # linear-lq at r = 3 on 320 intervals: the checks of a state solve (the
-    # affine solve and the closure's own residual), an adjoint and both solves
-    # of an H v product pass on one reduction each, with no per-interval norm
+    # closure's own residual, with F called once at the result), an adjoint
+    # and both solves of an H v product pass on one reduction each, with no
+    # per-interval norm
     p, r = linear_lq().problem, 3
     part = make_uniform_partition(p.T, 320)
     u, v = random_dg(rng, part, r), random_dg(rng, part, r)
@@ -701,10 +721,13 @@ def test_a_passing_check_takes_one_reduction(monkeypatch, rng):
 
     monkeypatch.setattr(ivp, "_failures", counted)
     norms = _count_interval_norms(monkeypatch)
-    x = solve_state(p, u, r)
+    f_calls, f = [], p.f
+    state = replace(p, f=lambda *args: f_calls.append(1) or f(*args))
+    x = solve_state(state, u, r)
+    assert checks[0] == 1 and len(f_calls) == 2     # b = F at x = 0, then F at the result
     lam = solve_adjoint(p, u, x)
     hessian_vector(p, u, x, lam)(v)
-    assert checks[0] == 5 and norms[0] == 0
+    assert checks[0] == 4 and norms[0] == 0
     # a NaN datum fails both affine directions through the per-interval path,
     # each naming its interval: the control in the state solve, the state in
     # the adjoint (fx = -1 stays finite)

@@ -294,6 +294,14 @@ def test_l2_norm_matches_quadrature(rng):
     rule = gauss_rule(6)
     per = np.einsum("q,nqd->n", rule.weights, F.values_on_quad(rule) ** 2)
     assert F.l2_norm() == pytest.approx(np.sqrt(np.sum(0.5 * part.widths * per)), abs=1e-13)
+    # the inner product of two different functions, on a graded partition
+    graded = Partition(np.linspace(0.0, 1.0, 5) ** 1.5)
+    for r in range(4):
+        for d in (1, 2):
+            F, G = random_dg(rng, graded, r, dim=d), random_dg(rng, graded, r, dim=d)
+            prod = F.values_on_quad(rule) * G.values_on_quad(rule)
+            per = np.einsum("q,nqd->n", rule.weights, prod)
+            assert F.inner(G) == pytest.approx(np.sum(0.5 * graded.widths * per), abs=1e-13)
 
 
 # -- projection ---------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Run the benchmark in alternating pairs on two checkouts and compare them.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload lq-table [--workload ...]
-                                 [--pairs 5] [--label LABEL]
+                                 [--pairs 10] [--label LABEL]
 
 PARENT and CHANGE are two checkouts of the repository (a clean copy of the
 parent commit and the tree under review).  Pair k, k = 1..pairs, runs
@@ -18,8 +18,10 @@ workload the seeds, the side that ran first, the load averages, `failed` and
 `attempted`, and per end-to-end metric of the change's BENCHMARK.json the
 medians and inclusive quartiles of both sides, the pairs the change wins
 (ties count for neither side), whether the gap between the medians exceeds
-the parent's interquartile range, and whether the change stays within the
-metric's bound.  It is printed, and with --label written into
+the parent's interquartile range, whether the change stays within the
+metric's bound, and `gain_claimable`: the change is better in at least 9 of
+10 pairs (90% of them) and its median better than the parent's by more than
+the parent's interquartile range.  It is printed, and with --label written into
 BENCH_<label>.json in the current directory (workloads already in that file
 are kept unless run again).  The exit status is 1 when a run is not
 `correct`.  Standard library only; the checkouts' tracked files are not
@@ -54,6 +56,7 @@ def compare(parent, change, better, bound):
     sign = 1.0 if better == "lower" else -1.0
     (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
     gap = sign * (cm - pm)                             # > 0: the change is worse
+    wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
     if pm:
         worse_by = gap / abs(pm)
     else:
@@ -62,8 +65,9 @@ def compare(parent, change, better, bound):
         "parent": {"median": pm, "q1": p1, "q3": p3},
         "change": {"median": cm, "q1": c1, "q3": c3},
         "ratio": cm / pm if pm else None,
-        "change_better_pairs": sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0),
+        "change_better_pairs": wins,
         "median_gap_exceeds_parent_iqr": abs(cm - pm) > p3 - p1,
+        "gain_claimable": 10 * wins >= 9 * len(parent) and -gap > p3 - p1,
         "worse_by": worse_by,
         "bound": bound,
         "within_bound": worse_by <= bound,
@@ -125,7 +129,7 @@ def main(argv=None):
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--label")
     args = parser.parse_args(argv)
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
