@@ -71,14 +71,16 @@ An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
 most ROUNDOFF times the largest entry of the residual's terms when that is
 larger: a large solution has a round-off floor above any absolute tolerance.
 So a residual with no entry above NEWTON_TOL passes on every interval, and
-is finite: the batched checks (an AffineSystem solve's and a linear closure's)
-decide that with one reduction over all intervals, and build the
-per-interval norms and tolerances only when it does not hold (NaN data, a
-solution large enough for the round-off floor, a failure).  Both solvers
-stop at the first residual that is not finite, and both fail by one rule:
-SolverFailure names the first interval, in the order of the solve, whose
-residual is not finite or stays above its tolerance.  The closure backward
-(terminal-value) solve, solve_backward, is a forward solve of the
+is finite.  One function, _failure, decides every batched check (an
+AffineSystem solve's, each of its corrections', and a linear closure's): one
+reduction over all intervals decides a pass, and only when it does not hold
+(NaN data, a solution large enough for the round-off floor, a failure) does
+it build the per-interval max-norms and tolerances, with numpy's row
+maximum.  Both solvers stop at the first residual that is not finite, and
+both fail by one rule: SolverFailure names the first interval, in the order
+of the solve, whose residual is not finite or stays above its tolerance.
+The march checks its one interval with a scalar of its own.  The closure
+backward (terminal-value) solve, solve_backward, is a forward solve of the
 time-reversed system on the reversed partition, followed by a
 coefficient-level reversal; its data are reversed with reverse_dg, and its
 SolverFailure names the forward index of the interval, as solve_transposed
@@ -139,47 +141,32 @@ def _tolerance(scale):
     return np.maximum(NEWTON_TOL, ROUNDOFF * scale)
 
 
-def _row_max(A):
-    """Largest entry of each row of A (N, k); NaN propagates.  One np.maximum
-    per column: np.max over a short trailing axis runs an inner loop per row,
-    about four times slower than this on (320, 4)."""
-    cols = A.T
-    out = np.maximum(cols[0], cols[-1])
-    for c in cols[1:-1]:
-        np.maximum(out, c, out=out)
-    return out
-
-
-def _interval_norms(R, terms):
-    """Max-norm of the residual R = T0 - T1 - T2 (N, r+1, d) of the terms
-    (T0, T1, T2) and its tolerance, each per interval.  T1 may be (N, 1, d),
-    the same on every block row."""
-    N = len(R)
-    largest = _row_max(np.abs(np.concatenate(terms, axis=1)).reshape(N, -1))
-    return _row_max(np.abs(R).reshape(N, -1)), _tolerance(largest)
-
-
-def _failures(R, terms):
-    """None when the residual R of the terms passes on every interval;
-    otherwise its max-norm per interval and the indices of the intervals
-    where it fails: not finite, or above its tolerance.
+def _failure(R, terms, transposed):
+    """None when the residual R = T0 - T1 - T2 (N, r+1, d) of the terms
+    (T0, T1, T2) passes on every interval; otherwise the SolverFailure of the
+    first interval, in the order of the solve (from T back when transposed),
+    whose max-norm is not finite or above its tolerance.  T1 may be (N, 1, d),
+    the same on every block row.  When a residual is not finite, that failure
+    is raised at once.
 
     Every tolerance is at least NEWTON_TOL, so a residual with no entry above
     NEWTON_TOL passes on every interval and is finite (NaN fails the
-    comparison): one reduction decides it, and the per-interval norms are
-    built only when it does not hold."""
+    comparison): one reduction decides it, and the per-interval max-norms and
+    tolerances are built only when it does not hold."""
     if np.maximum.reduce(np.abs(R), axis=None) <= NEWTON_TOL:
         return None
-    rnorm, tol = _interval_norms(R, terms)
-    failed = np.flatnonzero(~((rnorm <= tol) & np.isfinite(rnorm)))  # tol is inf when rnorm is
-    return (rnorm, failed) if failed.size else None
-
-
-def _first_failure(rnorm, failed, transposed):
-    """SolverFailure for the first of the failed intervals in the order of
-    the solve, the last one when it is transposed, with its residual norm."""
+    N = len(R)
+    rnorm = np.abs(R).reshape(N, -1).max(axis=1)
+    tol = _tolerance(np.abs(np.concatenate(terms, axis=1)).reshape(N, -1).max(axis=1))
+    finite = np.isfinite(rnorm)
+    failed = np.flatnonzero(~((rnorm <= tol) & finite))   # tol is inf when rnorm is
+    if not failed.size:
+        return None
     n = int(failed[-1] if transposed else failed[0])
-    return SolverFailure(n, float(rnorm[n]))
+    failure = SolverFailure(n, float(rnorm[n]))
+    if not finite.all():
+        raise failure
+    return failure
 
 
 def _check_amplification(J, Jinv, J_base):
@@ -198,7 +185,7 @@ def _check_amplification(J, Jinv, J_base):
     if absmax(inv, axis=None) * (base + absmax(dev, axis=None)) * ROUNDOFF <= 1:
         return
     N = len(J)
-    amplification = _row_max(inv.reshape(N, -1)) * (base + _row_max(dev.reshape(N, -1)))
+    amplification = inv.reshape(N, -1).max(axis=1) * (base + dev.reshape(N, -1).max(axis=1))
     failed = np.flatnonzero(amplification * ROUNDOFF > 1)
     if failed.size:
         raise _singular(int(failed[0]))
@@ -398,14 +385,11 @@ class AffineSystem:
         samples D at the times ts), evaluated at the coefficients C this
         system swept for x(0) = x0, passes on every interval.  A residual
         that is not finite raises SolverFailure for the first failing
-        interval, as _corrected does."""
+        interval (_failure), as _corrected does."""
         X = apply_table(self.sch.P, C)                                 # (N, q, d)
         LC, trace = apply_table(self.sch.lin, C), self._trace_term(C, x0)
         HF = self._forcing(F(ts, X.reshape(-1, x0.size), *D))
-        failures = _failures(LC - trace - HF, (LC, trace, HF))
-        if failures is not None and not np.isfinite(failures[0]).all():
-            raise _first_failure(*failures, False)
-        return failures is None
+        return _failure(LC - trace - HF, (LC, trace, HF), False) is None
 
     def _forcing(self, b):
         N, d = self.shape[0], self.shape[2]
@@ -419,17 +403,14 @@ class AffineSystem:
 
     def _corrected(self, f, x0, transposed):
         C = self._sweep(f, x0, transposed)
-        R, terms = self._residual(C, f, x0, transposed)
-        failures = _failures(R, terms)
-        for _ in range(NEWTON_MAX_ITER):
-            if failures is None or not np.isfinite(failures[0]).all():
-                break
-            C = C + self._sweep(-R, np.zeros_like(x0), transposed)
+        for corrections in range(NEWTON_MAX_ITER + 1):
             R, terms = self._residual(C, f, x0, transposed)
-            failures = _failures(R, terms)
-        if failures is None:
-            return C
-        raise _first_failure(*failures, transposed)
+            failure = _failure(R, terms, transposed)
+            if failure is None:
+                return C
+            if corrections == NEWTON_MAX_ITER:
+                raise failure
+            C = C + self._sweep(-R, np.zeros_like(x0), transposed)
 
     def _traces(self, m, x0, transposed=False):
         """Incoming traces x_n, (N, d, 1), for the forcing traces m (N, d) and

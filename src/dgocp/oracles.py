@@ -121,9 +121,10 @@ def time_reversal_discrepancy(rng, d, partition, r):
     arrays on the quadrature grid: AffineSystem.solve on the reversed
     partition, and on `partition` the transposed solve that the adjoint
     solves use, of the AffineSystem of -A^T for the backward system's A.  The
-    gap between the two forward solves counts as well.  The closures take the batched solve too: their dF_dx is
-    the same at the linearity probe's two states, so their (A, b) come from
-    dF_dx and F, and the closure residual confirms the result.
+    gap between the two forward solves counts as well.  The closures take
+    the batched solve too: their dF_dx is the same at the linearity probe's
+    two states, so their (A, b) come from dF_dx and F, and the closure
+    residual confirms the result.
     """
     A0, A1 = rng.uniform(-1.0, 1.0, size=(2, d, d))
     b0, b1 = rng.uniform(-1.0, 1.0, size=(2, d))

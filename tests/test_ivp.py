@@ -321,10 +321,10 @@ def test_non_finite_residual_stops_at_once(monkeypatch, affine):
 
 @pytest.mark.parametrize("N", [1, 7, 320])
 def test_residual_norms_equal_the_whole_block_reduction(rng, N):
-    # bit for bit against np.max over the trailing axes of the residual and of
-    # the concatenated terms; the trace term T1 is (N, 1, d), and the scales
-    # put the tolerance on either side of NEWTON_TOL.  The check's verdict is
-    # the per-interval one
+    # the check's verdict, interval and residual, in both solve orders, against
+    # np.max over the trailing axes of the residual and of the concatenated
+    # terms; the trace term T1 is (N, 1, d), and the scales put the tolerance
+    # on either side of NEWTON_TOL
     for r in range(6):
         for d in (1, 2, 3):
             scale = 10.0 ** rng.integers(-3, 15, (N, 1, 1))
@@ -332,23 +332,27 @@ def test_residual_norms_equal_the_whole_block_reduction(rng, N):
                      scale * rng.standard_normal((N, 1, d)),
                      scale * rng.standard_normal((N, r + 1, d)))
             R = terms[0] - terms[1] - terms[2]
-            rnorm, tol = ivp._interval_norms(R, terms)
-            largest = np.max(np.abs(np.concatenate(terms, axis=1)), axis=(1, 2))
-            assert np.array_equal(rnorm, np.max(np.abs(R), axis=(1, 2)))
-            assert np.array_equal(tol, ivp._tolerance(largest))
-            failures = ivp._failures(R, terms)
-            if np.all(rnorm <= tol):
-                assert failures is None
-            else:
-                assert np.array_equal(failures[0], rnorm)
-                assert np.array_equal(failures[1], np.flatnonzero(rnorm > tol))
-    # one NaN entry: a NaN norm and tolerance on its interval only, which fails
+            rnorm = np.max(np.abs(R), axis=(1, 2))
+            tol = ivp._tolerance(np.max(np.abs(np.concatenate(terms, axis=1)), axis=(1, 2)))
+            failed = np.flatnonzero(rnorm > tol)
+            for transposed in (False, True):
+                failure = ivp._failure(R, terms, transposed)
+                if not failed.size:
+                    assert failure is None
+                    continue
+                n = failed[-1] if transposed else failed[0]
+                assert (failure.interval, failure.residual) == (n, rnorm[n])
+    # one NaN entry: its interval fails too, and the check raises the first
+    # failure in the order of the solve, whichever interval that is
     terms[2][N // 2, r, d - 1] = np.nan
     R = terms[0] - terms[1] - terms[2]
-    rnorm, tol = ivp._interval_norms(R, terms)
-    nan = np.arange(N) == N // 2
-    assert np.array_equal(np.isnan(rnorm), nan) and np.array_equal(np.isnan(tol), nan)
-    assert N // 2 in ivp._failures(R, terms)[1]
+    failed = np.union1d(failed, [N // 2])
+    for n, transposed in ((failed[0], False), (failed[-1], True)):
+        with pytest.raises(SolverFailure) as err:
+            ivp._failure(R, terms, transposed)
+        assert err.value.interval == n
+        assert np.array_equal(err.value.residual, np.nan if n == N // 2 else rnorm[n],
+                              equal_nan=True)
 
 
 def _rotating_A(times):
@@ -570,6 +574,51 @@ def test_a_residual_above_tolerance_is_corrected(monkeypatch):
         assert len(calls) == 1 + ivp.NEWTON_MAX_ITER and err.value.residual > ivp.NEWTON_TOL
 
 
+@pytest.mark.parametrize("A0, T, r, sweeps", [
+    ([[10.0, 3.0], [2.0, -10.0]], 2.0, 3, {"solve": 17, "solve_transposed": 5}),
+    ([[-1.0, 1e4], [0.0, -1.0]], 1.0, 2, {"solve_transposed": 2}),
+])
+def test_unperturbed_solves_are_corrected(monkeypatch, A0, T, r, sweeps):
+    # x' = A0 x + cos(7t) (1, 1), x(0) = (1, 1), N = 4: a saddle and a large
+    # coupling leave a first sweep above its tolerance with nothing injected.
+    # The corrections pass, and the forward result is the march's to round-off
+    A0 = np.array(A0)
+    part = make_uniform_partition(T, 4)
+    times = part.quad_times(default_rule(r))
+    system = ivp.AffineSystem(np.broadcast_to(A0, times.shape + (2, 2)), part, r)
+    b, x0 = np.cos(7.0 * times)[..., None] * np.ones(2), np.ones(2)
+    calls = _count_routes(monkeypatch)
+    for name, expected in sweeps.items():
+        calls["batched"] = 0
+        getattr(system, name)(b, x0)
+        assert calls["batched"] == expected > 1, name
+    monkeypatch.undo()
+    rhs = (lambda ts, X: X @ A0.T + np.cos(7.0 * ts)[:, None],
+           lambda ts, X: np.broadcast_to(A0, (ts.size, 2, 2)))
+    marched = _march(*rhs, x0, part, r)
+    assert np.max(np.abs(system.solve(b, x0) - marched)) <= 1e-14 * np.max(np.abs(marched))
+
+
+def test_a_mixed_failure_raises_after_one_sweep(monkeypatch):
+    # interval 1 stays above its tolerance and interval 3 is NaN: the first
+    # failure in the order of the solve is raised at once, a finite one
+    # forward and the NaN one transposed, from T back
+    part = make_uniform_partition(1.0, 4)
+    times = part.quad_times(default_rule(1))
+    system = ivp.AffineSystem(_rotating_A(times), part, 1)
+    b, x0 = np.stack((np.sin(times), times), -1), np.array([1.0, -0.5])
+    _injected(monkeypatch, {1: 1.0, 3: np.nan})
+    calls = _count_routes(monkeypatch)
+    for solve, first, message in ((system.solve, 1, r"1\.000e\+00"),
+                                  (system.solve_transposed, 3, "nan")):
+        calls["batched"] = 0
+        with pytest.raises(SolverFailure, match=rf"^residual {message} above its tolerance "
+                                                rf"on interval {first}$") as err:
+            solve(b, x0)
+        assert calls["batched"] == 1 and err.value.interval == first
+        assert np.array_equal(err.value.residual, 1.0 if first == 1 else np.nan, equal_nan=True)
+
+
 def test_a_linear_closure_above_tolerance_is_marched(monkeypatch):
     # a sweep off by 1e-9 leaves the closure's residual finite and above its
     # tolerance: the linear closure is not corrected but marched, and its
@@ -693,15 +742,15 @@ def _count_routes(monkeypatch):
 
 
 def _count_interval_norms(monkeypatch):
-    """Count the calls of ivp._interval_norms, the residual check's
-    per-interval path; returns a one-element list."""
-    calls, norms = [0], ivp._interval_norms
+    """Count the calls of ivp._tolerance, which only the residual check's
+    per-interval path makes; returns a one-element list."""
+    calls, tolerance = [0], ivp._tolerance
 
     def counted(*args):
         calls[0] += 1
-        return norms(*args)
+        return tolerance(*args)
 
-    monkeypatch.setattr(ivp, "_interval_norms", counted)
+    monkeypatch.setattr(ivp, "_tolerance", counted)
     return calls
 
 
@@ -713,13 +762,13 @@ def test_a_passing_check_takes_one_reduction(monkeypatch, rng):
     p, r = linear_lq().problem, 3
     part = make_uniform_partition(p.T, 320)
     u, v = random_dg(rng, part, r), random_dg(rng, part, r)
-    checks, failures = [0], ivp._failures
+    checks, failure = [0], ivp._failure
 
     def counted(*args):
         checks[0] += 1
-        return failures(*args)
+        return failure(*args)
 
-    monkeypatch.setattr(ivp, "_failures", counted)
+    monkeypatch.setattr(ivp, "_failure", counted)
     norms = _count_interval_norms(monkeypatch)
     f_calls, f = [], p.f
     state = replace(p, f=lambda *args: f_calls.append(1) or f(*args))
