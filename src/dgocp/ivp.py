@@ -68,18 +68,21 @@ a LAPACK error.  Either raises SolverFailure(n, inf) for the first such
 block; the Newton blocks of the march get the LAPACK test only.
 
 An interval's residual passes when its max-norm is at most NEWTON_TOL, or at
-most ROUNDOFF times the largest entry of the residual's terms when that is
-larger: a large solution has a round-off floor above any absolute tolerance.
-So a residual with no entry above NEWTON_TOL passes on every interval, and
-is finite.  One function, _failure, decides every batched check (an
+most ROUNDOFF times the largest magnitude of the terms the check subtracts
+when that is larger, each product with the solution measured before it
+cancels (|J||C| for J C): a large solution, or a saddle whose A X cancels in
+J C, has a round-off floor above any absolute tolerance.  So a residual with
+no entry above NEWTON_TOL passes on every interval, and is finite.  One
+function, _failure, states that rule and decides every batched check (an
 AffineSystem solve's, each of its corrections', and a linear closure's): one
 reduction over all intervals decides a pass, and only when it does not hold
 (NaN data, a solution large enough for the round-off floor, a failure) does
-it build the per-interval max-norms and tolerances, with numpy's row
-maximum.  Both solvers stop at the first residual that is not finite, and
-both fail by one rule: SolverFailure names the first interval, in the order
-of the solve, whose residual is not finite or stays above its tolerance.
-The march checks its one interval with a scalar of its own.  The closure
+it measure the terms and build the per-interval max-norms and tolerances,
+with numpy's row maximum.  Both solvers stop at the first residual that is
+not finite, and both fail by one rule: SolverFailure names the first
+interval, in the order of the solve, whose residual is not finite or stays
+above its tolerance.  The march checks its one interval with a scalar of
+its own.  The closure
 backward (terminal-value) solve, solve_backward, is a forward solve of the
 time-reversed system on the reversed partition, followed by a
 coefficient-level reversal; its data are reversed with reverse_dg, and its
@@ -142,22 +145,31 @@ def _tolerance(scale):
 
 
 def _failure(R, terms, transposed):
-    """None when the residual R = T0 - T1 - T2 (N, r+1, d) of the terms
-    (T0, T1, T2) passes on every interval; otherwise the SolverFailure of the
-    first interval, in the order of the solve (from T back when transposed),
-    whose max-norm is not finite or above its tolerance.  T1 may be (N, 1, d),
-    the same on every block row.  When a residual is not finite, that failure
-    is raised at once.
+    """None when the residual R (N, r+1, d) passes on every interval;
+    otherwise the SolverFailure of the first interval, in the order of the
+    solve (from T back when transposed), whose max-norm is not finite or
+    above its tolerance.  When a residual is not finite, that failure is
+    raised at once.
+
+    An interval passes when its max-norm is at most NEWTON_TOL, or at most
+    ROUNDOFF times the largest magnitude of the terms the check subtracts,
+    when that is larger.  terms() returns those magnitudes, as arrays
+    (N, k, d) with any k, and each product T C of a table or block T with
+    the solution C is measured before its sum cancels, as |T||C|: the
+    componentwise backward error of Oettli and Prager (1964), the usual stop
+    of iterative refinement (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 12).  So a solution of size 1e4 and more, or a product
+    in which large terms cancel, gets a floor above any absolute tolerance.
 
     Every tolerance is at least NEWTON_TOL, so a residual with no entry above
     NEWTON_TOL passes on every interval and is finite (NaN fails the
-    comparison): one reduction decides it, and the per-interval max-norms and
-    tolerances are built only when it does not hold."""
+    comparison): one reduction decides it, and terms() and the per-interval
+    max-norms and tolerances are built only when it does not hold."""
     if np.maximum.reduce(np.abs(R), axis=None) <= NEWTON_TOL:
         return None
     N = len(R)
     rnorm = np.abs(R).reshape(N, -1).max(axis=1)
-    tol = _tolerance(np.abs(np.concatenate(terms, axis=1)).reshape(N, -1).max(axis=1))
+    tol = _tolerance(np.abs(np.concatenate(terms(), axis=1)).reshape(N, -1).max(axis=1))
     finite = np.isfinite(rnorm)
     failed = np.flatnonzero(~((rnorm <= tol) & finite))   # tol is inf when rnorm is
     if not failed.size:
@@ -383,13 +395,17 @@ class AffineSystem:
     def _closure_passes(self, F, ts, D, C, x0):
         """Whether the residual of the closure F (solve_forward's, with data
         samples D at the times ts), evaluated at the coefficients C this
-        system swept for x(0) = x0, passes on every interval.  A residual
-        that is not finite raises SolverFailure for the first failing
-        interval (_failure), as _corrected does."""
-        X = apply_table(self.sch.P, C)                                 # (N, q, d)
-        LC, trace = apply_table(self.sch.lin, C), self._trace_term(C, x0)
-        HF = self._forcing(F(ts, X.reshape(-1, x0.size), *D))
-        return _failure(LC - trace - HF, (LC, trace, HF), False) is None
+        system swept for x(0) = x0, passes on every interval; its terms are
+        measured as |lin||C|, the trace term and (h/2)|PtW||F(X)|.  A
+        residual that is not finite raises SolverFailure for the first
+        failing interval (_failure), as _corrected does."""
+        sch, X = self.sch, apply_table(self.sch.P, C)                  # (N, q, d)
+        FX = F(ts, X.reshape(-1, x0.size), *D)
+        trace = self._trace_term(C, x0)
+        terms = lambda: (apply_table(np.abs(sch.lin), np.abs(C)), trace,
+                         self.half_h * apply_table(np.abs(sch.PtW), np.abs(FX).reshape(X.shape)))
+        R = apply_table(sch.lin, C) - trace - self._forcing(FX)
+        return _failure(R, terms, False) is None
 
     def _forcing(self, b):
         N, d = self.shape[0], self.shape[2]
@@ -439,15 +455,17 @@ class AffineSystem:
         return (self.Jinv.swapaxes(1, 2) @ (ws + f).reshape(N, nd, 1)).reshape(self.shape)
 
     def _residual(self, C, f, x0, transposed):
-        """The residual R = T0 - T1 - f of the coefficients C and its terms."""
+        """The residual R = J C - T1 - f of the coefficients C, J^T C when
+        transposed, and the function of its terms' magnitudes (|J||C|, T1, f)
+        that _failure takes."""
         N, nd = self.shape[0], self.J.shape[1]
         if transposed:
-            ws = np.concatenate((self.sch.s @ C[1:], x0[None]))[:, None, :]
-            T0, T1 = self.J.swapaxes(1, 2) @ C.reshape(N, nd, 1), ws
+            J = self.J.swapaxes(1, 2)
+            T1 = np.concatenate((self.sch.s @ C[1:], x0[None]))[:, None, :]
         else:
-            T0, T1 = self.J @ C.reshape(N, nd, 1), self._trace_term(C, x0)
-        T0 = T0.reshape(self.shape)
-        return T0 - T1 - f, (T0, T1, f)
+            J, T1 = self.J, self._trace_term(C, x0)
+        product = lambda J, C: (J @ C.reshape(N, nd, 1)).reshape(self.shape)
+        return product(J, C) - T1 - f, lambda: (product(np.abs(J), np.abs(C)), T1, f)
 
 
 _memo = weakref.WeakKeyDictionary()  # at most one entry, partition -> (r, copy of A, system)

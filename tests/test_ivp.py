@@ -323,8 +323,8 @@ def test_non_finite_residual_stops_at_once(monkeypatch, affine):
 def test_residual_norms_equal_the_whole_block_reduction(rng, N):
     # the check's verdict, interval and residual, in both solve orders, against
     # np.max over the trailing axes of the residual and of the concatenated
-    # terms; the trace term T1 is (N, 1, d), and the scales put the tolerance
-    # on either side of NEWTON_TOL
+    # terms, which the check takes as a function; the trace term T1 is
+    # (N, 1, d), and the scales put the tolerance on either side of NEWTON_TOL
     for r in range(6):
         for d in (1, 2, 3):
             scale = 10.0 ** rng.integers(-3, 15, (N, 1, 1))
@@ -336,7 +336,7 @@ def test_residual_norms_equal_the_whole_block_reduction(rng, N):
             tol = ivp._tolerance(np.max(np.abs(np.concatenate(terms, axis=1)), axis=(1, 2)))
             failed = np.flatnonzero(rnorm > tol)
             for transposed in (False, True):
-                failure = ivp._failure(R, terms, transposed)
+                failure = ivp._failure(R, lambda: terms, transposed)
                 if not failed.size:
                     assert failure is None
                     continue
@@ -349,7 +349,7 @@ def test_residual_norms_equal_the_whole_block_reduction(rng, N):
     failed = np.union1d(failed, [N // 2])
     for n, transposed in ((failed[0], False), (failed[-1], True)):
         with pytest.raises(SolverFailure) as err:
-            ivp._failure(R, terms, transposed)
+            ivp._failure(R, lambda: terms, transposed)
         assert err.value.interval == n
         assert np.array_equal(err.value.residual, np.nan if n == N // 2 else rnorm[n],
                               equal_nan=True)
@@ -574,29 +574,47 @@ def test_a_residual_above_tolerance_is_corrected(monkeypatch):
         assert len(calls) == 1 + ivp.NEWTON_MAX_ITER and err.value.residual > ivp.NEWTON_TOL
 
 
-@pytest.mark.parametrize("A0, T, r, sweeps", [
-    ([[10.0, 3.0], [2.0, -10.0]], 2.0, 3, {"solve": 17, "solve_transposed": 5}),
-    ([[-1.0, 1e4], [0.0, -1.0]], 1.0, 2, {"solve_transposed": 2}),
-])
-def test_unperturbed_solves_are_corrected(monkeypatch, A0, T, r, sweeps):
-    # x' = A0 x + cos(7t) (1, 1), x(0) = (1, 1), N = 4: a saddle and a large
-    # coupling leave a first sweep above its tolerance with nothing injected.
-    # The corrections pass, and the forward result is the march's to round-off
+def _constant_system(A0, T, N, r):
+    """The AffineSystem of x' = A0 x + cos(7t) (1, 1) on a uniform mesh, its
+    forcing samples b, x(0) = (1, 1), and the march's coefficients."""
     A0 = np.array(A0)
-    part = make_uniform_partition(T, 4)
+    part = make_uniform_partition(T, N)
     times = part.quad_times(default_rule(r))
     system = ivp.AffineSystem(np.broadcast_to(A0, times.shape + (2, 2)), part, r)
     b, x0 = np.cos(7.0 * times)[..., None] * np.ones(2), np.ones(2)
+    marched = _march(lambda ts, X: X @ A0.T + np.cos(7.0 * ts)[:, None],
+                     lambda ts, X: np.broadcast_to(A0, (ts.size, 2, 2)), x0, part, r)
+    return system, b, x0, marched
+
+
+@pytest.mark.parametrize("A0, T, N, r", [
+    ([[10.0, 3.0], [2.0, -10.0]], 4.0, 8, 3),
+    ([[10.0, 3.0], [2.0, -10.0]], 2.0, 4, 3),
+    ([[-1.0, 1e4], [0.0, -1.0]], 1.0, 4, 2),
+])
+def test_unperturbed_solves_pass_on_one_sweep(monkeypatch, A0, T, N, r):
+    # a saddle, where A X cancels in J C, and a large coupling: the check
+    # measures J C as |J||C| before it cancels, so the first sweep passes in
+    # both orders, and the forward result is the march's to round-off
+    system, b, x0, marched = _constant_system(A0, T, N, r)
     calls = _count_routes(monkeypatch)
-    for name, expected in sweeps.items():
+    for solve in (system.solve, system.solve_transposed):
         calls["batched"] = 0
-        getattr(system, name)(b, x0)
-        assert calls["batched"] == expected > 1, name
-    monkeypatch.undo()
-    rhs = (lambda ts, X: X @ A0.T + np.cos(7.0 * ts)[:, None],
-           lambda ts, X: np.broadcast_to(A0, (ts.size, 2, 2)))
-    marched = _march(*rhs, x0, part, r)
+        solve(b, x0)
+        assert calls["batched"] == 1, solve.__name__
     assert np.max(np.abs(system.solve(b, x0) - marched)) <= 1e-14 * np.max(np.abs(marched))
+
+
+def test_an_unperturbed_solve_is_corrected(monkeypatch):
+    # x' = A0 x + cos(7t) (1, 1) with the coupling 1e4 on 64 intervals: the
+    # first transposed sweep stays above its tolerance with nothing injected,
+    # and one correction passes
+    system, b, x0, _ = _constant_system([[-1.0, 1e4], [0.0, -1.0]], 2.0, 64, 3)
+    calls = _count_routes(monkeypatch)
+    for solve, sweeps in ((system.solve, 1), (system.solve_transposed, 2)):
+        calls["batched"] = 0
+        solve(b, x0)
+        assert calls["batched"] == sweeps, solve.__name__
 
 
 def test_a_mixed_failure_raises_after_one_sweep(monkeypatch):
